@@ -8,6 +8,7 @@ its criteria failed.
 """
 
 import argparse
+import dataclasses
 import os
 import sys
 
@@ -50,8 +51,6 @@ _SECTION_KEYS = {
     "frame_inline": {"geometry", "potential", "modes"},
     "resonance": {"patterns", "eta", "mode"},
     "table_ref": {"file", "sha256"},
-    "solver": {"epsilon", "tau_end", "dt", "scheme", "samples", "theta_osc",
-               "blow_up_factor", "blow_up_norm"},
     "initial": {"radius", "s", "seed", "re", "im"},
     "noise": {"amplitudes", "scale", "decay", "eigenvalue_power"},
 }
@@ -183,9 +182,9 @@ def _build_solver(section):
     from .integrators import SolverConfig
     if section is None:
         raise ConfigError("config needs a 'solver' section")
-    _check_keys("solver", section, _SECTION_KEYS["solver"],
+    _check_keys("solver", section, {f.name for f in dataclasses.fields(SolverConfig)},
                 required=("epsilon", "tau_end"))
-    return SolverConfig(**{k: v for k, v in section.items()})
+    return SolverConfig(**section)
 
 
 def _build_initial(section, frame):
@@ -251,16 +250,14 @@ def _write_manifest(args, config, outputs):
 
 
 def _spectrum_summary(frame):
+    from .resonance import eigenvalue_clusters
+    from .spectral import DEGENERACY_RTOL
+    lam = frame.eigenvalues
     lines = [f"frame sha256 {frame.content_hash()}",
              f"dimension {frame.geometry.dimension}, modes {frame.modes}",
              "eigenvalue  multiplicity"]
-    values = []
-    for lam in frame.eigenvalues:
-        if values and abs(lam - values[-1][0]) <= 1e-9 * max(1.0, abs(lam)):
-            values[-1][1] += 1
-        else:
-            values.append([float(lam), 1])
-    lines += [f"{lam:<11.6g} {mult}" for lam, mult in values]
+    lines += [f"{float(lam[c[0]]):<11.6g} {len(c)}"
+              for c in eigenvalue_clusters(lam, eta=DEGENERACY_RTOL)]
     return "\n".join(lines) + "\n"
 
 

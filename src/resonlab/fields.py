@@ -210,20 +210,10 @@ def default_quadrature_nodes(frame, window):
     return int(math.ceil(4.0 * window * span / (2.0 * math.pi))) + 1
 
 
-def effective_drift_analytic(state, table, spec, frame):
-    """Resonant-sum drift (one-shot convenience; integrators cache ResonantDrift)."""
-    return ResonantDrift(frame, spec, table)(state)
-
-
-def effective_drift_numerical(state, spec, frame, window, n_quad=None):
-    """Finite-window time average of the rotated field."""
-    return QuadratureDrift(frame, spec, window, n_quad)(state)
-
-
 def drift_route_residual(state, table, spec, frame, window, n_quad=None, s=0.0):
     """Both drift routes and their Sobolev-s gap; reported by studies."""
-    analytic = effective_drift_analytic(state, table, spec, frame)
-    numerical = effective_drift_numerical(state, spec, frame, window, n_quad)
+    analytic = ResonantDrift(frame, spec, table)(state)
+    numerical = QuadratureDrift(frame, spec, window, n_quad)(state)
     gap = sobolev_norm(analytic - numerical, s, frame.eigenvalues)
     return {"analytic": analytic, "numerical": numerical, "residual": float(gap)}
 

@@ -13,7 +13,7 @@ the deterministic "expeuler" scheme.  Complex noise follows the convention
 E|beta_l(tau)|^2 = 2 tau (independent standard real and imaginary parts).
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields
 import math
 
 import numpy as np
@@ -68,21 +68,13 @@ class SolverConfig:
         return np.linspace(0.0, self.tau_end, int(self.samples))
 
     def to_document(self):
-        return {
-            "epsilon": self.epsilon, "tau_end": self.tau_end, "dt": self.dt,
-            "scheme": self.scheme, "theta_osc": self.theta_osc,
-            "samples": int(self.samples), "blow_up_factor": self.blow_up_factor,
-            "blow_up_norm": self.blow_up_norm,
-        }
+        doc = {f.name: getattr(self, f.name) for f in fields(self)}
+        doc["samples"] = int(self.samples)
+        return doc
 
     @staticmethod
     def from_document(doc):
         return SolverConfig(**doc)
-
-
-def replace_config(config, **updates):
-    """Convenience for studies sweeping one or two solver parameters."""
-    return replace(config, **updates)
 
 
 def oscillation_step(config, eigenvalues):
@@ -177,14 +169,19 @@ class _NoiseStream:
         self._cursor = 0
 
     def next_step(self):
-        """Standard normals of shape (members, 2, modes) for one step."""
+        """Complex normals z_re + i z_im of shape (members, modes) for one step.
+
+        No view into the block buffer escapes, so the spent block is freed
+        before the next one is drawn rather than held beside it.
+        """
         if self._buffer is None or self._cursor == self._buffer.shape[0]:
+            self._buffer = None
             draws = [g.standard_normal((_NOISE_CHUNK, 2, self.modes)) for g in self.gens]
             self._buffer = np.stack(draws, axis=1)
             self._cursor = 0
-        block = self._buffer[self._cursor]
+        z = self._buffer[self._cursor]
         self._cursor += 1
-        return block
+        return z[:, 0] + 1j * z[:, 1]
 
 
 def _full_noise_injector(noise, frame, epsilon):
@@ -250,6 +247,7 @@ def _drive(a0, g, lam, mu, config, h_target, inject=None, stream=None, drift=Non
     consuming their noise stream, so survivors are unaffected by exclusions.
     Disparity tracking (drift given) accumulates the integral of g - drift by
     the trapezoid rule on step nodes, reusing the scheme's own k1 stages.
+    The returned "meta" (h_target, steps) is what every result reports.
     """
     taus = config.sample_taus()
     members, modes = a0.shape
@@ -291,8 +289,7 @@ def _drive(a0, g, lam, mu, config, h_target, inject=None, stream=None, drift=Non
             else:
                 a = _expeuler_step(a, h, E, k1)
             if inject is not None:
-                z = stream.next_step()
-                a = a + inject(tau_n + h, sqrt_h * (z[:, 0] + 1j * z[:, 1]))
+                a = a + inject(tau_n + h, sqrt_h * stream.next_step())
             with np.errstate(invalid="ignore"):
                 norm = _guard_norm(a, weights)
                 fresh = ~dead & (~np.isfinite(norm) | (norm > bound))
@@ -314,15 +311,67 @@ def _drive(a0, g, lam, mu, config, h_target, inject=None, stream=None, drift=Non
         "taus": taus, "states": states, "dead": dead,
         "death_tau": death_tau, "death_norm": death_norm, "bound": bound,
         "disparity": disparity, "disp_max": disp_max, "steps": total,
+        "meta": {"h_target": h_target, "steps": total},
     }
 
 
-def _raise_if_dead(run, member=0, annotate=None):
-    if run["dead"][member]:
-        raise BlowUpError(float(run["death_tau"][member]),
-                          float(run["death_norm"][member]),
-                          float(np.atleast_1d(run["bound"])[member]),
-                          member=annotate)
+# -- run helpers: one per system, shared by single runs and ensembles --------
+
+def _full_field(spec, frame, epsilon):
+    """Y(a, tau / epsilon) in slow time; the one place fast time is spelled."""
+    inv_eps = 1.0 / epsilon
+    return lambda x, tau: eval_Y(x, inv_eps * tau, spec, frame)
+
+
+def _noise_stream(config, seed, members, modes):
+    """Member streams of a stochastic run; a seed of None marks a deterministic one."""
+    if seed is None:
+        return None
+    if config.scheme != "expeuler":
+        raise ConfigError("stochastic runs use scheme='expeuler'")
+    return _NoiseStream(seed, members, modes)
+
+
+def _run_full(a0, spec, frame, config, noise=None, seed=None, table=None,
+              track_disparity=False):
+    """Drive the rotated full system over an (members, modes) batch."""
+    stream = _noise_stream(config, seed, *a0.shape)
+    drift = None
+    if track_disparity:
+        if table is None:
+            raise ConfigError("disparity tracking needs a resonance table")
+        drift = ResonantDrift(frame, spec, table)
+    inject = None if noise is None else _full_noise_injector(noise, frame, config.epsilon)
+    h_target = oscillation_step(config, frame.eigenvalues)
+    return _drive(a0, _full_field(spec, frame, config.epsilon), frame.eigenvalues,
+                  spec.mu, config, h_target, inject=inject, stream=stream, drift=drift)
+
+
+def _run_effective(a0, spec, frame, config, table=None, drift=None,
+                   diffusion=None, seed=None):
+    """Drive the averaged system over an (members, modes) batch."""
+    stream = _noise_stream(config, seed, *a0.shape)
+    if drift is None:
+        drift = ResonantDrift(frame, spec, table)
+    inject = None if diffusion is None else _effective_noise_injector(diffusion)
+    return _drive(a0, lambda x, tau: drift(x), frame.eigenvalues, spec.mu, config,
+                  config.dt, inject=inject, stream=stream)
+
+
+def _trajectory(run, config, frame, epsilon=None, seed=None, noise_doc=None):
+    """Member 0 of a single run; raises BlowUpError if it left the safety ball."""
+    if run["dead"][0]:
+        raise BlowUpError(float(run["death_tau"][0]), float(run["death_norm"][0]),
+                          float(np.atleast_1d(run["bound"])[0]),
+                          member=None if seed is None else 0)
+    tracked = run["disparity"] is not None
+    return Trajectory(
+        taus=run["taus"], states=run["states"][:, 0], scheme=config.scheme,
+        epsilon=epsilon, seed=None if seed is None else int(seed),
+        frame_hash=frame.content_hash(), noise_doc=noise_doc,
+        disparity=run["disparity"][:, 0] if tracked else None,
+        disparity_max=run["disp_max"][0] if tracked else None,
+        meta=run["meta"])
 
 
 # -- public single-run integrators ------------------------------------------
@@ -339,7 +388,7 @@ def step_full_deterministic(state, tau, h, spec, frame, config):
     a = np.atleast_2d(mode_vector(state))
     lam = frame.eigenvalues
     E = np.exp(-spec.mu * lam * h)
-    g = lambda x, t: eval_Y(x, t / config.epsilon, spec, frame)
+    g = _full_field(spec, frame, config.epsilon)
     k1 = g(a, tau)
     if config.scheme == "lawson4":
         E2 = np.exp(-spec.mu * lam * (0.5 * h))
@@ -356,24 +405,9 @@ def integrate_full(state, spec, frame, config, table=None, track_disparity=False
     trajectory is accumulated and sampled; this needs a resonance table for
     the averaged drift.
     """
-    a0 = np.atleast_2d(mode_vector(state))
-    lam = frame.eigenvalues
-    inv_eps = 1.0 / config.epsilon
-    drift = None
-    if track_disparity:
-        if table is None:
-            raise ConfigError("disparity tracking needs a resonance table")
-        drift = ResonantDrift(frame, spec, table)
-    h_target = oscillation_step(config, lam)
-    run = _drive(a0, lambda x, tau: eval_Y(x, inv_eps * tau, spec, frame),
-                 lam, spec.mu, config, h_target, drift=drift)
-    _raise_if_dead(run)
-    return Trajectory(
-        taus=run["taus"], states=run["states"][:, 0], scheme=config.scheme,
-        epsilon=config.epsilon, frame_hash=frame.content_hash(),
-        disparity=None if drift is None else run["disparity"][:, 0],
-        disparity_max=None if drift is None else run["disp_max"][0],
-        meta={"h_target": h_target, "steps": run["steps"]})
+    run = _run_full(np.atleast_2d(mode_vector(state)), spec, frame, config,
+                    table=table, track_disparity=track_disparity)
+    return _trajectory(run, config, frame, epsilon=config.epsilon)
 
 
 def integrate_effective(state, spec, frame, config, table=None, drift=None):
@@ -382,51 +416,24 @@ def integrate_effective(state, spec, frame, config, table=None, drift=None):
     A custom drift callable (e.g. the quadrature route, for oracle swaps)
     replaces the resonant-sum drift built from the table.
     """
-    a0 = np.atleast_2d(mode_vector(state))
-    if drift is None:
-        drift = ResonantDrift(frame, spec, table)
-    run = _drive(a0, lambda x, tau: drift(x), frame.eigenvalues, spec.mu,
-                 config, config.dt)
-    _raise_if_dead(run)
-    return Trajectory(
-        taus=run["taus"], states=run["states"][:, 0], scheme=config.scheme,
-        epsilon=None, frame_hash=frame.content_hash(),
-        meta={"h_target": config.dt, "steps": run["steps"]})
+    run = _run_effective(np.atleast_2d(mode_vector(state)), spec, frame, config,
+                         table=table, drift=drift)
+    return _trajectory(run, config, frame)
 
 
 def integrate_full_stochastic(state, spec, frame, config, noise, seed):
     """Single noisy trajectory of the full rotated system."""
-    if config.scheme != "expeuler":
-        raise ConfigError("stochastic runs use scheme='expeuler'")
-    a0 = np.atleast_2d(mode_vector(state))
-    stream = _NoiseStream(seed, a0.shape[0], frame.modes)
-    inject = _full_noise_injector(noise, frame, config.epsilon)
-    h_target = oscillation_step(config, frame.eigenvalues)
-    run = _drive(a0, lambda x, tau: eval_Y(x, tau / config.epsilon, spec, frame),
-                 frame.eigenvalues, spec.mu, config, h_target,
-                 inject=inject, stream=stream)
-    _raise_if_dead(run, annotate=0)
-    return Trajectory(
-        taus=run["taus"], states=run["states"][:, 0], scheme=config.scheme,
-        epsilon=config.epsilon, seed=int(seed), frame_hash=frame.content_hash(),
-        noise_doc=noise.to_document(), meta={"h_target": h_target})
+    run = _run_full(np.atleast_2d(mode_vector(state)), spec, frame, config,
+                    noise=noise, seed=seed)
+    return _trajectory(run, config, frame, epsilon=config.epsilon, seed=seed,
+                       noise_doc=noise.to_document())
 
 
 def integrate_effective_stochastic(state, spec, frame, config, table, diffusion, seed):
     """Single noisy trajectory of the averaged equation."""
-    if config.scheme != "expeuler":
-        raise ConfigError("stochastic runs use scheme='expeuler'")
-    a0 = np.atleast_2d(mode_vector(state))
-    stream = _NoiseStream(seed, a0.shape[0], frame.modes)
-    drift = ResonantDrift(frame, spec, table)
-    run = _drive(a0, lambda x, tau: drift(x), frame.eigenvalues, spec.mu,
-                 config, config.dt, inject=_effective_noise_injector(diffusion),
-                 stream=stream)
-    _raise_if_dead(run, annotate=0)
-    return Trajectory(
-        taus=run["taus"], states=run["states"][:, 0], scheme=config.scheme,
-        epsilon=None, seed=int(seed), frame_hash=frame.content_hash(),
-        meta={"h_target": config.dt})
+    run = _run_effective(np.atleast_2d(mode_vector(state)), spec, frame, config,
+                         table=table, diffusion=diffusion, seed=seed)
+    return _trajectory(run, config, frame, seed=seed)
 
 
 # -- ensembles --------------------------------------------------------------
@@ -495,34 +502,16 @@ def _broadcast_members(state, members, modes):
 def ensemble_full(state, spec, frame, config, noise, members, seed_base,
                   table=None, track_disparity=False):
     """Batch of noisy full-system runs; member i uses Philox key seed_base + i."""
-    if config.scheme != "expeuler":
-        raise ConfigError("stochastic runs use scheme='expeuler'")
-    a0 = _broadcast_members(state, members, frame.modes)
-    stream = _NoiseStream(seed_base, members, frame.modes)
-    inject = _full_noise_injector(noise, frame, config.epsilon)
-    drift = None
-    if track_disparity:
-        if table is None:
-            raise ConfigError("disparity tracking needs a resonance table")
-        drift = ResonantDrift(frame, spec, table)
-    h_target = oscillation_step(config, frame.eigenvalues)
-    run = _drive(a0, lambda x, tau: eval_Y(x, tau / config.epsilon, spec, frame),
-                 frame.eigenvalues, spec.mu, config, h_target,
-                 inject=inject, stream=stream, drift=drift)
+    run = _run_full(_broadcast_members(state, members, frame.modes), spec, frame,
+                    config, noise=noise, seed=seed_base, table=table,
+                    track_disparity=track_disparity)
     return _summarize(run, seed_base, frame.content_hash(),
-                      {"h_target": h_target, "system": "full",
-                       "noise": noise.to_document()})
+                      {**run["meta"], "system": "full", "noise": noise.to_document()})
 
 
 def ensemble_effective(state, spec, frame, config, table, diffusion, members, seed_base):
     """Batch of noisy effective-equation runs with matched member seeding."""
-    if config.scheme != "expeuler":
-        raise ConfigError("stochastic runs use scheme='expeuler'")
-    a0 = _broadcast_members(state, members, frame.modes)
-    stream = _NoiseStream(seed_base, members, frame.modes)
-    drift = ResonantDrift(frame, spec, table)
-    run = _drive(a0, lambda x, tau: drift(x), frame.eigenvalues, spec.mu,
-                 config, config.dt, inject=_effective_noise_injector(diffusion),
-                 stream=stream)
+    run = _run_effective(_broadcast_members(state, members, frame.modes), spec, frame,
+                         config, table=table, diffusion=diffusion, seed=seed_base)
     return _summarize(run, seed_base, frame.content_hash(),
-                      {"h_target": config.dt, "system": "effective"})
+                      {**run["meta"], "system": "effective"})

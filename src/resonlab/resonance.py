@@ -8,8 +8,6 @@ relative tolerance eta.
 """
 
 from dataclasses import dataclass
-import json
-import hashlib
 import math
 
 import numpy as np
@@ -220,11 +218,9 @@ class ResonanceTable:
             doc["frame_sha256"] = self.frame_hash
         return doc
 
-    def canonical_bytes(self):
-        return json.dumps(self.to_document(), separators=(",", ":")).encode()
-
     def content_hash(self):
-        return hashlib.sha256(self.canonical_bytes()).hexdigest()
+        from .io import content_hash  # io imports integrators, which imports spectral
+        return content_hash(self.to_document())
 
     @staticmethod
     def from_document(doc):
@@ -331,10 +327,3 @@ def build_diffusion(frame, amplitudes, eta=DEFAULT_ETA):
     spec = DiffusionSpec(matrix=A, root=B, clusters=clusters, amplitudes=b)
     spec.validate()
     return spec
-
-
-def noise_band_sum(eigenvalues, amplitudes, s):
-    """Diagnostic 2 sum_l |lambda_l|^{2s} b_l^2 reported with stochastic runs."""
-    lam = np.abs(np.asarray(eigenvalues, dtype=float))
-    b = np.asarray(amplitudes, dtype=float)
-    return 2.0 * float(np.sum(lam ** (2.0 * s) * b ** 2))

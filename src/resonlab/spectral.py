@@ -7,15 +7,14 @@ downstream (resonance bookkeeping, nonlinear fields, integrators) works in the
 coordinates this frame defines.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
-import json
-import hashlib
 import math
 
 import numpy as np
 
 from .errors import ConfigError, ValidationError
+from .resonance import eigenvalue_clusters
 
 TWO_PI = 2.0 * math.pi
 
@@ -186,32 +185,9 @@ def trig_basis(dimension, count):
     return labels[:count]
 
 
-def window_mode_count(dimension, radius):
-    """Number of basis functions in the full symmetric window |m_i| <= radius."""
-    return (2 * radius + 1) ** dimension
-
-
-@dataclass
-class CoefficientState:
-    """A mode-coefficient vector with its representation tag and slow time.
-
-    representation is "physical" for the rotating variables v and "interaction"
-    for the phase-stripped variables a.
-    """
-
-    values: np.ndarray
-    representation: str = "physical"
-    tau: float = 0.0
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=complex)
-        if self.representation not in ("physical", "interaction"):
-            raise ConfigError(f"unknown representation {self.representation!r}")
-
-
 def mode_vector(state):
-    """Coerce a CoefficientState or array-like to a complex ndarray."""
-    return np.asarray(getattr(state, "values", state), dtype=complex)
+    """Coerce an array-like of mode coefficients to a complex ndarray."""
+    return np.asarray(state, dtype=complex)
 
 
 class SpectralFrame:
@@ -242,6 +218,8 @@ class SpectralFrame:
         M = self.modes
         if self.eigenvalues.shape != (M,) or self.eigenvectors.shape != (M, M):
             raise ValidationError("frame arrays do not match the basis size")
+        if not (np.isfinite(self.eigenvalues).all() and np.isfinite(self.eigenvectors).all()):
+            raise ValidationError("frame eigenpairs are not finite")
         if np.any(np.diff(self.eigenvalues) < -1e-12 * np.maximum(1.0, np.abs(self.eigenvalues[:-1]))):
             raise ValidationError("eigenvalues are not ascending")
         gram = self.eigenvectors @ self.eigenvectors.T
@@ -317,11 +295,9 @@ class SpectralFrame:
             "psi": [row.tolist() for row in self.eigenvectors],
         }
 
-    def canonical_bytes(self):
-        return json.dumps(self.to_document(), separators=(",", ":")).encode()
-
     def content_hash(self):
-        return hashlib.sha256(self.canonical_bytes()).hexdigest()
+        from .io import content_hash  # io imports integrators, which imports this module
+        return content_hash(self.to_document())
 
     @staticmethod
     def from_document(doc):
@@ -415,21 +391,9 @@ def build_frame(geometry, potential, modes):
     return SpectralFrame(geometry, potential, basis, lam, psi)
 
 
-def eigenvalue_clusters_for_frame(eigenvalues, rtol=DEGENERACY_RTOL):
-    """Adjacent-gap clustering of an ascending eigenvalue list (index groups)."""
-    lam = np.asarray(eigenvalues, dtype=float)
-    clusters = [[0]]
-    for k in range(1, len(lam)):
-        if abs(lam[k] - lam[k - 1]) <= rtol * max(1.0, abs(lam[k])):
-            clusters[-1].append(k)
-        else:
-            clusters.append([k])
-    return clusters
-
-
 def _align_degenerate_clusters(lam, vecs):
     vecs = vecs.copy()
-    for cluster in eigenvalue_clusters_for_frame(lam):
+    for cluster in eigenvalue_clusters(lam, eta=DEGENERACY_RTOL):
         if len(cluster) < 2:
             continue
         U = vecs[:, cluster]

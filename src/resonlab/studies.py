@@ -10,7 +10,7 @@ and every trajectory or ensemble a table number came from.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -21,9 +21,9 @@ from .fields import (Observable, QuadratureDrift, action_observable,
 from .integrators import (NOISE_CONVENTION, SolverConfig, ensemble_full,
                           ensemble_effective, integrate_effective,
                           integrate_effective_stochastic, integrate_full,
-                          integrate_full_stochastic, replace_config)
+                          integrate_full_stochastic)
 from .io import (REPORT_SCHEMA, content_hash, ensemble_hash, trajectory_hash)
-from .spectral import action_distance, mode_vector, sample_ball
+from .spectral import action_distance, sample_ball
 
 __all__ = [
     "STUDIES", "StudyConfig", "StudyReport", "run_study",
@@ -33,12 +33,6 @@ __all__ = [
 ]
 
 STUDIES = ("converge", "operator", "stochastic", "stationary", "disparity")
-
-_CONFIG_FIELDS = ("study", "epsilons", "s1", "s_star", "tau_end", "dt",
-                  "samples", "theta_osc", "initials", "radius", "members",
-                  "seed", "initial_seed", "tracked_modes", "compare_taus",
-                  "burn_in", "batches", "batch_length", "windows",
-                  "quadrature_margin")
 
 
 @dataclass(frozen=True)
@@ -96,14 +90,14 @@ class StudyConfig:
     def solver(self, **overrides):
         base = SolverConfig(epsilon=1.0, tau_end=self.tau_end, dt=self.dt,
                             samples=self.samples, theta_osc=self.theta_osc)
-        return replace_config(base, **overrides) if overrides else base
+        return replace(base, **overrides) if overrides else base
 
     def to_document(self):
-        return {name: getattr(self, name) for name in _CONFIG_FIELDS}
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     @staticmethod
     def from_document(doc):
-        unknown = sorted(set(doc) - set(_CONFIG_FIELDS))
+        unknown = sorted(set(doc) - {f.name for f in fields(StudyConfig)})
         if unknown:
             raise ConfigError(f"unknown study config keys: {', '.join(unknown)}")
         if "study" not in doc:
@@ -197,7 +191,7 @@ def study_deterministic_convergence(frame, spec, table, cfg):
         if j == 0:
             eff0_actions = eff.actions()
         for i, eps in enumerate(cfg.epsilons):
-            full_cfg = replace_config(base, epsilon=eps)
+            full_cfg = replace(base, epsilon=eps)
             full = integrate_full(v0, spec, frame, full_cfg)
             runs[f"full_eps{eps:g}_init{j}"] = trajectory_hash(full, full_cfg)
             gap = action_distance(full.actions(), eff.actions(), cfg.s1,
@@ -263,17 +257,6 @@ def _operator_battery(frame, tracked):
     return battery
 
 
-def _term_value(term, state):
-    coeff, vpow, cpow = term
-    v = mode_vector(state)
-    acc = coeff
-    for k, p in vpow:
-        acc = acc * v[k] ** p
-    for k, p in cpow:
-        acc = acc * np.conj(v[k]) ** p
-    return acc
-
-
 def _oscillatory_bound(observable, frequencies, state, window, target):
     """Exact closed-form bound: each nonresonant term contributes at most
     2 |term(v)| / (window * |frequency gap|)."""
@@ -285,7 +268,7 @@ def _oscillatory_bound(observable, frequencies, state, window, target):
         gap = shift - observable.rotation_frequency(term, freqs)
         if abs(gap) <= 1e-8 * scale:
             continue
-        bound += 2.0 * abs(_term_value(term, state)) / (window * abs(gap))
+        bound += 2.0 * abs(Observable((term,))(state)) / (window * abs(gap))
     return bound
 
 
@@ -369,7 +352,7 @@ def study_stochastic_actions(frame, spec, table, noise, diffusion, cfg):
     rows, var_rows = [], []
     diff_by_eps = {}
     for eps in cfg.epsilons:
-        res = ensemble_full(v0, spec, frame, replace_config(base, epsilon=eps),
+        res = ensemble_full(v0, spec, frame, replace(base, epsilon=eps),
                             noise, cfg.members, cfg.seed)
         runs[f"full_eps{eps:g}"] = ensemble_hash(res)
         diffs = np.abs(res.mean_actions[:, :tracked] - eff.mean_actions[:, :tracked])
@@ -445,10 +428,8 @@ def _batch_means(values, taus, burn_in, batches, batch_length):
         raise ConfigError("stationary sampling too sparse for the batch layout")
     means = np.array([g.mean(axis=0) for g in groups])
     overall = means.mean(axis=0)
-    if np.iscomplexobj(means):
-        se = np.sqrt(means.real.var(ddof=1) + means.imag.var(ddof=1)) / math.sqrt(batches)
-    else:
-        se = means.std(ddof=1) / math.sqrt(batches)
+    # a real series has zero imaginary variance, so one formula serves both
+    se = np.sqrt(means.real.var(ddof=1) + means.imag.var(ddof=1)) / math.sqrt(batches)
     return overall, float(se), means
 
 
@@ -462,11 +443,8 @@ def _halves_consistent(means):
     half = len(means) // 2
     a, b = means[:half], means[half:]
     gap = abs(a.mean() - b.mean())
-    if np.iscomplexobj(means):
-        se = math.sqrt((a.real.var(ddof=1) + a.imag.var(ddof=1)) / len(a)
-                       + (b.real.var(ddof=1) + b.imag.var(ddof=1)) / len(b))
-    else:
-        se = math.sqrt(a.var(ddof=1) / len(a) + b.var(ddof=1) / len(b))
+    se = math.sqrt((a.real.var(ddof=1) + a.imag.var(ddof=1)) / len(a)
+                   + (b.real.var(ddof=1) + b.imag.var(ddof=1)) / len(b))
     return bool(gap <= 4.0 * se + 1e-300)
 
 
@@ -489,7 +467,7 @@ def study_stationary_measure(frame, spec, table, noise, diffusion, cfg):
     battery, nonresonant_pairs = _stationary_battery(frame, tracked)
     runs = {}
 
-    eff_cfg = replace_config(base, dt=min(5e-3, base.dt * 2))
+    eff_cfg = replace(base, dt=min(5e-3, base.dt * 2))
     eff = integrate_effective_stochastic(v0, spec, frame, eff_cfg, table,
                                          diffusion, seed=cfg.seed + len(cfg.epsilons))
     runs["effective"] = trajectory_hash(eff, eff_cfg)
@@ -511,7 +489,7 @@ def study_stationary_measure(frame, spec, table, noise, diffusion, cfg):
     stationary_ok = eff_stationary
     discrepancy = {}
     for i, eps in enumerate(cfg.epsilons):
-        full_cfg = replace_config(base, epsilon=eps)
+        full_cfg = replace(base, epsilon=eps)
         full = integrate_full_stochastic(v0, spec, frame, full_cfg, noise,
                                          seed=cfg.seed + i)
         runs[f"full_eps{eps:g}"] = trajectory_hash(full, full_cfg)
@@ -582,13 +560,13 @@ def study_disparity_decay(frame, spec, table, cfg, noise=None):
     det = np.empty((len(cfg.epsilons), tracked))
     sto = np.empty_like(det) if noise is not None and not noise.is_zero else None
     for i, eps in enumerate(cfg.epsilons):
-        det_cfg = replace_config(det_base, epsilon=eps)
+        det_cfg = replace(det_base, epsilon=eps)
         traj = integrate_full(v0, spec, frame, det_cfg, table=table,
                               track_disparity=True)
         runs[f"det_eps{eps:g}"] = trajectory_hash(traj, det_cfg)
         det[i] = traj.disparity_max[:tracked]
         if sto is not None:
-            res = ensemble_full(v0, spec, frame, replace_config(sto_base, epsilon=eps),
+            res = ensemble_full(v0, spec, frame, replace(sto_base, epsilon=eps),
                                 noise, cfg.members, cfg.seed + 1, table=table,
                                 track_disparity=True)
             runs[f"ens_eps{eps:g}"] = ensemble_hash(res)
@@ -598,7 +576,7 @@ def study_disparity_decay(frame, spec, table, cfg, noise=None):
     # theta_osc halves too so the refinement bites even when the oscillation
     # bound, not dt, sets the step
     mid = len(cfg.epsilons) // 2
-    half_cfg = replace_config(det_base, epsilon=cfg.epsilons[mid],
+    half_cfg = replace(det_base, epsilon=cfg.epsilons[mid],
                               dt=cfg.dt / 2, theta_osc=cfg.theta_osc / 2)
     half = integrate_full(v0, spec, frame, half_cfg, table=table,
                           track_disparity=True)

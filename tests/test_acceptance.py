@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 from numpy.random import default_rng
 
-from resonlab.fields import drift_route_residual, effective_drift_analytic
+from resonlab.fields import ResonantDrift, drift_route_residual
 from resonlab.integrators import (NoiseModel, SolverConfig, ensemble_full,
                                   integrate_effective, integrate_full)
 from resonlab.io import save_trajectory, write_json, write_report
@@ -133,15 +133,14 @@ def _produce_drift_residuals(out):
 def _produce_commutation(out):
     out.mkdir(parents=True, exist_ok=True)
     frame, spec, table = _cubic_setup()
+    drift = ResonantDrift(frame, spec, table)
     rng = default_rng(11)
     defects = []
     for _ in range(10):
         v = sample_ball(frame, 2.0, 2.0, rng)
         theta = frame.eigenvalues * float(rng.uniform(0.0, 10.0 * TWO_PI))
-        lhs = effective_drift_analytic(phase_shift(v, theta), table, spec,
-                                       frame)
-        rhs = phase_shift(effective_drift_analytic(v, table, spec, frame),
-                          theta)
+        lhs = drift(phase_shift(v, theta))
+        rhs = phase_shift(drift(v), theta)
         defects.append(float(sobolev_norm(lhs - rhs, 1.6, frame.eigenvalues)))
     write_json(out / "commutation_defects.json", {"defects": defects})
     return defects

@@ -12,8 +12,6 @@ from resonlab.fields import (
     ResonantDrift,
     action_observable,
     drift_route_residual,
-    effective_drift_analytic,
-    effective_drift_numerical,
     eval_P,
     eval_Y,
     monomial_observable,

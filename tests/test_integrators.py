@@ -1,5 +1,6 @@
 """Integrator correctness against closed forms, order checks, noise statistics."""
 
+from dataclasses import replace
 import math
 
 import numpy as np
@@ -18,7 +19,6 @@ from resonlab.integrators import (
     integrate_full,
     integrate_full_stochastic,
     oscillation_step,
-    replace_config,
     step_full_deterministic,
 )
 from resonlab.nonlinearity import NonlinearitySpec
@@ -54,7 +54,7 @@ def test_oscillation_step_policy(frame_1d_5):
     cfg = SolverConfig(epsilon=0.1, tau_end=1.0, dt=0.05, theta_osc=0.2)
     # lambda_max = 4: refined to 0.2 * 0.1 / 4 = 5e-3
     assert oscillation_step(cfg, frame_1d_5.eigenvalues) == pytest.approx(5e-3)
-    wide = replace_config(cfg, epsilon=100.0)
+    wide = replace(cfg, epsilon=100.0)
     assert oscillation_step(wide, frame_1d_5.eigenvalues) == 0.05
 
 
@@ -153,7 +153,7 @@ def test_full_approaches_effective_as_epsilon_shrinks(frame_1d_5):
     eff = integrate_effective(a0, CUBIC, frame_1d_5, cfg, table)
 
     def dist(eps):
-        traj = integrate_full(a0, CUBIC, frame_1d_5, replace_config(cfg, epsilon=eps))
+        traj = integrate_full(a0, CUBIC, frame_1d_5, replace(cfg, epsilon=eps))
         return action_distance(traj.actions()[-1], eff.actions()[-1], 1.0,
                                frame_1d_5.eigenvalues)
 
@@ -167,7 +167,7 @@ def test_disparity_shrinks_with_epsilon(frame_1d_5):
     cfg = SolverConfig(epsilon=1.0, tau_end=1.0, dt=2e-3, samples=5)
 
     def peak(eps):
-        traj = integrate_full(a0, CUBIC, frame_1d_5, replace_config(cfg, epsilon=eps),
+        traj = integrate_full(a0, CUBIC, frame_1d_5, replace(cfg, epsilon=eps),
                               table=table, track_disparity=True)
         assert traj.disparity is not None and traj.disparity.shape == traj.states.shape
         assert np.all(traj.disparity[0] == 0)
@@ -228,12 +228,18 @@ def test_stochastic_requires_expeuler(frame_1d_5):
 
 
 def test_zero_noise_reduces_to_deterministic_bitwise(frame_1d_5):
+    # epsilons that are not powers of two catch any second spelling of fast time
     a0 = sample_ball(frame_1d_5, 2.0, 1.0, np.random.default_rng(36))
-    cfg = SolverConfig(epsilon=0.5, tau_end=0.5, dt=5e-3, scheme="expeuler", samples=6)
-    det = integrate_full(a0, CUBIC, frame_1d_5, cfg)
-    sto = integrate_full_stochastic(a0, CUBIC, frame_1d_5, cfg,
-                                    NoiseModel.zero(5), seed=123)
-    assert np.array_equal(det.states, sto.states)
+    for eps in (0.5, 0.1, 0.05):
+        cfg = SolverConfig(epsilon=eps, tau_end=0.5, dt=5e-3, scheme="expeuler",
+                           samples=6)
+        det = integrate_full(a0, CUBIC, frame_1d_5, cfg)
+        sto = integrate_full_stochastic(a0, CUBIC, frame_1d_5, cfg,
+                                        NoiseModel.zero(5), seed=123)
+        assert np.array_equal(det.states, sto.states), eps
+        ens = ensemble_full(a0, CUBIC, frame_1d_5, cfg, NoiseModel.zero(5),
+                            members=1, seed_base=123)
+        assert np.array_equal(ens.mean_actions, det.actions()), eps
 
 
 def test_ensemble_repeatability(frame_1d_5):
@@ -256,6 +262,9 @@ def test_members_reproduce_batch(frame_1d_5):
     batch = ensemble_full(a0, CUBIC, frame_1d_5, cfg, noise, 3, seed_base=40)
     singles = [integrate_full_stochastic(a0, CUBIC, frame_1d_5, cfg, noise, 40 + i)
                for i in range(3)]
+    # three sample segments of 0.1, each 20 steps of h = dt = 5e-3
+    assert batch.meta["steps"] == 60 and batch.meta["h_target"] == 5e-3
+    assert all(t.meta["steps"] == 60 for t in singles)
     acts = np.stack([t.actions() for t in singles], axis=1)
     mean = np.sum(acts, axis=1) / 3
     assert np.allclose(mean, batch.mean_actions, atol=1e-12)
@@ -314,6 +323,7 @@ def test_full_and_effective_singles_share_streams(frame_1d_5):
                                          cfg, None, build_diffusion(frame_1d_5, b),
                                          seed=4)
     assert np.array_equal(full.states[:, 0], eff.states[:, 0])
+    assert full.meta["steps"] == eff.meta["steps"] == 50
     assert not np.allclose(full.states[:, 1], eff.states[:, 1])
 
 

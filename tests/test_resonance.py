@@ -17,7 +17,6 @@ from resonlab.resonance import (
     integer_frequencies,
     lattice_window,
     minimal_frequency_gap,
-    noise_band_sum,
 )
 from resonlab.spectral import Potential, SpectralFrame, TorusGeometry, build_frame, trig_basis
 
@@ -238,9 +237,3 @@ def test_diffusion_rejects_bad_amplitudes(frame_1d_5):
         build_diffusion(frame_1d_5, np.array([1.0, -0.5, 0.5, 0.25, 0.2]))
     with pytest.raises(ConfigError):
         build_diffusion(frame_1d_5, np.ones(4))
-
-
-def test_noise_band_sum(frame_1d_5):
-    b = np.array([0.0, 1.0, 1.0, 0.5, 0.5])
-    # 2 * (1*1 + 1*1 + 16*(1/4) + 16*(1/4)) at s = 1
-    assert noise_band_sum(frame_1d_5.eigenvalues, b, 1.0) == pytest.approx(2 * (1 + 1 + 4 + 4))
