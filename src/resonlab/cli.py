@@ -219,12 +219,14 @@ def _build_noise(section, frame):
         raise ConfigError("noise section needs exactly one of amplitudes, "
                           "scale(+decay), eigenvalue_power")
     if "amplitudes" in section:
+        _check_keys("noise", section, {"amplitudes"})
         b = tuple(float(x) for x in section["amplitudes"])
         if len(b) != frame.modes:
             raise ConfigError(f"noise has {len(b)} amplitudes, frame has "
                               f"{frame.modes} modes")
         return NoiseModel(b)
     if "eigenvalue_power" in section:
+        _check_keys("noise", section, {"eigenvalue_power"})
         return NoiseModel.from_eigenvalue_power(frame.eigenvalues,
                                                 float(section["eigenvalue_power"]))
     decay = float(section.get("decay", 0.0))
@@ -237,9 +239,8 @@ def _write_manifest(args, config, outputs):
     from .io import RunManifest, write_manifest
     manifest = RunManifest(
         command=args.command if args.command != "study" else f"study {args.kind}",
-        config_path=os.path.abspath(args.config),
+        config_path=os.path.relpath(args.config, args.out),
         config=config,
-        out_dir=os.path.abspath(args.out),
         version=__version__,
         timestamp=datetime.datetime.now(datetime.timezone.utc)
                   .strftime("%Y-%m-%dT%H:%M:%SZ"),

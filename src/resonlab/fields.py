@@ -24,12 +24,20 @@ def check_grid_resolution(spec, frame):
     """Dealiasing rule for polynomial kinds: N_g >= 2 * degree * window radius."""
     if not spec.is_polynomial:
         return
-    radius = frame.basis_window_radius()
-    need = 2 * spec.degree * radius
+    need = 2 * spec.degree * frame.window_radius
     if frame.geometry.grid_points < need:
         raise ConfigError(
             f"grid_points={frame.geometry.grid_points} under-resolves degree-{spec.degree} "
-            f"products on window radius {radius}; need at least {need} per axis")
+            f"products on window radius {frame.window_radius}; need at least {need} per axis")
+
+
+def _diagonal_gammas(spec, frame):
+    """Per-mode coefficients of a diagonal spec, checked against the frame."""
+    gammas = np.asarray(spec.gammas, dtype=complex)
+    if gammas.shape != (frame.modes,):
+        raise ConfigError(f"diagonal kind needs {frame.modes} coefficients, "
+                          f"got {gammas.size}")
+    return gammas
 
 
 def eval_P(state, spec, frame):
@@ -39,20 +47,16 @@ def eval_P(state, spec, frame):
     """
     v = mode_vector(state)
     if spec.kind == "diagonal":
-        gammas = np.asarray(spec.gammas, dtype=complex)
-        if gammas.shape != (frame.modes,):
-            raise ConfigError(f"diagonal kind needs {frame.modes} coefficients")
-        return v * gammas
+        return v * _diagonal_gammas(spec, frame)
     check_grid_resolution(spec, frame)
-    trig = v @ frame.eigenvectors
-    u = trig @ frame.basis_values
+    u = frame.from_coefficients(v)
     gradients = None
     if spec.uses_derivatives():
-        gradients = [trig @ g for g in frame.basis_gradients]
+        gradients = [v @ g for g in frame.eigenfunction_gradients]
     w = spec.pointwise(u, gradients)
     if spec.mu > 0.0 and not frame.potential.is_zero:
         w = w + spec.mu * frame.potential_values * u
-    return ((w @ frame.basis_values.T) * frame.cell_volume) @ frame.eigenvectors.T
+    return frame.to_coefficients(w)
 
 
 def eval_Y(state, t, spec, frame):
@@ -82,17 +86,6 @@ class _MonomialGroup:
         out[..., self.seg_targets] += sums
 
 
-def _group_from_entries(conjugate, entries):
-    entries.sort(key=lambda e: (e[0], e[1]))
-    targets = np.array([e[0] for e in entries], dtype=np.intp)
-    slots = np.array([e[1] for e in entries], dtype=np.intp).T.reshape(len(conjugate), -1)
-    coeffs = np.array([e[2] for e in entries], dtype=complex)
-    seg_starts = np.flatnonzero(np.r_[True, np.diff(targets) > 0])
-    return _MonomialGroup(conjugate=np.asarray(conjugate, dtype=bool),
-                          slots=slots, targets=targets, coeffs=coeffs,
-                          seg_starts=seg_starts, seg_targets=targets[seg_starts])
-
-
 class ResonantDrift:
     """Analytic effective drift: the resonant monomials of P with exact tensors.
 
@@ -105,9 +98,9 @@ class ResonantDrift:
         self.frame = frame
         self.spec = spec
         self.modes = frame.modes
+        self.groups = []
         if spec.kind == "diagonal":
-            self.gammas = np.asarray(spec.gammas, dtype=complex)
-            self.groups = []
+            self.gammas = _diagonal_gammas(spec, frame)
             return
         if not spec.is_polynomial:
             raise ConfigError("analytic drift route needs a polynomial nonlinearity")
@@ -115,7 +108,6 @@ class ResonantDrift:
             raise ConfigError("analytic drift route needs a resonance table")
         check_grid_resolution(spec, frame)
         self.gammas = None
-        self.groups = []
         dx = frame.cell_volume
         Z = frame.eigenfunction_values
         for term in spec.polynomial_terms():
@@ -124,34 +116,37 @@ class ResonantDrift:
                 raise ConfigError(f"resonance table lacks pattern {pattern}")
             slot_values = [Z if f.derivative is None else frame.eigenfunction_gradients[f.derivative]
                            for f in term.factors]
-            entries = []
+            rows, targets, coeffs = [], [], []
             for target in range(self.modes):
                 tuples = table.resonances[pattern][target]
-                if not tuples:
-                    continue
-                idx = np.asarray(tuples, dtype=np.intp)
+                idx = np.asarray(tuples, dtype=np.intp).reshape(-1, term.degree)
                 prod = slot_values[0][idx[:, 0]]
                 for j in range(1, idx.shape[1]):
                     prod = prod * slot_values[j][idx[:, j]]
                 weights = dx * (prod @ Z[target])
                 keep = np.abs(weights) > 1e-14
-                for row, wgt in zip(idx[keep], weights[keep]):
-                    entries.append((target, tuple(int(i) for i in row), term.coefficient * wgt))
-            if entries:
-                conj = [f.conjugate for f in term.factors]
-                self.groups.append(_group_from_entries(conj, entries))
+                rows.append(idx[keep])
+                targets.append(np.full(rows[-1].shape[0], target, dtype=np.intp))
+                coeffs.append(term.coefficient * weights[keep])
+            self._add_group([f.conjugate for f in term.factors], rows, targets, coeffs)
         # the mu V u part averages to its equal-frequency (cluster) block
         if spec.mu > 0.0 and not frame.potential.is_zero:
             W = spec.mu * ((Z * (frame.potential_values * dx)) @ Z.T)
-            clusters = table.clusters
-            entries = []
-            for cluster in clusters:
-                for k in cluster:
-                    for kp in cluster:
-                        if abs(W[k, kp]) > 1e-14:
-                            entries.append((k, (kp,), complex(W[k, kp])))
-            if entries:
-                self.groups.append(_group_from_entries([False], entries))
+            same = np.zeros(W.shape, dtype=bool)
+            for cluster in table.clusters:
+                same[np.ix_(cluster, cluster)] = True
+            k, kp = np.nonzero(same & (np.abs(W) > 1e-14))
+            self._add_group([False], [kp[:, None]], [k], [W[k, kp].astype(complex)])
+
+    def _add_group(self, conjugate, rows, targets, coeffs):
+        """Append one group built from pieces whose joined targets ascend."""
+        targets = np.concatenate(targets)
+        if targets.size:
+            seg_starts = np.flatnonzero(np.r_[True, np.diff(targets) > 0])
+            self.groups.append(_MonomialGroup(
+                conjugate=np.asarray(conjugate, dtype=bool), slots=np.concatenate(rows).T,
+                targets=targets, coeffs=np.concatenate(coeffs),
+                seg_starts=seg_starts, seg_targets=targets[seg_starts]))
 
     def __call__(self, state):
         v = mode_vector(state)

@@ -166,20 +166,21 @@ class _NoiseStream:
                      for i in range(members)]
         self.modes = int(modes)
         self._buffer = None
-        self._cursor = 0
+        self._cursor = _NOISE_CHUNK
 
     def next_step(self):
         """Complex normals z_re + i z_im of shape (members, modes) for one step.
 
-        No view into the block buffer escapes, so the spent block is freed
-        before the next one is drawn rather than held beside it.
+        Each member refills its own block of one buffer in place, so a refill
+        allocates nothing and the stream holds one block at any time.
         """
-        if self._buffer is None or self._cursor == self._buffer.shape[0]:
-            self._buffer = None
-            draws = [g.standard_normal((_NOISE_CHUNK, 2, self.modes)) for g in self.gens]
-            self._buffer = np.stack(draws, axis=1)
+        if self._cursor == _NOISE_CHUNK:
+            if self._buffer is None:
+                self._buffer = np.empty((len(self.gens), _NOISE_CHUNK, 2, self.modes))
+            for g, block in zip(self.gens, self._buffer):
+                g.standard_normal(out=block)
             self._cursor = 0
-        z = self._buffer[self._cursor]
+        z = self._buffer[:, self._cursor]
         self._cursor += 1
         return z[:, 0] + 1j * z[:, 1]
 

@@ -20,7 +20,7 @@ from .integrators import NOISE_CONVENTION, Trajectory
 
 TRAJECTORY_SCHEMA = "resonlab-trajectory-v1"
 REPORT_SCHEMA = "resonlab-report-v1"
-MANIFEST_SCHEMA = "resonlab-manifest-v1"
+MANIFEST_SCHEMA = "resonlab-manifest-v2"
 
 
 def canonical_bytes(doc):
@@ -193,9 +193,8 @@ class RunManifest:
     """Provenance of one CLI invocation; exactly one per output directory."""
 
     command: str
-    config_path: str | None
+    config_path: str | None  # relative to the output directory
     config: dict | None
-    out_dir: str
     version: str
     timestamp: str
     seed: int | None = None
@@ -207,7 +206,6 @@ class RunManifest:
             "command": self.command,
             "config_path": self.config_path,
             "config": self.config,
-            "out_dir": self.out_dir,
             "version": self.version,
             "timestamp": self.timestamp,
             "seed": self.seed,

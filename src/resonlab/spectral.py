@@ -193,9 +193,10 @@ def mode_vector(state):
 class SpectralFrame:
     """Eigenvalues and eigenfunctions of -Laplace + V on the Galerkin space.
 
-    eigenvalues  -- ascending, length M
-    eigenvectors -- real (M, M) matrix, row k expands eigenfunction k in the
-                    canonical trigonometric basis (rows orthonormal)
+    eigenvalues   -- ascending, length M
+    eigenvectors  -- real (M, M) matrix, row k expands eigenfunction k in the
+                     canonical trigonometric basis (rows orthonormal)
+    window_radius -- largest per-axis lattice index of the basis
     """
 
     def __init__(self, geometry, potential, basis, eigenvalues, eigenvectors):
@@ -205,6 +206,7 @@ class SpectralFrame:
         self.eigenvalues = np.asarray(eigenvalues, dtype=float)
         self.eigenvectors = np.asarray(eigenvectors, dtype=float)
         self.validate()
+        self.window_radius = _window_radius(self.basis)
 
     @property
     def modes(self):
@@ -232,26 +234,23 @@ class SpectralFrame:
         if np.any(worst > bound):
             raise ValidationError(f"eigenpair residual {worst.max():.3e} exceeds tolerance")
 
-    # -- grid caches ------------------------------------------------------
+    # -- grid tables ------------------------------------------------------
 
     @cached_property
-    def basis_values(self):
-        """(M, P) real matrix of basis functions on the flattened grid."""
-        return _basis_on_grid(self.geometry, self.basis)[0]
+    def _grid_tables(self):
+        """Eigenfunction values and gradients from one pass over the grid."""
+        E, grads = _basis_on_grid(self.geometry, self.basis)
+        return self.eigenvectors @ E, [self.eigenvectors @ g for g in grads]
 
-    @cached_property
-    def basis_gradients(self):
-        """List (per axis) of (M, P) matrices of basis-function derivatives."""
-        return _basis_on_grid(self.geometry, self.basis)[1]
-
-    @cached_property
+    @property
     def eigenfunction_values(self):
-        """(M, P) real matrix of eigenfunctions on the flattened grid."""
-        return self.eigenvectors @ self.basis_values
+        """(M, P) real matrix Z = Psi E of eigenfunctions on the flattened grid."""
+        return self._grid_tables[0]
 
-    @cached_property
+    @property
     def eigenfunction_gradients(self):
-        return [self.eigenvectors @ g for g in self.basis_gradients]
+        """List (per axis) of (M, P) matrices of eigenfunction derivatives."""
+        return self._grid_tables[1]
 
     @cached_property
     def potential_values(self):
@@ -261,16 +260,11 @@ class SpectralFrame:
     def cell_volume(self):
         return self.geometry.cell_volume
 
-    def basis_window_radius(self):
-        """Largest per-axis lattice index used by the retained basis."""
-        return max(max(abs(x) for x in m) for _, m in self.basis)
-
     # -- transforms -------------------------------------------------------
 
     def from_coefficients(self, values):
         """Mode coefficients (..., M) -> grid values (..., P)."""
-        values = mode_vector(values)
-        return (values @ self.eigenvectors) @ self.basis_values
+        return mode_vector(values) @ self.eigenfunction_values
 
     def to_coefficients(self, u_grid):
         """Grid values (..., P) -> mode coefficients (..., M).
@@ -278,9 +272,10 @@ class SpectralFrame:
         Exact (to rounding) for functions in the span of the retained basis;
         otherwise it returns the Galerkin projection of the grid data.
         """
+        # scaling after the sum keeps the rounding of the trigonometric
+        # projection when Psi is the identity
         u_grid = np.asarray(u_grid, dtype=complex)
-        trig = (u_grid @ self.basis_values.T) * self.cell_volume
-        return trig @ self.eigenvectors.T
+        return (u_grid @ self.eigenfunction_values.T) * self.cell_volume
 
     # -- serialization ----------------------------------------------------
 
@@ -312,6 +307,11 @@ class SpectralFrame:
         return SpectralFrame(geometry, potential, basis,
                              np.array(doc["lambda"], dtype=float),
                              np.array(doc["psi"], dtype=float))
+
+
+def _window_radius(basis):
+    """Largest per-axis lattice index used by a basis."""
+    return max(max(abs(x) for x in m) for _, m in basis)
 
 
 def _basis_on_grid(geometry, basis):
@@ -378,8 +378,7 @@ def build_frame(geometry, potential, modes):
     trigonometric basis itself.
     """
     basis = trig_basis(geometry.dimension, modes)
-    radius = max(max(abs(x) for x in m) for _, m in basis)
-    need = 2 * radius + potential.window_radius()
+    need = 2 * _window_radius(basis) + potential.window_radius()
     if geometry.grid_points <= need:
         raise ConfigError(
             f"grid_points={geometry.grid_points} too small for exact assembly; "

@@ -1,5 +1,6 @@
 import json
 import os
+import shutil
 
 import numpy as np
 import pytest
@@ -61,22 +62,29 @@ def test_basis_rerun_is_identical(workspace, tmp_path):
 
 def test_rerun_into_same_dir_reproduces_everything(workspace, tmp_path):
     # data artifacts must be bitwise stable; the manifest may differ only in
-    # its timestamp
-    cfg = str(workspace["dir"] / "basis.json")
-    out = tmp_path / "twice"
+    # its timestamp, also when the workspace is copied to another path
+    home = tmp_path / "ws"
+    home.mkdir()
+    shutil.copy(workspace["dir"] / "basis.json", home / "basis.json")
     snapshots = []
     for _ in range(2):
-        assert main(["basis", "--config", cfg, "--out", str(out)]) == 0
-        snapshots.append({p.name: p.read_bytes() for p in out.iterdir()})
-    before, after = snapshots
-    assert set(before) == set(after)
-    for name in before:
-        if name == "manifest.json":
-            continue
-        assert before[name] == after[name], name
+        assert main(["basis", "--config", str(home / "basis.json"),
+                     "--out", str(home / "twice")]) == 0
+        snapshots.append({p.name: p.read_bytes() for p in (home / "twice").iterdir()})
+    moved = shutil.copytree(home, tmp_path / "a" / "longer" / "path" / "ws")
+    assert main(["basis", "--config", str(moved / "basis.json"),
+                 "--out", str(moved / "twice")]) == 0
+    snapshots.append({p.name: p.read_bytes() for p in (moved / "twice").iterdir()})
     strip = lambda raw: {k: v for k, v in json.loads(raw).items()
                          if k != "timestamp"}
-    assert strip(before["manifest.json"]) == strip(after["manifest.json"])
+    before = snapshots[0]
+    for after in snapshots[1:]:
+        assert set(before) == set(after)
+        for name in before:
+            if name == "manifest.json":
+                continue
+            assert before[name] == after[name], name
+        assert strip(before["manifest.json"]) == strip(after["manifest.json"])
 
 
 def test_unknown_config_key_is_an_error(workspace, tmp_path, capsys):
@@ -86,6 +94,15 @@ def test_unknown_config_key_is_an_error(workspace, tmp_path, capsys):
     })
     assert main(["basis", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
     assert "wibble" in capsys.readouterr().err
+    # a key of another noise form is unknown in this one
+    for noise in ({"eigenvalue_power": 2, "decay": 1.5},
+                  {"amplitudes": [0.1] * 5, "decay": 3}):
+        cfg = write_config(workspace["dir"] / "noise.json", _simulate_config(
+            workspace, noise=noise, seed=9,
+            solver={"epsilon": 0.2, "tau_end": 0.5, "dt": 2e-3, "samples": 6,
+                    "scheme": "expeuler"}))
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "n")]) == 1
+        assert "decay" in capsys.readouterr().err
 
 
 def test_missing_frame_file_is_actionable(workspace, tmp_path, capsys):

@@ -96,6 +96,30 @@ def test_cubic_matches_convolution_2d(frame_2d_9):
         assert got[m] == pytest.approx(oracle[m], abs=1e-11)
 
 
+def test_derivative_fields_match_exponential_oracle(frame_1d_9, frame_2d_9):
+    # d_j e^{im.x} = i m_j e^{im.x} on the 2 pi torus, and products of
+    # exponential coefficients are bare convolutions
+    cases = ((frame_1d_9, 0, [(m,) for m in range(-4, 5)], [(m,) for m in range(1, 5)]),
+             (frame_2d_9, 1, [(a, b) for a in (-1, 0, 1) for b in (-1, 0, 1)],
+              [(0, 1), (1, 0), (1, -1), (1, 1)]))
+    rng = np.random.default_rng(44)
+    for frame, j, window, reps in cases:
+        vol = TAU ** frame.dimension
+        w = {m: rng.standard_normal() + 1j * rng.standard_normal() for m in window}
+        dw = {m: 1j * m[j] * w[m] for m in window}
+        product = {k: sum(w[k1] * dw.get(tuple(a - b for a, b in zip(k, k1)), 0.0)
+                          for k1 in window)
+                   for k in window}
+        v = exp_to_trig(w, reps, vol)  # psi = identity on these frames
+        d = MonomialFactor(derivative=j)
+        for factors, oracle in (((d,), dw), ((MonomialFactor(), d), product)):
+            spec = NonlinearitySpec("polynomial", mu=0.1,
+                                    terms=(MonomialTerm(1.0, factors),))
+            got = trig_to_exp(eval_P(v, spec, frame), reps, vol)
+            for m in window:
+                assert got[m] == pytest.approx(oracle[m], abs=1e-11)
+
+
 def test_eval_p_batched_matches_loop(frame_1d_9):
     rng = np.random.default_rng(3)
     batch = rng.standard_normal((4, 9)) + 1j * rng.standard_normal((4, 9))
@@ -114,12 +138,10 @@ def test_mu_zero_drops_potential_term(frame_1d_9_cos):
     # with mu = 0 the projected field is the bare nonlinearity even when V != 0
     rng = np.random.default_rng(4)
     v = rng.standard_normal(9) + 1j * rng.standard_normal(9)
-    flat = build_frame(TorusGeometry((TAU,), 32), Potential.zero(), 9)
     u = frame_1d_9_cos.from_coefficients(v)
     w = 1j * np.abs(u) ** 2 * u
     expect = frame_1d_9_cos.to_coefficients(w)
     assert np.allclose(eval_P(v, CUBIC, frame_1d_9_cos), expect, atol=1e-13)
-    del flat
 
 
 # -- smoothed monomial ------------------------------------------------------

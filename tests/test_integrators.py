@@ -184,6 +184,19 @@ def test_disparity_needs_table(frame_1d_5):
                        track_disparity=True)
 
 
+def test_diagonal_spec_needs_one_coefficient_per_mode(frame_1d_5):
+    # a 1-coefficient spec must not broadcast over the 5 modes on either side
+    spec = diag_spec([0.3j])
+    cfg = SolverConfig(epsilon=0.1, tau_end=0.1, dt=0.05)
+    a0 = np.ones(5, dtype=complex)
+    with pytest.raises(ConfigError):
+        ResonantDrift(frame_1d_5, spec)
+    with pytest.raises(ConfigError):
+        integrate_effective(a0, spec, frame_1d_5, cfg)
+    with pytest.raises(ConfigError):
+        integrate_full(a0, spec, frame_1d_5, cfg)
+
+
 def test_physical_states_rotate_back(frame_1d_5):
     a0 = sample_ball(frame_1d_5, 2.0, 1.0, np.random.default_rng(35))
     cfg = SolverConfig(epsilon=0.5, tau_end=0.5, dt=5e-3, samples=3)

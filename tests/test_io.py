@@ -90,13 +90,13 @@ def test_json_and_hash_helpers(tmp_path):
 
 
 def test_manifest_document(tmp_path):
-    man = RunManifest(command="basis", config_path="cfg.json", config={"k": 1},
-                      out_dir=str(tmp_path), version="0.1.0",
+    man = RunManifest(command="basis", config_path="../cfg.json", config={"k": 1},
+                      version="0.1.0",
                       timestamp="2026-01-01T00:00:00Z", seed=7,
                       outputs={"b.json": "ff", "a.json": "aa"})
     path = write_manifest(tmp_path, man)
     doc = read_json(path)
-    assert doc["schema"] == "resonlab-manifest-v1"
+    assert doc["schema"] == "resonlab-manifest-v2"
     assert list(doc["outputs"]) == ["a.json", "b.json"]  # sorted for stability
     assert doc["seed"] == 7 and doc["command"] == "basis"
 
