@@ -50,9 +50,7 @@ def eval_P(state, spec, frame):
         return v * _diagonal_gammas(spec, frame)
     check_grid_resolution(spec, frame)
     u = frame.from_coefficients(v)
-    gradients = None
-    if spec.uses_derivatives():
-        gradients = [v @ g for g in frame.eigenfunction_gradients]
+    gradients = frame.gradients_from_coefficients(v) if spec.uses_derivatives() else None
     w = spec.pointwise(u, gradients)
     if spec.mu > 0.0 and not frame.potential.is_zero:
         w = w + spec.mu * frame.potential_values * u

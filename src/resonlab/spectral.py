@@ -236,11 +236,15 @@ class SpectralFrame:
 
     # -- grid tables ------------------------------------------------------
 
+    # Every cached table is read-only: the transforms, the drift assembly and
+    # the potential block share them.
+
     @cached_property
     def _grid_tables(self):
         """Eigenfunction values and gradients from one pass over the grid."""
         E, grads = _basis_on_grid(self.geometry, self.basis)
-        return self.eigenvectors @ E, [self.eigenvectors @ g for g in grads]
+        return (_read_only(self.eigenvectors @ E),
+                [_read_only(self.eigenvectors @ g) for g in grads])
 
     @property
     def eigenfunction_values(self):
@@ -253,8 +257,21 @@ class SpectralFrame:
         return self._grid_tables[1]
 
     @cached_property
+    def _complex_tables(self):
+        """Complex copies of Z, of a C-contiguous Z.T and of the gradients.
+
+        Multiplying a complex state by a real table makes numpy cast the table
+        to complex on every call; this is the same cast done once, so the
+        products are bitwise those of the real tables.
+        """
+        Z = self.eigenfunction_values
+        return (_read_only(Z.astype(complex)),
+                _read_only(np.ascontiguousarray(Z.T).astype(complex)),
+                [_read_only(g.astype(complex)) for g in self.eigenfunction_gradients])
+
+    @cached_property
     def potential_values(self):
-        return self.potential.values_on(self.geometry)
+        return _read_only(self.potential.values_on(self.geometry))
 
     @property
     def cell_volume(self):
@@ -264,7 +281,12 @@ class SpectralFrame:
 
     def from_coefficients(self, values):
         """Mode coefficients (..., M) -> grid values (..., P)."""
-        return mode_vector(values) @ self.eigenfunction_values
+        return mode_vector(values) @ self._complex_tables[0]
+
+    def gradients_from_coefficients(self, values):
+        """Mode coefficients (..., M) -> per-axis grid derivatives, each (..., P)."""
+        v = mode_vector(values)
+        return [v @ g for g in self._complex_tables[2]]
 
     def to_coefficients(self, u_grid):
         """Grid values (..., P) -> mode coefficients (..., M).
@@ -275,7 +297,7 @@ class SpectralFrame:
         # scaling after the sum keeps the rounding of the trigonometric
         # projection when Psi is the identity
         u_grid = np.asarray(u_grid, dtype=complex)
-        return (u_grid @ self.eigenfunction_values.T) * self.cell_volume
+        return (u_grid @ self._complex_tables[1]) * self.cell_volume
 
     # -- serialization ----------------------------------------------------
 
@@ -307,6 +329,11 @@ class SpectralFrame:
         return SpectralFrame(geometry, potential, basis,
                              np.array(doc["lambda"], dtype=float),
                              np.array(doc["psi"], dtype=float))
+
+
+def _read_only(array):
+    array.flags.writeable = False
+    return array
 
 
 def _window_radius(basis):

@@ -128,6 +128,29 @@ def test_eval_p_batched_matches_loop(frame_1d_9):
         assert np.allclose(eval_P(row_in, CUBIC, frame_1d_9), row_out, atol=1e-14)
 
 
+def test_transforms_match_real_table_products_bitwise(frame_2d_9, frame_1d_9_cos):
+    # the frame multiplies by cached complex copies of its real tables; the
+    # products must be bit for bit those of the real tables, on an identity
+    # and on a dense Psi, for single rows and for batches
+    rng = np.random.default_rng(45)
+    for frame in (frame_2d_9, frame_1d_9_cos):
+        Z, dx = frame.eigenfunction_values, frame.cell_volume
+        term = MonomialTerm(0.5 - 1j, (MonomialFactor(), MonomialFactor(derivative=frame.dimension - 1)))
+        spec = NonlinearitySpec("polynomial", mu=0.2, terms=(term,))
+        for shape in ((frame.modes,), (3, frame.modes)):
+            v = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+            u = v @ Z
+            assert np.array_equal(frame.from_coefficients(v), u)
+            assert np.array_equal(frame.to_coefficients(u), (u @ Z.T) * dx)
+            gradients = [v @ g for g in frame.eigenfunction_gradients]
+            for got, want in zip(frame.gradients_from_coefficients(v), gradients):
+                assert np.array_equal(got, want)
+            w = spec.pointwise(u, gradients)
+            if not frame.potential.is_zero:
+                w = w + spec.mu * frame.potential_values * u
+            assert np.array_equal(eval_P(v, spec, frame), (w @ Z.T) * dx)
+
+
 def test_dealiasing_guard():
     frame = build_frame(TorusGeometry((TAU,), 16), Potential.zero(), 9)
     with pytest.raises(ConfigError):

@@ -159,6 +159,16 @@ def test_coefficients_match_quadrature_oracle(frame_1d_9_cos):
         assert abs(ip - v[k]) < 1e-12
 
 
+def test_cached_frame_tables_are_read_only(frame_1d_9_cos):
+    # transforms, drift assembly and the potential block share these arrays
+    frame = frame_1d_9_cos
+    tables = [frame.eigenfunction_values, *frame.eigenfunction_gradients, frame.potential_values,
+              frame._complex_tables[0], frame._complex_tables[1], *frame._complex_tables[2]]
+    for table in tables:
+        with pytest.raises(ValueError):
+            table[0] += 1.0
+
+
 def test_parseval_on_grid(frame_2d_9):
     rng = np.random.default_rng(3)
     v = rng.standard_normal(9) + 1j * rng.standard_normal(9)
