@@ -84,6 +84,39 @@ class _MonomialGroup:
         out[..., self.seg_targets] += sums
 
 
+def _check_table_frame(table, frame):
+    """Refuse a resonance table whose eigenvalues are not the frame's."""
+    lam = np.asarray(table.eigenvalues, dtype=float)
+    if lam.shape != (frame.modes,):
+        raise ConfigError(f"resonance table lists {lam.size} eigenvalues, "
+                          f"the frame has {frame.modes} modes")
+    tol = table.eta * max(1.0, float(np.max(np.abs(frame.eigenvalues))))
+    gap = float(np.max(np.abs(lam - frame.eigenvalues)))
+    if gap > tol:
+        raise ConfigError(f"resonance table eigenvalues differ from the frame's by {gap:.3e} "
+                          f"(tolerance {tol:.3e}); the table was built for another frame")
+
+
+def _grid_integrals(slot_values, idx, z):
+    """sum_x prod_j slot_values[j][idx[n, j], x] * z[x] for every tuple row n.
+
+    Rows sharing all slots but the last share one prefix product; one GEMM of
+    the distinct prefix products against slot_values[-1] * z gives every sum,
+    gathered at (prefix, last index).  Table tuples come in argwhere order,
+    so equal prefixes are adjacent and a prefix starts where a row's differs
+    from the row before.
+    """
+    if idx.shape[0] == 0:
+        return np.zeros(0)
+    prefix = idx[:, :-1]
+    starts = np.r_[True, np.any(prefix[1:] != prefix[:-1], axis=1)]
+    products = np.ones((int(np.count_nonzero(starts)), z.size))
+    for j, values in enumerate(slot_values[:-1]):
+        products *= values[prefix[starts, j]]
+    gram = products @ (slot_values[-1] * z).T
+    return gram[np.cumsum(starts) - 1, idx[:, -1]]
+
+
 class ResonantDrift:
     """Analytic effective drift: the resonant monomials of P with exact tensors.
 
@@ -105,6 +138,7 @@ class ResonantDrift:
         if table is None:
             raise ConfigError("analytic drift route needs a resonance table")
         check_grid_resolution(spec, frame)
+        _check_table_frame(table, frame)
         self.gammas = None
         dx = frame.cell_volume
         Z = frame.eigenfunction_values
@@ -118,10 +152,7 @@ class ResonantDrift:
             for target in range(self.modes):
                 tuples = table.resonances[pattern][target]
                 idx = np.asarray(tuples, dtype=np.intp).reshape(-1, term.degree)
-                prod = slot_values[0][idx[:, 0]]
-                for j in range(1, idx.shape[1]):
-                    prod = prod * slot_values[j][idx[:, j]]
-                weights = dx * (prod @ Z[target])
+                weights = dx * _grid_integrals(slot_values, idx, Z[target])
                 keep = np.abs(weights) > 1e-14
                 rows.append(idx[keep])
                 targets.append(np.full(rows[-1].shape[0], target, dtype=np.intp))

@@ -18,6 +18,7 @@ from resonlab.fields import (
     scalar_average,
     scalar_average_limit,
 )
+from resonlab.integrators import SolverConfig, integrate_effective
 from resonlab.nonlinearity import (
     MonomialFactor,
     MonomialTerm,
@@ -307,6 +308,69 @@ def test_potential_cluster_term_converges(frame_1d_9_cos):
     r1 = drift_route_residual(v, table, spec, frame_1d_9_cos, 200.0, s=0.0)["residual"]
     r2 = drift_route_residual(v, table, spec, frame_1d_9_cos, 800.0, s=0.0)["residual"]
     assert r2 < 0.5 * r1
+
+
+def per_tuple_drift_groups(frame, spec, table):
+    """Kept (targets, slots, weights) of each term, one grid sum per tuple.
+
+    The weight of tuple (i, j, ..., l) at target t is dx * sum_x of the slot
+    values' product times Z_t, formed row by row with no shared prefixes.
+    """
+    Z, dx = frame.eigenfunction_values, frame.cell_volume
+    groups = []
+    for term in spec.polynomial_terms():
+        slot_values = [Z if f.derivative is None else frame.eigenfunction_gradients[f.derivative]
+                       for f in term.factors]
+        targets, rows, weights = [], [], []
+        for t in range(frame.modes):
+            idx = np.asarray(table.tuples(term.pattern, t), dtype=np.intp).reshape(-1, term.degree)
+            prod = slot_values[0][idx[:, 0]]
+            for j in range(1, term.degree):
+                prod = prod * slot_values[j][idx[:, j]]
+            w = dx * (prod @ Z[t])
+            keep = np.abs(w) > 1e-14
+            targets.append(np.full(int(keep.sum()), t))
+            rows.append(idx[keep])
+            weights.append(w[keep])
+        targets = np.concatenate(targets)
+        if targets.size:
+            groups.append((targets, np.concatenate(rows).T, np.concatenate(weights)))
+    return groups
+
+
+def test_drift_weights_match_per_tuple_oracle(frame_1d_9_cos, frame_2d_9):
+    # a degree-1 term, a cubic and a derivative factor, on a dense Psi (V != 0,
+    # which also adds the mu V u block last) and on a 2-D V = 0 frame
+    for frame in (frame_1d_9_cos, frame_2d_9):
+        d = MonomialFactor(derivative=frame.dimension - 1)
+        deriv = MonomialTerm(0.4 - 0.1j, (d, MonomialFactor(conjugate=True), d))
+        spec = NonlinearitySpec("polynomial", mu=0.3,
+                                terms=(*cubic_damping_terms(-0.3 - 0.9j), deriv))
+        table = build_resonance_table(frame, patterns=spec.patterns())
+        drift = ResonantDrift(frame, spec, table)
+        oracle = per_tuple_drift_groups(frame, spec, table)
+        assert len(oracle) == len(spec.terms)
+        assert len(drift.groups) == len(oracle) + (0 if frame.potential.is_zero else 1)
+        for term, group, (targets, slots, weights) in zip(spec.terms, drift.groups, oracle):
+            assert np.array_equal(group.targets, targets)
+            assert np.array_equal(group.slots, slots)
+            assert np.allclose(group.coeffs / term.coefficient, weights, rtol=0.0, atol=1e-14)
+
+
+def test_drift_refuses_table_of_another_potential(frame_1d_9, frame_1d_9_cos):
+    # same mode count, other eigenvalues: the resonances would be wrong
+    cfg = SolverConfig(epsilon=0.1, tau_end=0.1, dt=0.05)
+    flat_table = build_resonance_table(frame_1d_9)
+    with pytest.raises(ConfigError):
+        ResonantDrift(frame_1d_9_cos, CUBIC, flat_table)
+    with pytest.raises(ConfigError):
+        integrate_effective(np.ones(9, dtype=complex), CUBIC, frame_1d_9_cos, cfg, table=flat_table)
+
+
+def test_drift_refuses_table_of_another_mode_count(frame_1d_9):
+    frame_11 = build_frame(TorusGeometry((TAU,), 32), Potential.zero(), 11)
+    with pytest.raises(ConfigError, match="11 modes"):
+        ResonantDrift(frame_11, CUBIC, build_resonance_table(frame_1d_9))
 
 
 def test_analytic_route_needs_polynomial(frame_1d_9):
