@@ -150,8 +150,7 @@ class ResonantDrift:
                            for f in term.factors]
             rows, targets, coeffs = [], [], []
             for target in range(self.modes):
-                tuples = table.resonances[pattern][target]
-                idx = np.asarray(tuples, dtype=np.intp).reshape(-1, term.degree)
+                idx = table.resonances[pattern][target]
                 weights = dx * _grid_integrals(slot_values, idx, Z[target])
                 keep = np.abs(weights) > 1e-14
                 rows.append(idx[keep])

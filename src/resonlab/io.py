@@ -2,7 +2,9 @@
 
 All hashes are sha256.  Two kinds appear: content hashes of canonical JSON
 documents (stable across reformatting, used to link artifacts together) and
-raw file hashes (used by manifests to pin output bytes).  Floats are written
+raw file hashes (used by manifests to pin output bytes).  A JSON artifact is
+its document's canonical bytes plus a newline, so the two hashes of one
+artifact differ only by that newline.  Floats are written
 through Python's shortest round-trip repr, so reading a file back reproduces
 the exact binary values.
 """
@@ -41,9 +43,11 @@ def file_hash(path):
 
 
 def write_json(path, doc):
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, allow_nan=False)
-        fh.write("\n")
+    """One line of canonical bytes: the file's sha256 without its final
+    newline is content_hash(doc).  A refused document writes nothing."""
+    data = canonical_bytes(doc) + b"\n"
+    with open(path, "wb") as fh:
+        fh.write(data)
 
 
 def read_json(path):

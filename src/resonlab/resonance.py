@@ -8,6 +8,7 @@ relative tolerance eta.
 """
 
 from dataclasses import dataclass
+import itertools
 import math
 
 import numpy as np
@@ -130,6 +131,8 @@ def enumerate_frequency_resonances(eigenvalues, pattern, target, eta=DEFAULT_ETA
     pattern is a tuple of +-1 signs, one per monomial slot (+1 for a plain
     factor, -1 for a conjugated one).  Comparison is exact when scaled integer
     frequencies are supplied, otherwise |deviation| <= eta * max(1, max lam).
+    Returns a read-only (n, len(pattern)) intp array, one tuple per row, in
+    lexicographic order.
     """
     lam = _check_sorted(eigenvalues)
     if not pattern or any(s not in (-1, 1) for s in pattern):
@@ -143,7 +146,8 @@ def enumerate_frequency_resonances(eigenvalues, pattern, target, eta=DEFAULT_ETA
         S = _signed_sums(lam, pattern)
         scale = max(1.0, float(np.max(np.abs(lam))))
         hits = np.argwhere(np.abs(S - lam[target]) <= eta * scale)
-    return [tuple(int(i) for i in row) for row in hits]
+    hits.flags.writeable = False
+    return hits
 
 
 def minimal_frequency_gap(eigenvalues, patterns, eta=DEFAULT_ETA, integers=None):
@@ -183,7 +187,7 @@ class ResonanceTable:
     eta: float
     mode: str  # "exact" or "float"
     clusters: list
-    resonances: dict  # pattern tuple -> {target index -> list of index tuples}
+    resonances: dict  # pattern tuple -> {target index -> (n, len(pattern)) intp array}
     gamma_min: float
     frame_hash: str | None = None
 
@@ -203,7 +207,7 @@ class ResonanceTable:
                 entries.append({
                     "pattern": list(pattern),
                     "target": target,
-                    "tuples": [list(t) for t in self.resonances[pattern][target]],
+                    "tuples": self.resonances[pattern][target].tolist(),
                 })
         doc = {
             "schema": "resonlab-resonance-v1",
@@ -226,14 +230,25 @@ class ResonanceTable:
     def from_document(doc):
         if doc.get("schema") != "resonlab-resonance-v1":
             raise ConfigError(f"unknown resonance schema {doc.get('schema')!r}")
+        eigenvalues = np.array(doc["lambda"], dtype=float)
+        modes = eigenvalues.size
         resonances = {}
         for entry in doc["resonances"]:
             pattern = tuple(entry["pattern"])
-            resonances.setdefault(pattern, {})[entry["target"]] = [
-                tuple(t) for t in entry["tuples"]]
+            per_target = resonances.setdefault(pattern, {})
+            target = entry["target"]
+            if target not in range(modes) or target in per_target:
+                raise ConfigError(f"resonance table pattern {pattern} lists target "
+                                  f"{target!r} out of range 0..{modes - 1} or twice")
+            per_target[target] = _index_rows(entry["tuples"], pattern, target, modes)
+        for pattern, per_target in resonances.items():
+            missing = sorted(set(range(modes)) - set(per_target))
+            if missing:
+                raise ConfigError(f"resonance table pattern {pattern} lacks "
+                                  f"target(s) {missing}")
         gamma = doc["gamma_min"]
         return ResonanceTable(
-            eigenvalues=np.array(doc["lambda"], dtype=float),
+            eigenvalues=eigenvalues,
             eta=float(doc["eta_res"]),
             mode=doc["mode"],
             clusters=[list(c) for c in doc["clusters"]],
@@ -241,6 +256,28 @@ class ResonanceTable:
             gamma_min=math.inf if gamma is None else float(gamma),
             frame_hash=doc.get("frame_sha256"),
         )
+
+
+def _index_rows(tuples, pattern, target, modes):
+    """A document's tuple list as a read-only (n, len(pattern)) intp array.
+
+    Refuses rows of another width and indices that are not integers in
+    0..modes-1, naming the pattern and the target.
+    """
+    where = f"resonance table pattern {pattern}, target {target}"
+    width = len(pattern)
+    try:
+        widths = np.fromiter(map(len, tuples), dtype=np.intp, count=len(tuples))
+        flat = np.fromiter(itertools.chain.from_iterable(tuples), dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{where}: tuples must be lists of mode indices") from exc
+    if np.any(widths != width):
+        raise ConfigError(f"{where}: every row must hold {width} indices")
+    if not np.all((flat >= 0) & (flat < modes) & (flat == np.floor(flat))):
+        raise ConfigError(f"{where}: indices must be integers in 0..{modes - 1}")
+    rows = flat.astype(np.intp).reshape(widths.size, width)
+    rows.flags.writeable = False
+    return rows
 
 
 def build_resonance_table(frame, patterns=((1, -1, 1),), eta=DEFAULT_ETA, mode="auto"):

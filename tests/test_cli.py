@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import shutil
@@ -6,8 +7,10 @@ import numpy as np
 import pytest
 
 from resonlab.cli import main
+from resonlab.fields import ResonantDrift
 from resonlab.io import load_trajectory, read_json
-from resonlab.resonance import ResonanceTable
+from resonlab.nonlinearity import NonlinearitySpec
+from resonlab.resonance import ResonanceTable, build_resonance_table
 from resonlab.spectral import SpectralFrame
 
 TAU = 2 * np.pi
@@ -51,6 +54,23 @@ def test_basis_outputs_and_manifest(workspace):
     assert "multiplicity" in text
     mults = [line.split()[-1] for line in text.splitlines()[3:]]
     assert mults == ["1", "2", "2"]
+
+
+def test_table_file_is_canonical_and_reads_back_exactly(workspace):
+    raw = (workspace["dir"] / "res" / "table.json").read_bytes()
+    assert raw.endswith(b"\n") and b"\n" not in raw[:-1]
+    assert json.loads(raw)["schema"] == "resonlab-resonance-v1"
+    table = workspace["table"]
+    assert hashlib.sha256(raw[:-1]).hexdigest() == table.content_hash()
+    in_memory = build_resonance_table(workspace["frame"], patterns=((1, -1, 1),))
+    assert in_memory.content_hash() == table.content_hash()
+    spec = NonlinearitySpec("cubic_focusing", mu=0.5)
+    read_back = ResonantDrift(workspace["frame"], spec, table).groups
+    built = ResonantDrift(workspace["frame"], spec, in_memory).groups
+    assert len(read_back) == len(built) > 0
+    for got, want in zip(read_back, built):
+        for attr in ("conjugate", "slots", "targets", "coeffs", "seg_starts", "seg_targets"):
+            assert np.array_equal(getattr(got, attr), getattr(want, attr)), attr
 
 
 def test_basis_rerun_is_identical(workspace, tmp_path):

@@ -85,8 +85,20 @@ def test_json_and_hash_helpers(tmp_path):
     assert len(content_hash(doc)) == 64
     path = tmp_path / "doc.json"
     write_json(path, doc)
+    assert path.read_bytes() == canonical_bytes(doc) + b"\n"
     assert read_json(path) == doc
     assert file_hash(path) == file_hash(path)
+
+
+def test_write_json_refused_document_writes_nothing(tmp_path):
+    fresh, kept = tmp_path / "fresh.json", tmp_path / "kept.json"
+    write_json(kept, {"a": 1})
+    before = kept.read_bytes()
+    for path in (fresh, kept):
+        with pytest.raises(ValueError):
+            write_json(path, {"a": [1.0, 2.0], "b": float("nan")})
+    assert not fresh.exists()
+    assert kept.read_bytes() == before
 
 
 def test_manifest_document(tmp_path):

@@ -1,5 +1,6 @@
 """Cluster detection, resonance enumeration, and effective noise blocks."""
 
+import copy
 import itertools
 
 import numpy as np
@@ -121,25 +122,34 @@ def test_cubic_resonances_validates_target():
 
 # -- frequency enumeration -------------------------------------------------
 
+def _as_lists(resonances):
+    return {p: {t: rows.tolist() for t, rows in per.items()} for p, per in resonances.items()}
+
+
 def test_frequency_enumeration_matches_brute_force(frame_1d_5):
     lam = frame_1d_5.eigenvalues
-    for pattern in [(1,), (1, -1, 1), (1, 1, -1)]:
-        for target in range(5):
-            got = enumerate_frequency_resonances(lam, pattern, target)
-            assert got == brute_force_frequency(list(lam), pattern, target, 1e-8)
+    cases = [(lam, pattern, target) for pattern in [(1,), (1, -1, 1), (1, 1, -1)]
+             for target in range(5)]
+    cases.append((np.array([1.0, 3.0]), (1, 1), 0))  # no hit: shape (0, 2)
+    for lam, pattern, target in cases:
+        got = enumerate_frequency_resonances(lam, pattern, target)
+        expected = brute_force_frequency(list(lam), pattern, target, 1e-8)
+        assert got.dtype == np.intp and got.shape == (len(expected), len(pattern))
+        assert not got.flags.writeable
+        assert got.tolist() == [list(t) for t in expected]
 
 
 def test_linear_pattern_recovers_clusters(frame_1d_9):
     lam = frame_1d_9.eigenvalues
     got = enumerate_frequency_resonances(lam, (1,), 1)
-    assert got == [(1,), (2,)]  # the lambda = 1 pair
+    assert got.tolist() == [[1], [2]]  # the lambda = 1 pair
 
 
 def test_exact_and_float_agree_on_square_torus(frame_1d_9):
     exact = build_resonance_table(frame_1d_9, mode="exact")
     fl = build_resonance_table(frame_1d_9, mode="float")
     assert exact.mode == "exact" and fl.mode == "float"
-    assert exact.resonances == fl.resonances
+    assert _as_lists(exact.resonances) == _as_lists(fl.resonances)
     assert exact.clusters == fl.clusters
     assert exact.gamma_min == fl.gamma_min == 1.0
 
@@ -154,8 +164,10 @@ def test_exact_mode_refuses_generic_frame(frame_1d_9_cos):
 def test_eta_monotonicity(seed):
     rng = np.random.default_rng(seed)
     lam = np.sort(rng.uniform(0, 10, 6))
-    small = set(enumerate_frequency_resonances(lam, (1, -1, 1), 2, eta=1e-10))
-    large = set(enumerate_frequency_resonances(lam, (1, -1, 1), 2, eta=1e-2))
+    small = set(map(tuple, enumerate_frequency_resonances(lam, (1, -1, 1), 2,
+                                                          eta=1e-10).tolist()))
+    large = set(map(tuple, enumerate_frequency_resonances(lam, (1, -1, 1), 2,
+                                                          eta=1e-2).tolist()))
     assert small <= large
 
 
@@ -177,9 +189,42 @@ def test_table_round_trip(frame_1d_5):
     table = build_resonance_table(frame_1d_5, patterns=((1, -1, 1), (1,)))
     doc = table.to_document()
     rebuilt = ResonanceTable.from_document(doc)
-    assert rebuilt.resonances == table.resonances
+    assert _as_lists(rebuilt.resonances) == _as_lists(table.resonances)
+    for per_target in rebuilt.resonances.values():
+        for rows in per_target.values():
+            assert rows.dtype == np.intp and not rows.flags.writeable
     assert rebuilt.content_hash() == table.content_hash()
     assert rebuilt.gamma_min == table.gamma_min
+
+
+def test_table_document_refuses_malformed_tuples(frame_1d_9):
+    doc = build_resonance_table(frame_1d_9).to_document()
+    assert [e["target"] for e in doc["resonances"]] == list(range(9))
+
+    def tamper(edit):
+        bad = copy.deepcopy(doc)
+        edit(bad["resonances"])
+        return bad
+
+    def set_first_row(entries, row):
+        entries[3]["tuples"][0] = row
+
+    cases = {
+        "negative index": (lambda e: set_first_row(e, [3, -1, 3]), "target 3"),
+        "index past the last mode": (lambda e: set_first_row(e, [3, 9, 3]), "target 3"),
+        "short row": (lambda e: set_first_row(e, [3, 3]), "target 3"),
+        "all rows too wide": (lambda e: e[3].update(tuples=[r + [0] for r in e[3]["tuples"]]),
+                              "target 3"),
+        "fractional index": (lambda e: set_first_row(e, [3, 1.5, 1]), "target 3"),
+        "row that is no list": (lambda e: set_first_row(e, None), "target 3"),
+        "missing target": (lambda e: e.pop(3), r"target\(s\) \[3\]"),
+        "duplicate target": (lambda e: e.append(copy.deepcopy(e[3])), "target 3"),
+        "target out of range": (lambda e: e[3].update(target=9), "target 9"),
+    }
+    for name, (edit, where) in cases.items():
+        with pytest.raises(ConfigError, match=rf"pattern \(1, -1, 1\).*{where}"):
+            ResonanceTable.from_document(tamper(edit))
+            pytest.fail(name)
 
 
 def test_suggested_window(frame_1d_5):
