@@ -171,7 +171,7 @@ def save_table_csv(path, columns, rows):
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(columns)
         for row in rows:
-            writer.writerow([repr(x) if isinstance(x, float) else x for x in row])
+            writer.writerow([repr(float(x)) if isinstance(x, float) else x for x in row])
 
 
 def write_report(out_dir, report):

@@ -1,8 +1,11 @@
+import csv
+
 import numpy as np
 import pytest
 
 from resonlab.errors import ConfigError
 from resonlab.integrators import NoiseModel
+from resonlab.io import write_report
 from resonlab.nonlinearity import NonlinearitySpec, cubic_damping_terms
 from resonlab.resonance import build_diffusion, build_resonance_table
 from resonlab.studies import (StudyConfig, StudyReport, run_study,
@@ -88,6 +91,30 @@ def test_converge_study_cubic_ladder(frame_1d_5, cubic5):
     # provenance lets every number be traced to a run
     assert len(rep.provenance["runs"]) == 2 * 2 + 2 + 1
     assert all(len(h) == 64 for h in rep.provenance["runs"].values())
+
+
+def test_report_csv_cells_are_numbers(tmp_path, frame_1d_5, cubic5):
+    spec, table = cubic5
+    cfg = StudyConfig("converge", epsilons=(0.2, 0.05), dt=2e-3, samples=11,
+                      initials=2, radius=1.0, seed=3)
+    rep = study_deterministic_convergence(frame_1d_5, spec, table, cfg)
+    files = write_report(tmp_path, rep)
+    assert "deviation.csv" in files
+
+    def parses(cell):
+        if cell in ("True", "False"):
+            return True
+        try:
+            float(cell)  # also every int
+        except ValueError:
+            return False
+        return True
+
+    for name in files:
+        if name.endswith(".csv"):
+            with open(tmp_path / name, newline="") as fh:
+                body = list(csv.reader(fh))[1:]
+            assert body and all(parses(cell) for row in body for cell in row), name
 
 
 def test_converge_study_diagonal_is_exact(frame_1d_5):
