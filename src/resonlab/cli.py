@@ -158,8 +158,10 @@ def _load_frame(section, base_dir):
 
 
 def _load_table(section, frame, base_dir):
+    import hashlib
+    import json
     from .errors import ConfigError, StaleArtifactError
-    from .io import check_frame_reference, read_json
+    from .io import check_frame_reference
     from .resonance import ResonanceTable
     if section is None:
         return None
@@ -169,8 +171,12 @@ def _load_table(section, frame, base_dir):
     if not os.path.exists(path):
         raise ConfigError(f"table file {path} not found; "
                           f"run `resonlab resonances` to create it")
-    table = ResonanceTable.from_document(read_json(path))
-    check_frame_reference(table, section["sha256"], what="table")
+    with open(path, "rb") as fh:
+        data = fh.read()
+    table = ResonanceTable.from_document(json.loads(data))
+    # a canonical file's bytes without the final newline hash to its content hash
+    if hashlib.sha256(data.removesuffix(b"\n")).hexdigest() != section["sha256"]:
+        check_frame_reference(table, section["sha256"], what="table")
     if table.frame_hash is not None and table.frame_hash != frame.content_hash():
         raise StaleArtifactError(
             "resonance table was built for a different frame; rebuild it")

@@ -18,6 +18,7 @@ from .errors import ConfigError
 from .spectral import mode_vector, sobolev_norm
 
 _CHUNK = 4096  # quadrature nodes per block; fixed so sums are reproducible
+_BATCH_BYTES = 1 << 23  # one (batch rows x monomials) complex temporary of R
 
 
 def check_grid_resolution(spec, frame):
@@ -68,20 +69,27 @@ def eval_Y(state, t, spec, frame):
 
 @dataclass
 class _MonomialGroup:
-    conjugate: np.ndarray  # (degree,) bool, one per slot
-    slots: np.ndarray      # (degree, n) mode indices
-    targets: np.ndarray    # (n,) sorted ascending
-    coeffs: np.ndarray     # (n,) complex
+    conjugate: np.ndarray   # (degree,) bool, one per slot
+    slots: np.ndarray       # (degree, n) mode indices
+    targets: np.ndarray     # (n,) sorted ascending
+    coeffs: np.ndarray      # (n,) complex
     seg_starts: np.ndarray
     seg_targets: np.ndarray
+    prefixes: np.ndarray    # (degree - 1, p) distinct index columns of all slots but the last
+    prefix_ids: np.ndarray  # (n,) each monomial's column in prefixes
+
+    def _factor(self, v, j, idx):
+        factor = v[..., idx]
+        return np.conj(factor, out=factor) if self.conjugate[j] else factor
 
     def accumulate(self, v, out):
-        prod = self.coeffs * np.ones(v.shape[:-1] + (1,), dtype=complex)
-        for j in range(self.slots.shape[0]):
-            factor = v[..., self.slots[j]]
-            prod = prod * (np.conj(factor) if self.conjugate[j] else factor)
-        sums = np.add.reduceat(prod, self.seg_starts, axis=-1)
-        out[..., self.seg_targets] += sums
+        terms = self.coeffs * self._factor(v, -1, self.slots[-1])
+        if len(self.prefixes):
+            prod = self._factor(v, 0, self.prefixes[0])
+            for j in range(1, len(self.prefixes)):
+                prod *= self._factor(v, j, self.prefixes[j])
+            terms *= prod[..., self.prefix_ids]
+        out[..., self.seg_targets] += np.add.reduceat(terms, self.seg_starts, axis=-1)
 
 
 def _check_table_frame(table, frame):
@@ -97,19 +105,36 @@ def _check_table_frame(table, frame):
                           f"(tolerance {tol:.3e}); the table was built for another frame")
 
 
+def _merged_rows(per_target, factors, modes):
+    """(targets, rows, multiplicity): a pattern's rows merged over swaps of factors with equal
+    `conjugate` and `derivative`, sorted by (target, row) through one mixed-radix key."""
+    rows = np.concatenate([per_target[t] for t in range(modes)])
+    kinds = [(f.conjugate, f.derivative) for f in factors]
+    for kind in dict.fromkeys(kinds):
+        cls = [j for j, other in enumerate(kinds) if other == kind]
+        for _ in cls[1:]:
+            for a, b in zip(cls, cls[1:]):
+                rows[:, a], rows[:, b] = (np.minimum(rows[:, a], rows[:, b]),
+                                          np.maximum(rows[:, a], rows[:, b]))
+    targets = np.repeat(np.arange(modes), [per_target[t].shape[0] for t in range(modes)])
+    dims = (modes,) * (len(factors) + 1)
+    keys, mult = np.unique(np.ravel_multi_index((targets, *rows.T), dims), return_counts=True)
+    targets, *columns = np.unravel_index(keys, dims)
+    return targets, np.stack(columns, axis=1), mult
+
+
 def _grid_integrals(slot_values, idx, z):
     """sum_x prod_j slot_values[j][idx[n, j], x] * z[x] for every tuple row n.
 
     Rows sharing all slots but the last share one prefix product; one GEMM of
     the distinct prefix products against slot_values[-1] * z gives every sum,
-    gathered at (prefix, last index).  Table tuples come in argwhere order,
-    so equal prefixes are adjacent and a prefix starts where a row's differs
+    gathered at (prefix, last index).  Rows come lexicographically sorted, so
+    equal prefixes are adjacent and a prefix starts where a row's differs
     from the row before.
     """
-    if idx.shape[0] == 0:
-        return np.zeros(0)
     prefix = idx[:, :-1]
-    starts = np.r_[True, np.any(prefix[1:] != prefix[:-1], axis=1)]
+    starts = np.ones(idx.shape[0], dtype=bool)
+    starts[1:] = (prefix[1:] != prefix[:-1]).any(axis=1)
     products = np.ones((int(np.count_nonzero(starts)), z.size))
     for j, values in enumerate(slot_values[:-1]):
         products *= values[prefix[starts, j]]
@@ -148,15 +173,14 @@ class ResonantDrift:
                 raise ConfigError(f"resonance table lacks pattern {pattern}")
             slot_values = [Z if f.derivative is None else frame.eigenfunction_gradients[f.derivative]
                            for f in term.factors]
-            rows, targets, coeffs = [], [], []
-            for target in range(self.modes):
-                idx = table.resonances[pattern][target]
-                weights = dx * _grid_integrals(slot_values, idx, Z[target])
-                keep = np.abs(weights) > 1e-14
-                rows.append(idx[keep])
-                targets.append(np.full(rows[-1].shape[0], target, dtype=np.intp))
-                coeffs.append(term.coefficient * weights[keep])
-            self._add_group([f.conjugate for f in term.factors], rows, targets, coeffs)
+            targets, rows, mult = _merged_rows(table.resonances[pattern], term.factors, self.modes)
+            bounds = np.searchsorted(targets, np.arange(self.modes + 1))
+            weights = dx * np.concatenate([
+                _grid_integrals(slot_values, rows[bounds[t]:bounds[t + 1]], Z[t])
+                for t in range(self.modes)])
+            keep = np.abs(weights) > 1e-14
+            self._add_group([f.conjugate for f in term.factors], rows[keep], targets[keep],
+                            term.coefficient * mult[keep] * weights[keep])
         # the mu V u part averages to its equal-frequency (cluster) block
         if spec.mu > 0.0 and not frame.potential.is_zero:
             W = spec.mu * ((Z * (frame.potential_values * dx)) @ Z.T)
@@ -164,25 +188,35 @@ class ResonantDrift:
             for cluster in table.clusters:
                 same[np.ix_(cluster, cluster)] = True
             k, kp = np.nonzero(same & (np.abs(W) > 1e-14))
-            self._add_group([False], [kp[:, None]], [k], [W[k, kp].astype(complex)])
+            self._add_group([False], kp[:, None], k, W[k, kp].astype(complex))
+        # batch rows per pass of R, so that one (rows x monomials) array fits the budget
+        width = max((group.coeffs.size for group in self.groups), default=1)
+        self._chunk_rows = max(1, _BATCH_BYTES // (16 * width))
 
     def _add_group(self, conjugate, rows, targets, coeffs):
-        """Append one group built from pieces whose joined targets ascend."""
-        targets = np.concatenate(targets)
+        """Append one group of (n, degree) index rows whose targets ascend."""
         if targets.size:
             seg_starts = np.flatnonzero(np.r_[True, np.diff(targets) > 0])
+            prefix = rows[:, :-1].T
+            keys = (np.ravel_multi_index(prefix, (self.modes,) * len(prefix)) if len(prefix)
+                    else np.zeros(targets.size, dtype=np.intp))
+            _, first, prefix_ids = np.unique(keys, return_index=True, return_inverse=True)
             self.groups.append(_MonomialGroup(
-                conjugate=np.asarray(conjugate, dtype=bool), slots=np.concatenate(rows).T,
-                targets=targets, coeffs=np.concatenate(coeffs),
-                seg_starts=seg_starts, seg_targets=targets[seg_starts]))
+                conjugate=np.asarray(conjugate, dtype=bool), slots=np.ascontiguousarray(rows.T),
+                targets=targets, coeffs=coeffs,
+                seg_starts=seg_starts, seg_targets=targets[seg_starts],
+                prefixes=prefix[:, first], prefix_ids=prefix_ids))
 
     def __call__(self, state):
         v = mode_vector(state)
         if self.gammas is not None:
             return v * self.gammas
         out = np.zeros(v.shape, dtype=complex)
-        for group in self.groups:
-            group.accumulate(v, out)
+        flat_v, flat_out = v.reshape(-1, self.modes), out.reshape(-1, self.modes)
+        for start in range(0, flat_v.shape[0], self._chunk_rows):
+            rows = slice(start, start + self._chunk_rows)
+            for group in self.groups:
+                group.accumulate(flat_v[rows], flat_out[rows])
         return out
 
 

@@ -69,7 +69,8 @@ def test_table_file_is_canonical_and_reads_back_exactly(workspace):
     built = ResonantDrift(workspace["frame"], spec, in_memory).groups
     assert len(read_back) == len(built) > 0
     for got, want in zip(read_back, built):
-        for attr in ("conjugate", "slots", "targets", "coeffs", "seg_starts", "seg_targets"):
+        for attr in ("conjugate", "slots", "targets", "coeffs", "seg_starts", "seg_targets",
+                     "prefixes", "prefix_ids"):
             assert np.array_equal(getattr(got, attr), getattr(want, attr)), attr
 
 
@@ -210,6 +211,54 @@ def test_effective_requires_table_and_runs(workspace, tmp_path):
     del doc["table"]
     cfg = write_config(workspace["dir"] / "eff2.json", doc)
     assert main(["effective", "--config", cfg, "--out", str(tmp_path / "e2")]) == 1
+
+
+def _count_table_hashes(monkeypatch):
+    calls = []
+    original = ResonanceTable.content_hash
+
+    def counted(self):
+        calls.append(1)
+        return original(self)
+
+    monkeypatch.setattr(ResonanceTable, "content_hash", counted)
+    return calls
+
+
+def _run_effective_on_table(workspace, tmp_path, name, raw):
+    """`effective` on a copy of the workspace table written as `raw` bytes,
+    referenced by the table's content hash."""
+    (workspace["dir"] / "res" / f"{name}.json").write_bytes(raw)
+    ref = {"file": f"res/{name}.json", "sha256": workspace["table_ref"]["sha256"]}
+    cfg = write_config(workspace["dir"] / f"{name}_cfg.json",
+                       _simulate_config(workspace, table=ref))
+    return main(["effective", "--config", cfg, "--out", str(tmp_path / name)])
+
+
+def test_canonical_table_file_is_not_rehashed(workspace, tmp_path, monkeypatch):
+    raw = (workspace["dir"] / "res" / "table.json").read_bytes()
+    calls = _count_table_hashes(monkeypatch)
+    assert _run_effective_on_table(workspace, tmp_path, "canonical", raw) == 0
+    assert len(calls) == 0
+
+
+def test_indented_table_file_still_loads(workspace, tmp_path, monkeypatch):
+    # a table written as indented JSON (before one-line artifacts) has other
+    # bytes but the same content hash, which is then checked on the parsed table
+    doc = workspace["table"].to_document()
+    calls = _count_table_hashes(monkeypatch)
+    raw = json.dumps(doc, indent=2).encode() + b"\n"
+    assert _run_effective_on_table(workspace, tmp_path, "indented", raw) == 0
+    assert len(calls) == 1
+
+
+def test_tampered_table_file_is_refused(workspace, tmp_path, capsys):
+    doc = workspace["table"].to_document()
+    entry = next(e for e in doc["resonances"] if e["tuples"])
+    entry["tuples"] = entry["tuples"][:-1]
+    raw = json.dumps(doc, separators=(",", ":")).encode() + b"\n"
+    assert _run_effective_on_table(workspace, tmp_path, "tampered", raw) == 1
+    assert "table hash" in capsys.readouterr().err
 
 
 def test_blow_up_exits_two(workspace, tmp_path, capsys):

@@ -1,10 +1,13 @@
 """Projected nonlinear fields, drift routes, and scalar averaging."""
 
+import dataclasses
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from resonlab import fields
 from resonlab.errors import ConfigError
 from resonlab.fields import (
     Observable,
@@ -338,23 +341,151 @@ def per_tuple_drift_groups(frame, spec, table):
     return groups
 
 
+def merge_swapped(term, targets, slots, weights):
+    """Sum per-tuple (targets, slots, weights) over rows that a swap of
+    factors with equal `conjugate` and `derivative` maps onto each other.
+
+    Each merged row lists every such class of slots in ascending order; rows
+    come sorted by (target, row), the drift's group order.
+    """
+    kinds = [(f.conjugate, f.derivative) for f in term.factors]
+    merged = {}
+    for target, row, weight in zip(targets.tolist(), slots.T.tolist(), weights):
+        canonical = list(row)
+        for kind in set(kinds):
+            where = [j for j, other in enumerate(kinds) if other == kind]
+            for j, index in zip(where, sorted(row[j] for j in where)):
+                canonical[j] = index
+        key = (target, *canonical)
+        merged[key] = merged.get(key, 0.0) + weight
+    keys = sorted(merged)
+    return (np.array([k[0] for k in keys]), np.array([k[1:] for k in keys]).T,
+            np.array([merged[k] for k in keys]))
+
+
+def drift_test_terms(frame):
+    """A degree-1 term, a cubic, a cubic-pattern term with two derivative
+    factors on the last axis and, in 2-D, one with them on different axes."""
+    d = MonomialFactor(derivative=frame.dimension - 1)
+    terms = (*cubic_damping_terms(-0.3 - 0.9j),
+             MonomialTerm(0.4 - 0.1j, (d, MonomialFactor(conjugate=True), d)))
+    if frame.dimension == 2:
+        terms += (MonomialTerm(0.2 + 0.3j, (MonomialFactor(derivative=0),
+                                            MonomialFactor(conjugate=True), d)),)
+    return terms
+
+
 def test_drift_weights_match_per_tuple_oracle(frame_1d_9_cos, frame_2d_9):
-    # a degree-1 term, a cubic and a derivative factor, on a dense Psi (V != 0,
-    # which also adds the mu V u block last) and on a 2-D V = 0 frame
+    # a degree-1 term, a cubic and derivative factors, on a dense Psi (V != 0,
+    # which also adds the mu V u block last) and on a 2-D V = 0 frame; the
+    # per-tuple oracle is merged over swapped rows here, in the test
     for frame in (frame_1d_9_cos, frame_2d_9):
-        d = MonomialFactor(derivative=frame.dimension - 1)
-        deriv = MonomialTerm(0.4 - 0.1j, (d, MonomialFactor(conjugate=True), d))
-        spec = NonlinearitySpec("polynomial", mu=0.3,
-                                terms=(*cubic_damping_terms(-0.3 - 0.9j), deriv))
+        spec = NonlinearitySpec("polynomial", mu=0.3, terms=drift_test_terms(frame))
         table = build_resonance_table(frame, patterns=spec.patterns())
         drift = ResonantDrift(frame, spec, table)
         oracle = per_tuple_drift_groups(frame, spec, table)
         assert len(oracle) == len(spec.terms)
         assert len(drift.groups) == len(oracle) + (0 if frame.potential.is_zero else 1)
-        for term, group, (targets, slots, weights) in zip(spec.terms, drift.groups, oracle):
+        for term, group, per_tuple in zip(spec.terms, drift.groups, oracle):
+            targets, slots, weights = merge_swapped(term, *per_tuple)
             assert np.array_equal(group.targets, targets)
             assert np.array_equal(group.slots, slots)
             assert np.allclose(group.coeffs / term.coefficient, weights, rtol=0.0, atol=1e-14)
+
+
+def per_tuple_R(v, groups):
+    """sum over (conjugate, targets, slots, coeffs) groups of each row's own monomial."""
+    out = np.zeros(v.shape, dtype=complex)
+    for conjugate, targets, slots, coeffs in groups:
+        prod = coeffs * np.ones(v.shape[:-1] + (1,))
+        for conj, index in zip(conjugate, slots):
+            prod = prod * (np.conj(v[..., index]) if conj else v[..., index])
+        for t in range(v.shape[-1]):
+            out[..., t] += prod[..., targets == t].sum(axis=-1)
+    return out
+
+
+def oracle_R(frame, spec, table, drift):
+    """Per-tuple R of the table's rows, plus the drift's own mu V u block."""
+    groups = [([f.conjugate for f in term.factors], targets, slots, term.coefficient * weights)
+              for term, (targets, slots, weights)
+              in zip(spec.polynomial_terms(), per_tuple_drift_groups(frame, spec, table))]
+    if not frame.potential.is_zero:
+        block = drift.groups[-1]
+        groups.append((block.conjugate, block.targets, block.slots, block.coeffs))
+    return lambda v: per_tuple_R(v, groups)
+
+
+def assert_R_matches(drift, oracle, frame, seed):
+    rng = np.random.default_rng(seed)
+    row = sample_ball(frame, 2.0, 1.0, rng)
+    batch = np.array([sample_ball(frame, 2.0, 1.0, rng) for _ in range(6)]).reshape(2, 3, -1)
+    for v in (row, batch):
+        got, want = drift(v), oracle(v)
+        assert got.shape == v.shape
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+def test_merged_drift_matches_per_tuple_sum(frame_1d_9_cos, frame_2d_9):
+    for frame in (frame_1d_9_cos, frame_2d_9):
+        spec = NonlinearitySpec("polynomial", mu=0.3, terms=drift_test_terms(frame))
+        table = build_resonance_table(frame, patterns=spec.patterns())
+        drift = ResonantDrift(frame, spec, table)
+        assert_R_matches(drift, oracle_R(frame, spec, table, drift), frame, seed=31)
+        kept = [targets.size for targets, _, _ in per_tuple_drift_groups(frame, spec, table)]
+        sizes = [group.coeffs.size for group in drift.groups]
+        assert sizes[1] < kept[1]  # the two plain factors of the cubic merge
+        if frame.dimension == 2:
+            assert sizes[3] == kept[3]  # d/dx and d/dy factors are not interchangeable
+
+
+def test_one_orientation_table_sums_exactly_its_rows(frame_1d_9_cos, frame_2d_9):
+    # keep one orientation of each swapped pair, (a, b, c) or (c, b, a) by the
+    # parity of a + c, so half the kept rows are not in merged (sorted) form
+    spec = NonlinearitySpec("cubic_focusing", mu=0.5)
+    for frame in (frame_1d_9_cos, frame_2d_9):
+        table = build_resonance_table(frame)
+        half = {pattern: {t: rows[(rows[:, 0] <= rows[:, 2]) == ((rows[:, 0] + rows[:, 2]) % 2 == 0)]
+                          for t, rows in per_target.items()}
+                for pattern, per_target in table.resonances.items()}
+        half_table = dataclasses.replace(table, resonances=half)
+        drift = ResonantDrift(frame, spec, half_table)
+        (targets, _, _), = per_tuple_drift_groups(frame, spec, half_table)
+        assert drift.groups[0].coeffs.size == targets.size
+        assert_R_matches(drift, oracle_R(frame, spec, half_table, drift), frame, seed=32)
+
+
+def test_chunked_drift_matches_one_chunk(frame_2d_9, monkeypatch):
+    spec = NonlinearitySpec("cubic_focusing", mu=0.5)
+    table = build_resonance_table(frame_2d_9)
+    drift = ResonantDrift(frame_2d_9, spec, table)
+    rng = np.random.default_rng(33)
+    batch = np.array([sample_ball(frame_2d_9, 2.0, 1.0, rng) for _ in range(10)])
+    assert drift._chunk_rows >= len(batch)
+    whole = drift(batch)
+    monkeypatch.setattr(fields, "_BATCH_BYTES", 16 * 3 * drift.groups[0].coeffs.size)
+    chunked_drift = ResonantDrift(frame_2d_9, spec, table)
+    assert chunked_drift._chunk_rows == 3
+    chunked = chunked_drift(batch)
+    assert np.max(np.abs(chunked - whole)) <= 1e-15 * np.max(np.abs(whole))
+
+
+def test_batched_drift_memory_is_bounded():
+    # 1000 rows at 2-D M=49: one unchunked product array alone would be 190 MB
+    frame = build_frame(TorusGeometry((TAU, TAU), 32), Potential.zero(), 49)
+    drift = ResonantDrift(frame, NonlinearitySpec("cubic_focusing", mu=0.5),
+                          build_resonance_table(frame))
+    rng = np.random.default_rng(34)
+    batch = rng.standard_normal((1000, 49)) + 1j * rng.standard_normal((1000, 49))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        out = drift(batch)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert out.shape == batch.shape
+    assert peak < 64 * 2**20
 
 
 def test_drift_refuses_table_of_another_potential(frame_1d_9, frame_1d_9_cos):
