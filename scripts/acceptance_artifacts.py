@@ -1,4 +1,4 @@
-"""Write the files of acceptance checks 1-7 into one directory.
+"""Write the files of acceptance checks 1-7 and 9 into one directory.
 
 Runs the producer registry of tests/test_acceptance.py, the same code the
 acceptance checks and the bitwise-reproducibility check run, and writes each
@@ -30,7 +30,7 @@ def load_producers():
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("out_dir", help="directory to write crit01 ... crit07 into")
+    parser.add_argument("out_dir", help="directory to write crit01 ... crit09 into")
     out = Path(parser.parse_args().out_dir)
     for name, producer in load_producers().items():
         t0 = time.perf_counter()

@@ -1,7 +1,7 @@
 """Compare two acceptance-artifact directories value by value.
 
 For a change that moves rounding on purpose: write the artifacts of checks
-1-7 on both commits with scripts/acceptance_artifacts.py, then run
+1-7 and 9 on both commits with scripts/acceptance_artifacts.py, then run
 
     python scripts/artifact_diff.py /tmp/before /tmp/after
 

@@ -24,7 +24,7 @@ from .spectral import mode_vector
 
 SCHEMES = ("lawson4", "expeuler")
 NOISE_CONVENTION = "E|beta_l(tau)|^2 = 2 tau"
-_NOISE_CHUNK = 256  # steps of normals drawn per generator call
+_NOISE_BYTES = 1 << 22  # normals one refill of the noise buffer may hold
 
 
 @dataclass(frozen=True)
@@ -155,34 +155,44 @@ class NoiseModel:
 
 
 class _NoiseStream:
-    """Per-member Philox generators, drawn in fixed-size step blocks.
+    """Per-member Philox generators, drawn in step blocks of a bounded buffer.
 
     Member i always consumes its stream in the same order (2 * modes normals
-    per step), so a member integrated alone reproduces its batch trajectory.
+    per step), so a member integrated alone reproduces its batch trajectory,
+    and how the steps are split into refills does not change a single draw.
+    steps_left is the number of steps the run still takes; _drive sets it, so
+    no refill draws past the run's end.
     """
 
     def __init__(self, seed_base, members, modes):
         self.gens = [np.random.Generator(np.random.Philox(key=int(seed_base) + i))
                      for i in range(members)]
         self.modes = int(modes)
+        self.steps_left = 0
         self._buffer = None
-        self._cursor = _NOISE_CHUNK
+        self._cursor = self._filled = 0
 
     def next_step(self):
         """Complex normals z_re + i z_im of shape (members, modes) for one step.
 
-        Each member refills its own block of one buffer in place, so a refill
-        allocates nothing and the stream holds one block at any time.
+        Each member refills its own block of one buffer in place.  The buffer
+        holds at most _NOISE_BYTES, or one step when a step is larger.
         """
-        if self._cursor == _NOISE_CHUNK:
+        if self._cursor == self._filled:
+            steps = max(1, min(self.steps_left,
+                               _NOISE_BYTES // (16 * len(self.gens) * self.modes)))
             if self._buffer is None:
-                self._buffer = np.empty((len(self.gens), _NOISE_CHUNK, 2, self.modes))
+                self._buffer = np.empty((len(self.gens), steps, 2, self.modes))
+            steps = min(steps, self._buffer.shape[1])
             for g, block in zip(self.gens, self._buffer):
-                g.standard_normal(out=block)
-            self._cursor = 0
+                g.standard_normal(out=block[:steps])
+            self.steps_left -= steps
+            self._cursor, self._filled = 0, steps
         z = self._buffer[:, self._cursor]
         self._cursor += 1
-        return z[:, 0] + 1j * z[:, 1]
+        out = np.empty((len(self.gens), self.modes), dtype=complex)
+        out.real, out.imag = z[:, 0], z[:, 1]
+        return out
 
 
 def _full_noise_injector(noise, frame, epsilon):
@@ -271,6 +281,8 @@ def _drive(a0, g, lam, mu, config, h_target, inject=None, stream=None, drift=Non
     a = a0.astype(complex)
     total = 0
     plan = _segment_steps(taus, h_target)
+    if stream is not None:
+        stream.steps_left = sum(n for n, _ in plan)
     for i, (n, h) in enumerate(plan):
         E = np.exp(-mu * lam * h)
         E2 = np.exp(-mu * lam * (0.5 * h)) if use_lawson else None

@@ -2,9 +2,9 @@
 
 Eleven numbered checks, run in order.  Each test prints a single verdict line
 (``acceptance NN PASS|FAIL ...``) with its wall time before asserting, so a
-log of this module doubles as the acceptance report.  Checks 1-7 write every
-artifact through a producer registry; check 11 re-runs the producers into a
-second directory and compares all output files byte for byte.
+log of this module doubles as the acceptance report.  Checks 1-7 and 9 write
+every artifact through a producer registry; check 11 re-runs the producers
+into a second directory and compares all output files byte for byte.
 
 Statistical checks (3, 8, 9, 10) run at pinned seeds; tolerances are fixed,
 not tuned per run.
@@ -186,6 +186,18 @@ def _produce_disparity_report(out):
     return rep
 
 
+def _produce_moment_tracking(out):
+    out.mkdir(parents=True, exist_ok=True)
+    frame, spec, table, noise, diffusion = _damped_setup()
+    cfg = StudyConfig("stochastic", epsilons=(0.1, 0.025), members=500,
+                      seed=12345, initial_seed=99, radius=1.5, dt=2e-3,
+                      samples=5, compare_taus=(0.25, 0.5, 1.0))
+    rep = run_study(cfg, frame, spec=spec, table=table, noise=noise,
+                    diffusion=diffusion)
+    write_report(out, rep)
+    return rep
+
+
 _PRODUCERS = {
     "crit01": _produce_spectra,
     "crit02": _produce_tables,
@@ -194,6 +206,7 @@ _PRODUCERS = {
     "crit05": _produce_diagonal_runs,
     "crit06": _produce_converge_report,
     "crit07": _produce_disparity_report,
+    "crit09": _produce_moment_tracking,
 }
 
 
@@ -319,18 +332,14 @@ def test_criterion_08_ou_closed_form():
             detail=f"worst z {float(np.max(gap[driven] / (band[driven] / 3))):.2f}")
 
 
-def test_criterion_09_moment_tracking():
+def test_criterion_09_moment_tracking(outdir):
     t0 = time.perf_counter()
-    frame, spec, table, noise, diffusion = _damped_setup()
-    cfg = StudyConfig("stochastic", epsilons=(0.1, 0.025), members=500,
-                      seed=12345, initial_seed=99, radius=1.5, dt=2e-3,
-                      samples=5, compare_taus=(0.25, 0.5, 1.0))
-    rep = run_study(cfg, frame, spec=spec, table=table, noise=noise,
-                    diffusion=diffusion)
-    improved = sum(1 for r in rep.tables["trend"]["rows"] if r[3])
+    rep = _produce_moment_tracking(outdir / "first" / "crit09")
+    rows = rep.tables["trend"]["rows"]
+    improved = sum(1 for r in rows if r[3])
     _report(9, "ensemble actions track the effective flow", rep.passed(),
             time.perf_counter() - t0,
-            detail=f"improved {improved}/{cfg.tracked_modes} modes")
+            detail=f"improved {improved}/{len(rows)} modes")
 
 
 def test_criterion_10_stationary_diagnostics():
@@ -367,6 +376,6 @@ def test_criterion_11_bitwise_reproducibility(outdir):
             if (first / rel).read_bytes() != (second / rel).read_bytes():
                 mismatched.append(f"{name}/{rel}")
     ok = not mismatched and total > 0
-    _report(11, "re-running checks 1-7 reproduces every file bitwise", ok,
+    _report(11, "re-running checks 1-7 and 9 reproduces every file bitwise", ok,
             time.perf_counter() - t0,
             detail=f"{total} files" if ok else "; ".join(mismatched))

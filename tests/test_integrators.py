@@ -2,16 +2,20 @@
 
 from dataclasses import replace
 import math
+import tracemalloc
 
+from hypothesis import given, settings, strategies as st
 import numpy as np
 import pytest
 
+from resonlab import integrators
 from resonlab.errors import BlowUpError, ConfigError, EnsembleError
 from resonlab.fields import ResonantDrift
 from resonlab.integrators import (
     EnsembleResult,
     NoiseModel,
     SolverConfig,
+    _NoiseStream,
     ensemble_effective,
     ensemble_full,
     integrate_effective,
@@ -281,6 +285,80 @@ def test_members_reproduce_batch(frame_1d_5):
     acts = np.stack([t.actions() for t in singles], axis=1)
     mean = np.sum(acts, axis=1) / 3
     assert np.allclose(mean, batch.mean_actions, atol=1e-12)
+
+
+def _philox(key):
+    return np.random.Generator(np.random.Philox(key=key))
+
+
+def _philox_state(gen):
+    s = gen.bit_generator.state
+    return (s["state"]["counter"].tolist(), s["state"]["key"].tolist(),
+            s["buffer"].tolist(), s["buffer_pos"], s["has_uint32"], s["uinteger"])
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from((1, 3, 7, None)), st.integers(1, 4), st.integers(1, 6),
+       st.integers(1, 30), st.integers(0, 2 ** 32 - 1))
+def test_noise_draws_do_not_depend_on_refill_size(per_refill, members, modes,
+                                                  steps, seed):
+    # per_refill None: the whole run fits one refill
+    budget = 16 * members * modes * (steps if per_refill is None else per_refill)
+    ref = np.stack([_philox(seed + i).standard_normal((steps, 2, modes))
+                    for i in range(members)], axis=1)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(integrators, "_NOISE_BYTES", budget)
+        batch = _NoiseStream(seed, members, modes)
+        alone = [_NoiseStream(seed + i, 1, modes) for i in range(members)]
+        for stream in (batch, *alone):
+            stream.steps_left = steps
+        for t in range(steps):
+            z = batch.next_step()
+            assert np.array_equal(z.real, ref[t, :, 0])
+            assert np.array_equal(z.imag, ref[t, :, 1])
+            for i, single in enumerate(alone):
+                assert np.array_equal(single.next_step()[0], z[i])
+
+
+def test_noise_stream_draws_only_the_steps_a_run_takes(frame_1d_5, monkeypatch):
+    streams = []
+
+    class Recording(_NoiseStream):
+        def __init__(self, *args):
+            super().__init__(*args)
+            streams.append(self)
+
+    monkeypatch.setattr(integrators, "_NoiseStream", Recording)
+    noise = NoiseModel((0.3, 0.3, 0.3, 0.2, 0.2))
+    cfg = SolverConfig(epsilon=0.5, tau_end=0.3, dt=5e-3, scheme="expeuler", samples=4)
+    # the default budget draws the 60 steps at once; 7 steps a refill ends
+    # the run on a shorter refill of 4
+    for budget in (integrators._NOISE_BYTES, 7 * 16 * 3 * 5):
+        monkeypatch.setattr(integrators, "_NOISE_BYTES", budget)
+        run = ensemble_full(0.4 * np.ones(5, complex), CUBIC, frame_1d_5, cfg,
+                            noise, 3, seed_base=40)
+        stream = streams.pop()
+        assert run.meta["steps"] == 60 and stream.steps_left == 0
+        for i, gen in enumerate(stream.gens):
+            fresh = _philox(40 + i)
+            fresh.standard_normal(60 * 2 * 5)
+            assert _philox_state(gen) == _philox_state(fresh)
+
+
+def test_noise_buffer_stays_within_budget():
+    # 256 steps a refill would buffer 256 * 2000 * 2 * 81 * 8 B = 633 MiB here
+    members, modes = 2000, 81
+    step = 16 * members * modes
+    stream = _NoiseStream(0, members, modes)
+    stream.steps_left = 1000
+    tracemalloc.start()
+    try:
+        for _ in range(4):
+            stream.next_step()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= integrators._NOISE_BYTES + step
 
 
 def test_ou_action_statistics(frame_1d_5):
