@@ -159,13 +159,13 @@ class NonlinearitySpec:
             return (-self.gr * smoothed_power(r, self.p)
                     - 1j * self.gi * smoothed_power(r, self.q)) * u
         if self.kind == "polynomial":
-            out = np.zeros_like(u)
+            out = None
             for term in self.terms:
-                acc = np.full(u.shape, term.coefficient, dtype=complex)
+                acc = term.coefficient
                 for f in term.factors:
                     base = u if f.derivative is None else gradients[f.derivative]
                     acc = acc * (np.conj(base) if f.conjugate else base)
-                out += acc
+                out = acc if out is None else out + acc
             return out
         raise ConfigError("diagonal nonlinearity has no grid evaluation")
 

@@ -206,6 +206,26 @@ def test_smoothed_monomial_pointwise(frame_1d_9):
     assert np.allclose(eval_P(v, spec, frame_1d_9), expect, atol=1e-13)
 
 
+def test_polynomial_pointwise_matches_term_loop_bitwise():
+    # reference: every product array by array, summed onto zeros
+    terms = (*cubic_damping_terms(-0.3 - 2.5j),
+             MonomialTerm(0.5 - 1j, (MonomialFactor(conjugate=True),
+                                     MonomialFactor(derivative=1))))
+    spec = NonlinearitySpec("polynomial", mu=0.3, terms=terms)
+    rng = np.random.default_rng(46)
+    for shape in ((32,), (1000, 32), (7, 33)):
+        u, gx, gy = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+                     for _ in range(3))
+        expect = np.zeros_like(u)
+        for term in terms:
+            acc = np.full(shape, term.coefficient, dtype=complex)
+            for f in term.factors:
+                base = u if f.derivative is None else (gx, gy)[f.derivative]
+                acc = acc * (np.conj(base) if f.conjugate else base)
+            expect += acc
+        assert np.array_equal(spec.pointwise(u, (gx, gy)), expect)
+
+
 def test_derivative_terms_require_positive_mu():
     dterm = MonomialTerm(1.0, (MonomialFactor(), MonomialFactor(derivative=0)))
     with pytest.raises(ConfigError):
