@@ -24,7 +24,7 @@ from .spectral import mode_vector
 
 SCHEMES = ("lawson4", "expeuler")
 NOISE_CONVENTION = "E|beta_l(tau)|^2 = 2 tau"
-_NOISE_BYTES = 1 << 22  # normals one refill of the noise buffer may hold
+_NOISE_BYTES = 1 << 22  # bytes of normals one refill of the noise buffer may hold
 
 
 @dataclass(frozen=True)
