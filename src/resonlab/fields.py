@@ -18,7 +18,10 @@ from .errors import ConfigError
 from .spectral import mode_vector, sobolev_norm
 
 _CHUNK = 4096  # quadrature nodes per block; fixed so sums are reproducible
-_BATCH_BYTES = 1 << 23  # one (batch rows x monomials) complex temporary of R
+# Rows per pass of batched R: one (rows x widest group's monomials) complex array
+# fits this budget.  A ResonantDrift keeps two such work arrays, sized to the
+# largest batch it has been called on, and reuses them on every call.
+_BATCH_BYTES = 1 << 23
 
 
 def check_grid_resolution(spec, frame):
@@ -67,6 +70,12 @@ def eval_Y(state, t, spec, frame):
 
 # -- analytic (resonant-sum) drift route -----------------------------------
 
+def _take(x, idx, buf):
+    """x[:, idx] for a (rows, m) array x, written into the front of the flat buffer buf."""
+    return x.take(idx, axis=-1, mode="clip",
+                  out=buf[:x.shape[0] * idx.size].reshape(x.shape[0], idx.size))
+
+
 @dataclass
 class _MonomialGroup:
     conjugate: np.ndarray   # (degree,) bool, one per slot
@@ -74,22 +83,36 @@ class _MonomialGroup:
     targets: np.ndarray     # (n,) sorted ascending
     coeffs: np.ndarray      # (n,) complex
     seg_starts: np.ndarray
-    seg_targets: np.ndarray
+    seg_targets: object     # (segments,) target of each segment; a full slice when all M
     prefixes: np.ndarray    # (degree - 1, p) distinct index columns of all slots but the last
     prefix_ids: np.ndarray  # (n,) each monomial's column in prefixes
 
-    def _factor(self, v, j, idx):
-        factor = v[..., idx]
+    def _factor(self, v, j, idx, buf):
+        factor = _take(v, idx, buf)
         return np.conj(factor, out=factor) if self.conjugate[j] else factor
 
-    def accumulate(self, v, out):
-        terms = self.coeffs * self._factor(v, -1, self.slots[-1])
+    def accumulate(self, v, out, work):
+        """Add this group's monomials at the (rows, M) batch v into out.
+
+        work is a pair of flat complex buffers of at least rows x monomials
+        each.  The prefix product is formed in the first and gathered into the
+        second before the first takes the last factor, so the products are
+        rounded in the order coeffs * last * prefix product.
+        """
+        terms_buf, gather_buf = work
         if len(self.prefixes):
-            prod = self._factor(v, 0, self.prefixes[0])
+            prod = self._factor(v, 0, self.prefixes[0], terms_buf)
             for j in range(1, len(self.prefixes)):
-                prod *= self._factor(v, j, self.prefixes[j])
-            terms *= prod[..., self.prefix_ids]
-        out[..., self.seg_targets] += np.add.reduceat(terms, self.seg_starts, axis=-1)
+                prod *= self._factor(v, j, self.prefixes[j], gather_buf)
+            gathered = _take(prod, self.prefix_ids, gather_buf)
+        terms = self._factor(v, -1, self.slots[-1], terms_buf)
+        np.multiply(self.coeffs, terms, out=terms)
+        if len(self.prefixes):
+            terms *= gathered
+        segments = self.seg_starts.size
+        sums = np.add.reduceat(terms, self.seg_starts, axis=-1,
+                               out=gather_buf[:v.shape[0] * segments].reshape(-1, segments))
+        out[..., self.seg_targets] += sums
 
 
 def _check_table_frame(table, frame):
@@ -148,6 +171,10 @@ class ResonantDrift:
     Monomial coefficients are product integrals of eigenfunctions (and their
     derivatives, for derivative factors) computed by exact grid quadrature; the
     resonance table decides which index tuples survive the averaging.
+
+    A call on a batch computes in two work arrays the drift owns, each at most
+    (rows per pass x widest group's monomials) as _BATCH_BYTES allows, so one
+    ResonantDrift serves one caller at a time.  Every call returns a fresh array.
     """
 
     def __init__(self, frame, spec, table=None):
@@ -189,9 +216,9 @@ class ResonantDrift:
                 same[np.ix_(cluster, cluster)] = True
             k, kp = np.nonzero(same & (np.abs(W) > 1e-14))
             self._add_group([False], kp[:, None], k, W[k, kp].astype(complex))
-        # batch rows per pass of R, so that one (rows x monomials) array fits the budget
-        width = max((group.coeffs.size for group in self.groups), default=1)
-        self._chunk_rows = max(1, _BATCH_BYTES // (16 * width))
+        self._width = max((group.coeffs.size for group in self.groups), default=1)
+        self._chunk_rows = max(1, _BATCH_BYTES // (16 * self._width))
+        self._work = (np.empty(0, dtype=complex),) * 2
 
     def _add_group(self, conjugate, rows, targets, coeffs):
         """Append one group of (n, degree) index rows whose targets ascend."""
@@ -204,7 +231,8 @@ class ResonantDrift:
             self.groups.append(_MonomialGroup(
                 conjugate=np.asarray(conjugate, dtype=bool), slots=np.ascontiguousarray(rows.T),
                 targets=targets, coeffs=coeffs,
-                seg_starts=seg_starts, seg_targets=targets[seg_starts],
+                seg_starts=seg_starts,
+                seg_targets=slice(None) if seg_starts.size == self.modes else targets[seg_starts],
                 prefixes=prefix[:, first], prefix_ids=prefix_ids))
 
     def __call__(self, state):
@@ -213,10 +241,13 @@ class ResonantDrift:
             return v * self.gammas
         out = np.zeros(v.shape, dtype=complex)
         flat_v, flat_out = v.reshape(-1, self.modes), out.reshape(-1, self.modes)
+        size = min(flat_v.shape[0], self._chunk_rows) * self._width
+        if self._work[0].size < size:
+            self._work = (np.empty(size, dtype=complex), np.empty(size, dtype=complex))
         for start in range(0, flat_v.shape[0], self._chunk_rows):
             rows = slice(start, start + self._chunk_rows)
             for group in self.groups:
-                group.accumulate(flat_v[rows], flat_out[rows])
+                group.accumulate(flat_v[rows], flat_out[rows], self._work)
         return out
 
 

@@ -490,6 +490,65 @@ def test_chunked_drift_matches_one_chunk(frame_2d_9, monkeypatch):
     assert np.max(np.abs(chunked - whole)) <= 1e-15 * np.max(np.abs(whole))
 
 
+def ensemble_1d_drift():
+    """The drift of the 1-D ensemble workload: 1-D, grid 32, M=8, damped cubic."""
+    frame = build_frame(TorusGeometry((TAU,), 32), Potential.zero(), 8)
+    spec = NonlinearitySpec("polynomial", mu=0.3, terms=cubic_damping_terms(-0.3 - 2.5j))
+    return ResonantDrift(frame, spec, build_resonance_table(frame, patterns=((1,), (1, -1, 1))))
+
+
+def random_rows(rng, shape):
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+def test_warm_batched_drift_allocates_less_than_one_work_array():
+    drift = ensemble_1d_drift()
+    width = max(group.coeffs.size for group in drift.groups)
+    assert width == 70
+    batch = random_rows(np.random.default_rng(35), (1000, 8))
+    drift(batch)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        drift(batch)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak < 1000 * width * 16
+
+
+def test_drift_calls_do_not_alias():
+    drift = ensemble_1d_drift()
+    rng = np.random.default_rng(36)
+    v1, v2 = random_rows(rng, (50, 8)), random_rows(rng, (50, 8))
+    r1 = drift(v1)
+    kept = r1.copy()
+    r2 = drift(v2)
+    assert np.array_equal(r1, kept)
+    assert not np.shares_memory(r1, r2)
+
+
+def test_drift_input_layouts_match_row_by_row(frame_2d_9, monkeypatch):
+    spec = NonlinearitySpec("cubic_focusing", mu=0.5)
+    table = build_resonance_table(frame_2d_9)
+    rng = np.random.default_rng(37)
+    batch = np.array([sample_ball(frame_2d_9, 2.0, 1.0, rng) for _ in range(6)])
+    read_only = batch.copy()
+    read_only.flags.writeable = False
+    inputs = (np.asfortranarray(batch), read_only, batch.reshape(2, 3, -1), batch[4])
+    whole = ResonantDrift(frame_2d_9, spec, table)
+    monkeypatch.setattr(fields, "_BATCH_BYTES", 16 * 4 * whole.groups[0].coeffs.size)
+    chunked = ResonantDrift(frame_2d_9, spec, table)
+    assert whole._chunk_rows >= len(batch) > chunked._chunk_rows == 4
+    for drift in (whole, chunked):
+        for v in inputs:
+            got = drift(v)
+            flat = v.reshape(-1, v.shape[-1])
+            want = np.stack([drift(row) for row in flat]).reshape(v.shape)
+            assert got.shape == v.shape
+            assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
+
+
 def test_batched_drift_memory_is_bounded():
     # 1000 rows at 2-D M=49: one unchunked product array alone would be 190 MB
     frame = build_frame(TorusGeometry((TAU, TAU), 32), Potential.zero(), 49)
