@@ -196,9 +196,12 @@ class _NoiseStream:
 
 
 def _full_noise_injector(noise, frame, epsilon):
+    b = noise.array()
+    if b.shape != (frame.modes,):
+        raise ConfigError(f"noise has {b.size} amplitudes, the frame has {frame.modes} modes")
     if noise.is_zero:
         return None
-    scaled = noise.array()[:, None] * frame.eigenvectors.T  # (basis l, mode k)
+    scaled = b[:, None] * frame.eigenvectors.T  # (basis l, mode k)
     lam = frame.eigenvalues
 
     def inject(tau, dbeta):
@@ -336,9 +339,12 @@ def _full_field(spec, frame, epsilon):
     return lambda x, tau: eval_Y(x, inv_eps * tau, spec, frame)
 
 
-def _noise_stream(config, seed, members, modes):
-    """Member streams of a stochastic run; a seed of None marks a deterministic one."""
+def _noise_stream(config, seed, members, modes, inject):
+    """Member streams of a stochastic run; a seed of None marks a deterministic one,
+    so it refuses noise that injects."""
     if seed is None:
+        if inject is not None:
+            raise ConfigError("a run whose noise injects needs a seed")
         return None
     if config.scheme != "expeuler":
         raise ConfigError("stochastic runs use scheme='expeuler'")
@@ -348,13 +354,13 @@ def _noise_stream(config, seed, members, modes):
 def _run_full(a0, spec, frame, config, noise=None, seed=None, table=None,
               track_disparity=False):
     """Drive the rotated full system over an (members, modes) batch."""
-    stream = _noise_stream(config, seed, *a0.shape)
+    inject = None if noise is None else _full_noise_injector(noise, frame, config.epsilon)
+    stream = _noise_stream(config, seed, *a0.shape, inject)
     drift = None
     if track_disparity:
         if table is None:
             raise ConfigError("disparity tracking needs a resonance table")
         drift = ResonantDrift(frame, spec, table)
-    inject = None if noise is None else _full_noise_injector(noise, frame, config.epsilon)
     h_target = oscillation_step(config, frame.eigenvalues)
     return _drive(a0, _full_field(spec, frame, config.epsilon), frame.eigenvalues,
                   spec.mu, config, h_target, inject=inject, stream=stream, drift=drift)
@@ -363,10 +369,10 @@ def _run_full(a0, spec, frame, config, noise=None, seed=None, table=None,
 def _run_effective(a0, spec, frame, config, table=None, drift=None,
                    diffusion=None, seed=None):
     """Drive the averaged system over an (members, modes) batch."""
-    stream = _noise_stream(config, seed, *a0.shape)
+    inject = None if diffusion is None else _effective_noise_injector(diffusion)
+    stream = _noise_stream(config, seed, *a0.shape, inject)
     if drift is None:
         drift = ResonantDrift(frame, spec, table)
-    inject = None if diffusion is None else _effective_noise_injector(diffusion)
     return _drive(a0, lambda x, tau: drift(x), frame.eigenvalues, spec.mu, config,
                   config.dt, inject=inject, stream=stream)
 

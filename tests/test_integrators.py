@@ -244,6 +244,31 @@ def test_stochastic_requires_expeuler(frame_1d_5):
         ensemble_full(np.ones(5, complex), CUBIC, frame_1d_5, cfg, noise, 4, 1)
 
 
+def test_injecting_noise_needs_a_seed(frame_1d_5):
+    cfg = SolverConfig(epsilon=0.5, tau_end=0.1, dt=5e-3, scheme="expeuler")
+    a0 = 0.4 * np.ones(5, dtype=complex)
+    b = (0.3, 0.3, 0.3, 0.2, 0.2)
+    noise, diffusion = NoiseModel(b), build_diffusion(frame_1d_5, b)
+    table = build_resonance_table(frame_1d_5)
+    runs = (lambda: integrate_full_stochastic(a0, CUBIC, frame_1d_5, cfg, noise, None),
+            lambda: integrate_effective_stochastic(a0, CUBIC, frame_1d_5, cfg, table,
+                                                   diffusion, None),
+            lambda: ensemble_full(a0, CUBIC, frame_1d_5, cfg, noise, 4, None),
+            lambda: ensemble_effective(a0, CUBIC, frame_1d_5, cfg, table, diffusion, 4, None))
+    for run in runs:
+        with pytest.raises(ConfigError, match="needs a seed"):
+            run()
+
+
+def test_noise_amplitude_count_must_match_modes(frame_1d_5):
+    cfg = SolverConfig(epsilon=0.5, tau_end=0.1, dt=5e-3, scheme="expeuler")
+    a0 = 0.4 * np.ones(5, dtype=complex)
+    with pytest.raises(ConfigError, match="3 amplitudes, the frame has 5 modes"):
+        ensemble_full(a0, CUBIC, frame_1d_5, cfg, NoiseModel((0.3, 0.3, 0.2)), 4, 1)
+    with pytest.raises(ConfigError, match="3 amplitudes"):
+        integrate_full_stochastic(a0, CUBIC, frame_1d_5, cfg, NoiseModel((0.3, 0.3, 0.2)), 1)
+
+
 def test_zero_noise_reduces_to_deterministic_bitwise(frame_1d_5):
     # epsilons that are not powers of two catch any second spelling of fast time
     a0 = sample_ball(frame_1d_5, 2.0, 1.0, np.random.default_rng(36))
