@@ -199,12 +199,15 @@ class SpectralFrame:
     window_radius -- largest per-axis lattice index of the basis
     """
 
-    def __init__(self, geometry, potential, basis, eigenvalues, eigenvectors):
+    def __init__(self, geometry, potential, basis, eigenvalues, eigenvectors, _operator=None):
         self.geometry = geometry
         self.potential = potential
         self.basis = tuple(basis)
         self.eigenvalues = np.asarray(eigenvalues, dtype=float)
         self.eigenvectors = np.asarray(eigenvectors, dtype=float)
+        if _operator is not None:
+            # build_frame hands over the matrix it diagonalized, assembled once
+            self._operator = _read_only(_operator)
         self.validate()
         self.window_radius = _window_radius(self.basis)
 
@@ -227,12 +230,17 @@ class SpectralFrame:
         gram = self.eigenvectors @ self.eigenvectors.T
         if float(np.max(np.abs(gram - np.eye(M)))) > ORTHONORMALITY_TOL:
             raise ValidationError("eigenvector rows are not orthonormal to tolerance")
-        H = assemble_operator(self.geometry, self.potential, self.basis)
+        H = self._operator
         resid = H @ self.eigenvectors.T - self.eigenvectors.T * self.eigenvalues[None, :]
         bound = RESIDUAL_TOL * np.maximum(1.0, np.abs(self.eigenvalues))
         worst = np.sqrt(np.sum(resid ** 2, axis=0))
         if np.any(worst > bound):
             raise ValidationError(f"eigenpair residual {worst.max():.3e} exceeds tolerance")
+
+    @cached_property
+    def _operator(self):
+        """Galerkin matrix of -Laplace + V whose eigenpairs validate() checks."""
+        return _read_only(assemble_operator(self.geometry, self.potential, self.basis))
 
     # -- grid tables ------------------------------------------------------
 
@@ -414,7 +422,7 @@ def build_frame(geometry, potential, modes):
     lam, vecs = np.linalg.eigh(H)  # ascending; columns are eigenvectors
     vecs = _align_degenerate_clusters(lam, vecs)
     psi = _fix_signs(vecs.T)
-    return SpectralFrame(geometry, potential, basis, lam, psi)
+    return SpectralFrame(geometry, potential, basis, lam, psi, _operator=H)
 
 
 def _align_degenerate_clusters(lam, vecs):

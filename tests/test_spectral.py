@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from resonlab import spectral
 from resonlab.errors import ConfigError, ValidationError
 from resonlab.spectral import (
     Potential,
@@ -253,6 +254,20 @@ def test_frame_document_round_trip(frame_1d_9_cos, tmp_path):
     assert np.array_equal(rebuilt.eigenvalues, frame_1d_9_cos.eigenvalues)
     assert np.array_equal(rebuilt.eigenvectors, frame_1d_9_cos.eigenvectors)
     assert rebuilt.content_hash() == frame_1d_9_cos.content_hash()
+
+
+def test_operator_assembled_once_per_frame(monkeypatch):
+    calls = []
+    assemble = spectral.assemble_operator
+    monkeypatch.setattr(spectral, "assemble_operator",
+                        lambda *args: calls.append(args) or assemble(*args))
+    pot = Potential.from_cosines({(1, 0): 0.1, (0, 1): 0.05}, dimension=2)
+    frame = build_frame(TorusGeometry((TAU, TAU), 16), pot, 9)
+    assert len(calls) == 1
+    # a frame read from a document is checked against an operator it assembles
+    rebuilt = SpectralFrame.from_document(json.loads(json.dumps(frame.to_document())))
+    assert len(calls) == 2
+    assert rebuilt.content_hash() == frame.content_hash()
 
 
 def test_frame_document_rejects_tampering(frame_1d_5):
