@@ -109,10 +109,7 @@ class _MonomialGroup:
         np.multiply(self.coeffs, terms, out=terms)
         if len(self.prefixes):
             terms *= gathered
-        segments = self.seg_starts.size
-        sums = np.add.reduceat(terms, self.seg_starts, axis=-1,
-                               out=gather_buf[:v.shape[0] * segments].reshape(-1, segments))
-        out[..., self.seg_targets] += sums
+        out[..., self.seg_targets] += np.add.reduceat(terms, self.seg_starts, axis=-1)
 
 
 def _check_table_frame(table, frame):
