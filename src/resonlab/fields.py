@@ -96,8 +96,8 @@ class _MonomialGroup:
 
         work is a pair of flat complex buffers of at least rows x monomials
         each.  The prefix product is formed in the first and gathered into the
-        second before the first takes the last factor, so the products are
-        rounded in the order coeffs * last * prefix product.
+        second before the first takes the last factor, so each monomial is
+        rounded as (coeffs * last factor) * prefix product.
         """
         terms_buf, gather_buf = work
         if len(self.prefixes):
