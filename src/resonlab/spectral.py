@@ -199,7 +199,8 @@ class SpectralFrame:
     window_radius -- largest per-axis lattice index of the basis
     """
 
-    def __init__(self, geometry, potential, basis, eigenvalues, eigenvectors, _operator=None):
+    def __init__(self, geometry, potential, basis, eigenvalues, eigenvectors,
+                 _operator=None, _grid=None):
         self.geometry = geometry
         self.potential = potential
         self.basis = tuple(basis)
@@ -208,6 +209,8 @@ class SpectralFrame:
         if _operator is not None:
             # build_frame hands over the matrix it diagonalized, assembled once
             self._operator = _read_only(_operator)
+        # for V != 0 it also hands over its grid pass, which _grid_tables uses once
+        self._grid = _grid
         self.validate()
         self.window_radius = _window_radius(self.basis)
 
@@ -250,7 +253,8 @@ class SpectralFrame:
     @cached_property
     def _grid_tables(self):
         """Eigenfunction values and gradients from one pass over the grid."""
-        E, grads = _basis_on_grid(self.geometry, self.basis)
+        E, grads = self._grid or _basis_on_grid(self.geometry, self.basis)
+        self._grid = None
         return (_read_only(self.eigenvectors @ E),
                 [_read_only(self.eigenvectors @ g) for g in grads])
 
@@ -388,15 +392,16 @@ def laplace_symbol(geometry, basis):
     return out
 
 
-def assemble_operator(geometry, potential, basis):
+def assemble_operator(geometry, potential, basis, grid=None):
     """Real symmetric Galerkin matrix of -Laplace + V in the trigonometric basis.
 
     The quadrature is exact as long as the grid resolves all products of two
     basis functions with the potential, which build_frame checks up front.
+    grid is the _basis_on_grid pass when the caller already holds it.
     """
     H = np.diag(laplace_symbol(geometry, basis))
     if not potential.is_zero:
-        E, _ = _basis_on_grid(geometry, basis)
+        E, _ = grid or _basis_on_grid(geometry, basis)
         Vg = potential.values_on(geometry) * geometry.cell_volume
         H = H + (E * Vg) @ E.T
         H = 0.5 * (H + H.T)
@@ -418,11 +423,12 @@ def build_frame(geometry, potential, modes):
         raise ConfigError(
             f"grid_points={geometry.grid_points} too small for exact assembly; "
             f"need more than {need} points per axis")
-    H = assemble_operator(geometry, potential, basis)
+    grid = None if potential.is_zero else _basis_on_grid(geometry, basis)
+    H = assemble_operator(geometry, potential, basis, grid)
     lam, vecs = np.linalg.eigh(H)  # ascending; columns are eigenvectors
     vecs = _align_degenerate_clusters(lam, vecs)
     psi = _fix_signs(vecs.T)
-    return SpectralFrame(geometry, potential, basis, lam, psi, _operator=H)
+    return SpectralFrame(geometry, potential, basis, lam, psi, _operator=H, _grid=grid)
 
 
 def _align_degenerate_clusters(lam, vecs):

@@ -8,6 +8,8 @@ from hypothesis import given, settings, strategies as st
 
 from resonlab import spectral
 from resonlab.errors import ConfigError, ValidationError
+from resonlab.fields import eval_P
+from resonlab.nonlinearity import NonlinearitySpec
 from resonlab.spectral import (
     Potential,
     SpectralFrame,
@@ -268,6 +270,27 @@ def test_operator_assembled_once_per_frame(monkeypatch):
     rebuilt = SpectralFrame.from_document(json.loads(json.dumps(frame.to_document())))
     assert len(calls) == 2
     assert rebuilt.content_hash() == frame.content_hash()
+
+
+def test_grid_pass_shared_by_build_frame(monkeypatch):
+    calls = []
+    grid_pass = spectral._basis_on_grid
+    monkeypatch.setattr(spectral, "_basis_on_grid",
+                        lambda *args: calls.append(args) or grid_pass(*args))
+    pot = Potential.from_cosines({(1, 0): 0.1, (0, 1): 0.05}, dimension=2)
+    frame = build_frame(TorusGeometry((TAU, TAU), 16), pot, 9)
+    v = np.linspace(0.1, 0.9, 9) + 0.2j
+    spec = NonlinearitySpec("cubic_focusing", mu=0.3)
+    eval_P(v, spec, frame)
+    assert len(calls) == 1
+    # a frame read from a document makes its own pass for the operator and
+    # another for the tables; both give the same tables bit for bit
+    rebuilt = SpectralFrame.from_document(json.loads(json.dumps(frame.to_document())))
+    assert np.array_equal(eval_P(v, spec, rebuilt), eval_P(v, spec, frame))
+    assert len(calls) == 3
+    assert np.array_equal(rebuilt.eigenfunction_values, frame.eigenfunction_values)
+    for mine, theirs in zip(rebuilt.eigenfunction_gradients, frame.eigenfunction_gradients):
+        assert np.array_equal(mine, theirs)
 
 
 def test_frame_document_rejects_tampering(frame_1d_5):
