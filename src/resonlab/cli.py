@@ -83,7 +83,8 @@ def build_parser():
                        help="override the config's RNG base seed")
         p.add_argument("--threads", type=int, default=None,
                        help="BLAS worker threads (default: library default, "
-                            "usually all cores)")
+                            "usually all cores); a stochastic run adds one "
+                            "noise-drawing thread that this does not cap")
         p.add_argument("--verbose", action="store_true")
 
     common(sub.add_parser("basis", help="build and export a spectral frame"))

@@ -15,6 +15,7 @@ E|beta_l(tau)|^2 = 2 tau (independent standard real and imaginary parts).
 
 from dataclasses import dataclass, fields
 import math
+import threading
 
 import numpy as np
 
@@ -162,6 +163,16 @@ class _NoiseStream:
     and how the steps are split into refills does not change a single draw.
     steps_left is the number of steps the run still takes; _drive sets it, so
     no refill draws past the run's end.
+
+    The buffer holds at most _NOISE_BYTES, or one step when a step is larger,
+    and is split into two halves along the step axis.  While the caller
+    consumes one half, one helper thread refills the other with the next
+    steps; the halves swap once the caller has used up its half and the fill
+    has ended.  The helper starts after a swap and is joined at the next one,
+    and the caller draws only when no fill is pending, so each generator is
+    used by one thread at a time and in the same order as a serial run.  A
+    one-step buffer has no second half and is refilled in the calling thread.
+    close() ends a pending fill; _drive calls it however the run ends.
     """
 
     def __init__(self, seed_base, members, modes):
@@ -169,30 +180,70 @@ class _NoiseStream:
                      for i in range(members)]
         self.modes = int(modes)
         self.steps_left = 0
-        self._buffer = None
+        self._halves = None  # [half being consumed, half being refilled]
         self._cursor = self._filled = 0
+        self._fill = None  # (thread, steps, errors) of the pending refill
+
+    def _draw(self, half, steps):
+        for g, block in zip(self.gens, half):
+            g.standard_normal(out=block[:steps])
+
+    def _draw_ahead(self, half, steps, errors):
+        try:
+            self._draw(half, steps)
+        except BaseException as exc:
+            errors.append(exc)  # re-raised in the caller by _join
+
+    def _join(self):
+        """Wait for the pending refill; returns its steps or re-raises its error."""
+        thread, steps, errors = self._fill
+        thread.join()
+        self._fill = None
+        if errors:
+            raise errors[0]
+        return steps
+
+    def _swap(self):
+        """Make the next drawn half current and start drawing the one after it."""
+        members = len(self.gens)
+        if self._halves is None:
+            steps = max(1, min(self.steps_left,
+                               _NOISE_BYTES // (16 * members * self.modes)))
+            buffer = np.empty((members, steps, 2, self.modes))
+            first = (steps + 1) // 2
+            self._halves = [buffer[:, :first], buffer[:, first:]]
+        if self._fill is not None:
+            filled = self._join()
+            self._halves.reverse()
+        else:
+            filled = max(1, min(self.steps_left, self._halves[0].shape[1]))
+            self._draw(self._halves[0], filled)
+            self.steps_left -= filled
+        self._cursor, self._filled = 0, filled
+        ahead = min(self.steps_left, self._halves[1].shape[1])
+        if ahead > 0:
+            self.steps_left -= ahead
+            errors = []
+            thread = threading.Thread(target=self._draw_ahead, daemon=True,
+                                      args=(self._halves[1], ahead, errors))
+            thread.start()
+            self._fill = (thread, ahead, errors)
 
     def next_step(self):
-        """Complex normals z_re + i z_im of shape (members, modes) for one step.
-
-        Each member refills its own block of one buffer in place.  The buffer
-        holds at most _NOISE_BYTES, or one step when a step is larger.
-        """
+        """Complex normals z_re + i z_im of shape (members, modes) for one step."""
         if self._cursor == self._filled:
-            steps = max(1, min(self.steps_left,
-                               _NOISE_BYTES // (16 * len(self.gens) * self.modes)))
-            if self._buffer is None:
-                self._buffer = np.empty((len(self.gens), steps, 2, self.modes))
-            steps = min(steps, self._buffer.shape[1])
-            for g, block in zip(self.gens, self._buffer):
-                g.standard_normal(out=block[:steps])
-            self.steps_left -= steps
-            self._cursor, self._filled = 0, steps
-        z = self._buffer[:, self._cursor]
+            self._swap()
+        z = self._halves[0][:, self._cursor]
         self._cursor += 1
         out = np.empty((len(self.gens), self.modes), dtype=complex)
         out.real, out.imag = z[:, 0], z[:, 1]
         return out
+
+    def close(self):
+        """Wait for a pending refill and drop it, errors included."""
+        if self._fill is not None:
+            self._fill[0].join()
+            self._fill = None
 
 
 def _full_noise_injector(noise, frame, epsilon):
@@ -286,43 +337,47 @@ def _drive(a0, g, lam, mu, config, h_target, inject=None, stream=None, drift=Non
     plan = _segment_steps(taus, h_target)
     if stream is not None:
         stream.steps_left = sum(n for n, _ in plan)
-    for i, (n, h) in enumerate(plan):
-        E = np.exp(-mu * lam * h)
-        E2 = np.exp(-mu * lam * (0.5 * h)) if use_lawson else None
-        sqrt_h = math.sqrt(h)
-        t0 = taus[i]
-        for j in range(n):
-            tau_n = t0 + j * h
-            k1 = g(a, tau_n)
+    try:
+        for i, (n, h) in enumerate(plan):
+            E = np.exp(-mu * lam * h)
+            E2 = np.exp(-mu * lam * (0.5 * h)) if use_lawson else None
+            sqrt_h = math.sqrt(h)
+            t0 = taus[i]
+            for j in range(n):
+                tau_n = t0 + j * h
+                k1 = g(a, tau_n)
+                if track:
+                    gap = k1 - drift(a)
+                    if gap_prev is not None:
+                        D = D + (0.5 * h_prev) * (gap_prev + gap)
+                        np.maximum(disp_max, np.abs(D), out=disp_max)
+                    gap_prev, h_prev = gap, h
+                if use_lawson:
+                    a = _lawson4_step(a, tau_n, h, E, E2, g, k1)
+                else:
+                    a = _expeuler_step(a, h, E, k1)
+                if inject is not None:
+                    a = a + inject(tau_n + h, sqrt_h * stream.next_step())
+                with np.errstate(invalid="ignore"):
+                    norm = _guard_norm(a, weights)
+                    fresh = ~dead & (~np.isfinite(norm) | (norm > bound))
+                if np.any(fresh):
+                    dead |= fresh
+                    death_tau[fresh] = tau_n + h
+                    death_norm[fresh] = norm[fresh]
+                    a[fresh] = np.nan
+                total += 1
+            states[i + 1] = a
             if track:
-                gap = k1 - drift(a)
-                if gap_prev is not None:
-                    D = D + (0.5 * h_prev) * (gap_prev + gap)
-                    np.maximum(disp_max, np.abs(D), out=disp_max)
-                gap_prev, h_prev = gap, h
-            if use_lawson:
-                a = _lawson4_step(a, tau_n, h, E, E2, g, k1)
-            else:
-                a = _expeuler_step(a, h, E, k1)
-            if inject is not None:
-                a = a + inject(tau_n + h, sqrt_h * stream.next_step())
-            with np.errstate(invalid="ignore"):
-                norm = _guard_norm(a, weights)
-                fresh = ~dead & (~np.isfinite(norm) | (norm > bound))
-            if np.any(fresh):
-                dead |= fresh
-                death_tau[fresh] = tau_n + h
-                death_norm[fresh] = norm[fresh]
-                a[fresh] = np.nan
-            total += 1
-        states[i + 1] = a
-        if track:
-            # close the trapezoid at the sample node before recording
-            gap = g(a, taus[i + 1]) - drift(a)
-            D_here = D + (0.5 * h_prev) * (gap_prev + gap)
-            disparity[i + 1] = D_here
-            with np.errstate(invalid="ignore"):
-                np.maximum(disp_max, np.abs(D_here), out=disp_max)
+                # close the trapezoid at the sample node before recording
+                gap = g(a, taus[i + 1]) - drift(a)
+                D_here = D + (0.5 * h_prev) * (gap_prev + gap)
+                disparity[i + 1] = D_here
+                with np.errstate(invalid="ignore"):
+                    np.maximum(disp_max, np.abs(D_here), out=disp_max)
+    finally:
+        if stream is not None:
+            stream.close()
     return {
         "taus": taus, "states": states, "dead": dead,
         "death_tau": death_tau, "death_norm": death_norm, "bound": bound,
@@ -467,7 +522,7 @@ class EnsembleResult:
     stderr_actions: np.ndarray
     members: int
     excluded: list
-    seed_base: int
+    seed_base: int | None  # None for a seedless run whose noise injects nothing
     frame_hash: str | None = None
     disparity_mean: np.ndarray | None = None  # per-mode mean over survivors
     meta: dict | None = None
@@ -504,7 +559,8 @@ def _summarize(run, seed_base, frame_hash, meta):
         disp_mean = np.sum(run["disp_max"][~dead], axis=0) / n
     return EnsembleResult(taus=run["taus"], mean_actions=mean, var_actions=var,
                           stderr_actions=stderr, members=members,
-                          excluded=excluded, seed_base=int(seed_base),
+                          excluded=excluded,
+                          seed_base=None if seed_base is None else int(seed_base),
                           frame_hash=frame_hash, disparity_mean=disp_mean,
                           meta=meta)
 

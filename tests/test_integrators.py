@@ -2,6 +2,9 @@
 
 from dataclasses import replace
 import math
+import sys
+import threading
+import time
 import tracemalloc
 
 from hypothesis import given, settings, strategies as st
@@ -260,6 +263,20 @@ def test_injecting_noise_needs_a_seed(frame_1d_5):
             run()
 
 
+def test_seedless_zero_noise_ensembles_report_no_seed(frame_1d_5):
+    cfg = SolverConfig(epsilon=0.5, tau_end=0.1, dt=5e-3, scheme="expeuler", samples=3)
+    a0 = 0.4 * np.ones(5, dtype=complex)
+    table = build_resonance_table(frame_1d_5)
+    diffusion = build_diffusion(frame_1d_5, np.zeros(5))
+    for run in (lambda seed: ensemble_full(a0, CUBIC, frame_1d_5, cfg,
+                                           NoiseModel.zero(5), 3, seed),
+                lambda seed: ensemble_effective(a0, CUBIC, frame_1d_5, cfg, table,
+                                                diffusion, 3, seed)):
+        seedless, seeded = run(None), run(7)
+        assert seedless.seed_base is None and seeded.seed_base == 7
+        assert np.array_equal(seedless.mean_actions, seeded.mean_actions)
+
+
 def test_noise_amplitude_count_must_match_modes(frame_1d_5):
     cfg = SolverConfig(epsilon=0.5, tau_end=0.1, dt=5e-3, scheme="expeuler")
     a0 = 0.4 * np.ones(5, dtype=complex)
@@ -323,11 +340,12 @@ def _philox_state(gen):
 
 
 @settings(max_examples=40, deadline=None)
-@given(st.sampled_from((1, 3, 7, None)), st.integers(1, 4), st.integers(1, 6),
+@given(st.sampled_from((1, 2, 3, 4, 7, None)), st.integers(1, 4), st.integers(1, 6),
        st.integers(1, 30), st.integers(0, 2 ** 32 - 1))
 def test_noise_draws_do_not_depend_on_refill_size(per_refill, members, modes,
                                                   steps, seed):
-    # per_refill None: the whole run fits one refill
+    # per_refill None: the whole run fits one refill; a refill of k steps is
+    # drawn as halves of ceil(k / 2) and floor(k / 2) steps
     budget = 16 * members * modes * (steps if per_refill is None else per_refill)
     ref = np.stack([_philox(seed + i).standard_normal((steps, 2, modes))
                     for i in range(members)], axis=1)
@@ -356,9 +374,10 @@ def test_noise_stream_draws_only_the_steps_a_run_takes(frame_1d_5, monkeypatch):
     monkeypatch.setattr(integrators, "_NoiseStream", Recording)
     noise = NoiseModel((0.3, 0.3, 0.3, 0.2, 0.2))
     cfg = SolverConfig(epsilon=0.5, tau_end=0.3, dt=5e-3, scheme="expeuler", samples=4)
-    # the default budget draws the 60 steps at once; 7 steps a refill ends
-    # the run on a shorter refill of 4
-    for budget in (integrators._NOISE_BYTES, 7 * 16 * 3 * 5):
+    # the default budget buffers the 60 steps as two halves of 30; a buffer
+    # of 7 steps has halves of 4 and 3; one of 16 steps has halves of 8, so
+    # the last prefetch draws only the 4 steps the run still takes
+    for budget in (integrators._NOISE_BYTES, 7 * 16 * 3 * 5, 16 * 16 * 3 * 5):
         monkeypatch.setattr(integrators, "_NOISE_BYTES", budget)
         run = ensemble_full(0.4 * np.ones(5, complex), CUBIC, frame_1d_5, cfg,
                             noise, 3, seed_base=40)
@@ -384,6 +403,81 @@ def test_noise_buffer_stays_within_budget():
     finally:
         tracemalloc.stop()
     assert peak <= integrators._NOISE_BYTES + step
+
+
+def test_noise_prefetch_under_fast_thread_switching(monkeypatch):
+    # halves of one step hand every generator between two threads each step;
+    # four streams keep four helpers running beside the caller on few cores
+    members, modes, steps, seeds = 8, 4, 40, (11, 22, 33, 44)
+    monkeypatch.setattr(integrators, "_NOISE_BYTES", 2 * 16 * members * modes)
+    refs = [np.stack([_philox(s + i).standard_normal((steps, 2, modes))
+                      for i in range(members)], axis=1) for s in seeds]
+    streams = [_NoiseStream(s, members, modes) for s in seeds]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for stream in streams:
+            stream.steps_left = steps
+        for t in range(steps):
+            for stream, ref in zip(streams, refs):
+                z = stream.next_step()
+                assert np.array_equal(z.real, ref[t, :, 0])
+                assert np.array_equal(z.imag, ref[t, :, 1])
+    finally:
+        sys.setswitchinterval(interval)
+        for stream in streams:
+            stream.close()
+
+
+class _Boom(RuntimeError):
+    pass
+
+
+def test_field_error_ends_the_noise_thread(frame_1d_5, monkeypatch):
+    calls = []
+
+    class SlowHelper(_NoiseStream):
+        def _draw(self, half, steps):
+            if threading.current_thread() is not threading.main_thread():
+                time.sleep(0.2)  # the fill is still running when the field raises
+            super()._draw(half, steps)
+
+    def failing(x, t, spec, frame):
+        calls.append(t)
+        if len(calls) == 10:
+            raise _Boom
+        return np.zeros_like(x)
+
+    # 60 steps in halves of 30: the second half is being drawn at step 10
+    monkeypatch.setattr(integrators, "_NoiseStream", SlowHelper)
+    monkeypatch.setattr(integrators, "eval_Y", failing)
+    cfg = SolverConfig(epsilon=0.5, tau_end=0.3, dt=5e-3, scheme="expeuler", samples=4)
+    before = threading.active_count()
+    with pytest.raises(_Boom):
+        ensemble_full(0.4 * np.ones(5, complex), CUBIC, frame_1d_5, cfg,
+                      NoiseModel((0.3,) * 5), 3, seed_base=40)
+    assert len(calls) == 10
+    assert threading.active_count() == before
+
+
+def test_noise_fill_error_reaches_the_caller(frame_1d_5, monkeypatch):
+    raised = []
+
+    class FailingHelper(_NoiseStream):
+        def _draw(self, half, steps):
+            if threading.current_thread() is not threading.main_thread():
+                raised.append(_Boom("fill failed"))
+                raise raised[-1]
+            super()._draw(half, steps)
+
+    monkeypatch.setattr(integrators, "_NoiseStream", FailingHelper)
+    cfg = SolverConfig(epsilon=0.5, tau_end=0.3, dt=5e-3, scheme="expeuler", samples=4)
+    before = threading.active_count()
+    with pytest.raises(_Boom) as info:
+        ensemble_full(0.4 * np.ones(5, complex), CUBIC, frame_1d_5, cfg,
+                      NoiseModel((0.3,) * 5), 3, seed_base=40)
+    assert len(raised) == 1 and info.value is raised[0]
+    assert threading.active_count() == before
 
 
 def test_ou_action_statistics(frame_1d_5):
