@@ -2,8 +2,10 @@
 
 Creates a spectral frame and resonance table through the command-line
 interface, then writes config files for a full run, an effective run, and a
-convergence study, all wired together by content hashes.  Prints the commands
-to run next.
+convergence study, all wired together by content hashes.  A second frame
+(M = 8) and table (patterns [1] and [1, -1, 1]) carry the two moment
+studies of a noisy damped cubic: the stochastic band comparison and the
+stationary-measure estimates.  Prints the commands to run next.
 
 Usage: python scripts/make_workspace.py [--dir workspace]
 """
@@ -15,7 +17,7 @@ from pathlib import Path
 
 from resonlab.cli import main as resonlab
 from resonlab.io import content_hash, read_json
-from resonlab.nonlinearity import NonlinearitySpec
+from resonlab.nonlinearity import NonlinearitySpec, cubic_damping_terms
 
 TWO_PI = 2.0 * math.pi
 
@@ -41,23 +43,26 @@ def main(argv=None):
     root = Path(args.dir)
     configs = root / "configs"
 
-    _write(configs / "basis.json",
-           {"geometry": {"lengths": [TWO_PI], "grid_points": args.grid},
-            "modes": args.modes})
-    code = resonlab(["basis", "--config", str(configs / "basis.json"),
-                     "--out", str(root / "frame")])
-    if code != 0:
-        return code
-    frame_ref = _reference(root / "frame" / "frame.json", configs)
+    refs = []
+    for suffix, modes, grid, patterns in (("", args.modes, args.grid, [[1, -1, 1]]),
+                                          ("_moments", 8, 32, [[1], [1, -1, 1]])):
+        basis = configs / f"basis{suffix}.json"
+        _write(basis, {"geometry": {"lengths": [TWO_PI], "grid_points": grid},
+                       "modes": modes})
+        code = resonlab(["basis", "--config", str(basis),
+                         "--out", str(root / f"frame{suffix}")])
+        if code != 0:
+            return code
+        frame = _reference(root / f"frame{suffix}" / "frame.json", configs)
 
-    _write(configs / "resonances.json",
-           {"frame": frame_ref,
-            "resonance": {"patterns": [[1, -1, 1]]}})
-    code = resonlab(["resonances", "--config", str(configs / "resonances.json"),
-                     "--out", str(root / "table")])
-    if code != 0:
-        return code
-    table_ref = _reference(root / "table" / "table.json", configs)
+        resonances = configs / f"resonances{suffix}.json"
+        _write(resonances, {"frame": frame, "resonance": {"patterns": patterns}})
+        code = resonlab(["resonances", "--config", str(resonances),
+                         "--out", str(root / f"table{suffix}")])
+        if code != 0:
+            return code
+        refs.append((frame, _reference(root / f"table{suffix}" / "table.json", configs)))
+    (frame_ref, table_ref), (moments_frame, moments_table) = refs
 
     cubic = NonlinearitySpec("cubic_focusing", mu=0.5).to_document()
     solver = {"epsilon": 0.05, "tau_end": 1.0, "dt": 1e-3, "samples": 21}
@@ -73,6 +78,20 @@ def main(argv=None):
            {"frame": frame_ref, "table": table_ref, "nonlinearity": cubic,
             "study": {"study": "converge", "seed": 2718}})
 
+    damped = {"frame": moments_frame, "table": moments_table,
+              "nonlinearity": NonlinearitySpec(
+                  "polynomial", mu=0.3, terms=cubic_damping_terms(-0.3 - 2.5j)).to_document(),
+              "noise": {"scale": 0.14, "decay": 1.5}}
+    _write(configs / "stochastic.json",
+           {**damped, "study": {"study": "stochastic", "epsilons": [0.1, 0.025],
+                                "members": 500, "seed": 12345, "initial_seed": 99,
+                                "radius": 1.5, "dt": 2e-3, "samples": 5,
+                                "compare_taus": [0.25, 0.5, 1.0]}})
+    _write(configs / "stationary.json",
+           {**damped, "study": {"study": "stationary", "epsilons": [0.1, 0.05],
+                                "seed": 90210, "radius": 1.0, "burn_in": 6.0,
+                                "batches": 20, "batch_length": 1.5}})
+
     print(f"workspace ready under {root}/; next:")
     for line in (
         f"resonlab simulate --config {configs}/simulate.json "
@@ -81,6 +100,10 @@ def main(argv=None):
         f"--out {root}/run_eff",
         f"resonlab study converge --config {configs}/study.json "
         f"--out {root}/study_converge",
+        f"resonlab study stochastic --config {configs}/stochastic.json "
+        f"--out {root}/study_stochastic",
+        f"resonlab study stationary --config {configs}/stationary.json "
+        f"--out {root}/study_stationary",
     ):
         print("  " + line)
     return 0

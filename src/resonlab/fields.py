@@ -15,6 +15,7 @@ import math
 import numpy as np
 
 from .errors import ConfigError
+from .resonance import DEFAULT_ETA
 from .spectral import mode_vector, sobolev_norm
 
 _CHUNK = 4096  # quadrature nodes per block; fixed so sums are reproducible
@@ -295,10 +296,10 @@ def default_quadrature_nodes(frame, window):
     return int(math.ceil(4.0 * window * span / (2.0 * math.pi))) + 1
 
 
-def drift_route_residual(state, table, spec, frame, window, n_quad=None, s=0.0):
+def drift_route_residual(state, table, spec, frame, window, s=0.0):
     """Both drift routes and their Sobolev-s gap; reported by studies."""
     analytic = ResonantDrift(frame, spec, table)(state)
-    numerical = QuadratureDrift(frame, spec, window, n_quad)(state)
+    numerical = QuadratureDrift(frame, spec, window)(state)
     gap = sobolev_norm(analytic - numerical, s, frame.eigenvalues)
     return {"analytic": analytic, "numerical": numerical, "residual": float(gap)}
 
@@ -343,19 +344,6 @@ class Observable:
             freq -= p * frequencies[k]
         return freq
 
-    def to_document(self):
-        return [{"re": c.real, "im": c.imag,
-                 "v": [[k, p] for k, p in vp], "vbar": [[k, p] for k, p in cp]}
-                for c, vp, cp in self.terms]
-
-    @staticmethod
-    def from_document(doc):
-        return Observable(tuple(
-            (complex(t["re"], t["im"]),
-             tuple((k, p) for k, p in t.get("v", [])),
-             tuple((k, p) for k, p in t.get("vbar", [])))
-            for t in doc))
-
 
 def action_observable(k):
     """I_k as an observable: |v_k|^2 / 2."""
@@ -388,11 +376,11 @@ def scalar_average(observable, frequencies, state, window, n_quad, target=None):
     return complex(weights @ vals)
 
 
-def scalar_average_limit(observable, frequencies, target=None, eta=1e-8):
+def scalar_average_limit(observable, frequencies, target=None):
     """Infinite-window limit of scalar_average: keep only resonant terms."""
     freqs = np.asarray(frequencies, dtype=float)
     shift = freqs[int(target)] if target is not None else 0.0
-    scale = max(1.0, float(np.max(np.abs(freqs))))
+    tol = DEFAULT_ETA * max(1.0, float(np.max(np.abs(freqs))))
     kept = [t for t in observable.terms
-            if abs(shift - observable.rotation_frequency(t, freqs)) <= eta * scale]
+            if abs(shift - observable.rotation_frequency(t, freqs)) <= tol]
     return Observable(tuple(kept))

@@ -396,14 +396,14 @@ def _full_field(spec, frame, epsilon):
 
 def _noise_stream(config, seed, members, modes, inject):
     """Member streams of a stochastic run; a seed of None marks a deterministic one,
-    so it refuses noise that injects."""
+    so it refuses noise that injects.  Noise that injects nothing draws nothing."""
     if seed is None:
         if inject is not None:
             raise ConfigError("a run whose noise injects needs a seed")
         return None
     if config.scheme != "expeuler":
         raise ConfigError("stochastic runs use scheme='expeuler'")
-    return _NoiseStream(seed, members, modes)
+    return None if inject is None else _NoiseStream(seed, members, modes)
 
 
 def _run_full(a0, spec, frame, config, noise=None, seed=None, table=None,

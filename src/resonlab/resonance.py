@@ -1,10 +1,8 @@
 """Resonance bookkeeping: eigenvalue clusters, resonant index sets, noise blocks.
 
-Two kinds of enumeration live here.  Lattice enumeration works on integer wave
-vectors of the square torus (momentum + frequency constraints, exact integer
-arithmetic).  Frequency enumeration works on an arbitrary ascending eigenvalue
-list and a sign pattern, with either exact scaled-integer comparisons or a
-relative tolerance eta.
+Resonances are enumerated on an ascending eigenvalue list and a sign pattern.
+On square tori with V = 0 the signed sums are compared exactly on scaled
+integer frequencies; otherwise within a relative tolerance eta.
 """
 
 from dataclasses import dataclass
@@ -71,46 +69,6 @@ def eigenvalue_clusters(eigenvalues, eta=DEFAULT_ETA, integers=None):
     return clusters
 
 
-# -- lattice enumeration (square torus, V = 0) -----------------------------
-
-def lattice_window(dimension, radius):
-    """All integer wave vectors with |k_i| <= radius, lexicographic order."""
-    if dimension not in (1, 2):
-        raise ConfigError(f"dimension must be 1 or 2, got {dimension}")
-    axis = range(-radius, radius + 1)
-    if dimension == 1:
-        return [(k,) for k in axis]
-    return [(k1, k2) for k1 in axis for k2 in axis]
-
-
-def enumerate_cubic_resonances(radius, target, dimension=None):
-    """Exact cubic resonances on the square-torus lattice.
-
-    Returns every (k1, k2, k3) inside the window |k_i| <= radius with
-    k1 - k2 + k3 = target and |k1|^2 - |k2|^2 + |k3|^2 = |target|^2,
-    sorted lexicographically.  Pure integer arithmetic.
-    """
-    target = tuple(int(x) for x in (target if isinstance(target, (tuple, list)) else (target,)))
-    if dimension is None:
-        dimension = len(target)
-    if len(target) != dimension:
-        raise ConfigError(f"target {target} does not match dimension {dimension}")
-    if any(abs(t) > radius for t in target):
-        raise ConfigError(f"target {target} outside window radius {radius}")
-    window = lattice_window(dimension, radius)
-    target_sq = sum(t * t for t in target)
-    out = []
-    for k1 in window:
-        for k2 in window:
-            k3 = tuple(t - a + b for t, a, b in zip(target, k1, k2))
-            if any(abs(x) > radius for x in k3):
-                continue
-            if sum(x * x for x in k1) - sum(x * x for x in k2) + sum(x * x for x in k3) == target_sq:
-                out.append((k1, k2, k3))
-    out.sort()
-    return out
-
-
 # -- frequency enumeration (general frame) ---------------------------------
 
 def _signed_sums(lam, pattern):
@@ -122,6 +80,16 @@ def _signed_sums(lam, pattern):
         shape[j] = lam.size
         S = S + sign * lam.reshape(shape)
     return S
+
+
+def _comparison(lam, eta, integers):
+    """(values, tol, unit): signed sums of values match a target within tol, and
+    unit turns their gaps into frequencies.  Exact: (integer frequencies, 0,
+    lambda_max / int_max); float: (lambda, eta * max(1, max |lambda|), 1)."""
+    if integers is not None:
+        ints = np.asarray(integers, dtype=np.int64)
+        return ints, 0, (float(lam[-1] / ints[-1]) if ints[-1] != 0 else 1.0)
+    return lam, eta * max(1.0, float(np.max(np.abs(lam)))), 1.0
 
 
 def enumerate_frequency_resonances(eigenvalues, pattern, target, eta=DEFAULT_ETA,
@@ -139,13 +107,8 @@ def enumerate_frequency_resonances(eigenvalues, pattern, target, eta=DEFAULT_ETA
         raise ConfigError(f"pattern must be nonempty +-1 signs, got {pattern!r}")
     if not 0 <= target < lam.size:
         raise ConfigError(f"target index {target} out of range")
-    if integers is not None:
-        S = _signed_sums(np.asarray(integers, dtype=np.int64), pattern)
-        hits = np.argwhere(S == integers[target])
-    else:
-        S = _signed_sums(lam, pattern)
-        scale = max(1.0, float(np.max(np.abs(lam))))
-        hits = np.argwhere(np.abs(S - lam[target]) <= eta * scale)
+    values, tol, _ = _comparison(lam, eta, integers)
+    hits = np.argwhere(np.abs(_signed_sums(values, pattern) - values[target]) <= tol)
     hits.flags.writeable = False
     return hits
 
@@ -158,24 +121,15 @@ def minimal_frequency_gap(eigenvalues, patterns, eta=DEFAULT_ETA, integers=None)
     combination is resonant.
     """
     lam = _check_sorted(eigenvalues)
+    values, tol, unit = _comparison(lam, eta, integers)
     best = math.inf
     for pattern in patterns:
-        if integers is not None:
-            S = _signed_sums(np.asarray(integers, dtype=np.int64), pattern)
-            scale_phys = float(lam[-1] / integers[-1]) if integers[-1] != 0 else 1.0
-            for t in integers:
-                dev = np.abs(S - t)
-                nz = dev[dev > 0]
-                if nz.size:
-                    best = min(best, float(nz.min()) * scale_phys)
-        else:
-            S = _signed_sums(lam, pattern)
-            scale = max(1.0, float(np.max(np.abs(lam))))
-            for t in lam:
-                dev = np.abs(S - t)
-                nz = dev[dev > eta * scale]
-                if nz.size:
-                    best = min(best, float(nz.min()))
+        S = _signed_sums(values, pattern)
+        for t in values:
+            dev = np.abs(S - t)
+            nz = dev[dev > tol]
+            if nz.size:
+                best = min(best, float(nz.min()) * unit)
     return best
 
 
@@ -190,9 +144,6 @@ class ResonanceTable:
     resonances: dict  # pattern tuple -> {target index -> (n, len(pattern)) intp array}
     gamma_min: float
     frame_hash: str | None = None
-
-    def tuples(self, pattern, target):
-        return self.resonances[tuple(pattern)][target]
 
     def suggested_window(self, periods=50.0):
         """Averaging window covering `periods` slow beats of the smallest gap."""
@@ -325,8 +276,8 @@ class DiffusionSpec:
     clusters: list
     amplitudes: np.ndarray
 
-    def validate(self, tol=1e-10):
-        A, B = self.matrix, self.root
+    def validate(self):
+        A, B, tol = self.matrix, self.root, 1e-10
         if np.max(np.abs(B @ B - A)) > tol:
             raise ValidationError("principal root check B @ B = A failed")
         if np.max(np.abs(B - B.T)) > tol:
@@ -336,7 +287,7 @@ class DiffusionSpec:
             raise ValidationError("principal root is not positive semidefinite")
 
 
-def build_diffusion(frame, amplitudes, eta=DEFAULT_ETA):
+def build_diffusion(frame, amplitudes):
     """Covariance of the effective noise and its blockwise principal root.
 
     A_kr = sum_l b_l^2 psi_kl psi_rl on equal-frequency clusters, zero across
@@ -349,7 +300,7 @@ def build_diffusion(frame, amplitudes, eta=DEFAULT_ETA):
     if np.any(b < 0):
         raise ConfigError("noise amplitudes must be nonnegative")
     ints = integer_frequencies(frame)
-    clusters = eigenvalue_clusters(frame.eigenvalues, eta=eta, integers=ints)
+    clusters = eigenvalue_clusters(frame.eigenvalues, integers=ints)
     full = (frame.eigenvectors * b ** 2) @ frame.eigenvectors.T
     A = np.zeros_like(full)
     B = np.zeros_like(full)

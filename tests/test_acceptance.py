@@ -242,7 +242,7 @@ def test_criterion_02_resonance_enumeration(outdir):
     for table in (table_1d, table_2d):
         brute = _brute_force_tuples(table.eigenvalues)
         for k, expected in brute.items():
-            got = {tuple(int(i) for i in t) for t in table.tuples((1, -1, 1), k)}
+            got = {tuple(int(i) for i in t) for t in table.resonances[(1, -1, 1)][k]}
             ok = ok and got == expected
             targets += 1
     _report(2, "cubic resonance tuples equal brute force", ok,

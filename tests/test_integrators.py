@@ -277,6 +277,24 @@ def test_seedless_zero_noise_ensembles_report_no_seed(frame_1d_5):
         assert np.array_equal(seedless.mean_actions, seeded.mean_actions)
 
 
+def test_zero_noise_builds_no_stream(frame_1d_5, monkeypatch):
+    built = []
+
+    class Counting(_NoiseStream):
+        def __init__(self, *args):
+            super().__init__(*args)
+            built.append(self)
+
+    monkeypatch.setattr(integrators, "_NoiseStream", Counting)
+    cfg = SolverConfig(epsilon=0.5, tau_end=0.1, dt=5e-3, scheme="expeuler", samples=3)
+    a0 = 0.4 * np.ones(5, dtype=complex)
+    res = ensemble_full(a0, CUBIC, frame_1d_5, cfg, NoiseModel.zero(5), 4, seed_base=7)
+    assert built == [] and res.seed_base == 7 and res.meta["steps"] == 20
+    ensemble_full(a0, CUBIC, frame_1d_5, cfg, NoiseModel((0.3, 0.3, 0.3, 0.2, 0.2)),
+                  4, seed_base=7)
+    assert len(built) == 1
+
+
 def test_noise_amplitude_count_must_match_modes(frame_1d_5):
     cfg = SolverConfig(epsilon=0.5, tau_end=0.1, dt=5e-3, scheme="expeuler")
     a0 = 0.4 * np.ones(5, dtype=complex)

@@ -13,10 +13,8 @@ from resonlab.resonance import (
     build_diffusion,
     build_resonance_table,
     eigenvalue_clusters,
-    enumerate_cubic_resonances,
     enumerate_frequency_resonances,
     integer_frequencies,
-    lattice_window,
     minimal_frequency_gap,
 )
 from resonlab.spectral import Potential, SpectralFrame, TorusGeometry, build_frame, trig_basis
@@ -25,19 +23,6 @@ TAU = 2 * np.pi
 
 
 # -- oracles ---------------------------------------------------------------
-
-def brute_force_cubic(radius, target, dimension):
-    """Triple loop over the full window; conditions checked term by term."""
-    window = lattice_window(dimension, radius)
-    out = set()
-    for k1, k2, k3 in itertools.product(window, repeat=3):
-        if tuple(a - b + c for a, b, c in zip(k1, k2, k3)) != target:
-            continue
-        sq = lambda k: sum(x * x for x in k)
-        if sq(k1) - sq(k2) + sq(k3) == sq(target):
-            out.add((k1, k2, k3))
-    return out
-
 
 def brute_force_frequency(lam, pattern, target, eta):
     out = []
@@ -74,52 +59,6 @@ def test_integer_fast_path_requires_square_flat_torus(frame_1d_9_cos):
     assert integer_frequencies(rect) is None
 
 
-# -- lattice enumeration ---------------------------------------------------
-
-def test_cubic_resonances_d1_example():
-    got = enumerate_cubic_resonances(3, (1,))
-    expected = {((1,), (m,), (m,)) for m in [(-3,), (-2,), (-1,), (0,), (1,), (2,), (3,)]
-                for m in [m]} | {((m[0],), (m[0],), (1,)) for m in [(-3,), (-2,), (-1,), (0,), (1,), (2,), (3,)]}
-    expected = {((1,), m, m) for m in lattice_window(1, 3)} | {(m, m, (1,)) for m in lattice_window(1, 3)}
-    assert set(got) == expected
-    assert len(got) == 13  # the two families overlap at (1, 1, 1)
-
-
-@settings(max_examples=30, deadline=None)
-@given(st.integers(1, 5), st.integers(-3, 3))
-def test_cubic_resonances_d1_structure(radius, t):
-    # in one dimension the constraints force {k1, k3} = {target, k2} as pairs
-    if abs(t) > radius:
-        return
-    got = set(enumerate_cubic_resonances(radius, (t,)))
-    window = lattice_window(1, radius)
-    expected = {((t,), m, m) for m in window} | {(m, m, (t,)) for m in window}
-    assert got == expected
-
-
-def test_cubic_resonances_d1_matches_brute_force():
-    for t in range(-4, 5):
-        got = set(enumerate_cubic_resonances(4, (t,)))
-        assert got == brute_force_cubic(4, (t,), 1)
-
-
-def test_cubic_resonances_d2_matches_brute_force():
-    for t in [(0, 0), (1, 0), (1, -1), (2, 2), (0, 2)]:
-        got = set(enumerate_cubic_resonances(2, t))
-        assert got == brute_force_cubic(2, t, 2)
-
-
-def test_cubic_resonances_d2_has_nontrivial_tuples():
-    # (1,0) - (1,1) + (0,1) = (0,0) with 1 - 2 + 1 = 0: genuinely 2d resonance
-    got = set(enumerate_cubic_resonances(1, (0, 0)))
-    assert (((1, 0), (1, 1), (0, 1))) in got
-
-
-def test_cubic_resonances_validates_target():
-    with pytest.raises(ConfigError):
-        enumerate_cubic_resonances(2, (3,))
-
-
 # -- frequency enumeration -------------------------------------------------
 
 def _as_lists(resonances):
@@ -145,13 +84,15 @@ def test_linear_pattern_recovers_clusters(frame_1d_9):
     assert got.tolist() == [[1], [2]]  # the lambda = 1 pair
 
 
-def test_exact_and_float_agree_on_square_torus(frame_1d_9):
-    exact = build_resonance_table(frame_1d_9, mode="exact")
-    fl = build_resonance_table(frame_1d_9, mode="float")
-    assert exact.mode == "exact" and fl.mode == "float"
-    assert _as_lists(exact.resonances) == _as_lists(fl.resonances)
-    assert exact.clusters == fl.clusters
-    assert exact.gamma_min == fl.gamma_min == 1.0
+def test_exact_and_float_agree_on_square_torus(frame_1d_9, frame_2d_25):
+    wide = build_frame(TorusGeometry((2 * TAU,), 32), Potential.zero(), 9)
+    for frame, gap in ((frame_1d_9, 1.0), (frame_2d_25, 1.0), (wide, 0.25)):
+        exact = build_resonance_table(frame, mode="exact")
+        fl = build_resonance_table(frame, mode="float")
+        assert exact.mode == "exact" and fl.mode == "float"
+        assert _as_lists(exact.resonances) == _as_lists(fl.resonances)
+        assert exact.clusters == fl.clusters
+        assert exact.gamma_min == fl.gamma_min == gap
 
 
 def test_exact_mode_refuses_generic_frame(frame_1d_9_cos):
