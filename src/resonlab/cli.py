@@ -84,7 +84,7 @@ def build_parser():
         p.add_argument("--threads", type=int, default=None,
                        help="BLAS worker threads (default: library default, "
                             "usually all cores); a stochastic run adds one "
-                            "noise-drawing thread that this does not cap")
+                            "noise-drawing process that this does not cap")
         p.add_argument("--verbose", action="store_true")
 
     common(sub.add_parser("basis", help="build and export a spectral frame"))

@@ -45,28 +45,71 @@ def _diagonal_gammas(spec, frame):
     return gammas
 
 
-def eval_P(state, spec, frame):
-    """Projected perturbing field P(v) in mode coordinates.
+class Field:
+    """The projected field P of one (spec, frame), evaluated through eval_P.
+
+    The grid is checked once, the frame's complex tables are held, and the
+    (rows x P) grid arrays of a batch live in one work array the field owns,
+    sized to the largest batch it has seen, so one Field serves one caller
+    at a time.  The products are bitwise those of the frame's transforms.
+    """
+
+    def __init__(self, spec, frame):
+        self.spec = spec
+        self.frame = frame
+        if spec.kind == "diagonal":
+            self.gammas = _diagonal_gammas(spec, frame)
+            return
+        check_grid_resolution(spec, frame)
+        self.gammas = None
+        self.values, self.values_T, gradients = frame._complex_tables
+        self.gradients = gradients if spec.uses_derivatives() else []
+        self.potential = (spec.mu * frame.potential_values
+                          if spec.mu > 0.0 and not frame.potential.is_zero else None)
+        self._work = np.empty(0, dtype=complex)
+
+    def grid_arrays(self, rows):
+        """(u, gradients, pointwise work) views of the work array for `rows` rows."""
+        count, points = 4 + len(self.gradients), self.values.shape[1]
+        size = count * rows * points
+        if self._work.size < size:
+            self._work = np.empty(size, dtype=complex)
+        arrays = self._work[:size].reshape(count, rows, points)
+        return arrays[0], arrays[1:1 + len(self.gradients)], arrays[-3:]
+
+
+def eval_P(state, field, frame=None):
+    """Projected perturbing field P(v) in mode coordinates, as a fresh array.
 
     Accepts (..., M) batches.  The diagonal kind bypasses the grid entirely.
+    eval_P(state, spec, frame) builds a one-off Field for the pair.
     """
+    if frame is not None:
+        field = Field(field, frame)
     v = mode_vector(state)
-    if spec.kind == "diagonal":
-        return v * _diagonal_gammas(spec, frame)
-    check_grid_resolution(spec, frame)
-    u = frame.from_coefficients(v)
-    gradients = frame.gradients_from_coefficients(v) if spec.uses_derivatives() else None
-    w = spec.pointwise(u, gradients)
-    if spec.mu > 0.0 and not frame.potential.is_zero:
-        w = w + spec.mu * frame.potential_values * u
-    return frame.to_coefficients(w)
+    if field.gammas is not None:
+        return v * field.gammas
+    flat = v.reshape(-1, v.shape[-1])
+    u, gradients, work = field.grid_arrays(flat.shape[0])
+    np.matmul(flat, field.values, out=u)
+    for g, table in zip(gradients, field.gradients):
+        np.matmul(flat, table, out=g)
+    w = field.spec.pointwise(u, gradients, work)
+    if field.potential is not None:
+        np.add(w, np.multiply(field.potential, u, out=work[1]), out=w)
+    # scaling after the sum keeps the rounding of the trigonometric projection;
+    # out owns its data, so callers' expressions elide temporaries as before
+    out = np.empty(v.shape, dtype=complex)
+    np.matmul(w, field.values_T, out=out.reshape(flat.shape))
+    out *= field.frame.cell_volume
+    return out
 
 
-def eval_Y(state, t, spec, frame):
+def eval_Y(state, t, field):
     """Rotated field Y(a, t): conjugation of P by the linear phase flow at time t."""
     a = mode_vector(state)
-    phase = np.exp(1j * t * frame.eigenvalues)
-    return phase * eval_P(a * np.conj(phase), spec, frame)
+    phase = np.exp(1j * t * field.frame.eigenvalues)
+    return phase * eval_P(a * np.conj(phase), field)
 
 
 # -- analytic (resonant-sum) drift route -----------------------------------
@@ -260,7 +303,7 @@ class QuadratureDrift:
         if not (window > 0):
             raise ConfigError(f"averaging window must be positive, got {window}")
         self.frame = frame
-        self.spec = spec
+        self.field = Field(spec, frame)
         self.window = float(window)
         if n_quad is None:
             n_quad = default_quadrature_nodes(frame, self.window)
@@ -285,7 +328,7 @@ class QuadratureDrift:
             sl = slice(start, min(start + _CHUNK, n))
             phases = np.exp(1j * np.outer(ts[sl], lam))
             rotated = np.conj(phases) * v
-            block = phases * eval_P(rotated, self.spec, self.frame)
+            block = phases * eval_P(rotated, self.field)
             out += weights[sl] @ block
         return out
 

@@ -11,16 +11,19 @@ exponential Euler-Maruyama step.  Every run, single or ensemble, goes through
 one batched driver, so a zero-amplitude stochastic run is bitwise identical to
 the deterministic "expeuler" scheme.  Complex noise follows the convention
 E|beta_l(tau)|^2 = 2 tau (independent standard real and imaginary parts).
+A stochastic run draws its normals ahead in one forked producer process that
+shares the noise buffer with it (_NoiseStream).
 """
 
 from dataclasses import dataclass, fields
 import math
-import threading
+import mmap
+import signal
 
 import numpy as np
 
 from .errors import BlowUpError, ConfigError, EnsembleError
-from .fields import ResonantDrift, eval_Y
+from .fields import Field, ResonantDrift, eval_Y
 from .spectral import mode_vector
 
 SCHEMES = ("lawson4", "expeuler")
@@ -164,15 +167,19 @@ class _NoiseStream:
     steps_left is the number of steps the run still takes; _drive sets it, so
     no refill draws past the run's end.
 
-    The buffer holds at most _NOISE_BYTES, or one step when a step is larger,
-    and is split into two halves along the step axis.  While the caller
-    consumes one half, one helper thread refills the other with the next
-    steps; the halves swap once the caller has used up its half and the fill
-    has ended.  The helper starts after a swap and is joined at the next one,
-    and the caller draws only when no fill is pending, so each generator is
-    used by one thread at a time and in the same order as a serial run.  A
-    one-step buffer has no second half and is refilled in the calling thread.
-    close() ends a pending fill; _drive calls it however the run ends.
+    The buffer holds at most _NOISE_BYTES, or one step when a step is larger.
+    It is an anonymous shared mmap, split into two halves along the step
+    axis.  The caller draws the first half itself and then forks one producer
+    process, which draws every later step: while the caller consumes one
+    half, the producer refills the other.  Each swap waits for the producer's
+    acknowledgement of the pending fill and sends it the next (half, steps).
+    Philox is counter-based and keyed per member, so the producer's normals
+    are the bits the caller would draw.  A failing fill sends its exception
+    back, and the swap re-raises it.  The producer exits after the run's last
+    fill, handing its generators' states back to gens, or when close() stops
+    it or its pipe closes.  A one-step buffer has no second half, and where
+    fork is unavailable the caller refills each half itself.  _drive calls
+    close() however the run ends.
     """
 
     def __init__(self, seed_base, members, modes):
@@ -180,28 +187,71 @@ class _NoiseStream:
                      for i in range(members)]
         self.modes = int(modes)
         self.steps_left = 0
-        self._halves = None  # [half being consumed, half being refilled]
+        self._buffer = None  # (members, steps, 2, modes) normals in the shared mmap
+        self._halves = None  # the buffer's two halves along the step axis
+        self._current = 0  # index of the half being consumed
         self._cursor = self._filled = 0
-        self._fill = None  # (thread, steps, errors) of the pending refill
+        self._producer = None  # (process, connection) once forked
+        self._pending = 0  # steps of the fill the producer is drawing
 
     def _draw(self, half, steps):
         for g, block in zip(self.gens, half):
             g.standard_normal(out=block[:steps])
 
-    def _draw_ahead(self, half, steps, errors):
-        try:
-            self._draw(half, steps)
-        except BaseException as exc:
-            errors.append(exc)  # re-raised in the caller by _join
+    def _fork(self):
+        """Start the producer; False where fork is unavailable."""
+        import multiprocessing
+        if "fork" not in multiprocessing.get_all_start_methods():
+            return False
+        context = multiprocessing.get_context("fork")
+        connection, child_end = context.Pipe()
+        process = context.Process(target=self._produce, args=(child_end,), daemon=True)
+        self._producer = (process, connection)
+        process.start()
+        child_end.close()
+        return True
 
-    def _join(self):
-        """Wait for the pending refill; returns its steps or re-raises its error."""
-        thread, steps, errors = self._fill
-        thread.join()
-        self._fill = None
-        if errors:
-            raise errors[0]
+    def _produce(self, connection):
+        """The producer's loop: draw each requested half, then acknowledge it."""
+        signal.signal(signal.SIGINT, signal.SIG_IGN)  # the caller handles interrupts
+        self._producer[1].close()
+        left = self.steps_left  # the fork comes before the first request is counted
+        try:
+            while left > 0:
+                half, steps = connection.recv()
+                try:
+                    self._draw(self._halves[half], steps)
+                except Exception as exc:
+                    connection.send((exc, None))
+                    return
+                left -= steps
+                connection.send((None, _pack_states(self.gens) if left == 0 else None))
+        except (EOFError, OSError):
+            return
+
+    def _receive(self):
+        """Wait for the pending fill's acknowledgement; returns its steps or re-raises."""
+        steps, self._pending = self._pending, 0
+        try:
+            error, states = self._producer[1].recv()
+        except EOFError:
+            error, states = RuntimeError("the noise producer ended during a fill"), None
+        if error is not None:
+            raise error
+        if states is not None:  # the run's last fill: the producer exits
+            for g, row in zip(self.gens, states):
+                g.bit_generator.state = _unpack_state(row)
+            self._stop(finished=True)
         return steps
+
+    def _stop(self, finished):
+        """Close the pipe and reap the producer, terminating it unless it has finished."""
+        process, connection = self._producer
+        self._producer, self._pending = None, 0
+        connection.close()
+        if not finished:
+            process.terminate()  # drops a fill in progress
+        process.join()
 
     def _swap(self):
         """Make the next drawn half current and start drawing the one after it."""
@@ -209,41 +259,58 @@ class _NoiseStream:
         if self._halves is None:
             steps = max(1, min(self.steps_left,
                                _NOISE_BYTES // (16 * members * self.modes)))
-            buffer = np.empty((members, steps, 2, self.modes))
+            shape = (members, steps, 2, self.modes)
+            shared = mmap.mmap(-1, 8 * math.prod(shape))
+            self._buffer = np.frombuffer(shared, dtype=float).reshape(shape)
             first = (steps + 1) // 2
-            self._halves = [buffer[:, :first], buffer[:, first:]]
-        if self._fill is not None:
-            filled = self._join()
-            self._halves.reverse()
+            self._halves = (self._buffer[:, :first], self._buffer[:, first:])
+        if self._pending:
+            filled = self._receive()
+            self._current = 1 - self._current
         else:
-            filled = max(1, min(self.steps_left, self._halves[0].shape[1]))
-            self._draw(self._halves[0], filled)
+            filled = max(1, min(self.steps_left, self._halves[self._current].shape[1]))
+            self._draw(self._halves[self._current], filled)
             self.steps_left -= filled
         self._cursor, self._filled = 0, filled
-        ahead = min(self.steps_left, self._halves[1].shape[1])
-        if ahead > 0:
+        ahead = min(self.steps_left, self._halves[1 - self._current].shape[1])
+        if ahead > 0 and (self._producer is not None or self._fork()):
             self.steps_left -= ahead
-            errors = []
-            thread = threading.Thread(target=self._draw_ahead, daemon=True,
-                                      args=(self._halves[1], ahead, errors))
-            thread.start()
-            self._fill = (thread, ahead, errors)
+            self._producer[1].send((1 - self._current, ahead))
+            self._pending = ahead
 
-    def next_step(self):
+    def next_step(self, out=None):
         """Complex normals z_re + i z_im of shape (members, modes) for one step."""
         if self._cursor == self._filled:
             self._swap()
-        z = self._halves[0][:, self._cursor]
+        z = self._halves[self._current][:, self._cursor]
         self._cursor += 1
-        out = np.empty((len(self.gens), self.modes), dtype=complex)
+        if out is None:
+            out = np.empty((len(self.gens), self.modes), dtype=complex)
         out.real, out.imag = z[:, 0], z[:, 1]
         return out
 
     def close(self):
-        """Wait for a pending refill and drop it, errors included."""
-        if self._fill is not None:
-            self._fill[0].join()
-            self._fill = None
+        """Stop the producer, dropping a pending fill and its errors."""
+        if self._producer is not None:
+            self._stop(finished=False)
+
+
+def _pack_states(gens):
+    """The generators' Philox states as one (members, 13) uint64 array, a small message."""
+    packed = np.empty((len(gens), 13), dtype=np.uint64)
+    for row, g in zip(packed, gens):
+        state = g.bit_generator.state
+        row[:4], row[4:6] = state["state"]["counter"], state["state"]["key"]
+        row[6:10], row[10:] = state["buffer"], (state["buffer_pos"], state["has_uint32"],
+                                                 state["uinteger"])
+    return packed
+
+
+def _unpack_state(row):
+    """The bit_generator.state of one row of _pack_states."""
+    return {"bit_generator": "Philox", "state": {"counter": row[:4], "key": row[4:6]},
+            "buffer": row[6:10], "buffer_pos": int(row[10]), "has_uint32": int(row[11]),
+            "uinteger": int(row[12])}
 
 
 def _full_noise_injector(noise, frame, epsilon):
@@ -252,13 +319,14 @@ def _full_noise_injector(noise, frame, epsilon):
         raise ConfigError(f"noise has {b.size} amplitudes, the frame has {frame.modes} modes")
     if noise.is_zero:
         return None
-    scaled = b[:, None] * frame.eigenvectors.T  # (basis l, mode k)
+    # (basis l, mode k), cast to complex once: the products are those of the real matrix
+    scaled = (b[:, None] * frame.eigenvectors.T).astype(complex)
     lam = frame.eigenvalues
 
-    def inject(tau, dbeta):
+    def inject(tau, dbeta, out):
         # physical-space increment Psi(b dbeta), rotated into interaction frame
         phase = np.exp(1j * (tau / epsilon) * lam)
-        return phase * (dbeta @ scaled)
+        return np.multiply(phase, np.matmul(dbeta, scaled, out=out), out=out)
 
     return inject
 
@@ -268,8 +336,8 @@ def _effective_noise_injector(diffusion):
     if not np.any(root):
         return None
 
-    def inject(tau, dbeta):
-        return dbeta @ root.T
+    def inject(tau, dbeta, out):
+        return np.matmul(dbeta, root.T, out=out)
 
     return inject
 
@@ -283,8 +351,11 @@ def _lawson4_step(a, tau, h, E, E2, g, k1):
     return E * a + (h / 6.0) * (E * k1 + 2.0 * E2 * (k2 + k3) + k4)
 
 
-def _expeuler_step(a, h, E, k1):
-    return E * (a + h * k1)
+def _expeuler_step(a, h, E, k1, out=None):
+    """E * (a + h * k1), into out when given (which must not be a or k1)."""
+    out = np.multiply(h, k1, out=out)
+    np.add(a, out, out=out)
+    return np.multiply(E, out, out=out)
 
 
 def _segment_steps(taus, h_target):
@@ -301,8 +372,11 @@ def _guard_weights(eigenvalues, s):
     return np.abs(np.asarray(eigenvalues, dtype=float)) ** s + 1.0
 
 
-def _guard_norm(a, weights):
-    return np.sqrt(np.sum(weights * np.abs(a) ** 2, axis=-1))
+def _guard_norm(a, weights, out=None, work=None):
+    """sqrt(sum_k weights_k |a_k|^2): abs, square, times weights, sum, in that order."""
+    r = np.absolute(a, out=work)
+    np.multiply(weights, np.square(r, out=r), out=r)
+    return np.sqrt(np.sum(r, axis=-1, out=out), out=out)
 
 
 def _drive(a0, g, lam, mu, config, h_target, inject=None, stream=None, drift=None):
@@ -311,8 +385,11 @@ def _drive(a0, g, lam, mu, config, h_target, inject=None, stream=None, drift=Non
     Members whose guard norm leaves the safety ball are frozen to NaN but keep
     consuming their noise stream, so survivors are unaffected by exclusions.
     Disparity tracking (drift given) accumulates the integral of g - drift by
-    the trapezoid rule on step nodes, reusing the scheme's own k1 stages.
-    The returned "meta" (h_target, steps) is what every result reports.
+    the trapezoid rule on step nodes, reusing the scheme's own k1 stages; the
+    stage that closes a segment at its sample node is the next segment's first.
+    The expeuler update, the noise increment and the guard norm run in work
+    arrays the driver owns.  The returned "meta" (h_target, steps) is what
+    every result reports.
     """
     taus = config.sample_taus()
     members, modes = a0.shape
@@ -330,9 +407,13 @@ def _drive(a0, g, lam, mu, config, h_target, inject=None, stream=None, drift=Non
     D = np.zeros((members, modes), dtype=complex)
     gap_prev = None
     h_prev = 0.0
+    node = None  # (k1, gap) at the last sample node, reused by the next step
 
     use_lawson = config.scheme == "lawson4"
     a = a0.astype(complex)
+    spare = np.empty_like(a)  # the expeuler update writes here, then the two swap
+    normals, increment = (np.empty_like(a), np.empty_like(a)) if inject else (None, None)
+    norm, norm_work = np.empty(members), np.empty((members, modes))
     total = 0
     plan = _segment_steps(taus, h_target)
     if stream is not None:
@@ -345,21 +426,26 @@ def _drive(a0, g, lam, mu, config, h_target, inject=None, stream=None, drift=Non
             t0 = taus[i]
             for j in range(n):
                 tau_n = t0 + j * h
-                k1 = g(a, tau_n)
+                if node is not None:
+                    (k1, gap), node = node, None
+                else:
+                    k1 = g(a, tau_n)
+                    if track:
+                        gap = k1 - drift(a)
+                        if gap_prev is not None:
+                            D = D + (0.5 * h_prev) * (gap_prev + gap)
+                            np.maximum(disp_max, np.abs(D), out=disp_max)
                 if track:
-                    gap = k1 - drift(a)
-                    if gap_prev is not None:
-                        D = D + (0.5 * h_prev) * (gap_prev + gap)
-                        np.maximum(disp_max, np.abs(D), out=disp_max)
                     gap_prev, h_prev = gap, h
                 if use_lawson:
                     a = _lawson4_step(a, tau_n, h, E, E2, g, k1)
                 else:
-                    a = _expeuler_step(a, h, E, k1)
+                    a, spare = _expeuler_step(a, h, E, k1, out=spare), a
                 if inject is not None:
-                    a = a + inject(tau_n + h, sqrt_h * stream.next_step())
+                    z = np.multiply(sqrt_h, stream.next_step(out=normals), out=normals)
+                    np.add(a, inject(tau_n + h, z, increment), out=a)
                 with np.errstate(invalid="ignore"):
-                    norm = _guard_norm(a, weights)
+                    _guard_norm(a, weights, out=norm, work=norm_work)
                     fresh = ~dead & (~np.isfinite(norm) | (norm > bound))
                 if np.any(fresh):
                     dead |= fresh
@@ -370,11 +456,13 @@ def _drive(a0, g, lam, mu, config, h_target, inject=None, stream=None, drift=Non
             states[i + 1] = a
             if track:
                 # close the trapezoid at the sample node before recording
-                gap = g(a, taus[i + 1]) - drift(a)
-                D_here = D + (0.5 * h_prev) * (gap_prev + gap)
-                disparity[i + 1] = D_here
+                k1 = g(a, taus[i + 1])
+                gap = k1 - drift(a)
+                D = D + (0.5 * h_prev) * (gap_prev + gap)
+                disparity[i + 1] = D
                 with np.errstate(invalid="ignore"):
-                    np.maximum(disp_max, np.abs(D_here), out=disp_max)
+                    np.maximum(disp_max, np.abs(D), out=disp_max)
+                node = (k1, gap)
     finally:
         if stream is not None:
             stream.close()
@@ -391,7 +479,8 @@ def _drive(a0, g, lam, mu, config, h_target, inject=None, stream=None, drift=Non
 def _full_field(spec, frame, epsilon):
     """Y(a, tau / epsilon) in slow time; the one place fast time is spelled."""
     inv_eps = 1.0 / epsilon
-    return lambda x, tau: eval_Y(x, inv_eps * tau, spec, frame)
+    field = Field(spec, frame)
+    return lambda x, tau: eval_Y(x, inv_eps * tau, field)
 
 
 def _noise_stream(config, seed, members, modes, inject):

@@ -150,24 +150,37 @@ class NonlinearitySpec:
         """Distinct sign patterns needed for resonance enumeration."""
         return tuple(sorted({t.pattern for t in self.polynomial_terms()}))
 
-    def pointwise(self, u, gradients):
-        """Evaluate P(grad u, u) on grid values; not defined for the diagonal kind."""
+    def pointwise(self, u, gradients, work=None):
+        """Evaluate P(grad u, u) on grid values; not defined for the diagonal kind.
+
+        work is three complex arrays shaped like u (fresh when None); the
+        result is written into the first and returned.  Every product is an
+        explicit ufunc call with the accumulated factor first, acc * conj(base),
+        so numpy's temporary elision cannot swap operands on large arrays and
+        the rounding does not depend on the batch size.
+        """
+        if self.kind == "diagonal":
+            raise ConfigError("diagonal nonlinearity has no grid evaluation")
+        out, acc, scratch = np.empty((3,) + u.shape, dtype=complex) if work is None else work
         if self.kind == "cubic_focusing":
-            return 1j * (np.abs(u) ** 2) * u
+            r = scratch.reshape(-1).view(float)[:u.size].reshape(u.shape)
+            np.square(np.absolute(u, out=r), out=r)
+            np.multiply(1j, r, out=out)
+            return np.multiply(out, u, out=out)
         if self.kind == "smoothed_monomial":
             r = np.abs(u) ** 2
-            return (-self.gr * smoothed_power(r, self.p)
-                    - 1j * self.gi * smoothed_power(r, self.q)) * u
-        if self.kind == "polynomial":
-            out = None
-            for term in self.terms:
-                acc = term.coefficient
-                for f in term.factors:
-                    base = u if f.derivative is None else gradients[f.derivative]
-                    acc = acc * (np.conj(base) if f.conjugate else base)
-                out = acc if out is None else out + acc
-            return out
-        raise ConfigError("diagonal nonlinearity has no grid evaluation")
+            return np.multiply(-self.gr * smoothed_power(r, self.p)
+                               - 1j * self.gi * smoothed_power(r, self.q), u, out=out)
+        for n, term in enumerate(self.terms):
+            target = out if n == 0 else acc
+            for j, f in enumerate(term.factors):
+                base = u if f.derivative is None else gradients[f.derivative]
+                if f.conjugate:
+                    base = np.conjugate(base, out=scratch)
+                np.multiply(term.coefficient if j == 0 else target, base, out=target)
+            if n:
+                np.add(out, acc, out=out)
+        return out
 
     def to_document(self):
         doc = {"kind": self.kind, "mu": self.mu}

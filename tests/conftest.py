@@ -1,7 +1,21 @@
+import multiprocessing
+
 import numpy as np
 import pytest
 
 from resonlab.spectral import TorusGeometry, Potential, build_frame
+
+
+@pytest.fixture(autouse=True)
+def no_child_process_left():
+    """Fail a test that leaves a child process running, such as a noise producer
+    its stream did not stop; pyproject.toml fails one whose thread raises."""
+    yield
+    left = multiprocessing.active_children()
+    for child in left:
+        child.terminate()
+        child.join()
+    assert not left, f"child processes left running: {left}"
 
 
 @pytest.fixture(scope="session")

@@ -10,6 +10,7 @@ import pytest
 from resonlab import fields
 from resonlab.errors import ConfigError
 from resonlab.fields import (
+    Field,
     Observable,
     QuadratureDrift,
     ResonantDrift,
@@ -80,7 +81,7 @@ def test_cubic_matches_convolution_1d(frame_1d_9):
     reps = [(m,) for m in range(1, 5)]
     w = {m: rng.standard_normal() + 1j * rng.standard_normal() for m in window}
     v = exp_to_trig(w, reps, TAU)  # psi = identity on this frame
-    got = trig_to_exp(eval_P(v, CUBIC, frame_1d_9), reps, TAU)
+    got = trig_to_exp(eval_P(v, Field(CUBIC, frame_1d_9)), reps, TAU)
     oracle = cubic_convolution(w, window)
     # plain exponential coefficients: the product rule is a bare convolution
     for m in window:
@@ -94,7 +95,7 @@ def test_cubic_matches_convolution_2d(frame_2d_9):
     vol = TAU * TAU
     w = {m: rng.standard_normal() + 1j * rng.standard_normal() for m in window}
     v = exp_to_trig(w, reps, vol)
-    got = trig_to_exp(eval_P(v, CUBIC, frame_2d_9), reps, vol)
+    got = trig_to_exp(eval_P(v, Field(CUBIC, frame_2d_9)), reps, vol)
     oracle = cubic_convolution(w, window)
     for m in window:
         assert got[m] == pytest.approx(oracle[m], abs=1e-11)
@@ -119,7 +120,7 @@ def test_derivative_fields_match_exponential_oracle(frame_1d_9, frame_2d_9):
         for factors, oracle in (((d,), dw), ((MonomialFactor(), d), product)):
             spec = NonlinearitySpec("polynomial", mu=0.1,
                                     terms=(MonomialTerm(1.0, factors),))
-            got = trig_to_exp(eval_P(v, spec, frame), reps, vol)
+            got = trig_to_exp(eval_P(v, Field(spec, frame)), reps, vol)
             for m in window:
                 assert got[m] == pytest.approx(oracle[m], abs=1e-11)
 
@@ -127,38 +128,70 @@ def test_derivative_fields_match_exponential_oracle(frame_1d_9, frame_2d_9):
 def test_eval_p_batched_matches_loop(frame_1d_9):
     rng = np.random.default_rng(3)
     batch = rng.standard_normal((4, 9)) + 1j * rng.standard_normal((4, 9))
-    out = eval_P(batch, CUBIC, frame_1d_9)
+    out = eval_P(batch, Field(CUBIC, frame_1d_9))
     for row_in, row_out in zip(batch, out):
-        assert np.allclose(eval_P(row_in, CUBIC, frame_1d_9), row_out, atol=1e-14)
+        assert np.allclose(eval_P(row_in, Field(CUBIC, frame_1d_9)), row_out, atol=1e-14)
 
 
 def test_transforms_match_real_table_products_bitwise(frame_2d_9, frame_1d_9_cos):
-    # the frame multiplies by cached complex copies of its real tables; the
-    # products must be bit for bit those of the real tables, on an identity
-    # and on a dense Psi, for single rows and for batches
+    # a Field multiplies by cached complex copies of the frame's real tables,
+    # in grid arrays it owns; the products must be bit for bit those of the
+    # real tables, on an identity and on a dense Psi (V != 0 with mu > 0), for
+    # single rows and for batches, cold and warm, for every kind
     rng = np.random.default_rng(45)
     for frame in (frame_2d_9, frame_1d_9_cos):
         Z, dx = frame.eigenfunction_values, frame.cell_volume
-        term = MonomialTerm(0.5 - 1j, (MonomialFactor(), MonomialFactor(derivative=frame.dimension - 1)))
-        spec = NonlinearitySpec("polynomial", mu=0.2, terms=(term,))
-        for shape in ((frame.modes,), (3, frame.modes)):
-            v = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-            u = v @ Z
-            assert np.array_equal(frame.from_coefficients(v), u)
-            assert np.array_equal(frame.to_coefficients(u), (u @ Z.T) * dx)
-            gradients = [v @ g for g in frame.eigenfunction_gradients]
-            for got, want in zip(frame.gradients_from_coefficients(v), gradients):
-                assert np.array_equal(got, want)
-            w = spec.pointwise(u, gradients)
-            if not frame.potential.is_zero:
-                w = w + spec.mu * frame.potential_values * u
-            assert np.array_equal(eval_P(v, spec, frame), (w @ Z.T) * dx)
+        d = MonomialFactor(derivative=frame.dimension - 1)
+        terms = (MonomialTerm(0.5 - 1j, (MonomialFactor(), d)),
+                 MonomialTerm(-0.3 + 0.2j, (MonomialFactor(conjugate=True), MonomialFactor(),
+                                            MonomialFactor(conjugate=True, derivative=0))))
+        gammas = tuple(rng.standard_normal(frame.modes) + 1j * rng.standard_normal(frame.modes))
+        specs = (NonlinearitySpec("cubic_focusing", mu=0.2),
+                 NonlinearitySpec("smoothed_monomial", mu=0.2, gr=0.7, gi=0.3, p=2.0, q=1.5),
+                 NonlinearitySpec("diagonal", mu=0.2, gammas=gammas),
+                 NonlinearitySpec("polynomial", mu=0.2, terms=terms))
+        for spec in specs:
+            field = Field(spec, frame)
+            for shape in ((frame.modes,), (3, frame.modes), (frame.modes,)):
+                v = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+                if spec.kind == "diagonal":
+                    assert np.array_equal(eval_P(v, field), v * np.array(gammas))
+                    continue
+                u = v @ Z
+                assert np.array_equal(frame.from_coefficients(v), u)
+                assert np.array_equal(frame.to_coefficients(u), (u @ Z.T) * dx)
+                gradients = [v @ g for g in frame.eigenfunction_gradients]
+                for got, want in zip(frame.gradients_from_coefficients(v), gradients):
+                    assert np.array_equal(got, want)
+                w = spec.pointwise(u, gradients)
+                if not frame.potential.is_zero:
+                    w = w + spec.mu * frame.potential_values * u
+                assert np.array_equal(eval_P(v, field), (w @ Z.T) * dx)
+
+
+def test_warm_batched_field_allocates_less_than_one_grid_array():
+    # the 1-D ensemble workload's frame, 1000 rows: one (rows x P) array is 512 KB
+    frame = build_frame(TorusGeometry((TAU,), 32), Potential.zero(), 8)
+    batch = random_rows(np.random.default_rng(38), (1000, 8))
+    for spec in (NonlinearitySpec("polynomial", mu=0.3, terms=cubic_damping_terms(-0.3 - 2.5j)),
+                 NonlinearitySpec("cubic_focusing", mu=0.5)):
+        field = Field(spec, frame)
+        cold = eval_P(batch, field)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            warm = eval_P(batch, field)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(warm, cold) and not np.shares_memory(warm, cold)
+        assert peak < 1000 * 32 * 16
 
 
 def test_dealiasing_guard():
     frame = build_frame(TorusGeometry((TAU,), 16), Potential.zero(), 9)
     with pytest.raises(ConfigError):
-        eval_P(np.ones(9, complex), CUBIC, frame)
+        eval_P(np.ones(9, complex), Field(CUBIC, frame))
 
 
 def test_mu_zero_drops_potential_term(frame_1d_9_cos):
@@ -168,7 +201,7 @@ def test_mu_zero_drops_potential_term(frame_1d_9_cos):
     u = frame_1d_9_cos.from_coefficients(v)
     w = 1j * np.abs(u) ** 2 * u
     expect = frame_1d_9_cos.to_coefficients(w)
-    assert np.allclose(eval_P(v, CUBIC, frame_1d_9_cos), expect, atol=1e-13)
+    assert np.allclose(eval_P(v, Field(CUBIC, frame_1d_9_cos)), expect, atol=1e-13)
 
 
 # -- smoothed monomial ------------------------------------------------------
@@ -203,11 +236,13 @@ def test_smoothed_monomial_pointwise(frame_1d_9):
     direct = (-0.7 * smoothed_power(np.abs(u) ** 2, 2.0)
               - 0.3j * smoothed_power(np.abs(u) ** 2, 1.0)) * u
     expect = frame_1d_9.to_coefficients(direct)
-    assert np.allclose(eval_P(v, spec, frame_1d_9), expect, atol=1e-13)
+    assert np.allclose(eval_P(v, Field(spec, frame_1d_9)), expect, atol=1e-13)
 
 
 def test_polynomial_pointwise_matches_term_loop_bitwise():
-    # reference: every product array by array, summed onto zeros
+    # reference: every product array by array, accumulated factor first,
+    # summed onto zeros; np.multiply keeps that operand order at every size,
+    # where `acc * np.conj(base)` swaps it once numpy elides the temporary
     terms = (*cubic_damping_terms(-0.3 - 2.5j),
              MonomialTerm(0.5 - 1j, (MonomialFactor(conjugate=True),
                                      MonomialFactor(derivative=1))))
@@ -221,7 +256,7 @@ def test_polynomial_pointwise_matches_term_loop_bitwise():
             acc = np.full(shape, term.coefficient, dtype=complex)
             for f in term.factors:
                 base = u if f.derivative is None else (gx, gy)[f.derivative]
-                acc = acc * (np.conj(base) if f.conjugate else base)
+                acc = np.multiply(acc, np.conj(base) if f.conjugate else base)
             expect += acc
         assert np.array_equal(spec.pointwise(u, (gx, gy)), expect)
 
@@ -247,9 +282,9 @@ def test_diagonal_bypasses_grid(frame_1d_5):
     gammas = (0.1j, -0.2, 0.3 + 0.1j, 0, 0.5j)
     spec = NonlinearitySpec("diagonal", mu=0.2, gammas=gammas)
     v = np.arange(1, 6).astype(complex)
-    assert np.array_equal(eval_P(v, spec, frame_1d_5), v * np.array(gammas))
+    assert np.array_equal(eval_P(v, Field(spec, frame_1d_5)), v * np.array(gammas))
     # rotation conjugation cancels exactly on a diagonal field
-    y = eval_Y(v, 17.3, spec, frame_1d_5)
+    y = eval_Y(v, 17.3, Field(spec, frame_1d_5))
     assert np.allclose(y, v * np.array(gammas), atol=1e-13)
 
 
@@ -258,9 +293,10 @@ def test_eval_y_is_conjugated_field(frame_1d_9):
     a = rng.standard_normal(9) + 1j * rng.standard_normal(9)
     t = 0.37
     phase = np.exp(1j * t * frame_1d_9.eigenvalues)
-    direct = phase * eval_P(np.conj(phase) * a, CUBIC, frame_1d_9)
-    assert np.allclose(eval_Y(a, t, CUBIC, frame_1d_9), direct, atol=1e-14)
-    assert np.allclose(eval_Y(a, 0.0, CUBIC, frame_1d_9), eval_P(a, CUBIC, frame_1d_9), atol=1e-14)
+    field = Field(CUBIC, frame_1d_9)
+    direct = phase * eval_P(np.conj(phase) * a, field)
+    assert np.allclose(eval_Y(a, t, field), direct, atol=1e-14)
+    assert np.allclose(eval_Y(a, 0.0, field), eval_P(a, field), atol=1e-14)
 
 
 # -- drift routes ----------------------------------------------------------
@@ -309,7 +345,7 @@ def test_diagonal_drift_is_field_itself(frame_1d_5):
     spec = NonlinearitySpec("diagonal", gammas=(1j, -0.5, 0.25j, 0.1, 0))
     drift = ResonantDrift(frame_1d_5, spec, table=None)
     v = np.array([1, 2, 3, 4, 5], dtype=complex)
-    assert np.array_equal(drift(v), eval_P(v, spec, frame_1d_5))
+    assert np.array_equal(drift(v), eval_P(v, Field(spec, frame_1d_5)))
 
 
 def test_derivative_polynomial_routes_agree(frame_1d_9):

@@ -2,7 +2,8 @@
 
 from dataclasses import replace
 import math
-import sys
+import multiprocessing
+import os
 import threading
 import time
 import tracemalloc
@@ -189,6 +190,26 @@ def test_disparity_needs_table(frame_1d_5):
     with pytest.raises(ConfigError):
         integrate_full(np.ones(5, complex), CUBIC, frame_1d_5, cfg,
                        track_disparity=True)
+
+
+def test_disparity_tracking_evaluates_once_per_sample_node(frame_1d_5, monkeypatch):
+    # the stage closing a segment at its sample node opens the next segment
+    evals, drifts = [], []
+    eval_Y, drift_call = integrators.eval_Y, ResonantDrift.__call__
+    monkeypatch.setattr(integrators, "eval_Y",
+                        lambda x, t, field: evals.append(t) or eval_Y(x, t, field))
+    monkeypatch.setattr(ResonantDrift, "__call__",
+                        lambda self, x: drifts.append(x) or drift_call(self, x))
+    table = build_resonance_table(frame_1d_5)
+    a0 = sample_ball(frame_1d_5, 2.0, 0.5, np.random.default_rng(37))
+    for scheme, stages in (("lawson4", 4), ("expeuler", 1)):
+        del evals[:], drifts[:]
+        cfg = SolverConfig(epsilon=0.5, tau_end=0.3, dt=5e-3, scheme=scheme, samples=4)
+        traj = integrate_full(a0, CUBIC, frame_1d_5, cfg, table=table, track_disparity=True)
+        steps = traj.meta["steps"]
+        assert steps == 60
+        # one evaluation per stage, plus the closing one at the last sample node
+        assert len(evals) == stages * steps + 1 and len(drifts) == steps + 1
 
 
 def test_diagonal_spec_needs_one_coefficient_per_mode(frame_1d_5):
@@ -408,7 +429,8 @@ def test_noise_stream_draws_only_the_steps_a_run_takes(frame_1d_5, monkeypatch):
 
 
 def test_noise_buffer_stays_within_budget():
-    # 256 steps a refill would buffer 256 * 2000 * 2 * 81 * 8 B = 633 MiB here
+    # 256 steps a refill would buffer 256 * 2000 * 2 * 81 * 8 B = 633 MiB here;
+    # tracemalloc does not see the shared mmap buffer, so its size is checked apart
     members, modes = 2000, 81
     step = 16 * members * modes
     stream = _NoiseStream(0, members, modes)
@@ -420,19 +442,19 @@ def test_noise_buffer_stays_within_budget():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+        stream.close()
     assert peak <= integrators._NOISE_BYTES + step
+    assert stream._buffer.nbytes <= integrators._NOISE_BYTES
 
 
-def test_noise_prefetch_under_fast_thread_switching(monkeypatch):
-    # halves of one step hand every generator between two threads each step;
-    # four streams keep four helpers running beside the caller on few cores
+def test_noise_prefetch_with_one_step_halves(monkeypatch):
+    # halves of one step hand the buffer between caller and producer each
+    # step; four streams keep four producers running beside the caller
     members, modes, steps, seeds = 8, 4, 40, (11, 22, 33, 44)
     monkeypatch.setattr(integrators, "_NOISE_BYTES", 2 * 16 * members * modes)
     refs = [np.stack([_philox(s + i).standard_normal((steps, 2, modes))
                       for i in range(members)], axis=1) for s in seeds]
     streams = [_NoiseStream(s, members, modes) for s in seeds]
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
     try:
         for stream in streams:
             stream.steps_left = steps
@@ -442,32 +464,47 @@ def test_noise_prefetch_under_fast_thread_switching(monkeypatch):
                 assert np.array_equal(z.real, ref[t, :, 0])
                 assert np.array_equal(z.imag, ref[t, :, 1])
     finally:
-        sys.setswitchinterval(interval)
         for stream in streams:
             stream.close()
+
+
+def test_noise_stream_refills_in_the_caller_without_fork(monkeypatch):
+    members, modes, steps = 3, 4, 25
+    monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+    monkeypatch.setattr(integrators, "_NOISE_BYTES", 8 * 16 * members * modes)
+    ref = np.stack([_philox(5 + i).standard_normal((steps, 2, modes))
+                    for i in range(members)], axis=1)
+    stream = _NoiseStream(5, members, modes)
+    stream.steps_left = steps
+    for t in range(steps):
+        z = stream.next_step()
+        assert np.array_equal(z.real, ref[t, :, 0])
+        assert np.array_equal(z.imag, ref[t, :, 1])
+    assert stream._producer is None and stream.steps_left == 0
 
 
 class _Boom(RuntimeError):
     pass
 
 
-def test_field_error_ends_the_noise_thread(frame_1d_5, monkeypatch):
+def test_field_error_ends_the_noise_producer(frame_1d_5, monkeypatch):
     calls = []
+    caller = os.getpid()
 
-    class SlowHelper(_NoiseStream):
+    class SlowProducer(_NoiseStream):
         def _draw(self, half, steps):
-            if threading.current_thread() is not threading.main_thread():
+            if os.getpid() != caller:
                 time.sleep(0.2)  # the fill is still running when the field raises
             super()._draw(half, steps)
 
-    def failing(x, t, spec, frame):
+    def failing(x, t, field):
         calls.append(t)
         if len(calls) == 10:
             raise _Boom
         return np.zeros_like(x)
 
     # 60 steps in halves of 30: the second half is being drawn at step 10
-    monkeypatch.setattr(integrators, "_NoiseStream", SlowHelper)
+    monkeypatch.setattr(integrators, "_NoiseStream", SlowProducer)
     monkeypatch.setattr(integrators, "eval_Y", failing)
     cfg = SolverConfig(epsilon=0.5, tau_end=0.3, dt=5e-3, scheme="expeuler", samples=4)
     before = threading.active_count()
@@ -476,26 +513,28 @@ def test_field_error_ends_the_noise_thread(frame_1d_5, monkeypatch):
                       NoiseModel((0.3,) * 5), 3, seed_base=40)
     assert len(calls) == 10
     assert threading.active_count() == before
+    assert multiprocessing.active_children() == []
 
 
 def test_noise_fill_error_reaches_the_caller(frame_1d_5, monkeypatch):
-    raised = []
+    caller = os.getpid()
 
-    class FailingHelper(_NoiseStream):
+    class FailingProducer(_NoiseStream):
         def _draw(self, half, steps):
-            if threading.current_thread() is not threading.main_thread():
-                raised.append(_Boom("fill failed"))
-                raise raised[-1]
+            if os.getpid() != caller:
+                raise _Boom("fill failed")
             super()._draw(half, steps)
 
-    monkeypatch.setattr(integrators, "_NoiseStream", FailingHelper)
+    monkeypatch.setattr(integrators, "_NoiseStream", FailingProducer)
     cfg = SolverConfig(epsilon=0.5, tau_end=0.3, dt=5e-3, scheme="expeuler", samples=4)
     before = threading.active_count()
-    with pytest.raises(_Boom) as info:
+    # the error is pickled across the pipe: its type and message arrive, the
+    # object the producer raised cannot
+    with pytest.raises(_Boom, match="^fill failed$"):
         ensemble_full(0.4 * np.ones(5, complex), CUBIC, frame_1d_5, cfg,
                       NoiseModel((0.3,) * 5), 3, seed_base=40)
-    assert len(raised) == 1 and info.value is raised[0]
     assert threading.active_count() == before
+    assert multiprocessing.active_children() == []
 
 
 def test_ou_action_statistics(frame_1d_5):
