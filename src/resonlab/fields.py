@@ -7,6 +7,7 @@ from v; the mu V u term belongs here because the dissipative part of the flow
 keeps only the exact diagonal -mu lambda_k.  The averaged drift R keeps exactly
 the resonant monomials of P; the quadrature route approximates the same object
 by a finite-window time average and is kept strictly independent as an oracle.
+One trapezoid loop, _phase_average, takes every finite-window average.
 """
 
 from dataclasses import dataclass
@@ -15,10 +16,11 @@ import math
 import numpy as np
 
 from .errors import ConfigError
-from .resonance import DEFAULT_ETA
+from .resonance import DEFAULT_ETA, _comparison, integer_frequencies
 from .spectral import mode_vector, sobolev_norm
 
-_CHUNK = 4096  # quadrature nodes per block; fixed so sums are reproducible
+_CHUNK = 4096  # rows of f per quadrature block; fixed so sums are reproducible
+_NODE_BUDGET = 10 ** 6  # most quadrature nodes one finite-window average may take
 # Rows per pass of batched R: one (rows x widest group's monomials) complex array
 # fits this budget.  A ResonantDrift keeps two such work arrays, sized to the
 # largest batch it has been called on, and reuses them on every call.
@@ -292,45 +294,58 @@ class ResonantDrift:
         return out
 
 
+def _node_count(window, n):
+    """n as an int, once the trapezoid rule on [0, window] with n nodes can run."""
+    if not (window > 0) or not 2 <= n <= _NODE_BUDGET:
+        raise ConfigError(f"{n} quadrature nodes over window {window:.4g}: need a positive "
+                          f"window and 2 to {_NODE_BUDGET} nodes")
+    return int(n)
+
+
+def _phase_average(f, state, lam, out_freqs, window, n):
+    """(1/T) int_0^T e^{i out_freqs t} f(e^{-i lam t} v) dt, T = window, for each v of a
+    (..., M) batch by the n-node trapezoid rule; f maps (rows, M) to (rows, *out_freqs.shape).
+    Nodes go in blocks of at most _CHUNK rows of f (one node when the batch is wider)."""
+    v = mode_vector(state)
+    flat = v.reshape(-1, v.shape[-1])
+    freqs = np.asarray(out_freqs, dtype=float)
+    n = _node_count(window, n)
+    ts = np.linspace(0.0, window, n)
+    weights = np.full(n, window / (n - 1))
+    weights[[0, -1]] *= 0.5
+    weights /= window
+    out = np.zeros(flat.shape[0] * freqs.size, dtype=complex)
+    step = max(1, _CHUNK // flat.shape[0])
+    for start in range(0, n, step):
+        t = ts[start:start + step, None]
+        rotated = np.conj(np.exp(1j * (t * lam)))[:, None] * flat
+        values = f(rotated.reshape(-1, flat.shape[1]))
+        phases = np.exp(1j * (t * freqs)).reshape(t.size, 1, *freqs.shape)
+        # values stays named, so numpy cannot elide this into values * phases
+        # on large blocks: one operand order, and one rounding, at every size
+        block = phases * values.reshape(t.size, flat.shape[0], *freqs.shape)
+        out += weights[start:start + step] @ block.reshape(t.size, -1)
+    return out.reshape(v.shape[:-1] + freqs.shape)
+
+
 class QuadratureDrift:
-    """Numerical effective drift: trapezoid average of the rotated field.
+    """Numerical effective drift: the trapezoid phase average of P.
 
     Independent of the analytic route on purpose; the two are compared as a
     correctness oracle for resonance enumeration and tensor assembly.
     """
 
     def __init__(self, frame, spec, window, n_quad=None):
-        if not (window > 0):
-            raise ConfigError(f"averaging window must be positive, got {window}")
-        self.frame = frame
         self.field = Field(spec, frame)
         self.window = float(window)
-        if n_quad is None:
+        if n_quad is None and self.window > 0:
             n_quad = default_quadrature_nodes(frame, self.window)
-        if n_quad < 2:
-            raise ConfigError("need at least two quadrature nodes")
-        self.n_quad = int(n_quad)
+        self.n_quad = _node_count(self.window, n_quad)
 
     def __call__(self, state):
-        v = mode_vector(state)
-        if v.ndim > 1:
-            flat = v.reshape(-1, v.shape[-1])
-            return np.stack([self(row) for row in flat]).reshape(v.shape)
-        T, n = self.window, self.n_quad
-        ts = np.linspace(0.0, T, n)
-        weights = np.full(n, T / (n - 1))
-        weights[0] *= 0.5
-        weights[-1] *= 0.5
-        weights /= T
-        lam = self.frame.eigenvalues
-        out = np.zeros(v.shape, dtype=complex)
-        for start in range(0, n, _CHUNK):
-            sl = slice(start, min(start + _CHUNK, n))
-            phases = np.exp(1j * np.outer(ts[sl], lam))
-            rotated = np.conj(phases) * v
-            block = phases * eval_P(rotated, self.field)
-            out += weights[sl] @ block
-        return out
+        lam = self.field.frame.eigenvalues
+        return _phase_average(lambda x: eval_P(x, self.field), state, lam, lam,
+                              self.window, self.n_quad)
 
 
 def default_quadrature_nodes(frame, window):
@@ -378,14 +393,17 @@ class Observable:
             out += acc
         return out
 
-    def rotation_frequency(self, term, frequencies):
-        _, vpow, cpow = term
-        freq = 0.0
-        for k, p in vpow:
-            freq += p * frequencies[k]
-        for k, p in cpow:
-            freq -= p * frequencies[k]
-        return freq
+    def detunings(self, frame, target=None):
+        """Per term, None when it is resonant against mode `target` (against
+        zero when target is None), else its frequency gap.  Resonance is
+        decided as the resonance tables decide it: exactly on the integer frequencies
+        of a V = 0 square torus, else within DEFAULT_ETA * max(1, max |lambda|)."""
+        values, tol, unit = _comparison(frame.eigenvalues, DEFAULT_ETA,
+                                        integer_frequencies(frame))
+        shift = values[int(target)] if target is not None else 0
+        gaps = [shift - (sum(p * values[k] for k, p in vpow) - sum(p * values[k] for k, p in cpow))
+                for _, vpow, cpow in self.terms]
+        return [None if abs(gap) <= tol else float(gap * unit) for gap in gaps]
 
 
 def action_observable(k):
@@ -399,31 +417,18 @@ def monomial_observable(coeff, v=(), vbar=()):
 
 
 def scalar_average(observable, frequencies, state, window, n_quad, target=None):
-    """Finite-window average (1/T) int_0^T e^{i w_target t} f(rotate(-Wt) v) dt.
+    """Finite-window average (1/T) int_0^T e^{i w_target t} f(rotate(-Wt) v) dt
+    of each state of a (..., M) batch; one state gives a complex.
 
     target None drops the oscillating prefactor (the bracket average that
     commutes with the rotation flow).
     """
-    v = mode_vector(state)
-    freqs = np.asarray(frequencies, dtype=float)
-    if not (window > 0) or n_quad < 2:
-        raise ConfigError("need window > 0 and at least two quadrature nodes")
-    ts = np.linspace(0.0, window, int(n_quad))
-    weights = np.full(ts.size, 1.0 / (ts.size - 1))
-    weights[0] *= 0.5
-    weights[-1] *= 0.5
-    rotated = np.exp(-1j * np.outer(ts, freqs)) * v
-    vals = observable(rotated)
-    if target is not None:
-        vals = vals * np.exp(1j * freqs[int(target)] * ts)
-    return complex(weights @ vals)
-
-
-def scalar_average_limit(observable, frequencies, target=None):
-    """Infinite-window limit of scalar_average: keep only resonant terms."""
     freqs = np.asarray(frequencies, dtype=float)
     shift = freqs[int(target)] if target is not None else 0.0
-    tol = DEFAULT_ETA * max(1.0, float(np.max(np.abs(freqs))))
-    kept = [t for t in observable.terms
-            if abs(shift - observable.rotation_frequency(t, freqs)) <= tol]
-    return Observable(tuple(kept))
+    return _phase_average(observable, state, freqs, shift, window, n_quad)[()]
+
+
+def scalar_average_limit(observable, frame, target=None):
+    """Infinite-window limit of scalar_average: keep only resonant terms."""
+    gaps = observable.detunings(frame, target)
+    return Observable(tuple(term for term, gap in zip(observable.terms, gaps) if gap is None))

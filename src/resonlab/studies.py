@@ -23,6 +23,7 @@ from .integrators import (NOISE_CONVENTION, SolverConfig, ensemble_full,
                           integrate_effective_stochastic, integrate_full,
                           integrate_full_stochastic)
 from .io import (REPORT_SCHEMA, content_hash, ensemble_hash, trajectory_hash)
+from .resonance import integer_frequencies, minimal_frequency_gap
 from .spectral import action_distance, sample_ball
 
 __all__ = [
@@ -180,6 +181,12 @@ def study_deterministic_convergence(frame, spec, table, cfg):
     swap check showing delta does not depend on whether the effective drift
     comes from resonance enumeration or from quadrature averaging.
     """
+    # sized before any run: a near-resonance stretches the window past the node budget
+    window = table.suggested_window(5.0)
+    try:
+        drift = QuadratureDrift(frame, spec, window)
+    except ConfigError as err:
+        raise ConfigError(f"route swap: {err}; gamma_min={table.gamma_min:.3e}") from None
     initials = _initial_states(frame, cfg)
     base = cfg.solver(scheme="lawson4")
     runs = {}
@@ -200,8 +207,6 @@ def study_deterministic_convergence(frame, spec, table, cfg):
 
     # Route swap: rerunning the effective flow with the quadrature drift must
     # reproduce delta up to the measured drift residual scaled by the horizon.
-    window = table.suggested_window(5.0)
-    drift = QuadratureDrift(frame, spec, window)
     swapped = integrate_effective(initials[0], spec, frame, base, table=table,
                                   drift=drift)
     runs["effective_route_swap"] = trajectory_hash(swapped, base)
@@ -233,42 +238,35 @@ def study_deterministic_convergence(frame, spec, table, cfg):
 # -- averaging-operator convergence -----------------------------------------
 
 def _operator_battery(frame, tracked):
-    """Observables with known infinite-window limits, plus per-term data for
-    the closed-form oscillatory bound."""
-    lam = frame.eigenvalues
-    battery = []
-    # linear coordinates against a target with a different frequency
+    """(name, observable, target) triples with known infinite-window limits;
+    resonance is decided by Observable.detunings, as in the limits."""
     target = 0
-    for i in range(1, min(tracked + 1, frame.modes)):
-        if abs(lam[i] - lam[target]) > 1e-9:
-            battery.append((f"linear_v{i}", monomial_observable(1.0, v=(i,)), target))
+    # linear coordinates against a target with a different frequency
+    linear = [(k, monomial_observable(1.0, v=(k,))) for k in range(1, frame.modes)]
+    off = [(k, obs) for k, obs in linear if obs.detunings(frame, target)[0] is not None]
+    battery = [(f"linear_v{k}", obs, target) for k, obs in off if k <= tracked]
     # the target's own coordinate: resonant, zero error at every window
     battery.append(("linear_self", monomial_observable(1.0, v=(target,)), target))
     # a resonant cubic monomial (frequency sum zero against the target)
-    pair = [k for k in range(1, frame.modes) if abs(lam[k] - lam[target]) > 1e-9]
-    if pair:
-        k = pair[0]
+    if off:
+        k = off[0][0]
         battery.append(("cubic_resonant", monomial_observable(1.0, v=(k, target), vbar=(k,)),
                         target))
     # a plainly nonresonant monomial (bracket average, no target shift)
-    if frame.modes > 3 and abs(lam[1] - lam[3]) > 1e-9:
-        battery.append(("quadratic_nonresonant", monomial_observable(1.0, v=(1,), vbar=(3,)),
-                        None))
+    if frame.modes > 3:
+        quadratic = monomial_observable(1.0, v=(1,), vbar=(3,))
+        if quadratic.detunings(frame)[0] is not None:
+            battery.append(("quadratic_nonresonant", quadratic, None))
     return battery
 
 
-def _oscillatory_bound(observable, frequencies, state, window, target):
-    """Exact closed-form bound: each nonresonant term contributes at most
-    2 |term(v)| / (window * |frequency gap|)."""
-    freqs = np.asarray(frequencies, dtype=float)
-    shift = freqs[int(target)] if target is not None else 0.0
-    scale = max(1.0, float(np.max(np.abs(freqs))))
+def _oscillatory_bound(observable, frame, state, window, target):
+    """Exact closed-form bound, per state of a batch: each nonresonant term
+    contributes at most 2 |term(v)| / (window * |frequency gap|)."""
     bound = 0.0
-    for term in observable.terms:
-        gap = shift - observable.rotation_frequency(term, freqs)
-        if abs(gap) <= 1e-8 * scale:
-            continue
-        bound += 2.0 * abs(Observable((term,))(state)) / (window * abs(gap))
+    for term, gap in zip(observable.terms, observable.detunings(frame, target)):
+        if gap is not None:
+            bound += 2.0 * abs(Observable((term,))(state)) / (window * abs(gap))
     return bound
 
 
@@ -283,10 +281,9 @@ def study_operator_convergence(frame, cfg):
     window to the last.
     """
     lam = frame.eigenvalues
-    gaps = np.abs(np.subtract.outer(lam, lam))
-    min_gap = float(np.min(gaps[gaps > 1e-9])) if np.any(gaps > 1e-9) else 1.0
-    windows = cfg.windows or tuple(5.3 * 2.0 * math.pi / min_gap * 2.0 ** j
-                                   for j in range(4))
+    min_gap = minimal_frequency_gap(lam, ((1,),), integers=integer_frequencies(frame))
+    shortest = 5.3 * 2.0 * math.pi / (min_gap if math.isfinite(min_gap) else 1.0)
+    windows = cfg.windows or tuple(shortest * 2.0 ** j for j in range(4))
     states = _initial_states(frame, cfg)
     battery = _operator_battery(frame, cfg.tracked_modes)
     runs = {"states": content_hash([[v.real.tolist(), v.imag.tolist()]
@@ -296,15 +293,13 @@ def study_operator_convergence(frame, cfg):
     worst = np.zeros(len(windows))
     bound_ok, resonant_ok = True, True
     for name, obs, target in battery:
-        limit = scalar_average_limit(obs, lam, target=target)
+        limit = scalar_average_limit(obs, frame, target=target)
         resonant = len(limit.terms) == len(obs.terms)
         for wi, window in enumerate(windows):
             n_quad = default_quadrature_nodes(frame, window)
-            err = bound = 0.0
-            for v in states:
-                avg = scalar_average(obs, lam, v, window, n_quad, target=target)
-                err = max(err, abs(avg - limit(v)))
-                bound = max(bound, _oscillatory_bound(obs, lam, v, window, target))
+            avg = scalar_average(obs, lam, states, window, n_quad, target=target)
+            err = float(np.max(np.abs(avg - limit(states))))
+            bound = float(np.max(_oscillatory_bound(obs, frame, states, window, target)))
             rows.append([name, float(window), err, bound])
             if err > bound + cfg.quadrature_margin:
                 bound_ok = False

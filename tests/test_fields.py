@@ -31,7 +31,7 @@ from resonlab.nonlinearity import (
     smoothed_power,
     smoothed_power_coefficients,
 )
-from resonlab.resonance import build_resonance_table
+from resonlab.resonance import build_resonance_table, integer_frequencies
 from resonlab.spectral import Potential, TorusGeometry, build_frame, phase_shift, sample_ball, sobolev_norm
 
 TAU = 2 * np.pi
@@ -635,6 +635,41 @@ def test_quadrature_drift_batch(frame_1d_5):
     for row_in, row_out in zip(batch, out):
         assert np.allclose(drift(row_in), row_out, atol=1e-14)
     del table
+    # scalar averages take the same batched phase average
+    lam = frame_1d_5.eigenvalues
+    obs = Observable(((1.0, ((1, 1),), ((3, 1),)), (0.5, ((2, 2),), ())))
+    for target in (None, 1):
+        averages = scalar_average(obs, lam, batch, 40.0, 801, target=target)
+        assert averages.shape == (3,)
+        for row_in, average in zip(batch, averages):
+            single = scalar_average(obs, lam, row_in, 40.0, 801, target=target)
+            assert isinstance(single, complex)
+            assert abs(single - average) <= 1e-14
+
+
+@pytest.mark.parametrize("dimension, modes, grid",
+                         [(1, 9, 32), (1, 33, 128), (2, 49, 32), (2, 81, 32)])
+def test_resonant_drift_matches_one_period_quadrature(dimension, modes, grid):
+    # On a V = 0 torus of side 2 pi the frequencies are integers, so the rotated
+    # cubic field is a trigonometric polynomial in t of period 2 pi and degree
+    # at most 2 max lambda.  The trapezoid rule over one period is then exact
+    # (Trefethen & Weideman, SIAM Review 56, 2014): an oracle that reads no
+    # resonance table, so enumeration, selection and weights are checked together.
+    frame = build_frame(TorusGeometry((TAU,) * dimension, grid), Potential.zero(), modes)
+    rng = np.random.default_rng(modes)
+    batch = np.stack([sample_ball(frame, 2.0, 1.0, rng) for _ in range(4)])
+    exact = ResonantDrift(frame, CUBIC, build_resonance_table(frame))(batch)
+    nodes = 4 * int(integer_frequencies(frame).max()) + 2
+    oracle = QuadratureDrift(frame, CUBIC, TAU, nodes)(batch)
+    assert np.linalg.norm(exact - oracle) <= 1e-12 * np.linalg.norm(exact)
+
+
+def test_quadrature_refuses_nodes_over_budget(frame_1d_5):
+    with pytest.raises(ConfigError, match="1000001 quadrature nodes"):
+        QuadratureDrift(frame_1d_5, CUBIC, 40.0, 10 ** 6 + 1)
+    with pytest.raises(ConfigError, match="1000001 quadrature nodes"):
+        scalar_average(action_observable(0), frame_1d_5.eigenvalues, np.ones(5), 40.0,
+                       10 ** 6 + 1)
 
 
 # -- scalar averaging ------------------------------------------------------
@@ -643,7 +678,7 @@ def test_linear_observable_average(frame_1d_5):
     lam = frame_1d_5.eigenvalues
     coeffs = np.array([0.3, 1.0, -2.0, 0.7, 0.2], dtype=complex)
     obs = Observable(tuple((c, ((k, 1),), ()) for k, c in enumerate(coeffs)))
-    limit = scalar_average_limit(obs, lam, target=1)
+    limit = scalar_average_limit(obs, frame_1d_5, target=1)
     rng = np.random.default_rng(18)
     v = rng.standard_normal(5) + 1j * rng.standard_normal(5)
     # the limit keeps exactly the equal-frequency modes of the target

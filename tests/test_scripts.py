@@ -1,13 +1,17 @@
 """The workspace script writes configs that the CLI loads as written."""
 
 import importlib.util
+import os
 from pathlib import Path
+import subprocess
+import sys
 
 from resonlab import cli
 from resonlab.io import read_json
 from resonlab.studies import StudyConfig
 
-SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+ROOT = Path(__file__).resolve().parent.parent
+SCRIPTS = ROOT / "scripts"
 
 
 def _script(name):
@@ -42,3 +46,14 @@ def test_make_workspace_configs_load(tmp_path, capsys):
     out = capsys.readouterr().out
     for kind in kinds.values():
         assert f"resonlab study {kind} --config" in out
+
+
+def test_benchmark_trace_mode_finds_every_wrapped_name():
+    # benchmark/traced_cli.py (run.py --trace 1) wraps resonlab callables by
+    # name, so an API change that drops one makes install() raise.  It runs in
+    # a child process because install() patches the modules it wraps.
+    code = ("import sys; sys.path.insert(0, 'benchmark'); import traced_cli; "
+            "traced_cli.install(traced_cli.Tracer())")
+    result = subprocess.run([sys.executable, "-c", code], cwd=ROOT, capture_output=True,
+                            text=True, env=dict(os.environ, PYTHONPATH="src"), timeout=120)
+    assert result.returncode == 0, result.stderr

@@ -1,9 +1,12 @@
 import csv
+import time
 
 import numpy as np
 import pytest
 
+from resonlab import studies
 from resonlab.errors import ConfigError
+from resonlab.fields import Observable, scalar_average_limit
 from resonlab.integrators import NoiseModel
 from resonlab.io import write_report
 from resonlab.nonlinearity import NonlinearitySpec, cubic_damping_terms
@@ -140,6 +143,36 @@ def test_operator_study_bounds_and_decay(frame_1d_9):
     assert flat and all(r[2] <= cfg.quadrature_margin for r in flat)
     # every error obeys the closed-form oscillatory bound
     assert all(r[2] <= r[3] + cfg.quadrature_margin for r in rows)
+
+
+@pytest.mark.parametrize("name", ["frame_1d_9", "frame_1d_9_cos"])
+def test_limit_and_bound_share_one_resonance_rule(name, request):
+    # a term survives the infinite window exactly when the closed-form bound
+    # of the finite window skips it
+    frame = request.getfixturevalue(name)
+    v = np.ones(frame.modes, dtype=complex)
+    seen = set()
+    for _, obs, target in studies._operator_battery(frame, frame.modes):
+        kept = scalar_average_limit(obs, frame, target=target).terms
+        for term in obs.terms:
+            bound = studies._oscillatory_bound(Observable((term,)), frame, v, 10.0, target)
+            assert (term in kept) == (bound == 0.0)
+            seen.add(term in kept)
+    assert seen == {True, False}
+
+
+def test_converge_study_refuses_runaway_quadrature(frame_1d_9_cos, monkeypatch):
+    # V != 0: gamma_min is 5.5e-6, so the route swap's five slow beats would
+    # take 1.2e8 quadrature nodes; refused before any full-system run
+    full_runs = []
+    monkeypatch.setattr(studies, "integrate_full", lambda *args, **kw: full_runs.append(args))
+    spec = NonlinearitySpec("cubic_focusing", mu=0.5)
+    table = build_resonance_table(frame_1d_9_cos, patterns=((1, -1, 1),))
+    start = time.perf_counter()
+    with pytest.raises(ConfigError, match=r"115336226 quadrature nodes.*gamma_min=5\.5"):
+        run_study(StudyConfig("converge"), frame_1d_9_cos, spec, table)
+    assert time.perf_counter() - start < 1.0
+    assert not full_runs
 
 
 def test_stochastic_study_single_rung_bands(frame_1d_5, mix5):
