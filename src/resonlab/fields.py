@@ -16,7 +16,7 @@ import math
 import numpy as np
 
 from .errors import ConfigError
-from .resonance import DEFAULT_ETA, _comparison, integer_frequencies
+from .resonance import frequency_rule
 from .spectral import mode_vector, sobolev_norm
 
 _CHUNK = 4096  # rows of f per quadrature block; fixed so sums are reproducible
@@ -53,7 +53,7 @@ class Field:
     The grid is checked once, the frame's complex tables are held, and the
     (rows x P) grid arrays of a batch live in one work array the field owns,
     sized to the largest batch it has seen, so one Field serves one caller
-    at a time.  The products are bitwise those of the frame's transforms.
+    at a time.  The products are bitwise those of the frame's real tables.
     """
 
     def __init__(self, spec, frame):
@@ -164,7 +164,8 @@ def _check_table_frame(table, frame):
     if lam.shape != (frame.modes,):
         raise ConfigError(f"resonance table lists {lam.size} eigenvalues, "
                           f"the frame has {frame.modes} modes")
-    tol = table.eta * max(1.0, float(np.max(np.abs(frame.eigenvalues))))
+    # the eigenvalue lists themselves are compared, so in float mode
+    _, tol, _ = frequency_rule(frame, table.eta, "float")
     gap = float(np.max(np.abs(lam - frame.eigenvalues)))
     if gap > tol:
         raise ConfigError(f"resonance table eigenvalues differ from the frame's by {gap:.3e} "
@@ -395,11 +396,9 @@ class Observable:
 
     def detunings(self, frame, target=None):
         """Per term, None when it is resonant against mode `target` (against
-        zero when target is None), else its frequency gap.  Resonance is
-        decided as the resonance tables decide it: exactly on the integer frequencies
-        of a V = 0 square torus, else within DEFAULT_ETA * max(1, max |lambda|)."""
-        values, tol, unit = _comparison(frame.eigenvalues, DEFAULT_ETA,
-                                        integer_frequencies(frame))
+        zero when target is None), else its frequency gap, decided by
+        frequency_rule(frame) as the resonance tables decide it."""
+        values, tol, unit = frequency_rule(frame)
         shift = values[int(target)] if target is not None else 0
         gaps = [shift - (sum(p * values[k] for k, p in vpow) - sum(p * values[k] for k, p in cpow))
                 for _, vpow, cpow in self.terms]

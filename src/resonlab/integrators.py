@@ -108,13 +108,6 @@ class Trajectory:
     def final_state(self):
         return self.states[-1]
 
-    def physical_states(self, eigenvalues):
-        """Undo the interaction rotation; identity for effective runs."""
-        if self.epsilon is None:
-            return self.states
-        phases = np.exp(-1j * np.outer(self.taus / self.epsilon, eigenvalues))
-        return phases * self.states
-
 
 # -- noise ------------------------------------------------------------------
 

@@ -36,6 +36,20 @@ def smoothed_power(x, p):
     return np.where(x >= 1.0, np.maximum(x, 1e-300) ** p, inner)
 
 
+def _refuse_unwritten_keys(doc, written, where):
+    """Refuse a key of doc, or of an object nested in it, that the document
+    `written` (what to_document writes for the same object) does not hold."""
+    if isinstance(doc, dict) and isinstance(written, dict):
+        unknown = sorted(set(doc) - set(written))
+        if unknown:
+            raise ConfigError(f"unknown key(s) in {where}: {', '.join(unknown)}")
+        for key in doc:
+            _refuse_unwritten_keys(doc[key], written[key], f"{where}.{key}")
+    elif isinstance(doc, list) and isinstance(written, list):
+        for i, (item, written_item) in enumerate(zip(doc, written)):
+            _refuse_unwritten_keys(item, written_item, f"{where}[{i}]")
+
+
 @dataclass(frozen=True)
 class MonomialFactor:
     """One factor of a monomial: u or conj(u), optionally a first derivative."""
@@ -203,4 +217,6 @@ class NonlinearitySpec:
             kwargs["gammas"] = tuple(complex(g["re"], g["im"]) for g in doc.get("gammas", ()))
         elif kind == "polynomial":
             kwargs["terms"] = tuple(MonomialTerm.from_document(t) for t in doc.get("terms", ()))
-        return NonlinearitySpec(**kwargs)
+        spec = NonlinearitySpec(**kwargs)
+        _refuse_unwritten_keys(doc, spec.to_document(), "nonlinearity")
+        return spec

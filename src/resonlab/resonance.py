@@ -1,8 +1,10 @@
-"""Resonance bookkeeping: eigenvalue clusters, resonant index sets, noise blocks.
+"""Resonance bookkeeping: the equal-frequency rule, eigenvalue clusters,
+resonant index sets, noise blocks.
 
-Resonances are enumerated on an ascending eigenvalue list and a sign pattern.
-On square tori with V = 0 the signed sums are compared exactly on scaled
-integer frequencies; otherwise within a relative tolerance eta.
+frequency_rule is the one place that decides whether two frequencies are
+equal: on square tori with V = 0 it compares scaled integer frequencies
+exactly, otherwise eigenvalues within a relative tolerance eta.  Clusters,
+enumerated resonances, gaps and the noise blocks all take it from there.
 """
 
 from dataclasses import dataclass
@@ -17,7 +19,8 @@ DEFAULT_ETA = 1e-8
 TWO_PI = 2.0 * math.pi
 
 
-def _check_sorted(eigenvalues):
+def check_ascending(eigenvalues):
+    """The eigenvalue list as a float vector, refused unless nonempty and ascending."""
     lam = np.asarray(eigenvalues, dtype=float)
     if lam.ndim != 1 or lam.size == 0:
         raise ConfigError("eigenvalue list must be a nonempty vector")
@@ -26,7 +29,7 @@ def _check_sorted(eigenvalues):
     return lam
 
 
-def integer_frequencies(frame):
+def _integer_frequencies(frame):
     """Scaled integer eigenvalues for the completely resonant case, else None.
 
     Available when the torus is square (all sides equal) and the potential
@@ -46,27 +49,38 @@ def integer_frequencies(frame):
     return ints
 
 
-def eigenvalue_clusters(eigenvalues, eta=DEFAULT_ETA, integers=None):
-    """Partition mode indices into clusters of equal frequency.
+def frequency_rule(frame, eta=DEFAULT_ETA, mode="auto"):
+    """The equal-frequency rule of a frame, as (values, tol, unit).
 
-    Adjacent eigenvalues closer than eta * max(1, |lambda|) are merged
-    (transitive closure along the sorted list).  With `integers` given the
-    comparison is exact on the scaled integer frequencies.
+    Signed sums of values are equal frequencies when they differ by at most
+    tol, and unit turns their difference into a frequency.  mode "exact"
+    compares the scaled integer frequencies of a square torus with V = 0,
+    (integers, 0, lambda_max / int_max), and refuses other frames; "float"
+    compares eigenvalues, (lambda, eta * max(1, max |lambda|), 1); "auto" is
+    exact where it can be.  An ascending eigenvalue list in place of a frame
+    has no exact mode.
     """
-    lam = _check_sorted(eigenvalues)
-    if eta < 0:
-        raise ConfigError("cluster tolerance must be nonnegative")
-    clusters = [[0]]
-    for k in range(1, lam.size):
-        if integers is not None:
-            same = integers[k] == integers[k - 1]
-        else:
-            same = abs(lam[k] - lam[k - 1]) <= eta * max(1.0, abs(lam[k]))
-        if same:
-            clusters[-1].append(k)
-        else:
-            clusters.append([k])
-    return clusters
+    if mode not in ("auto", "exact", "float"):
+        raise ConfigError(f"unknown resonance mode {mode!r}")
+    if not eta >= 0:
+        raise ConfigError(f"resonance tolerance eta must be nonnegative, got {eta}")
+    is_frame = hasattr(frame, "geometry")
+    lam = check_ascending(frame.eigenvalues if is_frame else frame)
+    ints = _integer_frequencies(frame) if is_frame and mode != "float" else None
+    if ints is not None:
+        return ints, 0, (float(lam[-1] / ints[-1]) if ints[-1] != 0 else 1.0)
+    if mode == "exact":
+        raise UnsupportedModeError("exact arithmetic needs a square torus with V = 0")
+    return lam, eta * max(1.0, float(np.max(np.abs(lam)))), 1.0
+
+
+def eigenvalue_clusters(frame, eta=DEFAULT_ETA, mode="auto"):
+    """Partition mode indices into clusters of equal frequency: runs of adjacent
+    values of frequency_rule(frame, eta, mode) within its tol (transitive
+    closure along the sorted list)."""
+    values, tol, _ = frequency_rule(frame, eta, mode)
+    cuts = np.flatnonzero(np.abs(np.diff(values)) > tol) + 1
+    return [c.tolist() for c in np.split(np.arange(values.size), cuts)]
 
 
 # -- frequency enumeration (general frame) ---------------------------------
@@ -82,46 +96,32 @@ def _signed_sums(lam, pattern):
     return S
 
 
-def _comparison(lam, eta, integers):
-    """(values, tol, unit): signed sums of values match a target within tol, and
-    unit turns their gaps into frequencies.  Exact: (integer frequencies, 0,
-    lambda_max / int_max); float: (lambda, eta * max(1, max |lambda|), 1)."""
-    if integers is not None:
-        ints = np.asarray(integers, dtype=np.int64)
-        return ints, 0, (float(lam[-1] / ints[-1]) if ints[-1] != 0 else 1.0)
-    return lam, eta * max(1.0, float(np.max(np.abs(lam)))), 1.0
-
-
-def enumerate_frequency_resonances(eigenvalues, pattern, target, eta=DEFAULT_ETA,
-                                   integers=None):
+def enumerate_frequency_resonances(frame, pattern, target, eta=DEFAULT_ETA, mode="auto"):
     """Mode-index tuples whose signed frequency sum matches mode `target`.
 
     pattern is a tuple of +-1 signs, one per monomial slot (+1 for a plain
-    factor, -1 for a conjugated one).  Comparison is exact when scaled integer
-    frequencies are supplied, otherwise |deviation| <= eta * max(1, max lam).
-    Returns a read-only (n, len(pattern)) intp array, one tuple per row, in
-    lexicographic order.
+    factor, -1 for a conjugated one); frequencies are compared by
+    frequency_rule(frame, eta, mode).  Returns a read-only (n, len(pattern))
+    intp array, one tuple per row, in lexicographic order.
     """
-    lam = _check_sorted(eigenvalues)
+    values, tol, _ = frequency_rule(frame, eta, mode)
     if not pattern or any(s not in (-1, 1) for s in pattern):
         raise ConfigError(f"pattern must be nonempty +-1 signs, got {pattern!r}")
-    if not 0 <= target < lam.size:
+    if not 0 <= target < values.size:
         raise ConfigError(f"target index {target} out of range")
-    values, tol, _ = _comparison(lam, eta, integers)
     hits = np.argwhere(np.abs(_signed_sums(values, pattern) - values[target]) <= tol)
     hits.flags.writeable = False
     return hits
 
 
-def minimal_frequency_gap(eigenvalues, patterns, eta=DEFAULT_ETA, integers=None):
+def minimal_frequency_gap(frame, patterns, eta=DEFAULT_ETA, mode="auto"):
     """Smallest nonresonant |deviation| over all targets and slot tuples.
 
     This is the spectral gap that controls how slowly oscillatory means decay,
     so averaging windows are sized against it.  Returns inf when every
     combination is resonant.
     """
-    lam = _check_sorted(eigenvalues)
-    values, tol, unit = _comparison(lam, eta, integers)
+    values, tol, unit = frequency_rule(frame, eta, mode)
     best = math.inf
     for pattern in patterns:
         S = _signed_sums(values, pattern)
@@ -234,33 +234,23 @@ def _index_rows(tuples, pattern, target, modes):
 def build_resonance_table(frame, patterns=((1, -1, 1),), eta=DEFAULT_ETA, mode="auto"):
     """Enumerate clusters and resonant tuples of a frame for the given patterns.
 
-    mode "exact" demands the square-torus integer fast path and errors without
-    it; "float" always uses the eta tolerance; "auto" prefers exact arithmetic
-    when available.
+    Frequencies are compared by frequency_rule(frame, eta, mode).
     """
     patterns = tuple(tuple(int(s) for s in p) for p in patterns)
-    ints = integer_frequencies(frame)
-    if mode == "exact" and ints is None:
-        raise UnsupportedModeError("exact arithmetic needs a square torus with V = 0")
-    if mode == "float":
-        ints = None
-    elif mode not in ("auto", "exact"):
-        raise ConfigError(f"unknown resonance mode {mode!r}")
+    values, _, _ = frequency_rule(frame, eta, mode)
+    mode = "exact" if values.dtype.kind == "i" else "float"  # exact values are integers
     lam = frame.eigenvalues
-    resonances = {}
-    for pattern in patterns:
-        per_target = {}
-        for target in range(lam.size):
-            per_target[target] = enumerate_frequency_resonances(
-                lam, pattern, target, eta=eta, integers=ints)
-        resonances[pattern] = per_target
+    resonances = {pattern: {target: enumerate_frequency_resonances(frame, pattern, target,
+                                                                   eta, mode)
+                            for target in range(lam.size)}
+                  for pattern in patterns}
     return ResonanceTable(
         eigenvalues=lam.copy(),
         eta=eta,
-        mode="exact" if ints is not None else "float",
-        clusters=eigenvalue_clusters(lam, eta=eta, integers=ints),
+        mode=mode,
+        clusters=eigenvalue_clusters(frame, eta, mode),
         resonances=resonances,
-        gamma_min=minimal_frequency_gap(lam, patterns, eta=eta, integers=ints),
+        gamma_min=minimal_frequency_gap(frame, patterns, eta, mode),
         frame_hash=frame.content_hash(),
     )
 
@@ -299,8 +289,7 @@ def build_diffusion(frame, amplitudes):
         raise ConfigError(f"need {frame.modes} noise amplitudes, got shape {b.shape}")
     if np.any(b < 0):
         raise ConfigError("noise amplitudes must be nonnegative")
-    ints = integer_frequencies(frame)
-    clusters = eigenvalue_clusters(frame.eigenvalues, integers=ints)
+    clusters = eigenvalue_clusters(frame)
     full = (frame.eigenvectors * b ** 2) @ frame.eigenvectors.T
     A = np.zeros_like(full)
     B = np.zeros_like(full)

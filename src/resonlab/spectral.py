@@ -14,7 +14,7 @@ import math
 import numpy as np
 
 from .errors import ConfigError, ValidationError
-from .resonance import eigenvalue_clusters
+from .resonance import check_ascending, eigenvalue_clusters
 
 TWO_PI = 2.0 * math.pi
 
@@ -228,8 +228,7 @@ class SpectralFrame:
             raise ValidationError("frame arrays do not match the basis size")
         if not (np.isfinite(self.eigenvalues).all() and np.isfinite(self.eigenvectors).all()):
             raise ValidationError("frame eigenpairs are not finite")
-        if np.any(np.diff(self.eigenvalues) < -1e-12 * np.maximum(1.0, np.abs(self.eigenvalues[:-1]))):
-            raise ValidationError("eigenvalues are not ascending")
+        check_ascending(self.eigenvalues)
         gram = self.eigenvectors @ self.eigenvectors.T
         if float(np.max(np.abs(gram - np.eye(M)))) > ORTHONORMALITY_TOL:
             raise ValidationError("eigenvector rows are not orthonormal to tolerance")
@@ -247,8 +246,8 @@ class SpectralFrame:
 
     # -- grid tables ------------------------------------------------------
 
-    # Every cached table is read-only: the transforms, the drift assembly and
-    # the potential block share them.
+    # Every cached table is read-only: the fields, the drift assembly and the
+    # potential block share them.
 
     @cached_property
     def _grid_tables(self):
@@ -288,28 +287,6 @@ class SpectralFrame:
     @property
     def cell_volume(self):
         return self.geometry.cell_volume
-
-    # -- transforms -------------------------------------------------------
-
-    def from_coefficients(self, values):
-        """Mode coefficients (..., M) -> grid values (..., P)."""
-        return mode_vector(values) @ self._complex_tables[0]
-
-    def gradients_from_coefficients(self, values):
-        """Mode coefficients (..., M) -> per-axis grid derivatives, each (..., P)."""
-        v = mode_vector(values)
-        return [v @ g for g in self._complex_tables[2]]
-
-    def to_coefficients(self, u_grid):
-        """Grid values (..., P) -> mode coefficients (..., M).
-
-        Exact (to rounding) for functions in the span of the retained basis;
-        otherwise it returns the Galerkin projection of the grid data.
-        """
-        # scaling after the sum keeps the rounding of the trigonometric
-        # projection when Psi is the identity
-        u_grid = np.asarray(u_grid, dtype=complex)
-        return (u_grid @ self._complex_tables[1]) * self.cell_volume
 
     # -- serialization ----------------------------------------------------
 
@@ -462,7 +439,7 @@ def _fix_signs(psi):
     return psi
 
 
-# -- norms, actions, phases -----------------------------------------------
+# -- norms and sampling --------------------------------------------------
 
 def sobolev_norm(state, s, eigenvalues):
     """Weighted l2 norm with weights |lambda_k|^s + 1 (so s=0 weighs every mode by 2)."""
@@ -475,12 +452,6 @@ def sobolev_norm(state, s, eigenvalues):
     return np.sqrt(np.sum(w * np.abs(v) ** 2, axis=-1))
 
 
-def actions(state):
-    """Per-mode actions I_k = |v_k|^2 / 2."""
-    v = mode_vector(state)
-    return 0.5 * np.abs(v) ** 2
-
-
 def action_distance(actions_a, actions_b, s, eigenvalues):
     """Weighted l1 distance sum_k 2(|lambda_k|^s + 1)|I_k - I'_k|.
 
@@ -491,12 +462,6 @@ def action_distance(actions_a, actions_b, s, eigenvalues):
     w = 2.0 * (np.abs(np.asarray(eigenvalues, dtype=float)) ** s + 1.0)
     diff = np.abs(np.asarray(actions_a, dtype=float) - np.asarray(actions_b, dtype=float))
     return np.sum(w * diff, axis=-1)
-
-
-def phase_shift(state, theta):
-    """Rotate each mode: v_k -> exp(i theta_k) v_k.  Isometry in every mode norm."""
-    v = mode_vector(state)
-    return v * np.exp(1j * np.asarray(theta, dtype=float))
 
 
 def sample_ball(frame, s, radius, rng):

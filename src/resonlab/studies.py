@@ -23,7 +23,7 @@ from .integrators import (NOISE_CONVENTION, SolverConfig, ensemble_full,
                           integrate_effective_stochastic, integrate_full,
                           integrate_full_stochastic)
 from .io import (REPORT_SCHEMA, content_hash, ensemble_hash, trajectory_hash)
-from .resonance import integer_frequencies, minimal_frequency_gap
+from .resonance import minimal_frequency_gap
 from .spectral import action_distance, sample_ball
 
 __all__ = [
@@ -84,9 +84,12 @@ class StudyConfig:
             raise ConfigError("need initials >= 1, members >= 2, tracked_modes >= 1")
         if self.batches < 4 or not (self.burn_in >= 0) or not (self.batch_length > 0):
             raise ConfigError("stationary averaging needs batches >= 4, burn_in >= 0, batch_length > 0")
+        windows = tuple(float(w) for w in self.windows)
+        if any(not 0.0 < w < math.inf for w in windows):
+            raise ConfigError(f"averaging windows must be positive and finite, got {windows}")
         object.__setattr__(self, "epsilons", eps)
         object.__setattr__(self, "compare_taus", tuple(float(t) for t in self.compare_taus))
-        object.__setattr__(self, "windows", tuple(float(w) for w in self.windows))
+        object.__setattr__(self, "windows", windows)
 
     def solver(self, **overrides):
         base = SolverConfig(epsilon=1.0, tau_end=self.tau_end, dt=self.dt,
@@ -281,7 +284,7 @@ def study_operator_convergence(frame, cfg):
     window to the last.
     """
     lam = frame.eigenvalues
-    min_gap = minimal_frequency_gap(lam, ((1,),), integers=integer_frequencies(frame))
+    min_gap = minimal_frequency_gap(frame, ((1,),))
     shortest = 5.3 * 2.0 * math.pi / (min_gap if math.isfinite(min_gap) else 1.0)
     windows = cfg.windows or tuple(shortest * 2.0 ** j for j in range(4))
     states = _initial_states(frame, cfg)
@@ -394,22 +397,23 @@ def study_stochastic_actions(frame, spec, table, noise, diffusion, cfg):
 
 def _stationary_battery(frame, tracked):
     """Actions, squared actions, resonant quartic monomials (zero frequency
-    sum), split into real series; plus the index pair for the nonresonant
-    invariance proxy."""
-    lam = frame.eigenvalues
+    sum), split into real series; plus the first index pair a < b whose
+    v_a conj(v_b) is nonresonant, for the invariance proxy."""
     battery = [(f"I_{k}", action_observable(k), "re") for k in range(tracked)]
     for k in range(tracked):
         battery.append((f"I_{k}_sq", Observable(((0.25, ((k, 2),), ((k, 2),)),)), "re"))
     if frame.modes > 2:
         battery.append(("quartic_resonant",
                         monomial_observable(1.0, v=(1, 2), vbar=(1, 2)), "re"))
-    if frame.modes > 4 and abs(lam[1] - lam[2]) < 1e-9 and abs(lam[3] - lam[4]) < 1e-9:
-        # cross quartic v1 conj(v2) v3 conj(v4): resonant but genuinely complex
-        cross = monomial_observable(1.0, v=(1, 3), vbar=(2, 4))
+    # cross quartic v1 conj(v2) v3 conj(v4): when resonant, genuinely complex
+    cross = monomial_observable(1.0, v=(1, 3), vbar=(2, 4))
+    if frame.modes > 4 and cross.detunings(frame)[0] is None:
         battery.append(("quartic_cross_re", cross, "re"))
         battery.append(("quartic_cross_im", cross, "im"))
-    nonresonant = [(a, b) for a in range(frame.modes) for b in range(frame.modes)
-                   if a < b and abs(lam[a] - lam[b]) > 1e-9]
+    pairs = [(a, b) for a in range(frame.modes) for b in range(a + 1, frame.modes)]
+    gaps = Observable(tuple((1.0, ((a, 1),), ((b, 1),)) for a, b in pairs)).detunings(frame)
+    nonresonant = next((pair for pair, gap in zip(pairs, gaps) if gap is not None),
+                       (0, min(1, frame.modes - 1)))
     return battery, nonresonant
 
 
@@ -459,7 +463,7 @@ def study_stationary_measure(frame, spec, table, noise, diffusion, cfg):
     samples = max(cfg.samples, 16 * cfg.batches + 1)
     base = cfg.solver(scheme="expeuler", tau_end=tau_end, samples=samples)
     tracked = min(cfg.tracked_modes, frame.modes)
-    battery, nonresonant_pairs = _stationary_battery(frame, tracked)
+    battery, (a, b) = _stationary_battery(frame, tracked)
     runs = {}
 
     eff_cfg = replace(base, dt=min(5e-3, base.dt * 2))
@@ -504,7 +508,6 @@ def study_stationary_measure(frame, spec, table, noise, diffusion, cfg):
         agree_rows.append([float(eps), total])
 
     # rotation-invariance proxy under the effective stationary state
-    a, b = nonresonant_pairs[0] if nonresonant_pairs else (0, min(1, frame.modes - 1))
     mono = monomial_observable(1.0, v=(a,), vbar=(b,))
     mmean, mse, mmeans = _batch_means(mono(eff.states), eff.taus, cfg.burn_in,
                                       cfg.batches, cfg.batch_length)

@@ -124,6 +124,19 @@ def test_unknown_config_key_is_an_error(workspace, tmp_path, capsys):
                     "scheme": "expeuler"}))
         assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "n")]) == 1
         assert "decay" in capsys.readouterr().err
+    # a nonlinearity key its kind does not write: spec, term, factor, gamma entry
+    one = {"re": 1.0, "im": 0.0, "factors": [{"conjugate": False}]}
+    for key, nonlinearity in (
+            ("derivatve", {"kind": "polynomial", "mu": 0.5,
+                           "terms": [{**one, "factors": [{"derivatve": 0}]}]}),
+            ("power", {"kind": "polynomial", "mu": 0.5, "terms": [{**one, "power": 2}]}),
+            ("gr", {"kind": "cubic_focusing", "mu": 0.5, "gr": 1.0}),
+            ("imag", {"kind": "diagonal", "mu": 0.5,
+                      "gammas": [{"re": -1.0, "im": 0.0, "imag": 1.0}] * 5})):
+        cfg = write_config(workspace["dir"] / "nonlinearity.json", _simulate_config(
+            workspace, nonlinearity=nonlinearity))
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "p")]) == 1
+        assert key in capsys.readouterr().err
 
 
 def test_missing_frame_file_is_actionable(workspace, tmp_path, capsys):

@@ -225,18 +225,6 @@ def test_diagonal_spec_needs_one_coefficient_per_mode(frame_1d_5):
         integrate_full(a0, spec, frame_1d_5, cfg)
 
 
-def test_physical_states_rotate_back(frame_1d_5):
-    a0 = sample_ball(frame_1d_5, 2.0, 1.0, np.random.default_rng(35))
-    cfg = SolverConfig(epsilon=0.5, tau_end=0.5, dt=5e-3, samples=3)
-    traj = integrate_full(a0, CUBIC, frame_1d_5, cfg)
-    phys = traj.physical_states(frame_1d_5.eigenvalues)
-    assert np.allclose(np.abs(phys), np.abs(traj.states), atol=1e-14)
-    assert np.allclose(phys[0], traj.states[0], atol=1e-14)
-    lam = frame_1d_5.eigenvalues
-    back = np.exp(1j * (traj.taus[-1] / 0.5) * lam) * phys[-1]
-    assert np.allclose(back, traj.states[-1], atol=1e-12)
-
-
 # -- blow-up handling -------------------------------------------------------
 
 def test_deterministic_blow_up_raises(frame_1d_5):

@@ -14,7 +14,7 @@ from resonlab.resonance import (
     build_resonance_table,
     eigenvalue_clusters,
     enumerate_frequency_resonances,
-    integer_frequencies,
+    frequency_rule,
     minimal_frequency_gap,
 )
 from resonlab.spectral import Potential, SpectralFrame, TorusGeometry, build_frame, trig_basis
@@ -37,9 +37,9 @@ def brute_force_frequency(lam, pattern, target, eta):
 # -- clusters --------------------------------------------------------------
 
 def test_exact_clusters(frame_1d_5):
-    ints = integer_frequencies(frame_1d_5)
-    assert ints is not None and list(ints) == [0, 1, 1, 4, 4]
-    assert eigenvalue_clusters(frame_1d_5.eigenvalues, integers=ints) == [[0], [1, 2], [3, 4]]
+    ints, tol, unit = frequency_rule(frame_1d_5)
+    assert ints.tolist() == [0, 1, 1, 4, 4] and tol == 0 and unit == 1.0
+    assert eigenvalue_clusters(frame_1d_5, mode="exact") == [[0], [1, 2], [3, 4]]
 
 
 def test_near_degenerate_merging():
@@ -48,15 +48,45 @@ def test_near_degenerate_merging():
     assert eigenvalue_clusters(lam, eta=1e-14) == [[0], [1], [2]]
 
 
+@pytest.mark.parametrize("name", ["frame_1d_5", "frame_1d_9", "frame_1d_9_cos",
+                                  "frame_2d_9", "frame_2d_25", None])
+def test_clusters_are_linear_resonances(name, request):
+    # j shares target t's cluster exactly when (j,) is a pattern-(1,) resonance
+    # of t.  None plants 1 and 1 + 1e-6 on a spectrum reaching 1000: they are
+    # one frequency within DEFAULT_ETA * max(1, max |lambda|) = 1e-5, though a
+    # per-eigenvalue tolerance 1e-8 * |lambda_k| would keep them apart.
+    if name is None:
+        lam = np.array([0.0, 1.0, 1.0 + 1e-6, 4.0, 1000.0])
+        cases = [(eigenvalue_clusters(lam),
+                  {t: enumerate_frequency_resonances(lam, (1,), t) for t in range(lam.size)})]
+        assert cases[0][0] == [[0], [1, 2], [3], [4]]
+    else:
+        frame = request.getfixturevalue(name)
+        cases = []
+        for mode in ("float", "exact"):
+            if mode == "exact" and not frame.potential.is_zero:
+                continue
+            table = build_resonance_table(frame, patterns=((1,),), mode=mode)
+            cases.append((table.clusters, table.resonances[(1,)]))
+    for clusters, linear in cases:
+        assert sorted(t for cluster in clusters for t in cluster) == list(range(len(linear)))
+        for cluster in clusters:
+            for t in cluster:
+                assert [j for (j,) in linear[t].tolist()] == cluster
+
+
 def test_clusters_reject_unsorted():
     with pytest.raises(ValidationError):
         eigenvalue_clusters(np.array([1.0, 0.5]))
 
 
 def test_integer_fast_path_requires_square_flat_torus(frame_1d_9_cos):
-    assert integer_frequencies(frame_1d_9_cos) is None
     rect = build_frame(TorusGeometry((TAU, TAU / 2), 16), Potential.zero(), 9)
-    assert integer_frequencies(rect) is None
+    for frame in (frame_1d_9_cos, rect):
+        values, tol, unit = frequency_rule(frame)
+        assert values is frame.eigenvalues and tol > 0 and unit == 1.0
+        with pytest.raises(UnsupportedModeError):
+            frequency_rule(frame, mode="exact")
 
 
 # -- frequency enumeration -------------------------------------------------
@@ -113,16 +143,14 @@ def test_eta_monotonicity(seed):
 
 
 def test_minimal_gap_integer_case(frame_1d_9):
-    ints = integer_frequencies(frame_1d_9)
-    gap = minimal_frequency_gap(frame_1d_9.eigenvalues, [(1, -1, 1)], integers=ints)
+    gap = minimal_frequency_gap(frame_1d_9, [(1, -1, 1)], mode="exact")
     assert gap == 1.0
 
 
 def test_minimal_gap_scales_with_torus_size():
     frame = build_frame(TorusGeometry((2 * TAU,), 32), Potential.zero(), 5)
-    ints = integer_frequencies(frame)
-    assert ints is not None and list(ints) == [0, 1, 1, 4, 4]
-    gap = minimal_frequency_gap(frame.eigenvalues, [(1, -1, 1)], integers=ints)
+    assert frequency_rule(frame, mode="exact")[0].tolist() == [0, 1, 1, 4, 4]
+    gap = minimal_frequency_gap(frame, [(1, -1, 1)], mode="exact")
     assert gap == pytest.approx(0.25, rel=1e-12)  # (2 pi / L)^2 = 1/4
 
 

@@ -57,3 +57,15 @@ def test_benchmark_trace_mode_finds_every_wrapped_name():
     result = subprocess.run([sys.executable, "-c", code], cwd=ROOT, capture_output=True,
                             text=True, env=dict(os.environ, PYTHONPATH="src"), timeout=120)
     assert result.returncode == 0, result.stderr
+
+
+def test_benchmark_ladder_row_runs():
+    # benchmark/ladder.py calls resonlab functions by name; one row at the
+    # smallest size, each timing taken once, fails here when an API change
+    # drops a name it calls.  A child process keeps benchmark/ off sys.path.
+    code = ("import sys; sys.path.insert(0, 'benchmark'); import ladder; "
+            "ladder.BUDGET_S = 0; row, points = ladder.ladder_row(1, 9, 32); "
+            "assert sorted(row) == sorted(k for k, _ in ladder.COLUMNS) and points == 32")
+    result = subprocess.run([sys.executable, "-c", code], cwd=ROOT, capture_output=True,
+                            text=True, env=dict(os.environ, PYTHONPATH="src"), timeout=120)
+    assert result.returncode == 0, result.stderr

@@ -1,4 +1,4 @@
-"""Spectral frame construction, transforms, norms, and serialization."""
+"""Spectral frame construction, grid tables, norms, and serialization."""
 
 import json
 
@@ -9,15 +9,14 @@ from hypothesis import given, settings, strategies as st
 from resonlab import spectral
 from resonlab.errors import ConfigError, ValidationError
 from resonlab.fields import Field, eval_P
+from resonlab.integrators import Trajectory
 from resonlab.nonlinearity import NonlinearitySpec
 from resonlab.spectral import (
     Potential,
     SpectralFrame,
     TorusGeometry,
     action_distance,
-    actions,
     build_frame,
-    phase_shift,
     sample_ball,
     sobolev_norm,
     trig_basis,
@@ -142,28 +141,29 @@ def test_rejects_non_hermitian_potential():
         Potential((((1,), 0.1 + 0.0j),))  # missing mirror coefficient
 
 
-# -- transforms ------------------------------------------------------------
+# -- grid tables -----------------------------------------------------------
 
 def test_round_trip_on_span(frame_1d_9_cos):
     rng = np.random.default_rng(7)
     v = rng.standard_normal(9) + 1j * rng.standard_normal(9)
-    u = frame_1d_9_cos.from_coefficients(v)
-    back = frame_1d_9_cos.to_coefficients(u)
+    Z = frame_1d_9_cos.eigenfunction_values
+    u = v @ Z
+    back = (u @ Z.T) * frame_1d_9_cos.cell_volume
     assert np.max(np.abs(back - v)) < 1e-12
 
 
 def test_coefficients_match_quadrature_oracle(frame_1d_9_cos):
     rng = np.random.default_rng(11)
     v = rng.standard_normal(9) + 1j * rng.standard_normal(9)
-    u = frame_1d_9_cos.from_coefficients(v)
     Z = frame_1d_9_cos.eigenfunction_values
+    u = v @ Z
     for k in range(9):
         ip = quadrature_inner_product(u, Z[k], frame_1d_9_cos.geometry)
         assert abs(ip - v[k]) < 1e-12
 
 
 def test_cached_frame_tables_are_read_only(frame_1d_9_cos):
-    # transforms, drift assembly and the potential block share these arrays
+    # fields, drift assembly and the potential block share these arrays
     frame = frame_1d_9_cos
     tables = [frame.eigenfunction_values, *frame.eigenfunction_gradients, frame.potential_values,
               frame._complex_tables[0], frame._complex_tables[1], *frame._complex_tables[2]]
@@ -175,7 +175,7 @@ def test_cached_frame_tables_are_read_only(frame_1d_9_cos):
 def test_parseval_on_grid(frame_2d_9):
     rng = np.random.default_rng(3)
     v = rng.standard_normal(9) + 1j * rng.standard_normal(9)
-    u = frame_2d_9.from_coefficients(v)
+    u = v @ frame_2d_9.eigenfunction_values
     l2 = np.sum(np.abs(u) ** 2) * frame_2d_9.cell_volume
     assert abs(l2 - np.sum(np.abs(v) ** 2)) < 1e-12
 
@@ -216,10 +216,10 @@ def test_phase_shift_is_isometry_and_additive(v, seed):
     theta2 = rng.uniform(-10, 10, 9)
     lam = np.array([0., 1, 1, 4, 4, 9, 9, 16, 16])
     for s in (0.0, 1.0, 2.0):
-        assert sobolev_norm(phase_shift(v, theta1), s, lam) == pytest.approx(
+        assert sobolev_norm(v * np.exp(1j * theta1), s, lam) == pytest.approx(
             sobolev_norm(v, s, lam), rel=1e-12)
-    composed = phase_shift(phase_shift(v, theta1), theta2)
-    direct = phase_shift(v, theta1 + theta2)
+    composed = v * np.exp(1j * theta1) * np.exp(1j * theta2)
+    direct = v * np.exp(1j * (theta1 + theta2))
     assert np.max(np.abs(composed - direct)) < 1e-12
 
 
@@ -229,7 +229,7 @@ def test_action_norm_identity(v):
     lam = np.array([0., 1, 1, 4, 4, 9, 9, 16, 16])
     for s in (0.0, 1.6, 2.0):
         lhs = sobolev_norm(v, s, lam) ** 2
-        rhs = action_distance(actions(v), np.zeros(9), s, lam)
+        rhs = action_distance(0.5 * np.abs(v) ** 2, np.zeros(9), s, lam)
         assert lhs == pytest.approx(rhs, rel=1e-12)
 
 
@@ -237,13 +237,14 @@ def test_action_norm_identity(v):
 @given(complex_vectors, st.integers(0, 2 ** 32 - 1))
 def test_actions_invariant_under_phase(v, seed):
     theta = np.random.default_rng(seed).uniform(-20, 20, 9)
-    assert np.max(np.abs(actions(phase_shift(v, theta)) - actions(v))) < 1e-12
+    actions = Trajectory(np.zeros(2), np.stack([v * np.exp(1j * theta), v]), "lawson4").actions()
+    assert np.max(np.abs(actions[0] - actions[1])) < 1e-12
 
 
 def test_actions_nonnegative(frame_1d_9):
     rng = np.random.default_rng(5)
     v = sample_ball(frame_1d_9, 2.0, 1.0, rng)
-    assert np.all(actions(v) >= 0)
+    assert np.all(0.5 * np.abs(v) ** 2 >= 0)
     assert sobolev_norm(v, 2.0, frame_1d_9.eigenvalues) == pytest.approx(1.0)
 
 

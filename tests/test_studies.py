@@ -51,6 +51,14 @@ def test_config_rejects_unknown_study_and_bad_exponents():
         StudyConfig("converge", s1=2.0, s_star=2.0)
 
 
+def test_config_rejects_infinite_and_nonpositive_windows():
+    # an infinite window used to reach the quadrature and die in OverflowError
+    for bad in (float("inf"), float("nan"), 0.0, -1.0):
+        with pytest.raises(ConfigError, match="windows"):
+            StudyConfig.from_document({"study": "operator", "windows": [10.0, bad]})
+    assert StudyConfig("operator", windows=[10.0, 20.0]).windows == (10.0, 20.0)
+
+
 def test_config_document_round_trip():
     cfg = StudyConfig("stochastic", epsilons=(0.2, 0.05), members=64, seed=5,
                       initial_seed=17, compare_taus=(0.5, 1.0))
