@@ -13,6 +13,8 @@ import os
 import sys
 
 from . import __version__
+from .errors import (BlowUpError, ConfigError, EnsembleError, StaleArtifactError,
+                     UnsupportedModeError, ValidationError)
 
 _THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
                 "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS")
@@ -47,10 +49,9 @@ config file keys (JSON, one object; unknown keys anywhere are errors):
 _SECTION_KEYS = {
     "geometry": {"lengths", "grid_points"},
     "potential": {"cosines"},
-    "frame_ref": {"file", "sha256"},
+    "artifact_ref": {"file", "sha256"},
     "frame_inline": {"geometry", "potential", "modes"},
     "resonance": {"patterns", "eta", "mode"},
-    "table_ref": {"file", "sha256"},
     "initial": {"radius", "s", "seed", "re", "im"},
     "noise": {"amplitudes", "scale", "decay", "eigenvalue_power"},
 }
@@ -103,7 +104,6 @@ def _fail(message):
 
 
 def _check_keys(name, doc, allowed, required=()):
-    from .errors import ConfigError
     if not isinstance(doc, dict):
         raise ConfigError(f"config section {name!r} must be an object")
     unknown = sorted(set(doc) - set(allowed))
@@ -135,22 +135,28 @@ def _build_potential(section, dimension):
     return Potential.from_cosines(terms, dimension=dimension)
 
 
+def _read_reference(section, base_dir, what, command):
+    """The document a {file, sha256} reference pins; `command` makes the file."""
+    from .io import read_json
+    _check_keys(what, section, _SECTION_KEYS["artifact_ref"],
+                required=("file", "sha256"))
+    path = os.path.join(base_dir, section["file"])
+    if not os.path.exists(path):
+        raise ConfigError(f"{what} file {path} not found; "
+                          f"run `resonlab {command}` to create it")
+    try:
+        return read_json(path, sha256=section["sha256"])
+    except StaleArtifactError as exc:
+        raise StaleArtifactError(f"{what} {exc}") from None
+
+
 def _load_frame(section, base_dir):
-    from .errors import ConfigError
-    from .io import check_frame_reference, read_json
     from .spectral import SpectralFrame, build_frame
     if section is None:
         raise ConfigError("config needs a 'frame' section")
     if "file" in section:
-        _check_keys("frame", section, _SECTION_KEYS["frame_ref"],
-                    required=("file", "sha256"))
-        path = os.path.join(base_dir, section["file"])
-        if not os.path.exists(path):
-            raise ConfigError(f"frame file {path} not found; "
-                              f"run `resonlab basis` to create it")
-        frame = SpectralFrame.from_document(read_json(path))
-        check_frame_reference(frame, section["sha256"], what="frame")
-        return frame
+        return SpectralFrame.from_document(
+            _read_reference(section, base_dir, "frame", "basis"))
     _check_keys("frame", section, _SECTION_KEYS["frame_inline"],
                 required=("geometry", "modes"))
     geometry = _build_geometry(section["geometry"])
@@ -159,25 +165,11 @@ def _load_frame(section, base_dir):
 
 
 def _load_table(section, frame, base_dir):
-    import hashlib
-    import json
-    from .errors import ConfigError, StaleArtifactError
-    from .io import check_frame_reference
     from .resonance import ResonanceTable
     if section is None:
         return None
-    _check_keys("table", section, _SECTION_KEYS["table_ref"],
-                required=("file", "sha256"))
-    path = os.path.join(base_dir, section["file"])
-    if not os.path.exists(path):
-        raise ConfigError(f"table file {path} not found; "
-                          f"run `resonlab resonances` to create it")
-    with open(path, "rb") as fh:
-        data = fh.read()
-    table = ResonanceTable.from_document(json.loads(data))
-    # a canonical file's bytes without the final newline hash to its content hash
-    if hashlib.sha256(data.removesuffix(b"\n")).hexdigest() != section["sha256"]:
-        check_frame_reference(table, section["sha256"], what="table")
+    table = ResonanceTable.from_document(
+        _read_reference(section, base_dir, "table", "resonances"))
     if table.frame_hash is not None and table.frame_hash != frame.content_hash():
         raise StaleArtifactError(
             "resonance table was built for a different frame; rebuild it")
@@ -185,7 +177,6 @@ def _load_table(section, frame, base_dir):
 
 
 def _build_solver(section):
-    from .errors import ConfigError
     from .integrators import SolverConfig
     if section is None:
         raise ConfigError("config needs a 'solver' section")
@@ -196,7 +187,6 @@ def _build_solver(section):
 
 def _build_initial(section, frame):
     import numpy as np
-    from .errors import ConfigError
     from .spectral import sample_ball
     if section is None:
         raise ConfigError("config needs an 'initial' section")
@@ -216,7 +206,6 @@ def _build_initial(section, frame):
 
 def _build_noise(section, frame):
     import numpy as np
-    from .errors import ConfigError
     from .integrators import NoiseModel
     if section is None:
         return None
@@ -270,7 +259,7 @@ def _spectrum_summary(frame):
 
 
 def _cmd_basis(args, config, base_dir):
-    from .io import file_hash, write_json
+    from .io import write_json, write_text
     _check_keys("config", config, _COMMAND_KEYS["basis"],
                 required=("geometry", "modes"))
     geometry = _build_geometry(config["geometry"])
@@ -278,13 +267,10 @@ def _cmd_basis(args, config, base_dir):
     from .spectral import build_frame
     frame = build_frame(geometry, potential, int(config["modes"]))
     os.makedirs(args.out, exist_ok=True)
-    frame_path = os.path.join(args.out, "frame.json")
-    write_json(frame_path, frame.to_document())
-    summary_path = os.path.join(args.out, "spectrum.txt")
-    with open(summary_path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(_spectrum_summary(frame))
-    outputs = {"frame.json": file_hash(frame_path),
-               "spectrum.txt": file_hash(summary_path)}
+    outputs = {"frame.json": write_json(os.path.join(args.out, "frame.json"),
+                                        frame.to_document()),
+               "spectrum.txt": write_text(os.path.join(args.out, "spectrum.txt"),
+                                          _spectrum_summary(frame))}
     _write_manifest(args, config, outputs)
     if args.verbose:
         print(f"frame content sha256: {frame.content_hash()}")
@@ -292,7 +278,7 @@ def _cmd_basis(args, config, base_dir):
 
 
 def _cmd_resonances(args, config, base_dir):
-    from .io import file_hash, write_json
+    from .io import write_json
     from .resonance import build_resonance_table
     _check_keys("config", config, _COMMAND_KEYS["resonances"],
                 required=("frame", "resonance"))
@@ -308,9 +294,8 @@ def _cmd_resonances(args, config, base_dir):
         kwargs["mode"] = section["mode"]
     table = build_resonance_table(frame, **kwargs)
     os.makedirs(args.out, exist_ok=True)
-    table_path = os.path.join(args.out, "table.json")
-    write_json(table_path, table.to_document())
-    _write_manifest(args, config, {"table.json": file_hash(table_path)})
+    digest = write_json(os.path.join(args.out, "table.json"), table.to_document())
+    _write_manifest(args, config, {"table.json": digest})
     if args.verbose:
         print(f"table content sha256: {table.content_hash()}")
     return 0
@@ -325,10 +310,9 @@ def _resolve_seed(args, config):
 
 
 def _cmd_trajectory(args, config, base_dir, effective):
-    from .errors import ConfigError
     from .integrators import (integrate_effective, integrate_effective_stochastic,
                               integrate_full, integrate_full_stochastic)
-    from .io import file_hash, save_trajectory
+    from .io import save_trajectory
     from .nonlinearity import NonlinearitySpec
     from .resonance import build_diffusion
     command = "effective" if effective else "simulate"
@@ -344,8 +328,6 @@ def _cmd_trajectory(args, config, base_dir, effective):
     seed = _resolve_seed(args, config)
 
     if noise is not None and not noise.is_zero:
-        if seed is None:
-            raise ConfigError("stochastic runs need a seed (config key or --seed)")
         if effective:
             diffusion = build_diffusion(frame, noise.array())
             traj = integrate_effective_stochastic(v0, spec, frame, solver,
@@ -358,16 +340,15 @@ def _cmd_trajectory(args, config, base_dir, effective):
         traj = integrate_full(v0, spec, frame, solver)
 
     os.makedirs(args.out, exist_ok=True)
-    traj_path = os.path.join(args.out, "trajectory.jsonl")
-    save_trajectory(traj_path, traj, config=solver)
-    _write_manifest(args, config, {"trajectory.jsonl": file_hash(traj_path)})
+    digest = save_trajectory(os.path.join(args.out, "trajectory.jsonl"), traj,
+                             config=solver)
+    _write_manifest(args, config, {"trajectory.jsonl": digest})
     if args.verbose:
         print(f"samples: {len(traj.taus)}, final tau {traj.taus[-1]:g}")
     return 0
 
 
 def _cmd_study(args, config, base_dir):
-    from .errors import ConfigError
     from .io import write_report
     from .nonlinearity import NonlinearitySpec
     from .resonance import build_diffusion
@@ -379,9 +360,9 @@ def _cmd_study(args, config, base_dir):
     if section["study"] != args.kind:
         raise ConfigError(f"config study {section['study']!r} does not match "
                           f"the requested kind {args.kind!r}")
-    cfg = StudyConfig.from_document(section)
     if args.seed is not None:
-        cfg = StudyConfig.from_document({**section, "seed": int(args.seed)})
+        section["seed"] = int(args.seed)
+    cfg = StudyConfig.from_document(section)
     frame = _load_frame(config["frame"], base_dir)
     table = _load_table(config.get("table"), frame, base_dir)
     spec = (NonlinearitySpec.from_document(config["nonlinearity"])
@@ -400,7 +381,6 @@ def _cmd_study(args, config, base_dir):
 
 
 def _dispatch(args):
-    from .errors import ConfigError
     from .io import read_json
     if not os.path.exists(args.config):
         raise ConfigError(f"config file {args.config} not found")
@@ -431,9 +411,6 @@ def main(argv=None):
         for var in _THREAD_VARS:
             os.environ[var] = str(args.threads)
 
-    from .errors import (BlowUpError, ConfigError, EnsembleError,
-                         StaleArtifactError, UnsupportedModeError,
-                         ValidationError)
     try:
         return _dispatch(args)
     except (ConfigError, StaleArtifactError, UnsupportedModeError,

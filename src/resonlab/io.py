@@ -1,17 +1,21 @@
-"""Artifact serialization: canonical JSON, trajectory JSON-lines, CSV tables.
+"""Artifact bytes and their sha256: canonical JSON, trajectory JSON-lines,
+CSV tables and plain text.
 
-All hashes are sha256.  Two kinds appear: content hashes of canonical JSON
-documents (stable across reformatting, used to link artifacts together) and
-raw file hashes (used by manifests to pin output bytes).  A JSON artifact is
-its document's canonical bytes plus a newline, so the two hashes of one
-artifact differ only by that newline.  Floats are written
-through Python's shortest round-trip repr, so reading a file back reproduces
-the exact binary values.
+One loop turns an artifact's byte chunks into a sha256 and, given a path,
+writes them: every writer returns the digest of what it wrote, and
+`content_hash`, `trajectory_hash` and `ensemble_hash` are the same loop with
+no path.  A JSON artifact is its document's canonical bytes plus a newline,
+so the file without that newline hashes to the content hash that links
+artifacts together; `read_json(path, sha256)` checks such a pin.  Floats are
+written through Python's shortest round-trip repr, so reading a file back
+reproduces the exact binary values.
 """
 
+import contextlib
 import csv
 from dataclasses import dataclass, field
 import hashlib
+from io import StringIO
 import json
 import os
 
@@ -25,34 +29,58 @@ REPORT_SCHEMA = "resonlab-report-v1"
 MANIFEST_SCHEMA = "resonlab-manifest-v2"
 
 
+def _digest(chunks, path=None):
+    """sha256 of the concatenated byte `chunks`, written to `path` if given."""
+    digest = hashlib.sha256()
+    with open(path, "wb") if path is not None else contextlib.nullcontext() as fh:
+        for chunk in chunks:
+            digest.update(chunk)
+            if fh is not None:
+                fh.write(chunk)
+    return digest.hexdigest()
+
+
 def canonical_bytes(doc):
     """Compact single-line JSON; key order is the document's construction order."""
     return json.dumps(doc, separators=(",", ":"), allow_nan=False).encode()
 
 
 def content_hash(doc):
-    return hashlib.sha256(canonical_bytes(doc)).hexdigest()
+    return _digest((canonical_bytes(doc),))
 
 
 def file_hash(path):
-    digest = hashlib.sha256()
+    """sha256 of a file's bytes as they are on disk."""
     with open(path, "rb") as fh:
-        for block in iter(lambda: fh.read(1 << 20), b""):
-            digest.update(block)
-    return digest.hexdigest()
+        return _digest(iter(lambda: fh.read(1 << 20), b""))
 
 
 def write_json(path, doc):
-    """One line of canonical bytes: the file's sha256 without its final
-    newline is content_hash(doc).  A refused document writes nothing."""
-    data = canonical_bytes(doc) + b"\n"
-    with open(path, "wb") as fh:
-        fh.write(data)
+    """One line of canonical bytes; returns the file's sha256.  The bytes
+    without the final newline hash to content_hash(doc).  A refused document
+    writes nothing."""
+    return _digest((canonical_bytes(doc), b"\n"), path)
 
 
-def read_json(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+def write_text(path, text):
+    """UTF-8 text as given; returns the file's sha256."""
+    return _digest((text.encode(),), path)
+
+
+def read_json(path, sha256=None):
+    """The document in a JSON file, read once.  With a `sha256` pin, the
+    bytes without the final newline, or else the parsed document's content
+    hash, must match it; StaleArtifactError otherwise."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    doc = json.loads(data)
+    if sha256 is not None and _digest((data.removesuffix(b"\n"),)) != sha256:
+        actual = content_hash(doc)
+        if actual != sha256:
+            raise StaleArtifactError(
+                f"hash {actual[:12]}... of {path} does not match the referenced "
+                f"{sha256[:12]}...; rebuild the artifact")
+    return doc
 
 
 # -- trajectories -----------------------------------------------------------
@@ -69,7 +97,7 @@ def _trajectory_lines(trajectory, config=None):
         "noise_convention": NOISE_CONVENTION,
         "config": None if config is None else config.to_document(),
     }
-    yield json.dumps(header, separators=(",", ":"), allow_nan=False) + "\n"
+    yield canonical_bytes(header) + b"\n"
     acts = trajectory.actions()
     for i, tau in enumerate(trajectory.taus):
         row = {
@@ -78,21 +106,18 @@ def _trajectory_lines(trajectory, config=None):
             "im": trajectory.states[i].imag.tolist(),
             "actions": acts[i].tolist(),
         }
-        yield json.dumps(row, separators=(",", ":"), allow_nan=False) + "\n"
+        yield canonical_bytes(row) + b"\n"
 
 
 def save_trajectory(path, trajectory, config=None):
-    """JSON-lines: a header record, then one record per sample."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.writelines(_trajectory_lines(trajectory, config))
+    """JSON-lines: a header record, then one record per sample; returns the
+    file's sha256."""
+    return _digest(_trajectory_lines(trajectory, config), path)
 
 
 def trajectory_hash(trajectory, config=None):
     """sha256 of the exact bytes save_trajectory would emit."""
-    digest = hashlib.sha256()
-    for line in _trajectory_lines(trajectory, config):
-        digest.update(line.encode("utf-8"))
-    return digest.hexdigest()
+    return _digest(_trajectory_lines(trajectory, config))
 
 
 def load_trajectory(path):
@@ -118,39 +143,38 @@ _ENSEMBLE_COLUMNS = ("tau", "k", "mean_I", "var_I", "stderr_I")
 
 
 def _ensemble_lines(result):
-    yield ",".join(_ENSEMBLE_COLUMNS) + "\n"
+    yield (",".join(_ENSEMBLE_COLUMNS) + "\n").encode()
     modes = result.mean_actions.shape[1]
     for i, tau in enumerate(result.taus):
         for k in range(modes):
             yield ",".join([repr(float(tau)), str(k),
                             repr(float(result.mean_actions[i, k])),
                             repr(float(result.var_actions[i, k])),
-                            repr(float(result.stderr_actions[i, k]))]) + "\n"
+                            repr(float(result.stderr_actions[i, k]))]).encode() + b"\n"
 
 
 def save_ensemble_csv(path, result):
-    """Long-format table: one row per (sample time, mode)."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.writelines(_ensemble_lines(result))
+    """Long-format table: one row per (sample time, mode); returns the file's
+    sha256."""
+    return _digest(_ensemble_lines(result), path)
 
 
 def ensemble_hash(result):
     """sha256 of the exact bytes save_ensemble_csv would emit."""
-    digest = hashlib.sha256()
-    for line in _ensemble_lines(result):
-        digest.update(line.encode("utf-8"))
-    return digest.hexdigest()
+    return _digest(_ensemble_lines(result))
 
 
 def load_ensemble_csv(path):
     """Back to arrays: taus (S,), mean/var/stderr (S, modes)."""
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
-        head = next(reader)
+        head = next(reader, [])
         if tuple(head) != _ENSEMBLE_COLUMNS:
             raise ConfigError(f"unexpected ensemble CSV header {head}")
         rows = [(float(r[0]), int(r[1]), float(r[2]), float(r[3]), float(r[4]))
                 for r in reader]
+    if not rows:
+        raise ConfigError(f"ensemble CSV {path} has a header but no rows")
     taus = sorted({r[0] for r in rows})
     modes = 1 + max(r[1] for r in rows)
     index = {t: i for i, t in enumerate(taus)}
@@ -166,27 +190,25 @@ def load_ensemble_csv(path):
 # -- study reports ----------------------------------------------------------
 
 def save_table_csv(path, columns, rows):
-    """Generic companion table; rows are sequences aligned with `columns`."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(columns)
-        for row in rows:
-            writer.writerow([repr(float(x)) if isinstance(x, float) else x for x in row])
+    """Generic companion table; rows are sequences aligned with `columns`.
+    Returns the file's sha256."""
+    text = StringIO()
+    writer = csv.writer(text, lineterminator="\n")
+    writer.writerow(columns)
+    writer.writerows([repr(float(x)) if isinstance(x, float) else x for x in row]
+                     for row in rows)
+    return _digest((text.getvalue().encode(),), path)
 
 
 def write_report(out_dir, report):
     """Report JSON plus one CSV per table; returns {filename: file hash}."""
     os.makedirs(out_dir, exist_ok=True)
-    doc = report.to_document()
-    files = {}
-    report_path = os.path.join(out_dir, "report.json")
-    write_json(report_path, doc)
-    files["report.json"] = file_hash(report_path)
+    files = {"report.json": write_json(os.path.join(out_dir, "report.json"),
+                                       report.to_document())}
     for name, table in report.tables.items():
         csv_name = f"{name}.csv"
-        csv_path = os.path.join(out_dir, csv_name)
-        save_table_csv(csv_path, table["columns"], table["rows"])
-        files[csv_name] = file_hash(csv_path)
+        files[csv_name] = save_table_csv(os.path.join(out_dir, csv_name),
+                                         table["columns"], table["rows"])
     return files
 
 
@@ -222,10 +244,3 @@ def write_manifest(out_dir, manifest):
     write_json(path, manifest.to_document())
     return path
 
-
-def check_frame_reference(frame, expected_hash, what="frame"):
-    """Refuse to consume an artifact whose content hash drifted."""
-    if expected_hash is not None and frame.content_hash() != expected_hash:
-        raise StaleArtifactError(
-            f"{what} hash {frame.content_hash()[:12]}... does not match the "
-            f"referenced {expected_hash[:12]}...; rebuild the artifact")

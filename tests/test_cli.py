@@ -6,6 +6,7 @@ import shutil
 import numpy as np
 import pytest
 
+from resonlab import io
 from resonlab.cli import main
 from resonlab.fields import ResonantDrift
 from resonlab.io import load_trajectory, read_json
@@ -226,32 +227,44 @@ def test_effective_requires_table_and_runs(workspace, tmp_path):
     assert main(["effective", "--config", cfg, "--out", str(tmp_path / "e2")]) == 1
 
 
-def _count_table_hashes(monkeypatch):
-    calls = []
-    original = ResonanceTable.content_hash
+def _count_fallback_hashes(monkeypatch):
+    """Schemas of the documents whose content hash read_json takes, which it
+    does only for a file whose bytes do not hash to its pin."""
+    schemas, reading = [], []
+    read_json, content_hash = io.read_json, io.content_hash
 
-    def counted(self):
-        calls.append(1)
-        return original(self)
+    def counted_read(*args, **kwargs):
+        reading.append(True)
+        try:
+            return read_json(*args, **kwargs)
+        finally:
+            reading.pop()
 
-    monkeypatch.setattr(ResonanceTable, "content_hash", counted)
-    return calls
+    def counted_hash(doc):
+        if reading:
+            schemas.append(doc["schema"])
+        return content_hash(doc)
+
+    monkeypatch.setattr(io, "read_json", counted_read)
+    monkeypatch.setattr(io, "content_hash", counted_hash)
+    return schemas
 
 
-def _run_effective_on_table(workspace, tmp_path, name, raw):
-    """`effective` on a copy of the workspace table written as `raw` bytes,
-    referenced by the table's content hash."""
-    (workspace["dir"] / "res" / f"{name}.json").write_bytes(raw)
-    ref = {"file": f"res/{name}.json", "sha256": workspace["table_ref"]["sha256"]}
-    cfg = write_config(workspace["dir"] / f"{name}_cfg.json",
-                       _simulate_config(workspace, table=ref))
+def _run_effective_on_copy(workspace, tmp_path, name, raw, what="table"):
+    """`effective` on a copy of the workspace frame or table written as `raw`
+    bytes, referenced by its content hash."""
+    ref = dict(workspace[f"{what}_ref"])
+    ref["file"] = f"{os.path.dirname(ref['file'])}/{name}.json"
+    (workspace["dir"] / ref["file"]).write_bytes(raw)
+    cfg = write_config(workspace["dir"] / f"{name}_cfg.json", _simulate_config(
+        workspace, **{"table": workspace["table_ref"], what: ref}))
     return main(["effective", "--config", cfg, "--out", str(tmp_path / name)])
 
 
 def test_canonical_table_file_is_not_rehashed(workspace, tmp_path, monkeypatch):
     raw = (workspace["dir"] / "res" / "table.json").read_bytes()
-    calls = _count_table_hashes(monkeypatch)
-    assert _run_effective_on_table(workspace, tmp_path, "canonical", raw) == 0
+    calls = _count_fallback_hashes(monkeypatch)
+    assert _run_effective_on_copy(workspace, tmp_path, "canonical", raw) == 0
     assert len(calls) == 0
 
 
@@ -259,10 +272,10 @@ def test_indented_table_file_still_loads(workspace, tmp_path, monkeypatch):
     # a table written as indented JSON (before one-line artifacts) has other
     # bytes but the same content hash, which is then checked on the parsed table
     doc = workspace["table"].to_document()
-    calls = _count_table_hashes(monkeypatch)
+    calls = _count_fallback_hashes(monkeypatch)
     raw = json.dumps(doc, indent=2).encode() + b"\n"
-    assert _run_effective_on_table(workspace, tmp_path, "indented", raw) == 0
-    assert len(calls) == 1
+    assert _run_effective_on_copy(workspace, tmp_path, "indented", raw) == 0
+    assert calls == ["resonlab-resonance-v1"]
 
 
 def test_tampered_table_file_is_refused(workspace, tmp_path, capsys):
@@ -270,8 +283,45 @@ def test_tampered_table_file_is_refused(workspace, tmp_path, capsys):
     entry = next(e for e in doc["resonances"] if e["tuples"])
     entry["tuples"] = entry["tuples"][:-1]
     raw = json.dumps(doc, separators=(",", ":")).encode() + b"\n"
-    assert _run_effective_on_table(workspace, tmp_path, "tampered", raw) == 1
+    assert _run_effective_on_copy(workspace, tmp_path, "tampered", raw) == 1
     assert "table hash" in capsys.readouterr().err
+
+
+def test_indented_frame_file_still_loads(workspace, tmp_path, monkeypatch):
+    doc = workspace["frame"].to_document()
+    calls = _count_fallback_hashes(monkeypatch)
+    raw = json.dumps(doc, indent=2).encode() + b"\n"
+    assert _run_effective_on_copy(workspace, tmp_path, "indented_frame", raw,
+                                  what="frame") == 0
+    assert calls == ["resonlab-frame-v1"]
+
+
+def test_tampered_frame_file_is_refused(workspace, tmp_path, capsys):
+    doc = workspace["frame"].to_document()
+    doc["lambda"][-1] += 1e-9
+    raw = json.dumps(doc, separators=(",", ":")).encode() + b"\n"
+    assert _run_effective_on_copy(workspace, tmp_path, "tampered_frame", raw,
+                                  what="frame") == 1
+    assert "frame hash" in capsys.readouterr().err
+
+
+def test_manifest_hashes_are_the_output_bytes(workspace, tmp_path):
+    outs = [workspace["dir"] / "basis", workspace["dir"] / "res"]
+    for argv, doc in (
+            (["simulate"], _simulate_config(workspace)),
+            (["effective"], _simulate_config(workspace, table=workspace["table_ref"])),
+            (["study", "operator"], {"frame": workspace["frame_ref"],
+                                     "study": {"study": "operator", "initials": 1,
+                                               "seed": 2}})):
+        out = tmp_path / argv[0]
+        cfg = write_config(workspace["dir"] / f"hashed_{argv[0]}.json", doc)
+        assert main([*argv, "--config", cfg, "--out", str(out)]) == 0
+        outs.append(out)
+    for out in outs:
+        outputs = read_json(out / "manifest.json")["outputs"]
+        assert outputs
+        for name, digest in outputs.items():
+            assert digest == hashlib.sha256((out / name).read_bytes()).hexdigest(), name
 
 
 def test_blow_up_exits_two(workspace, tmp_path, capsys):

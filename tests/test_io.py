@@ -1,5 +1,7 @@
 """Serialization round trips and artifact hygiene."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -14,7 +16,6 @@ from resonlab.integrators import (
 from resonlab.io import (
     RunManifest,
     canonical_bytes,
-    check_frame_reference,
     content_hash,
     file_hash,
     load_ensemble_csv,
@@ -79,13 +80,24 @@ def test_ensemble_csv_round_trip(tmp_path, frame_1d_5):
     assert np.array_equal(stderr, res.stderr_actions)
 
 
+def test_ensemble_csv_without_rows_is_refused(tmp_path):
+    path = tmp_path / "ens.csv"
+    path.write_text("tau,k,mean_I,var_I,stderr_I\n")
+    with pytest.raises(ConfigError, match="no rows"):
+        load_ensemble_csv(path)
+    path.write_text("")
+    with pytest.raises(ConfigError, match="header"):
+        load_ensemble_csv(path)
+
+
 def test_json_and_hash_helpers(tmp_path):
     doc = {"b": [1.0, 2.5e-17], "a": "x"}
     assert canonical_bytes(doc) == b'{"b":[1.0,2.5e-17],"a":"x"}'
     assert len(content_hash(doc)) == 64
     path = tmp_path / "doc.json"
-    write_json(path, doc)
+    digest = write_json(path, doc)
     assert path.read_bytes() == canonical_bytes(doc) + b"\n"
+    assert digest == hashlib.sha256(path.read_bytes()).hexdigest()
     assert read_json(path) == doc
     assert file_hash(path) == file_hash(path)
 
@@ -113,8 +125,10 @@ def test_manifest_document(tmp_path):
     assert doc["seed"] == 7 and doc["command"] == "basis"
 
 
-def test_stale_artifact_guard(frame_1d_5, frame_1d_9):
-    check_frame_reference(frame_1d_5, frame_1d_5.content_hash())
-    check_frame_reference(frame_1d_5, None)  # unpinned references pass
+def test_stale_artifact_guard(tmp_path, frame_1d_5, frame_1d_9):
+    path = tmp_path / "frame.json"
+    write_json(path, frame_1d_5.to_document())
+    read_json(path, sha256=frame_1d_5.content_hash())
+    read_json(path)  # unpinned references pass
     with pytest.raises(StaleArtifactError):
-        check_frame_reference(frame_1d_5, frame_1d_9.content_hash())
+        read_json(path, sha256=frame_1d_9.content_hash())
