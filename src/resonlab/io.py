@@ -9,6 +9,12 @@ so the file without that newline hashes to the content hash that links
 artifacts together; `read_json(path, sha256)` checks such a pin.  Floats are
 written through Python's shortest round-trip repr, so reading a file back
 reproduces the exact binary values.
+
+A resonance table's index rows never become Python lists: canonical_bytes
+writes a 2-D integer array as the JSON list of its rows with numpy, and the
+pinned read of a table parses each canonical "tuples" payload with numpy
+into a read-only intp array.  A payload in any other spelling is parsed by
+json as before.
 """
 
 import contextlib
@@ -23,6 +29,7 @@ import numpy as np
 
 from .errors import ConfigError, StaleArtifactError
 from .integrators import NOISE_CONVENTION, Trajectory
+from .resonance import TABLE_SCHEMA
 
 TRAJECTORY_SCHEMA = "resonlab-trajectory-v1"
 REPORT_SCHEMA = "resonlab-report-v1"
@@ -40,9 +47,60 @@ def _digest(chunks, path=None):
     return digest.hexdigest()
 
 
+def _dumps(doc, default):
+    return json.dumps(doc, separators=(",", ":"), allow_nan=False,
+                      default=default).encode()
+
+
+_ROWS_MARK = "\0resonlab-rows\0"
+_ROWS_TOKEN = json.dumps(_ROWS_MARK).encode()
+
+
 def canonical_bytes(doc):
-    """Compact single-line JSON; key order is the document's construction order."""
-    return json.dumps(doc, separators=(",", ":"), allow_nan=False).encode()
+    """Compact single-line JSON; key order is the document's construction order.
+
+    A 2-D integer ndarray is written as the list of its rows, the bytes its
+    `.tolist()` would give.
+    """
+    arrays = []
+
+    def mark(obj):
+        if isinstance(obj, np.ndarray) and obj.ndim == 2 and obj.dtype.kind in "iu":
+            arrays.append(obj)
+            return _ROWS_MARK
+        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
+    text = _dumps(doc, mark)
+    if not arrays:
+        return text
+    pieces = text.split(_ROWS_TOKEN)
+    if len(pieces) != len(arrays) + 1:  # a string of the document spells the mark
+        return _dumps(doc, lambda obj: mark(obj) and obj.tolist())
+    out = [pieces[0]]
+    for rows, piece in zip(arrays, pieces[1:]):
+        out += (_rows_bytes(rows), piece)
+    return b"".join(out)
+
+
+def _rows_bytes(rows):
+    """json.dumps(rows.tolist()) of a 2-D integer array.  Nonnegative rows are
+    formatted by numpy: every number gets a fixed count of digit bytes and a
+    separator byte, and the unused (zero) bytes are dropped at the end."""
+    if rows.size == 0 or rows.min() < 0:
+        return json.dumps(rows.tolist(), separators=(",", ":")).encode()
+    (n, w), top = rows.shape, int(rows.max())
+    digits = len(str(top))
+    mag = rows.astype(np.min_scalar_type(top))
+    cells = np.zeros((n, w, digits + 1), np.uint8)
+    for k in range(digits - 1, -1, -1):  # the last digit is written even for a zero
+        cells[..., k] = np.where((mag > 0) | (k == digits - 1), mag % 10 + ord("0"), 0)
+        mag = mag // 10
+    cells[..., -1] = ord(",")
+    cells[:, -1, -1] = ord("]")
+    line = np.empty((n, w * (digits + 1) + 2), np.uint8)
+    line[:, 0], line[:, -1] = ord("["), ord(",")
+    line[:, 1:-1] = cells.reshape(n, -1)
+    return b"[" + line[line != 0][:-1].tobytes() + b"]"
 
 
 def content_hash(doc):
@@ -70,10 +128,12 @@ def write_text(path, text):
 def read_json(path, sha256=None):
     """The document in a JSON file, read once.  With a `sha256` pin, the
     bytes without the final newline, or else the parsed document's content
-    hash, must match it; StaleArtifactError otherwise."""
+    hash, must match it; StaleArtifactError otherwise.  A pinned resonance
+    table comes back with its canonical "tuples" payloads as read-only intp
+    arrays."""
     with open(path, "rb") as fh:
         data = fh.read()
-    doc = json.loads(data)
+    doc = json.loads(data) if sha256 is None else _loads(data)
     if sha256 is not None and _digest((data.removesuffix(b"\n"),)) != sha256:
         actual = content_hash(doc)
         if actual != sha256:
@@ -81,6 +141,81 @@ def read_json(path, sha256=None):
                 f"hash {actual[:12]}... of {path} does not match the referenced "
                 f"{sha256[:12]}...; rebuild the artifact")
     return doc
+
+
+_TABLE_HEAD = b'{"schema":' + json.dumps(TABLE_SCHEMA).encode() + b","
+_TUPLES_KEY = b'"tuples":[['
+# byte classes: digit, comma, "[", "]", anything else; and the neighbour pairs
+# a canonical list of integer rows has inside its outer brackets
+_CLASS = np.full(256, 4, np.uint8)
+_CLASS[ord("0"):ord("9") + 1] = 0
+_CLASS[[ord(","), ord("["), ord("]")]] = 1, 2, 3
+_PAIRS = np.zeros(25, bool)
+_PAIRS[[5 * a + b for a, b in ((0, 0), (0, 1), (0, 3), (1, 0), (1, 2), (2, 0), (3, 1))]] = True
+_BRACKETS_TO_SPACES = bytes.maketrans(b"[]", b"  ")
+
+
+def _loads(data):
+    """json.loads(data), except that in a canonical resonance table every
+    canonical "tuples" payload is parsed by numpy (`_parse_rows`).
+
+    Each such payload is cut out and replaced by the token NaN, which the
+    parse turns back into its array.  The cut is a whole JSON value: the key
+    before it ends with an unescaped quote, so the colon and the payload stand
+    outside any string.  Any other NaN or Infinity in the file, or a file that
+    does not parse, goes to json.loads whole.
+    """
+    if not data.startswith(_TABLE_HEAD):
+        return json.loads(data)
+    pieces, arrays, at = [], [], 0
+    start = data.find(_TUPLES_KEY)
+    while start >= 0:
+        start += len(_TUPLES_KEY) - 2
+        end = data.find(b"]]", start) + 2
+        rows = _parse_rows(data[start:end]) if end > start else None
+        if rows is not None:
+            pieces += (data[at:start], b"NaN")
+            arrays.append(rows)
+            at = end
+        start = data.find(_TUPLES_KEY, start)
+    if not arrays:
+        return json.loads(data)
+    pieces.append(data[at:])
+    constants = []
+
+    def array(name):
+        constants.append(name)
+        return arrays[len(constants) - 1] if len(constants) <= len(arrays) else None
+
+    try:
+        doc = json.loads(b"".join(pieces), parse_constant=array)
+    except ValueError:
+        return json.loads(data)
+    return doc if len(constants) == len(arrays) else json.loads(data)
+
+
+def _parse_rows(payload):
+    """A canonical JSON list of equal-width rows of integers in 0..10**18-1
+    as a read-only intp array, else None."""
+    raw = np.frombuffer(payload, np.uint8)
+    cls = _CLASS[raw]
+    inner = cls[1:-1]  # the caller found the payload's "[[" and "]]"
+    if not _PAIRS[5 * inner[:-1] + inner[1:]].all():
+        return None
+    if np.any((raw[1:-1] == ord("0")) & (cls[:-2] != 0) & (cls[2:] == 0)):  # leading zero
+        return None
+    seps = payload.translate(None, b"0123456789")
+    width = seps.index(b"]") - 1
+    n = (len(seps) - 1) // (width + 2)
+    row = b"[" + b"," * (width - 1) + b"]"
+    if seps != b"[" + (row + b",") * (n - 1) + row + b"]":
+        return None
+    rows = np.fromstring(payload.translate(_BRACKETS_TO_SPACES), dtype=np.intp, sep=",")
+    if rows.max() >= 10 ** 18:  # 19 digits or more may have saturated
+        return None
+    rows = rows.reshape(n, width)
+    rows.flags.writeable = False
+    return rows
 
 
 # -- trajectories -----------------------------------------------------------

@@ -16,6 +16,7 @@ import numpy as np
 from .errors import ConfigError, UnsupportedModeError, ValidationError
 
 DEFAULT_ETA = 1e-8
+TABLE_SCHEMA = "resonlab-resonance-v1"
 TWO_PI = 2.0 * math.pi
 
 
@@ -158,10 +159,10 @@ class ResonanceTable:
                 entries.append({
                     "pattern": list(pattern),
                     "target": target,
-                    "tuples": self.resonances[pattern][target].tolist(),
+                    "tuples": self.resonances[pattern][target],
                 })
         doc = {
-            "schema": "resonlab-resonance-v1",
+            "schema": TABLE_SCHEMA,
             "lambda": np.asarray(self.eigenvalues).tolist(),
             "eta_res": self.eta,
             "mode": self.mode,
@@ -179,7 +180,7 @@ class ResonanceTable:
 
     @staticmethod
     def from_document(doc):
-        if doc.get("schema") != "resonlab-resonance-v1":
+        if doc.get("schema") != TABLE_SCHEMA:
             raise ConfigError(f"unknown resonance schema {doc.get('schema')!r}")
         eigenvalues = np.array(doc["lambda"], dtype=float)
         modes = eigenvalues.size
@@ -188,9 +189,10 @@ class ResonanceTable:
             pattern = tuple(entry["pattern"])
             per_target = resonances.setdefault(pattern, {})
             target = entry["target"]
-            if target not in range(modes) or target in per_target:
+            if type(target) is not int or target not in range(modes) or target in per_target:
                 raise ConfigError(f"resonance table pattern {pattern} lists target "
-                                  f"{target!r} out of range 0..{modes - 1} or twice")
+                                  f"{target!r}, not an integer in 0..{modes - 1}, "
+                                  f"or twice")
             per_target[target] = _index_rows(entry["tuples"], pattern, target, modes)
         for pattern, per_target in resonances.items():
             missing = sorted(set(range(modes)) - set(per_target))
@@ -210,24 +212,35 @@ class ResonanceTable:
 
 
 def _index_rows(tuples, pattern, target, modes):
-    """A document's tuple list as a read-only (n, len(pattern)) intp array.
+    """A document's tuples, a list of rows or an integer array, as a read-only
+    (n, len(pattern)) intp array.
 
     Refuses rows of another width and indices that are not integers in
-    0..modes-1, naming the pattern and the target.
+    0..modes-1 (a boolean or a float is not one), naming the pattern and the
+    target.
     """
     where = f"resonance table pattern {pattern}, target {target}"
+    bad_index = ConfigError(f"{where}: indices must be integers in 0..{modes - 1}")
     width = len(pattern)
-    try:
-        widths = np.fromiter(map(len, tuples), dtype=np.intp, count=len(tuples))
-        flat = np.fromiter(itertools.chain.from_iterable(tuples), dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{where}: tuples must be lists of mode indices") from exc
-    if np.any(widths != width):
+    rows = tuples
+    if not isinstance(rows, np.ndarray):
+        try:
+            widths = np.fromiter(map(len, tuples), dtype=np.intp, count=len(tuples))
+            flat = list(itertools.chain.from_iterable(tuples))
+        except TypeError as exc:
+            raise ConfigError(f"{where}: tuples must be lists of mode indices") from exc
+        if np.any(widths != width):
+            raise ConfigError(f"{where}: every row must hold {width} indices")
+        if not all(type(i) is int and abs(i) < 2 ** 63 for i in flat):
+            raise bad_index
+        rows = np.array(flat, dtype=np.intp).reshape(widths.size, width)
+    if rows.ndim != 2 or rows.shape[1] != width:
         raise ConfigError(f"{where}: every row must hold {width} indices")
-    if not np.all((flat >= 0) & (flat < modes) & (flat == np.floor(flat))):
-        raise ConfigError(f"{where}: indices must be integers in 0..{modes - 1}")
-    rows = flat.astype(np.intp).reshape(widths.size, width)
-    rows.flags.writeable = False
+    if rows.dtype.kind not in "iu" or not np.all((rows >= 0) & (rows < modes)):
+        raise bad_index
+    if rows.dtype != np.intp or rows.flags.writeable:
+        rows = rows.astype(np.intp)
+        rows.flags.writeable = False
     return rows
 
 

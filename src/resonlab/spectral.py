@@ -204,8 +204,11 @@ class SpectralFrame:
         self.geometry = geometry
         self.potential = potential
         self.basis = tuple(basis)
-        self.eigenvalues = np.asarray(eigenvalues, dtype=float)
-        self.eigenvectors = np.asarray(eigenvectors, dtype=float)
+        # read-only copies: the content hash is taken once, and the caller's
+        # arrays stay writable
+        self.eigenvalues = _read_only(np.array(eigenvalues, dtype=float))
+        self.eigenvectors = _read_only(np.array(eigenvectors, dtype=float))
+        self._content_hash = None
         if _operator is not None:
             # build_frame hands over the matrix it diagonalized, assembled once
             self._operator = _read_only(_operator)
@@ -302,8 +305,10 @@ class SpectralFrame:
         }
 
     def content_hash(self):
-        from .io import content_hash  # io imports integrators, which imports this module
-        return content_hash(self.to_document())
+        if self._content_hash is None:
+            from .io import content_hash  # io imports integrators, which imports this module
+            self._content_hash = content_hash(self.to_document())
+        return self._content_hash
 
     @staticmethod
     def from_document(doc):

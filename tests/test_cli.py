@@ -271,7 +271,7 @@ def test_canonical_table_file_is_not_rehashed(workspace, tmp_path, monkeypatch):
 def test_indented_table_file_still_loads(workspace, tmp_path, monkeypatch):
     # a table written as indented JSON (before one-line artifacts) has other
     # bytes but the same content hash, which is then checked on the parsed table
-    doc = workspace["table"].to_document()
+    doc = json.loads(io.canonical_bytes(workspace["table"].to_document()))
     calls = _count_fallback_hashes(monkeypatch)
     raw = json.dumps(doc, indent=2).encode() + b"\n"
     assert _run_effective_on_copy(workspace, tmp_path, "indented", raw) == 0
@@ -279,7 +279,7 @@ def test_indented_table_file_still_loads(workspace, tmp_path, monkeypatch):
 
 
 def test_tampered_table_file_is_refused(workspace, tmp_path, capsys):
-    doc = workspace["table"].to_document()
+    doc = json.loads(io.canonical_bytes(workspace["table"].to_document()))
     entry = next(e for e in doc["resonances"] if e["tuples"])
     entry["tuples"] = entry["tuples"][:-1]
     raw = json.dumps(doc, separators=(",", ":")).encode() + b"\n"

@@ -1,7 +1,12 @@
 """Serialization round trips and artifact hygiene."""
 
 import hashlib
+import json
+import re
+import tracemalloc
 
+from hypothesis import example, given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 import numpy as np
 import pytest
 
@@ -27,7 +32,8 @@ from resonlab.io import (
     write_manifest,
 )
 from resonlab.nonlinearity import NonlinearitySpec
-from resonlab.spectral import sample_ball
+from resonlab.resonance import TABLE_SCHEMA, ResonanceTable, build_resonance_table
+from resonlab.spectral import Potential, TorusGeometry, build_frame, sample_ball
 
 CUBIC = NonlinearitySpec("cubic_focusing", mu=0.3)
 
@@ -132,3 +138,142 @@ def test_stale_artifact_guard(tmp_path, frame_1d_5, frame_1d_9):
     read_json(path)  # unpinned references pass
     with pytest.raises(StaleArtifactError):
         read_json(path, sha256=frame_1d_9.content_hash())
+
+
+# -- resonance-table rows ----------------------------------------------------
+
+def _list_bytes(obj):
+    return json.dumps(obj, separators=(",", ":")).encode()
+
+
+def _as_lists(obj):
+    """A document with every array as the lists json.loads would give."""
+    if isinstance(obj, dict):
+        return {k: _as_lists(v) for k, v in obj.items()}
+    if isinstance(obj, list):
+        return [_as_lists(v) for v in obj]
+    return obj.tolist() if isinstance(obj, np.ndarray) else obj
+
+
+def _pinned(path, raw):
+    """Write `raw` to `path`; return read_json's document pinned by its bytes."""
+    path.write_bytes(raw)
+    return read_json(path, sha256=hashlib.sha256(raw.removesuffix(b"\n")).hexdigest())
+
+
+# indices at the 9/10, 99/100 and 10**5 digit boundaries, and between them
+_INDICES = st.one_of(st.sampled_from([0, 1, 9, 10, 99, 100, 99_999, 100_000]),
+                     st.integers(0, 10 ** 6))
+
+
+@settings(max_examples=60, deadline=None)
+@given(arrays(np.intp, st.tuples(st.integers(0, 12), st.integers(1, 5)),
+              elements=_INDICES))
+@example(np.zeros((0, 1), np.intp))
+@example(np.array([[9], [10], [99], [100], [99_999], [100_000]]))
+def test_index_rows_codec_matches_list_encoding(tmp_path_factory, rows):
+    assert canonical_bytes(rows) == _list_bytes(rows.tolist())
+    doc = {"schema": TABLE_SCHEMA,
+           "resonances": [{"pattern": [1] * rows.shape[1], "target": 0, "tuples": rows}]}
+    path = tmp_path_factory.mktemp("rows") / "table.json"
+    write_json(path, doc)
+    back = read_json(path, sha256=content_hash(doc))["resonances"][0]["tuples"]
+    if rows.size:
+        assert isinstance(back, np.ndarray) and back.dtype == np.intp
+        assert not back.flags.writeable and np.array_equal(back, rows)
+    else:
+        assert back == []  # as json.loads gives it; from_document knows the width
+
+
+def test_canonical_bytes_writes_any_integer_rows():
+    cases = [np.array([[-5, 0, 3], [-(2 ** 63), 2 ** 63 - 1, -10]]),
+             np.array([[-128, 127, 0]], np.int8),
+             np.array([[2 ** 64 - 1, 0]], np.uint64),
+             np.zeros((3, 0), np.intp)]
+    for rows in cases:
+        assert canonical_bytes({"rows": rows}) == _list_bytes({"rows": rows.tolist()})
+    # a document string that spells the writer's placeholder changes nothing
+    doc = {"s": "\0resonlab-rows\0", "rows": cases[0]}
+    assert canonical_bytes(doc) == _list_bytes(_as_lists(doc))
+    with pytest.raises(TypeError):
+        canonical_bytes({"rows": np.array([[0.5]])})
+
+
+def test_noncanonical_table_payloads_read_as_json_loads(tmp_path, frame_1d_9):
+    table = build_resonance_table(frame_1d_9)
+    canonical = canonical_bytes(table.to_document()) + b"\n"
+    rows = table.resonances[(1, -1, 1)][3].tolist()
+    payload = _list_bytes(rows)
+    assert payload.startswith(b"[[0,0,3],")
+
+    def edit(new_payload):
+        return canonical.replace(payload, new_payload, 1)
+
+    variants = {
+        "canonical": canonical,
+        "indented": json.dumps(json.loads(canonical), indent=2).encode(),
+        "float": edit(b"[[0.0,0,3]," + payload[9:]),
+        "integral float": edit(b"[[0,0,3.0]," + payload[9:]),
+        "bool": edit(b"[[false,0,3]," + payload[9:]),
+        "whitespace": edit(json.dumps(rows).encode()),
+        "leading zero": edit(b"[[00,0,3]," + payload[9:]),
+        "ragged": edit(b"[[0,0]," + payload[9:]),
+        "empty index": edit(b"[[0,,3]," + payload[9:]),
+        "nested": edit(b"[[[0],0,3]," + payload[9:]),
+        "negative": edit(b"[[-0,0,3]," + payload[9:]),
+        "past int64": edit(b"[[0,0,30000000000000000000]," + payload[9:]),
+        "constant elsewhere": canonical.replace(b'"gamma_min":1.0', b'"gamma_min":Infinity'),
+    }
+    for name, raw in variants.items():
+        assert name == "canonical" or raw != canonical, name
+        path = tmp_path / f"{name}.json"
+        try:
+            expected = json.loads(raw)
+        except ValueError as exc:
+            with pytest.raises(type(exc), match=re.escape(str(exc))):
+                _pinned(path, raw)
+            continue
+        got = _pinned(path, raw)
+        assert _as_lists(got) == expected, name
+        as_array = isinstance(got["resonances"][3]["tuples"], np.ndarray)
+        assert as_array == (name == "canonical"), name
+        outcomes = []
+        for doc in (got, expected):
+            try:
+                outcomes.append(_as_lists(ResonanceTable.from_document(doc).resonances))
+            except ConfigError as exc:
+                outcomes.append(str(exc))
+        assert outcomes[0] == outcomes[1], name
+
+
+@pytest.fixture(scope="module")
+def table_2d_49(tmp_path_factory):
+    """The 2-D M=49 resonance table (298,113 rows) and its file."""
+    frame = build_frame(TorusGeometry((2 * np.pi, 2 * np.pi), 32), Potential.zero(), 49)
+    table = build_resonance_table(frame)
+    path = tmp_path_factory.mktemp("table49") / "table.json"
+    return table, path, write_json(path, table.to_document())
+
+
+def test_2d_table_file_is_the_list_encoding(table_2d_49):
+    table, path, digest = table_2d_49
+    assert sum(len(r) for r in table.resonances[(1, -1, 1)].values()) == 298_113
+    raw = path.read_bytes()
+    assert raw == _list_bytes(_as_lists(table.to_document())) + b"\n"
+    assert digest == hashlib.sha256(raw).hexdigest()
+    assert table.content_hash() == hashlib.sha256(raw[:-1]).hexdigest()
+
+
+def test_2d_table_load_stays_in_arrays(table_2d_49):
+    # as lists, the rows alone took 34.5 MiB in from_document; as arrays the
+    # file bytes (3.1 MB) and the intp rows (7.2 MB) are most of the peak
+    table, path, _ = table_2d_49
+    tracemalloc.start()
+    try:
+        loaded = ResonanceTable.from_document(read_json(path, sha256=table.content_hash()))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2 ** 20, f"loading the table peaked at {peak / 2 ** 20:.1f} MiB"
+    for target, rows in table.resonances[(1, -1, 1)].items():
+        assert np.array_equal(loaded.resonances[(1, -1, 1)][target], rows)

@@ -2,12 +2,14 @@
 
 import copy
 import itertools
+import json
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from resonlab.errors import ConfigError, UnsupportedModeError, ValidationError
+from resonlab.io import canonical_bytes
 from resonlab.resonance import (
     ResonanceTable,
     build_diffusion,
@@ -171,7 +173,7 @@ def test_table_document_refuses_malformed_tuples(frame_1d_9):
     assert [e["target"] for e in doc["resonances"]] == list(range(9))
 
     def tamper(edit):
-        bad = copy.deepcopy(doc)
+        bad = json.loads(canonical_bytes(doc))
         edit(bad["resonances"])
         return bad
 
@@ -189,6 +191,10 @@ def test_table_document_refuses_malformed_tuples(frame_1d_9):
         "missing target": (lambda e: e.pop(3), r"target\(s\) \[3\]"),
         "duplicate target": (lambda e: e.append(copy.deepcopy(e[3])), "target 3"),
         "target out of range": (lambda e: e[3].update(target=9), "target 9"),
+        "boolean index": (lambda e: set_first_row(e, [3, True, 3]), "target 3"),
+        "integral float index": (lambda e: set_first_row(e, [3, 2.0, 2]), "target 3"),
+        "boolean target": (lambda e: e[3].update(target=True), "target True"),
+        "integral float target": (lambda e: e[3].update(target=3.0), r"target 3\.0"),
     }
     for name, (edit, where) in cases.items():
         with pytest.raises(ConfigError, match=rf"pattern \(1, -1, 1\).*{where}"):

@@ -273,6 +273,26 @@ def test_operator_assembled_once_per_frame(monkeypatch):
     assert rebuilt.content_hash() == frame.content_hash()
 
 
+def test_content_hash_taken_once_per_frame(monkeypatch):
+    from resonlab import io
+    calls = []
+    content_hash = io.content_hash
+    monkeypatch.setattr(io, "content_hash",
+                        lambda doc: calls.append(doc["schema"]) or content_hash(doc))
+    lam, psi = np.array([0.0, 1.0, 1.0, 4.0, 4.0]), np.eye(5)
+    frame = SpectralFrame(TorusGeometry((TAU,), 32), Potential.zero(),
+                          trig_basis(1, 5), lam, psi)
+    digests = {frame.content_hash() for _ in range(3)}
+    rebuilt = SpectralFrame.from_document(frame.to_document())
+    digests |= {rebuilt.content_hash() for _ in range(3)}
+    assert len(digests) == 1 and calls == ["resonlab-frame-v1"] * 2
+    # the frame holds read-only copies: the caller's arrays stay its own
+    assert lam.flags.writeable and psi.flags.writeable
+    assert not (frame.eigenvalues.flags.writeable or frame.eigenvectors.flags.writeable)
+    lam[0] = psi[0, 0] = 7.0
+    assert frame.eigenvalues[0] == 0.0 and frame.eigenvectors[0, 0] == 1.0
+
+
 def test_grid_pass_shared_by_build_frame(monkeypatch):
     calls = []
     grid_pass = spectral._basis_on_grid
