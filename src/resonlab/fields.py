@@ -190,6 +190,35 @@ def _merged_rows(per_target, factors, modes):
     return targets, np.stack(columns, axis=1), mult
 
 
+def _wave_keys(frame, degree):
+    """One int64 per mode that adds as the mode's wave vector m does, or None.
+
+    Keys exist when every row of Psi has exactly one nonzero entry, so that
+    each eigenfunction is one trigonometric basis function (cos or sin of
+    m.x, or the constant for m = 0) whose derivatives carry the same +-m, and
+    when the grid resolves every signed sum of degree + 1 such vectors.  The
+    grid integral of degree factors against a target then vanishes, but for
+    rounding, unless some signed sum of the factors' m is +-(the target's m).
+    """
+    nonzero = frame.eigenvectors != 0
+    if np.any(np.count_nonzero(nonzero, axis=1) != 1):
+        return None
+    if frame.geometry.grid_points <= (degree + 1) * frame.window_radius:
+        return None
+    m = np.array([frame.basis[j][1] for j in np.argmax(nonzero, axis=1)], dtype=np.int64)
+    return m @ (np.int64(1) << 32) ** np.arange(m.shape[1], dtype=np.int64)
+
+
+def _momentum_consistent(keys, rows, target):
+    """(n,) bool: the rows whose wave keys sum, under some choice of signs, to
+    +-(the target's key)."""
+    sums = keys[rows[:, :1]]
+    for j in range(1, rows.shape[1]):
+        key = keys[rows[:, j:j + 1]]
+        sums = np.concatenate([sums + key, sums - key], axis=1)
+    return np.any(np.abs(sums) == abs(keys[target]), axis=1)
+
+
 def _grid_integrals(slot_values, idx, z):
     """sum_x prod_j slot_values[j][idx[n, j], x] * z[x] for every tuple row n.
 
@@ -202,9 +231,13 @@ def _grid_integrals(slot_values, idx, z):
     prefix = idx[:, :-1]
     starts = np.ones(idx.shape[0], dtype=bool)
     starts[1:] = (prefix[1:] != prefix[:-1]).any(axis=1)
-    products = np.ones((int(np.count_nonzero(starts)), z.size))
-    for j, values in enumerate(slot_values[:-1]):
-        products *= values[prefix[starts, j]]
+    # the first factor starts the product (1 * x is x), so no array of ones is filled
+    factors = (values[prefix[starts, j]] for j, values in enumerate(slot_values[:-1]))
+    products = next(factors, None)
+    if products is None:  # a degree-1 term: every row shares the empty prefix
+        products = np.ones((int(np.count_nonzero(starts)), z.size))
+    for factor in factors:
+        products *= factor
     gram = products @ (slot_values[-1] * z).T
     return gram[np.cumsum(starts) - 1, idx[:, -1]]
 
@@ -244,7 +277,12 @@ class ResonantDrift:
                 raise ConfigError(f"resonance table lacks pattern {pattern}")
             slot_values = [Z if f.derivative is None else frame.eigenfunction_gradients[f.derivative]
                            for f in term.factors]
-            targets, rows, mult = _merged_rows(table.resonances[pattern], term.factors, self.modes)
+            per_target = table.resonances[pattern]
+            keys = _wave_keys(frame, term.degree)
+            if keys is not None:  # rows that cannot conserve momentum weigh nothing
+                per_target = {t: rows[_momentum_consistent(keys, rows, t)]
+                              for t, rows in per_target.items()}
+            targets, rows, mult = _merged_rows(per_target, term.factors, self.modes)
             bounds = np.searchsorted(targets, np.arange(self.modes + 1))
             weights = dx * np.concatenate([
                 _grid_integrals(slot_values, rows[bounds[t]:bounds[t + 1]], Z[t])

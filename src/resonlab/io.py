@@ -28,7 +28,6 @@ import os
 import numpy as np
 
 from .errors import ConfigError, StaleArtifactError
-from .integrators import NOISE_CONVENTION, Trajectory
 from .resonance import TABLE_SCHEMA
 
 TRAJECTORY_SCHEMA = "resonlab-trajectory-v1"
@@ -221,6 +220,9 @@ def _parse_rows(payload):
 # -- trajectories -----------------------------------------------------------
 
 def _trajectory_lines(trajectory, config=None):
+    # imported here so that reading and writing tables and frames never loads
+    # integrators and fields
+    from .integrators import NOISE_CONVENTION
     header = {
         "schema": TRAJECTORY_SCHEMA,
         "modes": int(trajectory.states.shape[1]),
@@ -256,6 +258,7 @@ def trajectory_hash(trajectory, config=None):
 
 
 def load_trajectory(path):
+    from .integrators import Trajectory
     with open(path, "r", encoding="utf-8") as fh:
         header = json.loads(fh.readline())
         if header.get("schema") != TRAJECTORY_SCHEMA:

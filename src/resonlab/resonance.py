@@ -86,51 +86,89 @@ def eigenvalue_clusters(frame, eta=DEFAULT_ETA, mode="auto"):
 
 # -- frequency enumeration (general frame) ---------------------------------
 
-def _signed_sums(lam, pattern):
-    """Array S[i1,...,iD] = sum_j pattern_j * lam[i_j]."""
-    D = len(pattern)
-    S = np.zeros((1,) * D)
-    for j, sign in enumerate(pattern):
-        shape = [1] * D
-        shape[j] = lam.size
-        S = S + sign * lam.reshape(shape)
-    return S
+class SortedSums:
+    """One pattern's signed sums S[i1,...,iD] = sum_j pattern_j * values[i_j] over
+    all index tuples, flattened in C order and sorted once.
+
+    Every target then reads its resonant band, and the nearest sums outside
+    it, by binary search: the sums passing |S - v| <= tol are contiguous in
+    sorted order, because rounded subtraction is monotone.
+    """
+
+    def __init__(self, values, pattern):
+        D = len(pattern)
+        S = np.zeros((1,) * D)
+        for j, sign in enumerate(pattern):
+            shape = [1] * D
+            shape[j] = values.size
+            S = S + sign * values.reshape(shape)
+        self.shape = S.shape
+        self.order = np.argsort(S, axis=None)
+        self.sums = S.ravel()[self.order]
+
+    def band(self, v, tol):
+        """Sorted positions [a, b) of the sums with |S - v| <= tol.
+
+        Two searches find a band widened past any rounding of v -+ tol; the
+        test itself runs on those candidates only.  Every sum below a has a
+        rounded S - v < -tol, every sum from b on one > tol.
+        """
+        pad = tol + 1e-12 * (abs(v) + tol)
+        lo = int(np.searchsorted(self.sums, v - pad, side="left"))
+        hi = int(np.searchsorted(self.sums, v + pad, side="right"))
+        dev = self.sums[lo:hi] - v
+        return (lo + int(np.count_nonzero(dev < -tol)),
+                hi - int(np.count_nonzero(dev > tol)))
+
+    def rows(self, a, b):
+        """Index tuples of sorted positions [a, b) as a read-only (n, D) intp
+        array in lexicographic order."""
+        flat = np.sort(self.order[a:b])
+        rows = np.stack(np.unravel_index(flat, self.shape), axis=1)
+        rows.flags.writeable = False
+        return rows
+
+    def gap(self, v, tol):
+        """Smallest |S - v| over the sums with |S - v| > tol, or inf."""
+        a, b = self.band(v, tol)
+        near = [abs(self.sums[i] - v) for i in (a - 1, b) if 0 <= i < self.sums.size]
+        return float(min(near)) if near else math.inf
 
 
-def enumerate_frequency_resonances(frame, pattern, target, eta=DEFAULT_ETA, mode="auto"):
+def enumerate_frequency_resonances(frame, pattern, target, eta=DEFAULT_ETA, mode="auto",
+                                   sums=None):
     """Mode-index tuples whose signed frequency sum matches mode `target`.
 
     pattern is a tuple of +-1 signs, one per monomial slot (+1 for a plain
     factor, -1 for a conjugated one); frequencies are compared by
     frequency_rule(frame, eta, mode).  Returns a read-only (n, len(pattern))
-    intp array, one tuple per row, in lexicographic order.
+    intp array, one tuple per row, in lexicographic order.  sums is the
+    pattern's SortedSums under the same rule, built here when None.
     """
     values, tol, _ = frequency_rule(frame, eta, mode)
     if not pattern or any(s not in (-1, 1) for s in pattern):
         raise ConfigError(f"pattern must be nonempty +-1 signs, got {pattern!r}")
     if not 0 <= target < values.size:
         raise ConfigError(f"target index {target} out of range")
-    hits = np.argwhere(np.abs(_signed_sums(values, pattern) - values[target]) <= tol)
-    hits.flags.writeable = False
-    return hits
+    if sums is None:
+        sums = SortedSums(values, pattern)
+    return sums.rows(*sums.band(values[target], tol))
 
 
-def minimal_frequency_gap(frame, patterns, eta=DEFAULT_ETA, mode="auto"):
+def minimal_frequency_gap(frame, patterns, eta=DEFAULT_ETA, mode="auto", sums=None):
     """Smallest nonresonant |deviation| over all targets and slot tuples.
 
     This is the spectral gap that controls how slowly oscillatory means decay,
     so averaging windows are sized against it.  Returns inf when every
-    combination is resonant.
+    combination is resonant.  sums maps a pattern to its SortedSums under the
+    same rule; they are built here when None.
     """
     values, tol, unit = frequency_rule(frame, eta, mode)
     best = math.inf
     for pattern in patterns:
-        S = _signed_sums(values, pattern)
+        sorted_sums = sums[pattern] if sums is not None else SortedSums(values, pattern)
         for t in values:
-            dev = np.abs(S - t)
-            nz = dev[dev > tol]
-            if nz.size:
-                best = min(best, float(nz.min()) * unit)
+            best = min(best, sorted_sums.gap(t, tol) * unit)
     return best
 
 
@@ -175,7 +213,7 @@ class ResonanceTable:
         return doc
 
     def content_hash(self):
-        from .io import content_hash  # io imports integrators, which imports spectral
+        from .io import content_hash  # io imports this module for TABLE_SCHEMA
         return content_hash(self.to_document())
 
     @staticmethod
@@ -253,8 +291,11 @@ def build_resonance_table(frame, patterns=((1, -1, 1),), eta=DEFAULT_ETA, mode="
     values, _, _ = frequency_rule(frame, eta, mode)
     mode = "exact" if values.dtype.kind == "i" else "float"  # exact values are integers
     lam = frame.eigenvalues
+    sums = {pattern: SortedSums(values, pattern) for pattern in patterns}
+    # called once per target through the module name, so that a caller's
+    # wrapper around enumerate_frequency_resonances sees every call
     resonances = {pattern: {target: enumerate_frequency_resonances(frame, pattern, target,
-                                                                   eta, mode)
+                                                                   eta, mode, sums[pattern])
                             for target in range(lam.size)}
                   for pattern in patterns}
     return ResonanceTable(
@@ -263,7 +304,7 @@ def build_resonance_table(frame, patterns=((1, -1, 1),), eta=DEFAULT_ETA, mode="
         mode=mode,
         clusters=eigenvalue_clusters(frame, eta, mode),
         resonances=resonances,
-        gamma_min=minimal_frequency_gap(frame, patterns, eta, mode),
+        gamma_min=minimal_frequency_gap(frame, patterns, eta, mode, sums),
         frame_hash=frame.content_hash(),
     )
 

@@ -306,7 +306,7 @@ class SpectralFrame:
 
     def content_hash(self):
         if self._content_hash is None:
-            from .io import content_hash  # io imports integrators, which imports this module
+            from .io import content_hash  # io is only needed once a frame is hashed
             self._content_hash = content_hash(self.to_document())
         return self._content_hash
 

@@ -602,6 +602,93 @@ def test_batched_drift_memory_is_bounded():
     assert peak < 64 * 2**20
 
 
+# -- momentum mask ----------------------------------------------------------
+
+def keep_every_row(keys, rows, target):
+    return np.ones(len(rows), dtype=bool)
+
+
+def assert_groups_bitwise_equal(drift, other):
+    assert len(drift.groups) == len(other.groups)
+    for group, twin in zip(drift.groups, other.groups):
+        for name in ("slots", "targets", "coeffs"):
+            a, b = getattr(group, name), getattr(twin, name)
+            assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
+
+
+def momentum_cases(frame_1d_9, frame_2d_9, frame_2d_25):
+    frame_2d_49 = build_frame(TorusGeometry((TAU, TAU), 32), Potential.zero(), 49)
+    return [(frame, NonlinearitySpec("polynomial", mu=0.3, terms=drift_test_terms(frame)))
+            for frame in (frame_1d_9, frame_2d_9)] + [
+        (frame, NonlinearitySpec("cubic_focusing", mu=0.5)) for frame in (frame_2d_25, frame_2d_49)]
+
+
+def test_momentum_mask_drops_only_vanishing_rows(frame_1d_9, frame_2d_9, frame_2d_25):
+    # each row the mask drops, merged as the drift merges rows, weighs under
+    # the drift's 1e-14 cut: derivative factors (1-D and 2-D) and plain cubics
+    dropped_2d = 0
+    for frame, spec in momentum_cases(frame_1d_9, frame_2d_9, frame_2d_25):
+        table = build_resonance_table(frame, patterns=spec.patterns())
+        Z, dx = frame.eigenfunction_values, frame.cell_volume
+        for term in spec.polynomial_terms():
+            keys = fields._wave_keys(frame, term.degree)
+            assert keys is not None
+            dropped = {t: rows[~fields._momentum_consistent(keys, rows, t)]
+                       for t, rows in table.resonances[term.pattern].items()}
+            targets, rows, _ = fields._merged_rows(dropped, term.factors, frame.modes)
+            slot_values = [Z if f.derivative is None else frame.eigenfunction_gradients[f.derivative]
+                           for f in term.factors]
+            for t in range(frame.modes):
+                weights = dx * fields._grid_integrals(slot_values, rows[targets == t], Z[t])
+                assert np.all(np.abs(weights) < 1e-14)
+            dropped_2d += (frame.dimension == 2) * targets.size
+    assert dropped_2d > 0
+
+
+def test_momentum_mask_keeps_the_drift_bitwise(frame_1d_9, frame_2d_9, frame_2d_25, monkeypatch):
+    for frame, spec in momentum_cases(frame_1d_9, frame_2d_9, frame_2d_25):
+        table = build_resonance_table(frame, patterns=spec.patterns())
+        masked = ResonantDrift(frame, spec, table)
+        with monkeypatch.context() as patched:
+            patched.setattr(fields, "_momentum_consistent", keep_every_row)
+            unmasked = ResonantDrift(frame, spec, table)
+        assert_groups_bitwise_equal(masked, unmasked)
+
+
+def test_momentum_mask_needs_single_trig_eigenfunctions(frame_1d_9_cos, monkeypatch):
+    # V != 0 mixes trig functions in each eigenfunction: no wave vector, no mask
+    assert fields._wave_keys(frame_1d_9_cos, 3) is None
+
+    def refuse(keys, rows, target):
+        raise AssertionError("momentum mask applied to a mixing frame")
+
+    monkeypatch.setattr(fields, "_momentum_consistent", refuse)
+    spec = NonlinearitySpec("polynomial", mu=0.3, terms=drift_test_terms(frame_1d_9_cos))
+    ResonantDrift(frame_1d_9_cos, spec, build_resonance_table(frame_1d_9_cos, spec.patterns()))
+
+
+def test_target_masked_to_no_rows_matches_an_empty_target(frame_2d_25):
+    # target 5 keeps only its momentum-inconsistent rows: the mask empties it,
+    # and the drift is the one of a table listing no rows for it at all
+    spec = NonlinearitySpec("cubic_focusing", mu=0.5)
+    table = build_resonance_table(frame_2d_25)
+    per_target = table.resonances[(1, -1, 1)]
+    keys = fields._wave_keys(frame_2d_25, 3)
+    target = 5
+    rows = per_target[target]
+    inconsistent = rows[~fields._momentum_consistent(keys, rows, target)]
+    assert len(inconsistent) > 0
+    planted, empty = ({**per_target, target: kept} for kept in (inconsistent, rows[:0]))
+    drift, twin = (ResonantDrift(frame_2d_25, spec,
+                                 dataclasses.replace(table, resonances={(1, -1, 1): res}))
+                   for res in (planted, empty))
+    assert target not in drift.groups[0].targets
+    assert_groups_bitwise_equal(drift, twin)
+    v = sample_ball(frame_2d_25, 2.0, 1.0, np.random.default_rng(34))
+    out = drift(v)
+    assert out[target] == 0 and np.array_equal(out, twin(v))
+
+
 def test_drift_refuses_table_of_another_potential(frame_1d_9, frame_1d_9_cos):
     # same mode count, other eigenvalues: the resonances would be wrong
     cfg = SolverConfig(epsilon=0.1, tau_end=0.1, dt=0.05)

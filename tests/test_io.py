@@ -2,7 +2,11 @@
 
 import hashlib
 import json
+import os
+from pathlib import Path
 import re
+import subprocess
+import sys
 import tracemalloc
 
 from hypothesis import example, given, settings, strategies as st
@@ -277,3 +281,16 @@ def test_2d_table_load_stays_in_arrays(table_2d_49):
     assert peak < 16 * 2 ** 20, f"loading the table peaked at {peak / 2 ** 20:.1f} MiB"
     for target, rows in table.resonances[(1, -1, 1)].items():
         assert np.array_equal(loaded.resonances[(1, -1, 1)][target], rows)
+
+
+def test_importing_io_leaves_integrators_unloaded():
+    # tables and frames are written and read without the solver modules, which
+    # io imports only inside the trajectory helpers
+    code = ("import sys, resonlab.io; "
+            "print(sorted(m for m in sys.modules if m.startswith('resonlab.')))")
+    root = Path(__file__).resolve().parent.parent
+    result = subprocess.run([sys.executable, "-c", code], cwd=root, capture_output=True,
+                            text=True, env=dict(os.environ, PYTHONPATH="src"), timeout=120)
+    assert result.returncode == 0, result.stderr
+    loaded = result.stdout.strip()
+    assert "resonlab.integrators" not in loaded and "resonlab.fields" not in loaded, loaded

@@ -12,6 +12,7 @@ from resonlab.errors import ConfigError, UnsupportedModeError, ValidationError
 from resonlab.io import canonical_bytes
 from resonlab.resonance import (
     ResonanceTable,
+    SortedSums,
     build_diffusion,
     build_resonance_table,
     eigenvalue_clusters,
@@ -34,6 +35,20 @@ def brute_force_frequency(lam, pattern, target, eta):
         if abs(s - lam[target]) <= eta * scale:
             out.append(tup)
     return out
+
+
+def brute_force_gap(lam, patterns, eta):
+    """Smallest |sum - lam[target]| above the tolerance over every pattern,
+    target and index tuple."""
+    best = np.inf
+    tol = eta * max(1.0, max(abs(x) for x in lam))
+    for pattern in patterns:
+        for tup in itertools.product(range(len(lam)), repeat=len(pattern)):
+            s = sum(sign * lam[i] for sign, i in zip(pattern, tup))
+            for v in lam:
+                if abs(s - v) > tol:
+                    best = min(best, abs(s - v))
+    return best
 
 
 # -- clusters --------------------------------------------------------------
@@ -108,6 +123,69 @@ def test_frequency_enumeration_matches_brute_force(frame_1d_5):
         assert got.dtype == np.intp and got.shape == (len(expected), len(pattern))
         assert not got.flags.writeable
         assert got.tolist() == [list(t) for t in expected]
+
+
+PATTERNS = ((1,), (1, -1, 1), (1, 1, -1))
+
+
+def assert_matches_brute_force(lam, eta):
+    """Per-target rows (sorted sums built per call and shared per pattern) and
+    the gap equal the brute-force scans."""
+    values, _, _ = frequency_rule(lam, eta)
+    shared = {pattern: SortedSums(values, pattern) for pattern in PATTERNS}
+    for pattern in PATTERNS:
+        for target in range(lam.size):
+            expected = [list(t) for t in brute_force_frequency(list(lam), pattern, target, eta)]
+            for sums in (None, shared[pattern]):
+                got = enumerate_frequency_resonances(lam, pattern, target, eta, sums=sums)
+                assert got.shape == (len(expected), len(pattern))
+                assert got.tolist() == expected
+    gap = brute_force_gap(list(lam), PATTERNS, eta)
+    assert minimal_frequency_gap(lam, PATTERNS, eta) == gap
+    assert minimal_frequency_gap(lam, PATTERNS, eta, sums=shared) == gap
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.integers(1, 6), st.sampled_from([1e-12, 1e-8, 1e-3]),
+       st.booleans())
+def test_sorted_enumeration_matches_brute_force(seed, size, eta, lattice):
+    # a lattice spectrum (small integers times one float, plus a jitter near
+    # the tolerance) has many sums at and around the band edges
+    rng = np.random.default_rng(seed)
+    if lattice:
+        lam = rng.integers(0, 5, size) * rng.uniform(0.5, 3.0)
+        lam = lam + rng.choice([0.0, 1.0, -1.0], size) * eta * rng.uniform(0.5, 1.5, size)
+    else:
+        lam = rng.uniform(-1.0, 10.0, size)
+    assert_matches_brute_force(np.sort(lam), eta)
+
+
+def test_band_edges_are_inclusive_to_the_last_float():
+    # tol = 2^-21 * max(1, 2) = 2^-20 exactly; target 2 has lambda = 1
+    eta, tol = 2.0 ** -21, 2.0 ** -20
+    edge = np.array([0.0, 1.0 - tol, 1.0, 1.0 + tol, 2.0])
+    beyond = np.array([0.0, np.nextafter(1.0 - tol, 0.0), 1.0, np.nextafter(1.0 + tol, 2.0), 2.0])
+    assert frequency_rule(edge, eta)[1] == tol
+    assert enumerate_frequency_resonances(edge, (1,), 2, eta).tolist() == [[1], [2], [3]]
+    assert enumerate_frequency_resonances(beyond, (1,), 2, eta).tolist() == [[2]]
+    # one float below 1 - tol is nearer to 1 than one float above 1 + tol
+    assert minimal_frequency_gap(beyond, [(1,)], eta) == 1.0 - beyond[1] == tol + 2.0 ** -53
+    for lam in (edge, beyond):
+        assert_matches_brute_force(lam, eta)
+
+
+def test_empty_bands_read_the_nearest_sums():
+    lam = np.array([1.0, 3.0])
+    for pattern, gaps in (((1, 1), [1.0, 1.0]), ((-1, -1), [3.0, 5.0])):
+        # sums 2, 4, 4, 6 (or their negatives): no target lies on one
+        sums = SortedSums(lam, pattern)
+        for target, gap in enumerate(gaps):
+            a, b = sums.band(lam[target], 0.0)
+            assert a == b
+            assert enumerate_frequency_resonances(lam, pattern, target).shape == (0, 2)
+            assert sums.gap(lam[target], 0.0) == gap
+        assert minimal_frequency_gap(lam, [pattern]) == min(gaps)
+        assert minimal_frequency_gap(lam, [pattern]) == brute_force_gap(list(lam), [pattern], 1e-8)
 
 
 def test_linear_pattern_recovers_clusters(frame_1d_9):
