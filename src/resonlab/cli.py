@@ -310,6 +310,7 @@ def _resolve_seed(args, config):
 
 
 def _cmd_trajectory(args, config, base_dir, effective):
+    from .fields import ResonantDrift
     from .integrators import (integrate_effective, integrate_effective_stochastic,
                               integrate_full, integrate_full_stochastic)
     from .io import save_trajectory
@@ -327,15 +328,15 @@ def _cmd_trajectory(args, config, base_dir, effective):
     noise = _build_noise(config.get("noise"), frame)
     seed = _resolve_seed(args, config)
 
+    drift = ResonantDrift(frame, spec, table) if effective else None
     if noise is not None and not noise.is_zero:
         if effective:
             diffusion = build_diffusion(frame, noise.array())
-            traj = integrate_effective_stochastic(v0, spec, frame, solver,
-                                                  table, diffusion, seed)
+            traj = integrate_effective_stochastic(v0, drift, solver, diffusion, seed)
         else:
             traj = integrate_full_stochastic(v0, spec, frame, solver, noise, seed)
     elif effective:
-        traj = integrate_effective(v0, spec, frame, solver, table=table)
+        traj = integrate_effective(v0, drift, solver)
     else:
         traj = integrate_full(v0, spec, frame, solver)
 

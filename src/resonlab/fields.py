@@ -375,6 +375,8 @@ class QuadratureDrift:
     """
 
     def __init__(self, frame, spec, window, n_quad=None):
+        self.frame = frame
+        self.spec = spec
         self.field = Field(spec, frame)
         self.window = float(window)
         if n_quad is None and self.window > 0:
@@ -382,7 +384,7 @@ class QuadratureDrift:
         self.n_quad = _node_count(self.window, n_quad)
 
     def __call__(self, state):
-        lam = self.field.frame.eigenvalues
+        lam = self.frame.eigenvalues
         return _phase_average(lambda x: eval_P(x, self.field), state, lam, lam,
                               self.window, self.n_quad)
 
@@ -393,12 +395,12 @@ def default_quadrature_nodes(frame, window):
     return int(math.ceil(4.0 * window * span / (2.0 * math.pi))) + 1
 
 
-def drift_route_residual(state, table, spec, frame, window, s=0.0):
-    """Both drift routes and their Sobolev-s gap; reported by studies."""
-    analytic = ResonantDrift(frame, spec, table)(state)
-    numerical = QuadratureDrift(frame, spec, window)(state)
-    gap = sobolev_norm(analytic - numerical, s, frame.eigenvalues)
-    return {"analytic": analytic, "numerical": numerical, "residual": float(gap)}
+def drift_route_residual(state, analytic, numerical, s=0.0):
+    """Two built drift routes of one frame (the analytic ResonantDrift and the
+    numerical QuadratureDrift) at state, and their Sobolev-s gap; reported by studies."""
+    a, n = analytic(state), numerical(state)
+    gap = sobolev_norm(a - n, s, analytic.frame.eigenvalues)
+    return {"analytic": a, "numerical": n, "residual": float(gap)}
 
 
 # -- scalar observables and their averages ---------------------------------

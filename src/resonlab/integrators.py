@@ -9,7 +9,10 @@ exponential (Lawson) schemes:
 Deterministic runs use a Lawson RK4 step by default; stochastic runs use an
 exponential Euler-Maruyama step.  Every run, single or ensemble, goes through
 one batched driver, so a zero-amplitude stochastic run is bitwise identical to
-the deterministic "expeuler" scheme.  Complex noise follows the convention
+the deterministic "expeuler" scheme.  Runs take the averaged drift they
+integrate or track the disparity against (a fields.ResonantDrift or
+QuadratureDrift, built by the caller and reused across runs); nothing here
+builds one.  Complex noise follows the convention
 E|beta_l(tau)|^2 = 2 tau (independent standard real and imaginary parts).
 A stochastic run draws its normals ahead in one forked producer process that
 shares the noise buffer with it (_NoiseStream).
@@ -23,7 +26,7 @@ import signal
 import numpy as np
 
 from .errors import BlowUpError, ConfigError, EnsembleError
-from .fields import Field, ResonantDrift, eval_Y
+from .fields import Field, eval_Y
 from .spectral import mode_vector
 
 SCHEMES = ("lawson4", "expeuler")
@@ -51,12 +54,10 @@ class SolverConfig:
     blow_up_norm: float = 1.0
 
     def __post_init__(self):
-        if not (self.epsilon > 0):
-            raise ConfigError(f"epsilon must be positive, got {self.epsilon}")
-        if not (self.tau_end > 0):
-            raise ConfigError(f"tau_end must be positive, got {self.tau_end}")
-        if not (self.dt > 0):
-            raise ConfigError(f"dt must be positive, got {self.dt}")
+        for name in ("epsilon", "tau_end", "dt"):
+            if not 0 < getattr(self, name) < math.inf:
+                raise ConfigError(f"{name} must be positive and finite, "
+                                  f"got {getattr(self, name)}")
         if self.scheme not in SCHEMES:
             raise ConfigError(f"unknown scheme {self.scheme!r}; choose from {SCHEMES}")
         if not (self.theta_osc > 0):
@@ -488,30 +489,25 @@ def _noise_stream(config, seed, members, modes, inject):
     return None if inject is None else _NoiseStream(seed, members, modes)
 
 
-def _run_full(a0, spec, frame, config, noise=None, seed=None, table=None,
-              track_disparity=False):
-    """Drive the rotated full system over an (members, modes) batch."""
+def _run_full(a0, spec, frame, config, noise=None, seed=None, drift=None):
+    """Drive the rotated full system over an (members, modes) batch; a drift given
+    is what the disparity is tracked against, and must be of this spec and frame."""
+    if drift is not None and (drift.spec != spec or (
+            drift.frame is not frame and drift.frame.content_hash() != frame.content_hash())):
+        raise ConfigError("disparity tracking needs a drift of the run's spec and frame")
     inject = None if noise is None else _full_noise_injector(noise, frame, config.epsilon)
     stream = _noise_stream(config, seed, *a0.shape, inject)
-    drift = None
-    if track_disparity:
-        if table is None:
-            raise ConfigError("disparity tracking needs a resonance table")
-        drift = ResonantDrift(frame, spec, table)
     h_target = oscillation_step(config, frame.eigenvalues)
     return _drive(a0, _full_field(spec, frame, config.epsilon), frame.eigenvalues,
                   spec.mu, config, h_target, inject=inject, stream=stream, drift=drift)
 
 
-def _run_effective(a0, spec, frame, config, table=None, drift=None,
-                   diffusion=None, seed=None):
-    """Drive the averaged system over an (members, modes) batch."""
+def _run_effective(a0, drift, config, diffusion=None, seed=None):
+    """Drive the averaged system of a drift over an (members, modes) batch."""
     inject = None if diffusion is None else _effective_noise_injector(diffusion)
     stream = _noise_stream(config, seed, *a0.shape, inject)
-    if drift is None:
-        drift = ResonantDrift(frame, spec, table)
-    return _drive(a0, lambda x, tau: drift(x), frame.eigenvalues, spec.mu, config,
-                  config.dt, inject=inject, stream=stream)
+    return _drive(a0, lambda x, tau: drift(x), drift.frame.eigenvalues, drift.spec.mu,
+                  config, config.dt, inject=inject, stream=stream)
 
 
 def _trajectory(run, config, frame, epsilon=None, seed=None, noise_doc=None):
@@ -554,27 +550,21 @@ def step_full_deterministic(state, tau, h, spec, frame, config):
     return out.reshape(np.shape(mode_vector(state)))
 
 
-def integrate_full(state, spec, frame, config, table=None, track_disparity=False):
+def integrate_full(state, spec, frame, config, drift=None):
     """Integrate the rotated full system from tau = 0 to tau_end.
 
-    With track_disparity the running integral of Y - R along the numerical
-    trajectory is accumulated and sampled; this needs a resonance table for
-    the averaged drift.
+    Given the averaged drift of the same spec and frame, the running integral
+    of Y - drift along the numerical trajectory is accumulated and sampled.
     """
-    run = _run_full(np.atleast_2d(mode_vector(state)), spec, frame, config,
-                    table=table, track_disparity=track_disparity)
+    run = _run_full(np.atleast_2d(mode_vector(state)), spec, frame, config, drift=drift)
     return _trajectory(run, config, frame, epsilon=config.epsilon)
 
 
-def integrate_effective(state, spec, frame, config, table=None, drift=None):
-    """Integrate the averaged equation; autonomous, so no oscillation refinement.
-
-    A custom drift callable (e.g. the quadrature route, for oracle swaps)
-    replaces the resonant-sum drift built from the table.
-    """
-    run = _run_effective(np.atleast_2d(mode_vector(state)), spec, frame, config,
-                         table=table, drift=drift)
-    return _trajectory(run, config, frame)
+def integrate_effective(state, drift, config):
+    """Integrate the averaged equation of a drift (the resonant sum, or the
+    quadrature route for oracle swaps); autonomous, so no oscillation refinement."""
+    run = _run_effective(np.atleast_2d(mode_vector(state)), drift, config)
+    return _trajectory(run, config, drift.frame)
 
 
 def integrate_full_stochastic(state, spec, frame, config, noise, seed):
@@ -585,11 +575,11 @@ def integrate_full_stochastic(state, spec, frame, config, noise, seed):
                        noise_doc=noise.to_document())
 
 
-def integrate_effective_stochastic(state, spec, frame, config, table, diffusion, seed):
+def integrate_effective_stochastic(state, drift, config, diffusion, seed):
     """Single noisy trajectory of the averaged equation."""
-    run = _run_effective(np.atleast_2d(mode_vector(state)), spec, frame, config,
-                         table=table, diffusion=diffusion, seed=seed)
-    return _trajectory(run, config, frame, seed=seed)
+    run = _run_effective(np.atleast_2d(mode_vector(state)), drift, config,
+                         diffusion=diffusion, seed=seed)
+    return _trajectory(run, config, drift.frame, seed=seed)
 
 
 # -- ensembles --------------------------------------------------------------
@@ -656,19 +646,18 @@ def _broadcast_members(state, members, modes):
     return a0
 
 
-def ensemble_full(state, spec, frame, config, noise, members, seed_base,
-                  table=None, track_disparity=False):
-    """Batch of noisy full-system runs; member i uses Philox key seed_base + i."""
+def ensemble_full(state, spec, frame, config, noise, members, seed_base, drift=None):
+    """Batch of noisy full-system runs; member i uses Philox key seed_base + i.
+    A drift given tracks the disparity as integrate_full does."""
     run = _run_full(_broadcast_members(state, members, frame.modes), spec, frame,
-                    config, noise=noise, seed=seed_base, table=table,
-                    track_disparity=track_disparity)
+                    config, noise=noise, seed=seed_base, drift=drift)
     return _summarize(run, seed_base, frame.content_hash(),
                       {**run["meta"], "system": "full", "noise": noise.to_document()})
 
 
-def ensemble_effective(state, spec, frame, config, table, diffusion, members, seed_base):
+def ensemble_effective(state, drift, config, diffusion, members, seed_base):
     """Batch of noisy effective-equation runs with matched member seeding."""
-    run = _run_effective(_broadcast_members(state, members, frame.modes), spec, frame,
-                         config, table=table, diffusion=diffusion, seed=seed_base)
-    return _summarize(run, seed_base, frame.content_hash(),
+    run = _run_effective(_broadcast_members(state, members, drift.frame.modes), drift,
+                         config, diffusion=diffusion, seed=seed_base)
+    return _summarize(run, seed_base, drift.frame.content_hash(),
                       {**run["meta"], "system": "effective"})

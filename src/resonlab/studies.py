@@ -15,7 +15,7 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from .errors import ConfigError
-from .fields import (Observable, QuadratureDrift, action_observable,
+from .fields import (Observable, QuadratureDrift, ResonantDrift, action_observable,
                      default_quadrature_nodes, drift_route_residual,
                      monomial_observable, scalar_average, scalar_average_limit)
 from .integrators import (NOISE_CONVENTION, SolverConfig, ensemble_full,
@@ -82,13 +82,20 @@ class StudyConfig:
             raise ConfigError(f"need 0 <= s1 < s_star, got s1={self.s1} s_star={self.s_star}")
         if self.initials < 1 or self.members < 2 or self.tracked_modes < 1:
             raise ConfigError("need initials >= 1, members >= 2, tracked_modes >= 1")
-        if self.batches < 4 or not (self.burn_in >= 0) or not (self.batch_length > 0):
-            raise ConfigError("stationary averaging needs batches >= 4, burn_in >= 0, batch_length > 0")
+        if not 0.0 < self.tau_end < math.inf:
+            raise ConfigError(f"tau_end must be positive and finite, got {self.tau_end}")
+        if (self.batches < 4 or not 0.0 <= self.burn_in < math.inf
+                or not 0.0 < self.batch_length < math.inf):
+            raise ConfigError("stationary averaging needs batches >= 4, a finite burn_in >= 0 "
+                              "and a finite batch_length > 0")
+        compare_taus = tuple(float(t) for t in self.compare_taus)
+        if not all(map(math.isfinite, compare_taus)):
+            raise ConfigError(f"compare_taus must be finite, got {compare_taus}")
         windows = tuple(float(w) for w in self.windows)
         if any(not 0.0 < w < math.inf for w in windows):
             raise ConfigError(f"averaging windows must be positive and finite, got {windows}")
         object.__setattr__(self, "epsilons", eps)
-        object.__setattr__(self, "compare_taus", tuple(float(t) for t in self.compare_taus))
+        object.__setattr__(self, "compare_taus", compare_taus)
         object.__setattr__(self, "windows", windows)
 
     def solver(self, **overrides):
@@ -187,16 +194,17 @@ def study_deterministic_convergence(frame, spec, table, cfg):
     # sized before any run: a near-resonance stretches the window past the node budget
     window = table.suggested_window(5.0)
     try:
-        drift = QuadratureDrift(frame, spec, window)
+        quadrature = QuadratureDrift(frame, spec, window)
     except ConfigError as err:
         raise ConfigError(f"route swap: {err}; gamma_min={table.gamma_min:.3e}") from None
+    drift = ResonantDrift(frame, spec, table)
     initials = _initial_states(frame, cfg)
     base = cfg.solver(scheme="lawson4")
     runs = {}
     deltas = np.empty((len(initials), len(cfg.epsilons)))
     eff0_actions = None
     for j, v0 in enumerate(initials):
-        eff = integrate_effective(v0, spec, frame, base, table=table)
+        eff = integrate_effective(v0, drift, base)
         runs[f"effective_init{j}"] = trajectory_hash(eff, base)
         if j == 0:
             eff0_actions = eff.actions()
@@ -210,11 +218,9 @@ def study_deterministic_convergence(frame, spec, table, cfg):
 
     # Route swap: rerunning the effective flow with the quadrature drift must
     # reproduce delta up to the measured drift residual scaled by the horizon.
-    swapped = integrate_effective(initials[0], spec, frame, base, table=table,
-                                  drift=drift)
+    swapped = integrate_effective(initials[0], quadrature, base)
     runs["effective_route_swap"] = trajectory_hash(swapped, base)
-    residual = drift_route_residual(initials[0], table, spec, frame, window,
-                                    s=cfg.s1)["residual"]
+    residual = drift_route_residual(initials[0], drift, quadrature, s=cfg.s1)["residual"]
     route_gap = float(np.max(action_distance(
         swapped.actions(), eff0_actions, cfg.s1, frame.eigenvalues)))
     route_tol = max(1e-9, 100.0 * cfg.tau_end * residual)
@@ -342,7 +348,7 @@ def study_stochastic_actions(frame, spec, table, noise, diffusion, cfg):
     tracked = min(cfg.tracked_modes, frame.modes)
     runs = {}
 
-    eff = ensemble_effective(v0, spec, frame, base, table, diffusion,
+    eff = ensemble_effective(v0, ResonantDrift(frame, spec, table), base, diffusion,
                              cfg.members, cfg.seed)
     runs["effective"] = ensemble_hash(eff)
     idx = _compare_indices(eff.taus, cfg)
@@ -467,7 +473,7 @@ def study_stationary_measure(frame, spec, table, noise, diffusion, cfg):
     runs = {}
 
     eff_cfg = replace(base, dt=min(5e-3, base.dt * 2))
-    eff = integrate_effective_stochastic(v0, spec, frame, eff_cfg, table,
+    eff = integrate_effective_stochastic(v0, ResonantDrift(frame, spec, table), eff_cfg,
                                          diffusion, seed=cfg.seed + len(cfg.epsilons))
     runs["effective"] = trajectory_hash(eff, eff_cfg)
 
@@ -553,20 +559,19 @@ def study_disparity_decay(frame, spec, table, cfg, noise=None):
     det_base = cfg.solver(scheme="lawson4")
     sto_base = cfg.solver(scheme="expeuler")
     tracked = min(cfg.tracked_modes, frame.modes)
+    drift = ResonantDrift(frame, spec, table)
     runs = {}
 
     det = np.empty((len(cfg.epsilons), tracked))
     sto = np.empty_like(det) if noise is not None and not noise.is_zero else None
     for i, eps in enumerate(cfg.epsilons):
         det_cfg = replace(det_base, epsilon=eps)
-        traj = integrate_full(v0, spec, frame, det_cfg, table=table,
-                              track_disparity=True)
+        traj = integrate_full(v0, spec, frame, det_cfg, drift=drift)
         runs[f"det_eps{eps:g}"] = trajectory_hash(traj, det_cfg)
         det[i] = traj.disparity_max[:tracked]
         if sto is not None:
             res = ensemble_full(v0, spec, frame, replace(sto_base, epsilon=eps),
-                                noise, cfg.members, cfg.seed + 1, table=table,
-                                track_disparity=True)
+                                noise, cfg.members, cfg.seed + 1, drift=drift)
             runs[f"ens_eps{eps:g}"] = ensemble_hash(res)
             sto[i] = res.disparity_mean[:tracked]
 
@@ -576,8 +581,7 @@ def study_disparity_decay(frame, spec, table, cfg, noise=None):
     mid = len(cfg.epsilons) // 2
     half_cfg = replace(det_base, epsilon=cfg.epsilons[mid],
                               dt=cfg.dt / 2, theta_osc=cfg.theta_osc / 2)
-    half = integrate_full(v0, spec, frame, half_cfg, table=table,
-                          track_disparity=True)
+    half = integrate_full(v0, spec, frame, half_cfg, drift=drift)
     runs[f"det_eps{cfg.epsilons[mid]:g}_halfstep"] = trajectory_hash(half, half_cfg)
     ref = det[mid]
     shift = float(np.max(np.abs(half.disparity_max[:tracked] - ref)

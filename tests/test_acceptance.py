@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 from numpy.random import default_rng
 
-from resonlab.fields import ResonantDrift, drift_route_residual
+from resonlab.fields import QuadratureDrift, ResonantDrift, drift_route_residual
 from resonlab.integrators import (NoiseModel, SolverConfig, ensemble_full,
                                   integrate_effective, integrate_full)
 from resonlab.io import save_trajectory, write_json, write_report
@@ -112,15 +112,18 @@ def _produce_drift_residuals(out):
     window = table.suggested_window(50.0)
     rng = default_rng(5)
     states = [sample_ball(frame, 2.0, 2.0, rng) for _ in range(3)]
-    resid = [drift_route_residual(v, table, spec, frame, window, s=1.6)
-             ["residual"] for v in states]
+    analytic = ResonantDrift(frame, spec, table)
+    numerical = QuadratureDrift(frame, spec, window)
+    resid = [drift_route_residual(v, analytic, numerical, s=1.6)["residual"]
+             for v in states]
     # residual decay with the window is oscillatory, so single windows are
     # unreliable; pool over a spread of incommensurate base windows instead
     bases = [(17.3 + 1.37 * j) * TWO_PI for j in range(8)]
     pools = []
     for factor in (1.0, 2.0):
-        vals = [drift_route_residual(v, table, spec, frame, factor * b, s=1.6)
-                ["residual"] for v in states for b in bases]
+        routes = [QuadratureDrift(frame, spec, factor * b) for b in bases]
+        vals = [drift_route_residual(v, analytic, route, s=1.6)["residual"]
+                for v in states for route in routes]
         pools.append(float(np.mean(vals)))
     doc = {"window": window, "residuals": resid,
            "pooled_base": pools[0], "pooled_doubled": pools[1],
@@ -153,7 +156,7 @@ def _produce_diagonal_runs(out):
     table = build_resonance_table(frame, patterns=((1,),))
     v0 = sample_ball(frame, 2.0, 1.0, default_rng(17))
     eff_cfg = SolverConfig(epsilon=1.0, tau_end=1.0, dt=1e-3, samples=21)
-    eff = integrate_effective(v0, spec, frame, eff_cfg, table=table)
+    eff = integrate_effective(v0, ResonantDrift(frame, spec, table), eff_cfg)
     save_trajectory(out / "effective.jsonl", eff, eff_cfg)
     gaps = {}
     for eps in (0.1, 0.01):

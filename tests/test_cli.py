@@ -363,6 +363,19 @@ def test_study_pass_and_fail_exit_codes(workspace, tmp_path, capsys):
     assert "halved: False" in capsys.readouterr().out
 
 
+def test_non_finite_compare_tau_exits_one(workspace, tmp_path, capsys):
+    cfg = write_config(workspace["dir"] / "snan.json", {
+        "frame": workspace["frame_ref"],
+        "table": workspace["table_ref"],
+        "nonlinearity": {"kind": "cubic_focusing", "mu": 0.5},
+        "noise": {"scale": 0.1, "decay": 1.5},
+        "study": {"study": "stochastic", "compare_taus": [float("nan")]},
+    })
+    assert main(["study", "stochastic", "--config", cfg,
+                 "--out", str(tmp_path / "s")]) == 1
+    assert "compare_taus" in capsys.readouterr().err
+
+
 def test_study_kind_mismatch(workspace, tmp_path):
     cfg = write_config(workspace["dir"] / "mk.json", {
         "frame": workspace["frame_ref"],

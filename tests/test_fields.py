@@ -22,7 +22,6 @@ from resonlab.fields import (
     scalar_average,
     scalar_average_limit,
 )
-from resonlab.integrators import SolverConfig, integrate_effective
 from resonlab.nonlinearity import (
     MonomialFactor,
     MonomialTerm,
@@ -304,7 +303,8 @@ def test_drift_routes_agree_on_resonant_torus(frame_1d_9):
     rng = np.random.default_rng(11)
     v = sample_ball(frame_1d_9, 2.0, 1.5, rng)
     window = table.suggested_window()  # 50 full common periods: average is exact
-    report = drift_route_residual(v, table, CUBIC, frame_1d_9, window, s=1.6)
+    report = drift_route_residual(v, ResonantDrift(frame_1d_9, CUBIC, table),
+                                  QuadratureDrift(frame_1d_9, CUBIC, window), s=1.6)
     assert report["residual"] < 1e-8
 
 
@@ -314,8 +314,9 @@ def test_drift_residual_decays_off_period():
     rng = np.random.default_rng(12)
     v = sample_ball(frame, 2.0, 1.5, rng)
     base = 130.0  # incommensurate with the 2 pi period lattice
-    r1 = drift_route_residual(v, table, CUBIC, frame, base, s=1.6)["residual"]
-    r2 = drift_route_residual(v, table, CUBIC, frame, 2 * base, s=1.6)["residual"]
+    analytic = ResonantDrift(frame, CUBIC, table)
+    r1, r2 = (drift_route_residual(v, analytic, QuadratureDrift(frame, CUBIC, window),
+                                   s=1.6)["residual"] for window in (base, 2 * base))
     assert r2 < r1
 
 
@@ -352,7 +353,8 @@ def test_derivative_polynomial_routes_agree(frame_1d_9):
     table = build_resonance_table(frame_1d_9, patterns=((1, 1),))
     v = sample_ball(frame_1d_9, 2.0, 1.0, np.random.default_rng(15))
     window = table.suggested_window()
-    report = drift_route_residual(v, table, spec, frame_1d_9, window, s=1.0)
+    report = drift_route_residual(v, ResonantDrift(frame_1d_9, spec, table),
+                                  QuadratureDrift(frame_1d_9, spec, window), s=1.0)
     assert report["residual"] < 1e-8
 
 
@@ -362,8 +364,9 @@ def test_potential_cluster_term_converges(frame_1d_9_cos):
     spec = NonlinearitySpec("cubic_focusing", mu=0.5)
     table = build_resonance_table(frame_1d_9_cos)
     v = sample_ball(frame_1d_9_cos, 2.0, 1.0, np.random.default_rng(16))
-    r1 = drift_route_residual(v, table, spec, frame_1d_9_cos, 200.0, s=0.0)["residual"]
-    r2 = drift_route_residual(v, table, spec, frame_1d_9_cos, 800.0, s=0.0)["residual"]
+    analytic = ResonantDrift(frame_1d_9_cos, spec, table)
+    r1, r2 = (drift_route_residual(v, analytic, QuadratureDrift(frame_1d_9_cos, spec, window),
+                                   s=0.0)["residual"] for window in (200.0, 800.0))
     assert r2 < 0.5 * r1
 
 
@@ -691,12 +694,9 @@ def test_target_masked_to_no_rows_matches_an_empty_target(frame_2d_25):
 
 def test_drift_refuses_table_of_another_potential(frame_1d_9, frame_1d_9_cos):
     # same mode count, other eigenvalues: the resonances would be wrong
-    cfg = SolverConfig(epsilon=0.1, tau_end=0.1, dt=0.05)
     flat_table = build_resonance_table(frame_1d_9)
     with pytest.raises(ConfigError):
         ResonantDrift(frame_1d_9_cos, CUBIC, flat_table)
-    with pytest.raises(ConfigError):
-        integrate_effective(np.ones(9, dtype=complex), CUBIC, frame_1d_9_cos, cfg, table=flat_table)
 
 
 def test_drift_refuses_table_of_another_mode_count(frame_1d_9):

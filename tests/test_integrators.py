@@ -58,6 +58,15 @@ def test_config_validation():
             SolverConfig(**{"epsilon": 0.1, "tau_end": 1.0, **bad})
 
 
+@pytest.mark.parametrize("name", ["epsilon", "tau_end", "dt"])
+def test_config_refuses_non_finite(name):
+    # tau_end=inf died in _segment_steps, dt=inf took one step per sample
+    # segment, and epsilon=inf ran the full system with no rotation
+    for bad in (math.inf, -math.inf, math.nan):
+        with pytest.raises(ConfigError, match=name):
+            SolverConfig.from_document({"epsilon": 0.1, "tau_end": 1.0, name: bad})
+
+
 def test_oscillation_step_policy(frame_1d_5):
     cfg = SolverConfig(epsilon=0.1, tau_end=1.0, dt=0.05, theta_osc=0.2)
     # lambda_max = 4: refined to 0.2 * 0.1 / 4 = 5e-3
@@ -138,7 +147,7 @@ def test_single_mode_phase_rotation():
 
     cfg = SolverConfig(epsilon=1.0, tau_end=2.0, dt=1e-3, samples=3)
     expect = np.exp(1j * G * np.abs(a0) ** 2 * 2.0) * a0
-    eff = integrate_effective(a0, spec, frame, cfg, table)
+    eff = integrate_effective(a0, drift, cfg)
     assert np.allclose(eff.final_state(), expect, atol=1e-9)
     full = integrate_full(a0, spec, frame, cfg)
     assert np.allclose(full.final_state(), expect, atol=1e-9)
@@ -149,7 +158,7 @@ def test_effective_conserves_l2_without_damping(frame_1d_9):
     spec = NonlinearitySpec("cubic_focusing")  # mu = 0, Hamiltonian truncation
     a0 = sample_ball(frame_1d_9, 2.0, 1.5, np.random.default_rng(32))
     cfg = SolverConfig(epsilon=1.0, tau_end=1.0, dt=1e-3, samples=6)
-    traj = integrate_effective(a0, spec, frame_1d_9, cfg, table)
+    traj = integrate_effective(a0, ResonantDrift(frame_1d_9, spec, table), cfg)
     mass = np.sum(np.abs(traj.states) ** 2, axis=1)
     assert np.allclose(mass, mass[0], rtol=1e-10)
 
@@ -158,7 +167,7 @@ def test_full_approaches_effective_as_epsilon_shrinks(frame_1d_5):
     table = build_resonance_table(frame_1d_5)
     a0 = sample_ball(frame_1d_5, 2.0, 1.0, np.random.default_rng(33))
     cfg = SolverConfig(epsilon=1.0, tau_end=1.0, dt=2e-3, samples=2)
-    eff = integrate_effective(a0, CUBIC, frame_1d_5, cfg, table)
+    eff = integrate_effective(a0, ResonantDrift(frame_1d_5, CUBIC, table), cfg)
 
     def dist(eps):
         traj = integrate_full(a0, CUBIC, frame_1d_5, replace(cfg, epsilon=eps))
@@ -170,26 +179,18 @@ def test_full_approaches_effective_as_epsilon_shrinks(frame_1d_5):
 
 
 def test_disparity_shrinks_with_epsilon(frame_1d_5):
-    table = build_resonance_table(frame_1d_5)
+    drift = ResonantDrift(frame_1d_5, CUBIC, build_resonance_table(frame_1d_5))
     a0 = sample_ball(frame_1d_5, 2.0, 1.0, np.random.default_rng(34))
     cfg = SolverConfig(epsilon=1.0, tau_end=1.0, dt=2e-3, samples=5)
 
     def peak(eps):
-        traj = integrate_full(a0, CUBIC, frame_1d_5, replace(cfg, epsilon=eps),
-                              table=table, track_disparity=True)
+        traj = integrate_full(a0, CUBIC, frame_1d_5, replace(cfg, epsilon=eps), drift=drift)
         assert traj.disparity is not None and traj.disparity.shape == traj.states.shape
         assert np.all(traj.disparity[0] == 0)
         return float(np.max(traj.disparity_max))
 
     p_big, p_small = peak(0.4), peak(0.1)
     assert p_small < 0.6 * p_big
-
-
-def test_disparity_needs_table(frame_1d_5):
-    cfg = SolverConfig(epsilon=0.5, tau_end=0.1)
-    with pytest.raises(ConfigError):
-        integrate_full(np.ones(5, complex), CUBIC, frame_1d_5, cfg,
-                       track_disparity=True)
 
 
 def test_disparity_tracking_evaluates_once_per_sample_node(frame_1d_5, monkeypatch):
@@ -200,16 +201,61 @@ def test_disparity_tracking_evaluates_once_per_sample_node(frame_1d_5, monkeypat
                         lambda x, t, field: evals.append(t) or eval_Y(x, t, field))
     monkeypatch.setattr(ResonantDrift, "__call__",
                         lambda self, x: drifts.append(x) or drift_call(self, x))
-    table = build_resonance_table(frame_1d_5)
+    drift = ResonantDrift(frame_1d_5, CUBIC, build_resonance_table(frame_1d_5))
     a0 = sample_ball(frame_1d_5, 2.0, 0.5, np.random.default_rng(37))
     for scheme, stages in (("lawson4", 4), ("expeuler", 1)):
         del evals[:], drifts[:]
         cfg = SolverConfig(epsilon=0.5, tau_end=0.3, dt=5e-3, scheme=scheme, samples=4)
-        traj = integrate_full(a0, CUBIC, frame_1d_5, cfg, table=table, track_disparity=True)
+        traj = integrate_full(a0, CUBIC, frame_1d_5, cfg, drift=drift)
         steps = traj.meta["steps"]
         assert steps == 60
         # one evaluation per stage, plus the closing one at the last sample node
         assert len(evals) == stages * steps + 1 and len(drifts) == steps + 1
+
+
+def test_disparity_drift_must_match_the_run(frame_1d_5):
+    cfg = SolverConfig(epsilon=0.5, tau_end=0.1)
+    a0 = np.ones(5, complex)
+    drift = ResonantDrift(frame_1d_5, CUBIC, build_resonance_table(frame_1d_5))
+    with pytest.raises(ConfigError, match="spec and frame"):
+        integrate_full(a0, NonlinearitySpec("cubic_focusing", mu=0.5), frame_1d_5, cfg,
+                       drift=drift)
+    geometry = TorusGeometry((TAU,), 32)
+    other = build_frame(geometry, Potential.from_cosines({1: 0.1}, dimension=1), 5)
+    with pytest.raises(ConfigError, match="spec and frame"):
+        integrate_full(a0, CUBIC, other, cfg, drift=drift)
+    with pytest.raises(ConfigError, match="spec and frame"):
+        ensemble_full(a0, CUBIC, other, cfg, NoiseModel.zero(5), 2, None, drift=drift)
+    # the same frame built again is the run's frame
+    again = integrate_full(a0, CUBIC, build_frame(geometry, Potential.zero(), 5), cfg,
+                           drift=drift)
+    assert np.array_equal(again.states,
+                          integrate_full(a0, CUBIC, frame_1d_5, cfg, drift=drift).states)
+
+
+def test_shared_drift_runs_equal_fresh_drift_runs(frame_1d_5):
+    # a drift keeps work arrays sized to the widest batch it has seen; one
+    # drift used for a 1-row run, a 200-member ensemble and the 1-row run
+    # again gives the bits of a fresh drift per run
+    table = build_resonance_table(frame_1d_5)
+    a0 = sample_ball(frame_1d_5, 2.0, 1.0, np.random.default_rng(38))
+    cfg = SolverConfig(epsilon=0.2, tau_end=0.2, dt=5e-3, samples=3)
+    sto_cfg = replace(cfg, scheme="expeuler")
+    noise = NoiseModel((0.3, 0.3, 0.3, 0.2, 0.2))
+
+    def runs(drift):
+        single = integrate_full(a0, CUBIC, frame_1d_5, cfg, drift=drift())
+        ens = ensemble_full(a0, CUBIC, frame_1d_5, sto_cfg, noise, 200, 11, drift=drift())
+        return single, ens, integrate_full(a0, CUBIC, frame_1d_5, cfg, drift=drift())
+
+    shared = ResonantDrift(frame_1d_5, CUBIC, table)
+    single, ens, again = runs(lambda: shared)
+    fresh_single, fresh_ens, fresh_again = runs(lambda: ResonantDrift(frame_1d_5, CUBIC, table))
+    for one, other in ((single, fresh_single), (again, fresh_again), (again, fresh_single)):
+        assert np.array_equal(one.states, other.states)
+        assert np.array_equal(one.disparity_max, other.disparity_max)
+    assert np.array_equal(ens.mean_actions, fresh_ens.mean_actions)
+    assert np.array_equal(ens.disparity_mean, fresh_ens.disparity_mean)
 
 
 def test_diagonal_spec_needs_one_coefficient_per_mode(frame_1d_5):
@@ -220,7 +266,7 @@ def test_diagonal_spec_needs_one_coefficient_per_mode(frame_1d_5):
     with pytest.raises(ConfigError):
         ResonantDrift(frame_1d_5, spec)
     with pytest.raises(ConfigError):
-        integrate_effective(a0, spec, frame_1d_5, cfg)
+        integrate_effective(a0, ResonantDrift(frame_1d_5, spec), cfg)
     with pytest.raises(ConfigError):
         integrate_full(a0, spec, frame_1d_5, cfg)
 
@@ -261,12 +307,11 @@ def test_injecting_noise_needs_a_seed(frame_1d_5):
     a0 = 0.4 * np.ones(5, dtype=complex)
     b = (0.3, 0.3, 0.3, 0.2, 0.2)
     noise, diffusion = NoiseModel(b), build_diffusion(frame_1d_5, b)
-    table = build_resonance_table(frame_1d_5)
+    drift = ResonantDrift(frame_1d_5, CUBIC, build_resonance_table(frame_1d_5))
     runs = (lambda: integrate_full_stochastic(a0, CUBIC, frame_1d_5, cfg, noise, None),
-            lambda: integrate_effective_stochastic(a0, CUBIC, frame_1d_5, cfg, table,
-                                                   diffusion, None),
+            lambda: integrate_effective_stochastic(a0, drift, cfg, diffusion, None),
             lambda: ensemble_full(a0, CUBIC, frame_1d_5, cfg, noise, 4, None),
-            lambda: ensemble_effective(a0, CUBIC, frame_1d_5, cfg, table, diffusion, 4, None))
+            lambda: ensemble_effective(a0, drift, cfg, diffusion, 4, None))
     for run in runs:
         with pytest.raises(ConfigError, match="needs a seed"):
             run()
@@ -275,12 +320,11 @@ def test_injecting_noise_needs_a_seed(frame_1d_5):
 def test_seedless_zero_noise_ensembles_report_no_seed(frame_1d_5):
     cfg = SolverConfig(epsilon=0.5, tau_end=0.1, dt=5e-3, scheme="expeuler", samples=3)
     a0 = 0.4 * np.ones(5, dtype=complex)
-    table = build_resonance_table(frame_1d_5)
+    drift = ResonantDrift(frame_1d_5, CUBIC, build_resonance_table(frame_1d_5))
     diffusion = build_diffusion(frame_1d_5, np.zeros(5))
     for run in (lambda seed: ensemble_full(a0, CUBIC, frame_1d_5, cfg,
                                            NoiseModel.zero(5), 3, seed),
-                lambda seed: ensemble_effective(a0, CUBIC, frame_1d_5, cfg, table,
-                                                diffusion, 3, seed)):
+                lambda seed: ensemble_effective(a0, drift, cfg, diffusion, 3, seed)):
         seedless, seeded = run(None), run(7)
         assert seedless.seed_base is None and seeded.seed_base == 7
         assert np.array_equal(seedless.mean_actions, seeded.mean_actions)
@@ -555,8 +599,8 @@ def test_effective_ou_matches_diffusion_root(frame_1d_5):
     assert np.allclose(diffusion.root, np.diag(b), atol=1e-12)
     cfg = SolverConfig(epsilon=1.0, tau_end=tau_end, dt=0.01,
                        scheme="expeuler", samples=3)
-    res = ensemble_effective(0.5 * np.ones(5, complex), spec, frame_1d_5, cfg,
-                             None, diffusion, members=2000, seed_base=8000)
+    res = ensemble_effective(0.5 * np.ones(5, complex), ResonantDrift(frame_1d_5, spec), cfg,
+                             diffusion, members=2000, seed_base=8000)
     lam = frame_1d_5.eigenvalues
     with np.errstate(divide="ignore", invalid="ignore"):
         relax = np.where(lam > 0, (1 - np.exp(-2 * mu * lam * tau_end)) / (2 * mu * lam),
@@ -574,9 +618,9 @@ def test_full_and_effective_singles_share_streams(frame_1d_5):
     cfg = SolverConfig(epsilon=1.0, tau_end=0.5, dt=0.01, scheme="expeuler", samples=3)
     full = integrate_full_stochastic(0.5 * np.ones(5, complex), spec, frame_1d_5,
                                      cfg, NoiseModel(tuple(b)), seed=4)
-    eff = integrate_effective_stochastic(0.5 * np.ones(5, complex), spec, frame_1d_5,
-                                         cfg, None, build_diffusion(frame_1d_5, b),
-                                         seed=4)
+    eff = integrate_effective_stochastic(0.5 * np.ones(5, complex),
+                                         ResonantDrift(frame_1d_5, spec), cfg,
+                                         build_diffusion(frame_1d_5, b), seed=4)
     assert np.array_equal(full.states[:, 0], eff.states[:, 0])
     assert full.meta["steps"] == eff.meta["steps"] == 50
     assert not np.allclose(full.states[:, 1], eff.states[:, 1])

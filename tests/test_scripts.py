@@ -48,12 +48,38 @@ def test_make_workspace_configs_load(tmp_path, capsys):
         assert f"resonlab study {kind} --config" in out
 
 
+_TRACED_RUNS = """
+import sys
+sys.path.insert(0, 'benchmark')
+import numpy as np
+import traced_cli
+tracer = traced_cli.Tracer()
+traced_cli.install(tracer)
+from resonlab import fields, integrators
+from resonlab.nonlinearity import NonlinearitySpec
+from resonlab.resonance import build_resonance_table
+from resonlab.spectral import Potential, TorusGeometry, build_frame
+frame = build_frame(TorusGeometry((2 * np.pi,), 32), Potential.zero(), 5)
+spec = NonlinearitySpec('cubic_focusing', mu=0.5)
+drift = fields.ResonantDrift(frame, spec, build_resonance_table(frame))
+cfg = integrators.SolverConfig(epsilon=0.2, tau_end=0.02, dt=1e-2, samples=3)
+integrators.integrate_effective(0.3 * np.ones(5, complex), drift, cfg)
+integrators.integrate_full(0.3 * np.ones(5, complex), spec, frame, cfg, drift=drift)
+doc = tracer.document()
+for name in ('resonance.tuples_kept', 'integrators.steps', 'integrators.field_evals'):
+    assert doc['counters'].get(name, 0) > 0, (name, doc['counters'])
+assert doc['spans']['fields.drift_build']['calls'] == 1, doc['spans']
+"""
+
+
 def test_benchmark_trace_mode_finds_every_wrapped_name():
     # benchmark/traced_cli.py (run.py --trace 1) wraps resonlab callables by
-    # name, so an API change that drops one makes install() raise.  It runs in
-    # a child process because install() patches the modules it wraps.
-    code = ("import sys; sys.path.insert(0, 'benchmark'); import traced_cli; "
-            "traced_cli.install(traced_cli.Tracer())")
+    # name, so an API change that drops one makes install() raise, and its
+    # callbacks read the arguments of what they wrap: drift_built reads
+    # ResonantDrift's positional (frame, spec, table).  One effective run and
+    # one disparity-tracking full run go through the wrapped names.  It runs
+    # in a child process because install() patches the modules it wraps.
+    code = _TRACED_RUNS
     result = subprocess.run([sys.executable, "-c", code], cwd=ROOT, capture_output=True,
                             text=True, env=dict(os.environ, PYTHONPATH="src"), timeout=120)
     assert result.returncode == 0, result.stderr

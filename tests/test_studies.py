@@ -1,10 +1,11 @@
 import csv
+import math
 import time
 
 import numpy as np
 import pytest
 
-from resonlab import studies
+from resonlab import fields, studies
 from resonlab.errors import ConfigError
 from resonlab.fields import Observable, scalar_average_limit
 from resonlab.integrators import NoiseModel
@@ -57,6 +58,16 @@ def test_config_rejects_infinite_and_nonpositive_windows():
         with pytest.raises(ConfigError, match="windows"):
             StudyConfig.from_document({"study": "operator", "windows": [10.0, bad]})
     assert StudyConfig("operator", windows=[10.0, 20.0]).windows == (10.0, 20.0)
+
+
+@pytest.mark.parametrize("key", ["tau_end", "burn_in", "batch_length", "compare_taus"])
+def test_config_refuses_non_finite_times(key):
+    # a non-finite compare tau used to land on sample 0, where both ensembles
+    # share their initial state; the stationary horizon is burn_in plus batches
+    for bad in (math.inf, -math.inf, math.nan):
+        value = [0.5, bad] if key == "compare_taus" else bad
+        with pytest.raises(ConfigError, match=key):
+            StudyConfig.from_document({"study": "stochastic", key: value})
 
 
 def test_config_document_round_trip():
@@ -259,6 +270,33 @@ def test_disparity_study_with_ensemble(frame_1d_5, cubic5):
     assert rep.verdicts["ensemble_monotone"]
     cols = rep.tables["disparity"]["columns"]
     assert cols[-1] == "ensemble_mean"
+
+
+def test_each_study_builds_one_drift(frame_1d_5, cubic5, mix5, monkeypatch):
+    built = []
+    for cls in (fields.ResonantDrift, fields.QuadratureDrift):
+        def counted(self, *args, init=cls.__init__, **kwargs):
+            built.append(type(self).__name__)
+            init(self, *args, **kwargs)
+        monkeypatch.setattr(cls, "__init__", counted)
+    short = dict(tau_end=0.2, dt=2e-3, samples=3, members=4, seed=5)
+    mix_noise, diffusion = mix5[2:]
+    cases = {
+        "converge": (StudyConfig("converge", initials=3, **short), cubic5, None),
+        "disparity": (StudyConfig("disparity", **short), cubic5, mix_noise),
+        "stochastic": (StudyConfig("stochastic", **short), mix5[:2], mix_noise),
+        "stationary": (StudyConfig("stationary", epsilons=(0.2,), burn_in=0.0, batches=4,
+                                   batch_length=0.05, **short), mix5[:2], mix_noise),
+        "operator": (StudyConfig("operator", initials=1, seed=2), (None, None), None),
+    }
+    counts = {}
+    for name, (cfg, (spec, table), noise) in cases.items():
+        del built[:]
+        run_study(cfg, frame_1d_5, spec=spec, table=table, noise=noise,
+                  diffusion=diffusion if noise is not None else None)
+        counts[name] = (built.count("ResonantDrift"), built.count("QuadratureDrift"))
+    assert counts == {"converge": (1, 1), "disparity": (1, 0), "stochastic": (1, 0),
+                      "stationary": (1, 0), "operator": (0, 0)}
 
 
 def test_run_study_dispatch_and_missing_pieces(frame_1d_5, cubic5):
