@@ -315,7 +315,6 @@ def _cmd_trajectory(args, config, base_dir, effective):
                               integrate_full, integrate_full_stochastic)
     from .io import save_trajectory
     from .nonlinearity import NonlinearitySpec
-    from .resonance import build_diffusion
     command = "effective" if effective else "simulate"
     _check_keys("config", config, _COMMAND_KEYS[command],
                 required=("frame", "nonlinearity", "solver", "initial")
@@ -327,12 +326,14 @@ def _cmd_trajectory(args, config, base_dir, effective):
     v0 = _build_initial(config["initial"], frame)
     noise = _build_noise(config.get("noise"), frame)
     seed = _resolve_seed(args, config)
+    noisy = noise is not None and not noise.is_zero
+    if noisy and seed is None:
+        raise ConfigError("a run whose noise injects needs a seed (--seed or config seed)")
 
     drift = ResonantDrift(frame, spec, table) if effective else None
-    if noise is not None and not noise.is_zero:
+    if noisy:
         if effective:
-            diffusion = build_diffusion(frame, noise.array())
-            traj = integrate_effective_stochastic(v0, drift, solver, diffusion, seed)
+            traj = integrate_effective_stochastic(v0, drift, solver, noise, seed)
         else:
             traj = integrate_full_stochastic(v0, spec, frame, solver, noise, seed)
     elif effective:
@@ -352,7 +353,6 @@ def _cmd_trajectory(args, config, base_dir, effective):
 def _cmd_study(args, config, base_dir):
     from .io import write_report
     from .nonlinearity import NonlinearitySpec
-    from .resonance import build_diffusion
     from .studies import StudyConfig, run_study
     _check_keys("config", config, _COMMAND_KEYS["study"],
                 required=("frame", "study"))
@@ -369,10 +369,7 @@ def _cmd_study(args, config, base_dir):
     spec = (NonlinearitySpec.from_document(config["nonlinearity"])
             if "nonlinearity" in config else None)
     noise = _build_noise(config.get("noise"), frame)
-    diffusion = (build_diffusion(frame, noise.array())
-                 if noise is not None else None)
-    report = run_study(cfg, frame, spec=spec, table=table, noise=noise,
-                       diffusion=diffusion)
+    report = run_study(cfg, frame, spec=spec, table=table, noise=noise)
     outputs = write_report(args.out, report)
     _write_manifest(args, config, outputs)
     if args.verbose or not report.passed():

@@ -12,8 +12,10 @@ one batched driver, so a zero-amplitude stochastic run is bitwise identical to
 the deterministic "expeuler" scheme.  Runs take the averaged drift they
 integrate or track the disparity against (a fields.ResonantDrift or
 QuadratureDrift, built by the caller and reused across runs); nothing here
-builds one.  Complex noise follows the convention
-E|beta_l(tau)|^2 = 2 tau (independent standard real and imaginary parts).
+builds one.  Noisy runs of both systems take the full system's NoiseModel, whose
+resonant average (resonance.build_diffusion) is the effective run's diffusion B.
+Complex noise follows the convention E|beta_l(tau)|^2 = 2 tau (independent
+standard real and imaginary parts).
 A stochastic run draws its normals ahead in one forked producer process that
 shares the noise buffer with it (_NoiseStream).
 """
@@ -27,6 +29,7 @@ import numpy as np
 
 from .errors import BlowUpError, ConfigError, EnsembleError
 from .fields import Field, eval_Y
+from .resonance import build_diffusion
 from .spectral import mode_vector
 
 SCHEMES = ("lawson4", "expeuler")
@@ -99,7 +102,6 @@ class Trajectory:
     seed: int | None = None
     frame_hash: str | None = None
     noise_doc: dict | None = None
-    disparity: np.ndarray | None = None      # (samples, modes) accumulated gap
     disparity_max: np.ndarray | None = None  # running max of |gap integral|
     meta: dict | None = None
 
@@ -141,8 +143,12 @@ class NoiseModel:
     def is_zero(self):
         return all(x == 0.0 for x in self.amplitudes)
 
-    def array(self):
-        return np.asarray(self.amplitudes, dtype=float)
+    def array(self, frame):
+        """The amplitudes, refused unless there is one per mode of the frame."""
+        b = np.asarray(self.amplitudes, dtype=float)
+        if b.shape != (frame.modes,):
+            raise ConfigError(f"noise has {b.size} amplitudes, the frame has {frame.modes} modes")
+        return b
 
     def to_document(self):
         return {"amplitudes": list(self.amplitudes), "convention": NOISE_CONVENTION}
@@ -308,9 +314,7 @@ def _unpack_state(row):
 
 
 def _full_noise_injector(noise, frame, epsilon):
-    b = noise.array()
-    if b.shape != (frame.modes,):
-        raise ConfigError(f"noise has {b.size} amplitudes, the frame has {frame.modes} modes")
+    b = noise.array(frame)
     if noise.is_zero:
         return None
     # (basis l, mode k), cast to complex once: the products are those of the real matrix
@@ -325,10 +329,12 @@ def _full_noise_injector(noise, frame, epsilon):
     return inject
 
 
-def _effective_noise_injector(diffusion):
-    root = diffusion.root
-    if not np.any(root):
+def _effective_noise_injector(noise, frame):
+    """B dbeta, with B the principal root of the noise's resonant covariance."""
+    b = noise.array(frame)
+    if noise.is_zero:
         return None
+    root = build_diffusion(frame, b).root
 
     def inject(tau, dbeta, out):
         return np.matmul(dbeta, root.T, out=out)
@@ -396,7 +402,6 @@ def _drive(a0, g, lam, mu, config, h_target, inject=None, stream=None, drift=Non
     death_norm = np.full(members, np.nan)
 
     track = drift is not None
-    disparity = np.zeros_like(states) if track else None
     disp_max = np.zeros((members, modes)) if track else None
     D = np.zeros((members, modes), dtype=complex)
     gap_prev = None
@@ -453,7 +458,6 @@ def _drive(a0, g, lam, mu, config, h_target, inject=None, stream=None, drift=Non
                 k1 = g(a, taus[i + 1])
                 gap = k1 - drift(a)
                 D = D + (0.5 * h_prev) * (gap_prev + gap)
-                disparity[i + 1] = D
                 with np.errstate(invalid="ignore"):
                     np.maximum(disp_max, np.abs(D), out=disp_max)
                 node = (k1, gap)
@@ -463,7 +467,7 @@ def _drive(a0, g, lam, mu, config, h_target, inject=None, stream=None, drift=Non
     return {
         "taus": taus, "states": states, "dead": dead,
         "death_tau": death_tau, "death_norm": death_norm, "bound": bound,
-        "disparity": disparity, "disp_max": disp_max, "steps": total,
+        "disp_max": disp_max, "steps": total,
         "meta": {"h_target": h_target, "steps": total},
     }
 
@@ -502,9 +506,9 @@ def _run_full(a0, spec, frame, config, noise=None, seed=None, drift=None):
                   spec.mu, config, h_target, inject=inject, stream=stream, drift=drift)
 
 
-def _run_effective(a0, drift, config, diffusion=None, seed=None):
+def _run_effective(a0, drift, config, noise=None, seed=None):
     """Drive the averaged system of a drift over an (members, modes) batch."""
-    inject = None if diffusion is None else _effective_noise_injector(diffusion)
+    inject = None if noise is None else _effective_noise_injector(noise, drift.frame)
     stream = _noise_stream(config, seed, *a0.shape, inject)
     return _drive(a0, lambda x, tau: drift(x), drift.frame.eigenvalues, drift.spec.mu,
                   config, config.dt, inject=inject, stream=stream)
@@ -516,13 +520,11 @@ def _trajectory(run, config, frame, epsilon=None, seed=None, noise_doc=None):
         raise BlowUpError(float(run["death_tau"][0]), float(run["death_norm"][0]),
                           float(np.atleast_1d(run["bound"])[0]),
                           member=None if seed is None else 0)
-    tracked = run["disparity"] is not None
     return Trajectory(
         taus=run["taus"], states=run["states"][:, 0], scheme=config.scheme,
         epsilon=epsilon, seed=None if seed is None else int(seed),
         frame_hash=frame.content_hash(), noise_doc=noise_doc,
-        disparity=run["disparity"][:, 0] if tracked else None,
-        disparity_max=run["disp_max"][0] if tracked else None,
+        disparity_max=None if run["disp_max"] is None else run["disp_max"][0],
         meta=run["meta"])
 
 
@@ -575,11 +577,13 @@ def integrate_full_stochastic(state, spec, frame, config, noise, seed):
                        noise_doc=noise.to_document())
 
 
-def integrate_effective_stochastic(state, drift, config, diffusion, seed):
-    """Single noisy trajectory of the averaged equation."""
+def integrate_effective_stochastic(state, drift, config, noise, seed):
+    """Single noisy trajectory of the averaged equation, driven by the resonant
+    average of the full system's noise."""
     run = _run_effective(np.atleast_2d(mode_vector(state)), drift, config,
-                         diffusion=diffusion, seed=seed)
-    return _trajectory(run, config, drift.frame, seed=seed)
+                         noise=noise, seed=seed)
+    return _trajectory(run, config, drift.frame, seed=seed,
+                       noise_doc=noise.to_document())
 
 
 # -- ensembles --------------------------------------------------------------
@@ -655,9 +659,9 @@ def ensemble_full(state, spec, frame, config, noise, members, seed_base, drift=N
                       {**run["meta"], "system": "full", "noise": noise.to_document()})
 
 
-def ensemble_effective(state, drift, config, diffusion, members, seed_base):
+def ensemble_effective(state, drift, config, noise, members, seed_base):
     """Batch of noisy effective-equation runs with matched member seeding."""
     run = _run_effective(_broadcast_members(state, members, drift.frame.modes), drift,
-                         config, diffusion=diffusion, seed=seed_base)
+                         config, noise=noise, seed=seed_base)
     return _summarize(run, seed_base, drift.frame.content_hash(),
-                      {**run["meta"], "system": "effective"})
+                      {**run["meta"], "system": "effective", "noise": noise.to_document()})

@@ -317,8 +317,6 @@ class DiffusionSpec:
 
     matrix: np.ndarray
     root: np.ndarray
-    clusters: list
-    amplitudes: np.ndarray
 
     def validate(self):
         A, B, tol = self.matrix, self.root, 1e-10
@@ -355,6 +353,6 @@ def build_diffusion(frame, amplitudes):
         if w.min() < -1e-12:
             raise ValidationError(f"diffusion block has negative eigenvalue {w.min():.3e}")
         B[idx] = (U * np.sqrt(np.clip(w, 0.0, None))) @ U.T
-    spec = DiffusionSpec(matrix=A, root=B, clusters=clusters, amplitudes=b)
+    spec = DiffusionSpec(matrix=A, root=B)
     spec.validate()
     return spec

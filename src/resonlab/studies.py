@@ -333,7 +333,7 @@ def study_operator_convergence(frame, cfg):
 
 # -- stochastic action moments ----------------------------------------------
 
-def study_stochastic_actions(frame, spec, table, noise, diffusion, cfg):
+def study_stochastic_actions(frame, spec, table, noise, cfg):
     """Full-system ensembles along the epsilon ladder against one effective
     ensemble, under common random numbers; compares action means and
     variances at the comparison times.
@@ -348,7 +348,7 @@ def study_stochastic_actions(frame, spec, table, noise, diffusion, cfg):
     tracked = min(cfg.tracked_modes, frame.modes)
     runs = {}
 
-    eff = ensemble_effective(v0, ResonantDrift(frame, spec, table), base, diffusion,
+    eff = ensemble_effective(v0, ResonantDrift(frame, spec, table), base, noise,
                              cfg.members, cfg.seed)
     runs["effective"] = ensemble_hash(eff)
     idx = _compare_indices(eff.taus, cfg)
@@ -453,7 +453,7 @@ def _halves_consistent(means):
     return bool(gap <= 4.0 * se + 1e-300)
 
 
-def study_stationary_measure(frame, spec, table, noise, diffusion, cfg):
+def study_stationary_measure(frame, spec, table, noise, cfg):
     """Long-trajectory time averages after burn-in, batch means for errors:
     full dynamics per ladder point against the effective flow.
 
@@ -474,7 +474,7 @@ def study_stationary_measure(frame, spec, table, noise, diffusion, cfg):
 
     eff_cfg = replace(base, dt=min(5e-3, base.dt * 2))
     eff = integrate_effective_stochastic(v0, ResonantDrift(frame, spec, table), eff_cfg,
-                                         diffusion, seed=cfg.seed + len(cfg.epsilons))
+                                         noise, seed=cfg.seed + len(cfg.epsilons))
     runs["effective"] = trajectory_hash(eff, eff_cfg)
 
     def estimates(traj):
@@ -609,7 +609,7 @@ def study_disparity_decay(frame, spec, table, cfg, noise=None):
                        _provenance(frame, cfg, runs, extra))
 
 
-def run_study(cfg, frame, spec=None, table=None, noise=None, diffusion=None):
+def run_study(cfg, frame, spec=None, table=None, noise=None):
     """Dispatch on the study id, checking that the needed pieces are present."""
     def need(**pieces):
         missing = [k for k, v in pieces.items() if v is None]
@@ -622,10 +622,10 @@ def run_study(cfg, frame, spec=None, table=None, noise=None, diffusion=None):
     if cfg.study == "operator":
         return study_operator_convergence(frame, cfg)
     if cfg.study == "stochastic":
-        need(spec=spec, table=table, noise=noise, diffusion=diffusion)
-        return study_stochastic_actions(frame, spec, table, noise, diffusion, cfg)
+        need(spec=spec, table=table, noise=noise)
+        return study_stochastic_actions(frame, spec, table, noise, cfg)
     if cfg.study == "stationary":
-        need(spec=spec, table=table, noise=noise, diffusion=diffusion)
-        return study_stationary_measure(frame, spec, table, noise, diffusion, cfg)
+        need(spec=spec, table=table, noise=noise)
+        return study_stationary_measure(frame, spec, table, noise, cfg)
     need(spec=spec, table=table)
     return study_disparity_decay(frame, spec, table, cfg, noise=noise)

@@ -23,7 +23,7 @@ from resonlab.integrators import (NoiseModel, SolverConfig, ensemble_full,
                                   integrate_effective, integrate_full)
 from resonlab.io import save_trajectory, write_json, write_report
 from resonlab.nonlinearity import NonlinearitySpec, cubic_damping_terms
-from resonlab.resonance import build_diffusion, build_resonance_table
+from resonlab.resonance import build_resonance_table
 from resonlab.spectral import Potential, TorusGeometry, build_frame, sample_ball, sobolev_norm
 from resonlab.studies import StudyConfig, run_study
 
@@ -82,7 +82,7 @@ def _damped_setup():
                             terms=cubic_damping_terms(-0.3 - 2.5j))
     table = build_resonance_table(frame, patterns=((1,), (1, -1, 1)))
     b = 0.14 * (1.0 + frame.eigenvalues) ** -1.5
-    return frame, spec, table, NoiseModel(tuple(b)), build_diffusion(frame, b)
+    return frame, spec, table, NoiseModel(tuple(b))
 
 
 # -- producers: compute + write files, reused by the determinism check ------
@@ -190,12 +190,11 @@ def _produce_disparity_report(out):
 
 def _produce_moment_tracking(out):
     out.mkdir(parents=True, exist_ok=True)
-    frame, spec, table, noise, diffusion = _damped_setup()
+    frame, spec, table, noise = _damped_setup()
     cfg = StudyConfig("stochastic", epsilons=(0.1, 0.025), members=500,
                       seed=12345, initial_seed=99, radius=1.5, dt=2e-3,
                       samples=5, compare_taus=(0.25, 0.5, 1.0))
-    rep = run_study(cfg, frame, spec=spec, table=table, noise=noise,
-                    diffusion=diffusion)
+    rep = run_study(cfg, frame, spec=spec, table=table, noise=noise)
     write_report(out, rep)
     return rep
 
@@ -346,11 +345,10 @@ def test_criterion_09_moment_tracking(outdir):
 
 def test_criterion_10_stationary_diagnostics():
     t0 = time.perf_counter()
-    frame, spec, table, noise, diffusion = _damped_setup()
+    frame, spec, table, noise = _damped_setup()
     cfg = StudyConfig("stationary", epsilons=(0.1, 0.05), seed=90210,
                       radius=1.0, burn_in=6.0, batches=20, batch_length=1.5)
-    rep = run_study(cfg, frame, spec=spec, table=table, noise=noise,
-                    diffusion=diffusion)
+    rep = run_study(cfg, frame, spec=spec, table=table, noise=noise)
     ok = rep.passed() and rep.verdicts.get("label") == "conditional"
     _report(10, "stationary actions agree, nonresonant average vanishes",
             ok, time.perf_counter() - t0, detail="verdict is conditional")

@@ -6,7 +6,7 @@ import shutil
 import numpy as np
 import pytest
 
-from resonlab import io
+from resonlab import integrators, io, resonance
 from resonlab.cli import main
 from resonlab.fields import ResonantDrift
 from resonlab.io import load_trajectory, read_json
@@ -215,6 +215,35 @@ def test_stochastic_simulate_needs_seed(workspace, tmp_path, capsys):
     assert "seed" in capsys.readouterr().err
 
 
+_NOISY_SOLVER = {"epsilon": 0.2, "tau_end": 0.5, "dt": 2e-3, "samples": 6,
+                 "scheme": "expeuler"}
+
+
+def test_seedless_noisy_effective_builds_no_drift(workspace, tmp_path, capsys, monkeypatch):
+    built = []
+    init = ResonantDrift.__init__
+    monkeypatch.setattr(ResonantDrift, "__init__",
+                        lambda self, *args: built.append(self) or init(self, *args))
+    cfg = write_config(workspace["dir"] / "ens.json", _simulate_config(
+        workspace, table=workspace["table_ref"], solver=_NOISY_SOLVER,
+        noise={"scale": 0.05, "decay": 1.5}))
+    assert main(["effective", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+    assert "seed" in capsys.readouterr().err
+    assert built == []
+
+
+def test_noisy_effective_records_its_noise(workspace, tmp_path):
+    cfg = write_config(workspace["dir"] / "enoise.json", _simulate_config(
+        workspace, table=workspace["table_ref"], solver=_NOISY_SOLVER,
+        noise={"scale": 0.05, "decay": 1.5}, seed=9))
+    assert main(["effective", "--config", cfg, "--out", str(tmp_path / "e")]) == 0
+    traj = load_trajectory(tmp_path / "e" / "trajectory.jsonl")
+    b = 0.05 * (1.0 + workspace["frame"].eigenvalues) ** -1.5
+    assert traj.seed == 9 and traj.epsilon is None
+    assert traj.noise_doc["amplitudes"] == [float(x) for x in b]
+    assert "2 tau" in traj.noise_doc["convention"]
+
+
 def test_effective_requires_table_and_runs(workspace, tmp_path):
     doc = _simulate_config(workspace, table=workspace["table_ref"])
     cfg = write_config(workspace["dir"] / "eff.json", doc)
@@ -374,6 +403,27 @@ def test_non_finite_compare_tau_exits_one(workspace, tmp_path, capsys):
     assert main(["study", "stochastic", "--config", cfg,
                  "--out", str(tmp_path / "s")]) == 1
     assert "compare_taus" in capsys.readouterr().err
+
+
+def test_disparity_study_builds_no_diffusion(workspace, tmp_path, monkeypatch):
+    built, original = [], resonance.build_diffusion
+    counted = lambda *args: built.append(args) or original(*args)
+    monkeypatch.setattr(resonance, "build_diffusion", counted)
+    monkeypatch.setattr(integrators, "build_diffusion", counted, raising=False)
+    cfg = write_config(workspace["dir"] / "sdn.json", {
+        "frame": workspace["frame_ref"],
+        "table": workspace["table_ref"],
+        "nonlinearity": {"kind": "cubic_focusing", "mu": 0.5},
+        "noise": {"scale": 0.05, "decay": 1.5},
+        "study": {"study": "disparity", "epsilons": [0.2, 0.1], "dt": 2e-3, "samples": 3,
+                  "tau_end": 0.2, "members": 4, "seed": 3},
+    })
+    # a ladder this short misses the factor-two criterion: exit 3 after the report
+    assert main(["study", "disparity", "--config", cfg,
+                 "--out", str(tmp_path / "d")]) == 3
+    assert read_json(tmp_path / "d" / "report.json")["tables"]["disparity"]["columns"][-1] \
+        == "ensemble_mean"
+    assert built == []
 
 
 def test_study_kind_mismatch(workspace, tmp_path):

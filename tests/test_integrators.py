@@ -185,8 +185,6 @@ def test_disparity_shrinks_with_epsilon(frame_1d_5):
 
     def peak(eps):
         traj = integrate_full(a0, CUBIC, frame_1d_5, replace(cfg, epsilon=eps), drift=drift)
-        assert traj.disparity is not None and traj.disparity.shape == traj.states.shape
-        assert np.all(traj.disparity[0] == 0)
         return float(np.max(traj.disparity_max))
 
     p_big, p_small = peak(0.4), peak(0.1)
@@ -306,12 +304,12 @@ def test_injecting_noise_needs_a_seed(frame_1d_5):
     cfg = SolverConfig(epsilon=0.5, tau_end=0.1, dt=5e-3, scheme="expeuler")
     a0 = 0.4 * np.ones(5, dtype=complex)
     b = (0.3, 0.3, 0.3, 0.2, 0.2)
-    noise, diffusion = NoiseModel(b), build_diffusion(frame_1d_5, b)
+    noise = NoiseModel(b)
     drift = ResonantDrift(frame_1d_5, CUBIC, build_resonance_table(frame_1d_5))
     runs = (lambda: integrate_full_stochastic(a0, CUBIC, frame_1d_5, cfg, noise, None),
-            lambda: integrate_effective_stochastic(a0, drift, cfg, diffusion, None),
+            lambda: integrate_effective_stochastic(a0, drift, cfg, noise, None),
             lambda: ensemble_full(a0, CUBIC, frame_1d_5, cfg, noise, 4, None),
-            lambda: ensemble_effective(a0, drift, cfg, diffusion, 4, None))
+            lambda: ensemble_effective(a0, drift, cfg, noise, 4, None))
     for run in runs:
         with pytest.raises(ConfigError, match="needs a seed"):
             run()
@@ -321,10 +319,9 @@ def test_seedless_zero_noise_ensembles_report_no_seed(frame_1d_5):
     cfg = SolverConfig(epsilon=0.5, tau_end=0.1, dt=5e-3, scheme="expeuler", samples=3)
     a0 = 0.4 * np.ones(5, dtype=complex)
     drift = ResonantDrift(frame_1d_5, CUBIC, build_resonance_table(frame_1d_5))
-    diffusion = build_diffusion(frame_1d_5, np.zeros(5))
     for run in (lambda seed: ensemble_full(a0, CUBIC, frame_1d_5, cfg,
                                            NoiseModel.zero(5), 3, seed),
-                lambda seed: ensemble_effective(a0, drift, cfg, diffusion, 3, seed)):
+                lambda seed: ensemble_effective(a0, drift, cfg, NoiseModel.zero(5), 3, seed)):
         seedless, seeded = run(None), run(7)
         assert seedless.seed_base is None and seeded.seed_base == 7
         assert np.array_equal(seedless.mean_actions, seeded.mean_actions)
@@ -355,6 +352,11 @@ def test_noise_amplitude_count_must_match_modes(frame_1d_5):
         ensemble_full(a0, CUBIC, frame_1d_5, cfg, NoiseModel((0.3, 0.3, 0.2)), 4, 1)
     with pytest.raises(ConfigError, match="3 amplitudes"):
         integrate_full_stochastic(a0, CUBIC, frame_1d_5, cfg, NoiseModel((0.3, 0.3, 0.2)), 1)
+    drift = ResonantDrift(frame_1d_5, CUBIC, build_resonance_table(frame_1d_5))
+    with pytest.raises(ConfigError, match="3 amplitudes, the frame has 5 modes"):
+        ensemble_effective(a0, drift, cfg, NoiseModel((0.3, 0.3, 0.2)), 4, 1)
+    with pytest.raises(ConfigError, match="3 amplitudes, the frame has 5 modes"):
+        integrate_effective_stochastic(a0, drift, cfg, NoiseModel((0.3, 0.3, 0.2)), 1)
 
 
 def test_zero_noise_reduces_to_deterministic_bitwise(frame_1d_5):
@@ -600,7 +602,7 @@ def test_effective_ou_matches_diffusion_root(frame_1d_5):
     cfg = SolverConfig(epsilon=1.0, tau_end=tau_end, dt=0.01,
                        scheme="expeuler", samples=3)
     res = ensemble_effective(0.5 * np.ones(5, complex), ResonantDrift(frame_1d_5, spec), cfg,
-                             diffusion, members=2000, seed_base=8000)
+                             NoiseModel(tuple(b)), members=2000, seed_base=8000)
     lam = frame_1d_5.eigenvalues
     with np.errstate(divide="ignore", invalid="ignore"):
         relax = np.where(lam > 0, (1 - np.exp(-2 * mu * lam * tau_end)) / (2 * mu * lam),
@@ -620,8 +622,9 @@ def test_full_and_effective_singles_share_streams(frame_1d_5):
                                      cfg, NoiseModel(tuple(b)), seed=4)
     eff = integrate_effective_stochastic(0.5 * np.ones(5, complex),
                                          ResonantDrift(frame_1d_5, spec), cfg,
-                                         build_diffusion(frame_1d_5, b), seed=4)
+                                         NoiseModel(tuple(b)), seed=4)
     assert np.array_equal(full.states[:, 0], eff.states[:, 0])
+    assert full.noise_doc == eff.noise_doc == NoiseModel(tuple(b)).to_document()
     assert full.meta["steps"] == eff.meta["steps"] == 50
     assert not np.allclose(full.states[:, 1], eff.states[:, 1])
 

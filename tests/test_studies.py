@@ -11,7 +11,7 @@ from resonlab.fields import Observable, scalar_average_limit
 from resonlab.integrators import NoiseModel
 from resonlab.io import write_report
 from resonlab.nonlinearity import NonlinearitySpec, cubic_damping_terms
-from resonlab.resonance import build_diffusion, build_resonance_table
+from resonlab.resonance import build_resonance_table
 from resonlab.studies import (StudyConfig, StudyReport, run_study,
                               study_deterministic_convergence,
                               study_disparity_decay,
@@ -33,7 +33,7 @@ def mix5(frame_1d_5):
                             terms=cubic_damping_terms(-0.3 - 2.5j))
     table = build_resonance_table(frame_1d_5, patterns=((1,), (1, -1, 1)))
     b = 0.14 * (1.0 + frame_1d_5.eigenvalues) ** -1.5
-    return spec, table, NoiseModel(tuple(b)), build_diffusion(frame_1d_5, b)
+    return spec, table, NoiseModel(tuple(b))
 
 
 def test_config_rejects_bad_ladder():
@@ -195,11 +195,11 @@ def test_converge_study_refuses_runaway_quadrature(frame_1d_9_cos, monkeypatch):
 
 
 def test_stochastic_study_single_rung_bands(frame_1d_5, mix5):
-    spec, table, noise, diffusion = mix5
+    spec, table, noise = mix5
     cfg = StudyConfig("stochastic", epsilons=(0.05,), members=100, seed=21,
                       initial_seed=99, radius=1.0, dt=2e-3, samples=5,
                       compare_taus=(0.5, 1.0), tracked_modes=3)
-    rep = study_stochastic_actions(frame_1d_5, spec, table, noise, diffusion, cfg)
+    rep = study_stochastic_actions(frame_1d_5, spec, table, noise, cfg)
     assert rep.verdicts["bands"], rep.tables["mean_actions"]["rows"]
     assert rep.provenance["noise_convention"].startswith("E|beta")
     taus = {r[1] for r in rep.tables["mean_actions"]["rows"]}
@@ -208,11 +208,11 @@ def test_stochastic_study_single_rung_bands(frame_1d_5, mix5):
 
 
 def test_stochastic_study_rejects_off_grid_compare_tau(frame_1d_5, mix5):
-    spec, table, noise, diffusion = mix5
+    spec, table, noise = mix5
     cfg = StudyConfig("stochastic", epsilons=(0.05,), members=10, samples=5,
                       compare_taus=(0.3,))
     with pytest.raises(ConfigError):
-        study_stochastic_actions(frame_1d_5, spec, table, noise, diffusion, cfg)
+        study_stochastic_actions(frame_1d_5, spec, table, noise, cfg)
 
 
 def test_stationary_study_diagonal_ou_matches_closed_form(frame_1d_5):
@@ -222,11 +222,11 @@ def test_stationary_study_diagonal_ou_matches_closed_form(frame_1d_5):
     table = build_resonance_table(frame_1d_5, patterns=((1,),))
     lam = frame_1d_5.eigenvalues
     b = np.where(lam > 0, 0.2 * (1.0 + lam) ** -1.0, 0.0)
-    noise, diffusion = NoiseModel(tuple(b)), build_diffusion(frame_1d_5, b)
+    noise = NoiseModel(tuple(b))
     cfg = StudyConfig("stationary", epsilons=(0.1,), seed=33, radius=0.5,
                       burn_in=4.0, batches=10, batch_length=2.0,
                       tracked_modes=3)
-    rep = study_stationary_measure(frame_1d_5, spec, table, noise, diffusion, cfg)
+    rep = study_stationary_measure(frame_1d_5, spec, table, noise, cfg)
     assert rep.verdicts["label"] == "conditional"
     assert rep.verdicts["stationary_batches"], "batch drift test tripped"
     rows = {r[1]: r for r in rep.tables["stationary_estimates"]["rows"]}
@@ -239,11 +239,11 @@ def test_stationary_study_diagonal_ou_matches_closed_form(frame_1d_5):
 
 
 def test_stationary_study_mixing_family(frame_1d_5, mix5):
-    spec, table, noise, diffusion = mix5
+    spec, table, noise = mix5
     cfg = StudyConfig("stationary", epsilons=(0.1, 0.05), seed=90210,
                       radius=1.0, burn_in=4.0, batches=12, batch_length=1.5,
                       tracked_modes=3)
-    rep = study_stationary_measure(frame_1d_5, spec, table, noise, diffusion, cfg)
+    rep = study_stationary_measure(frame_1d_5, spec, table, noise, cfg)
     assert rep.passed(), rep.verdicts
     agree = rep.tables["agreement"]["rows"]
     assert [row[0] for row in agree] == [0.1, 0.05]
@@ -280,7 +280,7 @@ def test_each_study_builds_one_drift(frame_1d_5, cubic5, mix5, monkeypatch):
             init(self, *args, **kwargs)
         monkeypatch.setattr(cls, "__init__", counted)
     short = dict(tau_end=0.2, dt=2e-3, samples=3, members=4, seed=5)
-    mix_noise, diffusion = mix5[2:]
+    mix_noise = mix5[2]
     cases = {
         "converge": (StudyConfig("converge", initials=3, **short), cubic5, None),
         "disparity": (StudyConfig("disparity", **short), cubic5, mix_noise),
@@ -292,8 +292,7 @@ def test_each_study_builds_one_drift(frame_1d_5, cubic5, mix5, monkeypatch):
     counts = {}
     for name, (cfg, (spec, table), noise) in cases.items():
         del built[:]
-        run_study(cfg, frame_1d_5, spec=spec, table=table, noise=noise,
-                  diffusion=diffusion if noise is not None else None)
+        run_study(cfg, frame_1d_5, spec=spec, table=table, noise=noise)
         counts[name] = (built.count("ResonantDrift"), built.count("QuadratureDrift"))
     assert counts == {"converge": (1, 1), "disparity": (1, 0), "stochastic": (1, 0),
                       "stationary": (1, 0), "operator": (0, 0)}
