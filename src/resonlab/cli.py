@@ -11,6 +11,7 @@ import argparse
 import dataclasses
 import os
 import sys
+import time
 
 from . import __version__
 from .errors import (BlowUpError, ConfigError, EnsembleError, StaleArtifactError,
@@ -198,10 +199,11 @@ def _build_initial(section, frame):
             raise ConfigError(f"initial state has {v.shape[0]} entries, "
                               f"frame has {frame.modes} modes")
         return v
+    from .integrators import check_seed
     _check_keys("initial", section, {"radius", "s", "seed"},
                 required=("radius", "s", "seed"))
     return sample_ball(frame, float(section["s"]), float(section["radius"]),
-                       np.random.default_rng(int(section["seed"])))
+                       np.random.default_rng(check_seed(section["seed"], "initial.seed")))
 
 
 def _build_noise(section, frame):
@@ -230,6 +232,24 @@ def _build_noise(section, frame):
     return NoiseModel(tuple(float(x) for x in b))
 
 
+def _resources(started):
+    """Wall seconds since main started, and CPU seconds, peak RSS and minor page
+    faults of this process and of its reaped children (the noise producers).
+    Each is a fixed-width string, so a manifest's size does not vary from run
+    to run."""
+    import resource
+
+    def usage(who):
+        ru = resource.getrusage(who)
+        return {"cpu_s": f"{ru.ru_utime + ru.ru_stime:.6e}",
+                "peak_rss_mb": f"{ru.ru_maxrss / 1024.0:.6e}",  # ru_maxrss is in KiB
+                "minor_faults": f"{ru.ru_minflt:.6e}"}
+
+    return {"wall_s": f"{time.perf_counter() - started:.6e}",
+            "self": usage(resource.RUSAGE_SELF),
+            "children": usage(resource.RUSAGE_CHILDREN)}
+
+
 def _write_manifest(args, config, outputs):
     import datetime
     from .io import RunManifest, write_manifest
@@ -242,6 +262,7 @@ def _write_manifest(args, config, outputs):
                   .strftime("%Y-%m-%dT%H:%M:%SZ"),
         seed=args.seed,
         outputs=outputs,
+        resources=_resources(args.started),
     )
     write_manifest(args.out, manifest)
 
@@ -302,10 +323,12 @@ def _cmd_resonances(args, config, base_dir):
 
 
 def _resolve_seed(args, config):
+    """The run's seed (--seed over config seed), or None; one member stream is keyed."""
+    from .integrators import check_seed
     if args.seed is not None:
-        return int(args.seed)
+        return check_seed(args.seed, "--seed", keys=1)
     if config.get("seed") is not None:
-        return int(config["seed"])
+        return check_seed(config["seed"], "seed", keys=1)
     return None
 
 
@@ -319,13 +342,13 @@ def _cmd_trajectory(args, config, base_dir, effective):
     _check_keys("config", config, _COMMAND_KEYS[command],
                 required=("frame", "nonlinearity", "solver", "initial")
                          + (("table",) if effective else ()))
+    seed = _resolve_seed(args, config)
     frame = _load_frame(config["frame"], base_dir)
     table = _load_table(config.get("table"), frame, base_dir)
     spec = NonlinearitySpec.from_document(config["nonlinearity"])
     solver = _build_solver(config["solver"])
     v0 = _build_initial(config["initial"], frame)
     noise = _build_noise(config.get("noise"), frame)
-    seed = _resolve_seed(args, config)
     noisy = noise is not None and not noise.is_zero
     if noisy and seed is None:
         raise ConfigError("a run whose noise injects needs a seed (--seed or config seed)")
@@ -351,6 +374,7 @@ def _cmd_trajectory(args, config, base_dir, effective):
 
 
 def _cmd_study(args, config, base_dir):
+    from .integrators import check_seed
     from .io import write_report
     from .nonlinearity import NonlinearitySpec
     from .studies import StudyConfig, run_study
@@ -362,7 +386,7 @@ def _cmd_study(args, config, base_dir):
         raise ConfigError(f"config study {section['study']!r} does not match "
                           f"the requested kind {args.kind!r}")
     if args.seed is not None:
-        section["seed"] = int(args.seed)
+        section["seed"] = check_seed(args.seed, "--seed")
     cfg = StudyConfig.from_document(section)
     frame = _load_frame(config["frame"], base_dir)
     table = _load_table(config.get("table"), frame, base_dir)
@@ -398,10 +422,12 @@ def _dispatch(args):
 
 
 def main(argv=None):
+    started = time.perf_counter()
     try:
         args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 1
+    args.started = started
     if args.threads is not None:
         if args.threads < 1:
             _fail("--threads must be a positive integer")

@@ -17,7 +17,9 @@ resonant average (resonance.build_diffusion) is the effective run's diffusion B.
 Complex noise follows the convention E|beta_l(tau)|^2 = 2 tau (independent
 standard real and imaginary parts).
 A stochastic run draws its normals ahead in one forked producer process that
-shares the noise buffer with it (_NoiseStream).
+shares the noise buffer with it (_NoiseStream).  The buffer is step-major and
+complex, so each step's normals are one contiguous (members, modes) block that
+the driver reads in place.
 """
 
 from dataclasses import dataclass, fields
@@ -35,6 +37,8 @@ from .spectral import mode_vector
 SCHEMES = ("lawson4", "expeuler")
 NOISE_CONVENTION = "E|beta_l(tau)|^2 = 2 tau"
 _NOISE_BYTES = 1 << 22  # bytes of normals one refill of the noise buffer may hold
+_NOISE_BLOCK = 64  # members drawn into the contiguous scratch at a time
+_KEY_BITS = 128  # a Philox key is a 128-bit integer
 
 
 @dataclass(frozen=True)
@@ -158,28 +162,45 @@ class NoiseModel:
         return NoiseModel(tuple(doc["amplitudes"]))
 
 
+def check_seed(seed, name, keys=None):
+    """seed as an int, refused unless it is a non-negative integer (a bool is not);
+    the base of `keys` member streams must also keep seed + keys - 1 a Philox key."""
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise ConfigError(f"{name} must be a non-negative integer, got {seed!r}")
+    seed = int(seed)
+    if keys is not None and seed + keys - 1 >= 2 ** _KEY_BITS:
+        raise ConfigError(f"{name} + {keys - 1} must be below 2**{_KEY_BITS}, "
+                          f"the Philox key range, got {name} = {seed}")
+    return seed
+
+
 class _NoiseStream:
     """Per-member Philox generators, drawn in step blocks of a bounded buffer.
 
     Member i always consumes its stream in the same order (2 * modes normals
-    per step), so a member integrated alone reproduces its batch trajectory,
-    and how the steps are split into refills does not change a single draw.
-    steps_left is the number of steps the run still takes; _drive sets it, so
-    no refill draws past the run's end.
+    per step: the real parts, then the imaginary ones), so a member integrated
+    alone reproduces its batch trajectory, and how the steps are split into
+    refills does not change a single draw.  steps_left is the number of steps
+    the run still takes; _drive sets it, so no refill draws past the run's end.
 
-    The buffer holds at most _NOISE_BYTES, or one step when a step is larger.
-    It is an anonymous shared mmap, split into two halves along the step
-    axis.  The caller draws the first half itself and then forks one producer
-    process, which draws every later step: while the caller consumes one
-    half, the producer refills the other.  Each swap waits for the producer's
-    acknowledgement of the pending fill and sends it the next (half, steps).
-    Philox is counter-based and keyed per member, so the producer's normals
-    are the bits the caller would draw.  A failing fill sends its exception
-    back, and the swap re-raises it.  The producer exits after the run's last
-    fill, handing its generators' states back to gens, or when close() stops
-    it or its pipe closes.  A one-step buffer has no second half, and where
-    fork is unavailable the caller refills each half itself.  _drive calls
-    close() however the run ends.
+    The buffer holds (steps, members, modes) complex normals, at most
+    _NOISE_BYTES, or one step when a step is larger, so next_step() hands out
+    each step as a contiguous view.  Philox only fills contiguous arrays, so a
+    fill draws _NOISE_BLOCK members at a time into a scratch of
+    (block, steps, 2, modes) and writes its real and imaginary parts into the
+    buffer with one transposed assignment each.  The buffer is an anonymous
+    shared mmap, split into two halves along the step axis.  The caller draws
+    the first half itself and then forks one producer process, which draws
+    every later step: while the caller consumes one half, the producer
+    refills the other.  Each swap waits for the producer's acknowledgement of
+    the pending fill and sends it the next (half, steps).  Philox is
+    counter-based and keyed per member, so the producer's normals are the bits
+    the caller would draw.  A failing fill sends its exception back, and the
+    swap re-raises it.  The producer exits after the run's last fill, handing
+    its generators' states back to gens, or when close() stops it or its pipe
+    closes.  A one-step buffer has no second half, and where fork is
+    unavailable the caller refills each half itself.  _drive calls close()
+    however the run ends.
     """
 
     def __init__(self, seed_base, members, modes):
@@ -187,16 +208,24 @@ class _NoiseStream:
                      for i in range(members)]
         self.modes = int(modes)
         self.steps_left = 0
-        self._buffer = None  # (members, steps, 2, modes) normals in the shared mmap
+        self._buffer = None  # (steps, members, modes) complex normals in the shared mmap
         self._halves = None  # the buffer's two halves along the step axis
+        self._scratch = None  # (block, steps of a half, 2, modes) normals of one member block
         self._current = 0  # index of the half being consumed
         self._cursor = self._filled = 0
         self._producer = None  # (process, connection) once forked
         self._pending = 0  # steps of the fill the producer is drawing
 
     def _draw(self, half, steps):
-        for g, block in zip(self.gens, half):
-            g.standard_normal(out=block[:steps])
+        block = self._scratch[:, :steps]
+        for lo in range(0, len(self.gens), len(block)):
+            gens = self.gens[lo:lo + len(block)]
+            for g, rows in zip(gens, block):
+                g.standard_normal(out=rows)
+            drawn = block[:len(gens)]
+            target = half[:steps, lo:lo + len(gens)]
+            target.real = drawn[:, :, 0].transpose(1, 0, 2)
+            target.imag = drawn[:, :, 1].transpose(1, 0, 2)
 
     def _fork(self):
         """Start the producer; False where fork is unavailable."""
@@ -259,35 +288,34 @@ class _NoiseStream:
         if self._halves is None:
             steps = max(1, min(self.steps_left,
                                _NOISE_BYTES // (16 * members * self.modes)))
-            shape = (members, steps, 2, self.modes)
-            shared = mmap.mmap(-1, 8 * math.prod(shape))
-            self._buffer = np.frombuffer(shared, dtype=float).reshape(shape)
+            shape = (steps, members, self.modes)
+            shared = mmap.mmap(-1, 16 * math.prod(shape))
+            self._buffer = np.frombuffer(shared, dtype=complex).reshape(shape)
             first = (steps + 1) // 2
-            self._halves = (self._buffer[:, :first], self._buffer[:, first:])
+            self._halves = (self._buffer[:first], self._buffer[first:])
+            self._scratch = np.empty((min(members, _NOISE_BLOCK), first, 2, self.modes))
         if self._pending:
             filled = self._receive()
             self._current = 1 - self._current
         else:
-            filled = max(1, min(self.steps_left, self._halves[self._current].shape[1]))
+            filled = max(1, min(self.steps_left, len(self._halves[self._current])))
             self._draw(self._halves[self._current], filled)
             self.steps_left -= filled
         self._cursor, self._filled = 0, filled
-        ahead = min(self.steps_left, self._halves[1 - self._current].shape[1])
+        ahead = min(self.steps_left, len(self._halves[1 - self._current]))
         if ahead > 0 and (self._producer is not None or self._fork()):
             self.steps_left -= ahead
             self._producer[1].send((1 - self._current, ahead))
             self._pending = ahead
 
-    def next_step(self, out=None):
-        """Complex normals z_re + i z_im of shape (members, modes) for one step."""
+    def next_step(self):
+        """Complex normals z_re + i z_im of shape (members, modes) for one step: a
+        view into the buffer, valid until the next call."""
         if self._cursor == self._filled:
             self._swap()
-        z = self._halves[self._current][:, self._cursor]
+        z = self._halves[self._current][self._cursor]
         self._cursor += 1
-        if out is None:
-            out = np.empty((len(self.gens), self.modes), dtype=complex)
-        out.real, out.imag = z[:, 0], z[:, 1]
-        return out
+        return z
 
     def close(self):
         """Stop the producer, dropping a pending fill and its errors."""
@@ -369,14 +397,15 @@ def _segment_steps(taus, h_target):
 
 
 def _guard_weights(eigenvalues, s):
-    return np.abs(np.asarray(eigenvalues, dtype=float)) ** s + 1.0
+    """|lambda_k|^s + 1, each repeated for the real and imaginary part of mode k."""
+    return np.repeat(np.abs(np.asarray(eigenvalues, dtype=float)) ** s + 1.0, 2)
 
 
 def _guard_norm(a, weights, out=None, work=None):
-    """sqrt(sum_k weights_k |a_k|^2): abs, square, times weights, sum, in that order."""
-    r = np.absolute(a, out=work)
-    np.multiply(weights, np.square(r, out=r), out=r)
-    return np.sqrt(np.sum(r, axis=-1, out=out), out=out)
+    """sqrt(sum_k w_k |a_k|^2) of contiguous complex rows a, as one matrix-vector
+    product of the squared real view with the repeated weights."""
+    r = np.square(a.view(float), out=work)
+    return np.sqrt(np.matmul(r, weights, out=out), out=out)
 
 
 def _drive(a0, g, lam, mu, config, h_target, inject=None, stream=None, drift=None):
@@ -395,8 +424,10 @@ def _drive(a0, g, lam, mu, config, h_target, inject=None, stream=None, drift=Non
     members, modes = a0.shape
     states = np.empty((taus.size, members, modes), dtype=complex)
     states[0] = a0
+    a = a0.astype(complex, order="C")  # the guard norm reads a contiguous complex copy
     weights = _guard_weights(lam, config.blow_up_norm)
-    bound = config.blow_up_factor * (_guard_norm(a0, weights) + 1.0)
+    bound = config.blow_up_factor * (_guard_norm(a, weights) + 1.0)
+    limit = np.minimum(bound, np.finfo(float).max)  # an infinite norm is over any bound
     dead = np.zeros(members, dtype=bool)
     death_tau = np.full(members, np.nan)
     death_norm = np.full(members, np.nan)
@@ -409,10 +440,9 @@ def _drive(a0, g, lam, mu, config, h_target, inject=None, stream=None, drift=Non
     node = None  # (k1, gap) at the last sample node, reused by the next step
 
     use_lawson = config.scheme == "lawson4"
-    a = a0.astype(complex)
     spare = np.empty_like(a)  # the expeuler update writes here, then the two swap
     normals, increment = (np.empty_like(a), np.empty_like(a)) if inject else (None, None)
-    norm, norm_work = np.empty(members), np.empty((members, modes))
+    norm, norm_work = np.empty(members), np.empty((members, 2 * modes))
     total = 0
     plan = _segment_steps(taus, h_target)
     if stream is not None:
@@ -441,12 +471,13 @@ def _drive(a0, g, lam, mu, config, h_target, inject=None, stream=None, drift=Non
                 else:
                     a, spare = _expeuler_step(a, h, E, k1, out=spare), a
                 if inject is not None:
-                    z = np.multiply(sqrt_h, stream.next_step(out=normals), out=normals)
+                    z = np.multiply(sqrt_h, stream.next_step(), out=normals)
                     np.add(a, inject(tau_n + h, z, increment), out=a)
-                with np.errstate(invalid="ignore"):
-                    _guard_norm(a, weights, out=norm, work=norm_work)
-                    fresh = ~dead & (~np.isfinite(norm) | (norm > bound))
-                if np.any(fresh):
+                with np.errstate(over="ignore", invalid="ignore"):
+                    # the norm is >= 0, inf or NaN: over means "not finite or above the bound"
+                    over = ~(_guard_norm(a, weights, out=norm, work=norm_work) <= limit)
+                if over.any():
+                    fresh = over & ~dead
                     dead |= fresh
                     death_tau[fresh] = tau_n + h
                     death_norm[fresh] = norm[fresh]

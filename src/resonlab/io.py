@@ -363,6 +363,7 @@ class RunManifest:
     timestamp: str
     seed: int | None = None
     outputs: dict = field(default_factory=dict)  # filename -> sha256 of bytes
+    resources: dict | None = None  # what the run cost; varies from run to run
 
     def to_document(self):
         return {
@@ -374,6 +375,7 @@ class RunManifest:
             "timestamp": self.timestamp,
             "seed": self.seed,
             "outputs": dict(sorted(self.outputs.items())),
+            "resources": self.resources,
         }
 
 

@@ -18,7 +18,7 @@ from .errors import ConfigError
 from .fields import (Observable, QuadratureDrift, ResonantDrift, action_observable,
                      default_quadrature_nodes, drift_route_residual,
                      monomial_observable, scalar_average, scalar_average_limit)
-from .integrators import (NOISE_CONVENTION, SolverConfig, ensemble_full,
+from .integrators import (NOISE_CONVENTION, SolverConfig, check_seed, ensemble_full,
                           ensemble_effective, integrate_effective,
                           integrate_effective_stochastic, integrate_full,
                           integrate_full_stochastic)
@@ -46,7 +46,9 @@ class StudyConfig:
     every positive sample time).  `burn_in`/`batches`/`batch_length` shape the
     stationary time averages; `windows` is the averaging-window grid of the
     operator study.  `initial_seed` pins the sampled initial data separately
-    from the Monte Carlo seed (None reuses `seed`).
+    from the Monte Carlo seed (None reuses `seed`).  The studies key their
+    member streams from `seed` up to `seed + max(members, len(epsilons))`, and
+    every one of those keys must be a Philox key.
     """
 
     study: str
@@ -82,6 +84,11 @@ class StudyConfig:
             raise ConfigError(f"need 0 <= s1 < s_star, got s1={self.s1} s_star={self.s_star}")
         if self.initials < 1 or self.members < 2 or self.tracked_modes < 1:
             raise ConfigError("need initials >= 1, members >= 2, tracked_modes >= 1")
+        object.__setattr__(self, "seed", check_seed(
+            self.seed, "seed", keys=max(int(self.members), len(eps)) + 1))
+        if self.initial_seed is not None:
+            object.__setattr__(self, "initial_seed",
+                               check_seed(self.initial_seed, "initial_seed"))
         if not 0.0 < self.tau_end < math.inf:
             raise ConfigError(f"tau_end must be positive and finite, got {self.tau_end}")
         if (self.batches < 4 or not 0.0 <= self.burn_in < math.inf

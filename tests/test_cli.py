@@ -84,7 +84,7 @@ def test_basis_rerun_is_identical(workspace, tmp_path):
 
 def test_rerun_into_same_dir_reproduces_everything(workspace, tmp_path):
     # data artifacts must be bitwise stable; the manifest may differ only in
-    # its timestamp, also when the workspace is copied to another path
+    # its timestamp and resources, also when the workspace is copied to another path
     home = tmp_path / "ws"
     home.mkdir()
     shutil.copy(workspace["dir"] / "basis.json", home / "basis.json")
@@ -98,7 +98,7 @@ def test_rerun_into_same_dir_reproduces_everything(workspace, tmp_path):
                  "--out", str(moved / "twice")]) == 0
     snapshots.append({p.name: p.read_bytes() for p in (moved / "twice").iterdir()})
     strip = lambda raw: {k: v for k, v in json.loads(raw).items()
-                         if k != "timestamp"}
+                         if k not in ("timestamp", "resources")}
     before = snapshots[0]
     for after in snapshots[1:]:
         assert set(before) == set(after)
@@ -220,16 +220,89 @@ _NOISY_SOLVER = {"epsilon": 0.2, "tau_end": 0.5, "dt": 2e-3, "samples": 6,
 
 
 def test_seedless_noisy_effective_builds_no_drift(workspace, tmp_path, capsys, monkeypatch):
-    built = []
-    init = ResonantDrift.__init__
-    monkeypatch.setattr(ResonantDrift, "__init__",
-                        lambda self, *args: built.append(self) or init(self, *args))
+    built = _count_drift_builds(monkeypatch)
     cfg = write_config(workspace["dir"] / "ens.json", _simulate_config(
         workspace, table=workspace["table_ref"], solver=_NOISY_SOLVER,
         noise={"scale": 0.05, "decay": 1.5}))
     assert main(["effective", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
     assert "seed" in capsys.readouterr().err
     assert built == []
+
+
+def _count_drift_builds(monkeypatch):
+    built = []
+    init = ResonantDrift.__init__
+    monkeypatch.setattr(ResonantDrift, "__init__",
+                        lambda self, *args: built.append(self) or init(self, *args))
+    return built
+
+
+@pytest.mark.parametrize("kind", ["stochastic", "disparity"])
+def test_bad_seeds_exit_one_before_any_drift(workspace, tmp_path, capsys, monkeypatch, kind):
+    # a negative seed used to reach the Philox constructor after the drift
+    # build (after the whole deterministic ladder for a disparity study) and
+    # exit as "malformed config: ValueError(...)"
+    built = _count_drift_builds(monkeypatch)
+    study = {"study": kind, "epsilons": [0.2, 0.1], "dt": 2e-3, "samples": 3,
+             "tau_end": 0.2, "members": 4}
+    doc = {"frame": workspace["frame_ref"], "table": workspace["table_ref"],
+           "nonlinearity": {"kind": "cubic_focusing", "mu": 0.5},
+           "noise": {"scale": 0.05, "decay": 1.5}, "study": study}
+    cfg = write_config(workspace["dir"] / f"seed-{kind}.json", doc)
+    out = str(tmp_path / "o")
+    assert main(["study", kind, "--config", cfg, "--out", out, "--seed", "-3"]) == 1
+    assert "--seed must be a non-negative integer, got -3" in capsys.readouterr().err
+    for key, bad in (("seed", -3), ("seed", True), ("seed", 2.0), ("seed", "7"),
+                     ("seed", 2 ** 128 - 4), ("initial_seed", -1),
+                     ("initial_seed", 1.5), ("initial_seed", False)):
+        cfg = write_config(workspace["dir"] / f"seed-{kind}.json",
+                           {**doc, "study": {**study, key: bad}})
+        assert main(["study", kind, "--config", cfg, "--out", out]) == 1, (key, bad)
+        err = capsys.readouterr().err
+        assert f"error: {key} " in err and "malformed" not in err, (key, bad)
+    assert built == []
+    assert not os.path.exists(out)
+
+
+def test_bad_trajectory_seeds_exit_one_before_any_drift(workspace, tmp_path, capsys,
+                                                        monkeypatch):
+    built = _count_drift_builds(monkeypatch)
+    doc = _simulate_config(workspace, table=workspace["table_ref"], solver=_NOISY_SOLVER,
+                           noise={"scale": 0.05, "decay": 1.5})
+    out = str(tmp_path / "o")
+    for extra, config_seed, key in ((["--seed", "-1"], 9, "--seed"),
+                                    ([], -1, "seed"), ([], 2 ** 128, "seed"),
+                                    ([], True, "seed"), ([], 9.0, "seed")):
+        cfg = write_config(workspace["dir"] / "eseed.json", {**doc, "seed": config_seed})
+        assert main(["effective", "--config", cfg, "--out", out, *extra]) == 1
+        assert f"error: {key} " in capsys.readouterr().err, (extra, config_seed)
+    cfg = write_config(workspace["dir"] / "eseed.json", {
+        **doc, "seed": 9, "initial": {"radius": 1.0, "s": 2.0, "seed": -3}})
+    assert main(["effective", "--config", cfg, "--out", out]) == 1
+    assert "initial.seed must be a non-negative integer" in capsys.readouterr().err
+    assert built == []
+    # the largest key is accepted
+    cfg = write_config(workspace["dir"] / "eseed.json", {**doc, "seed": 2 ** 128 - 1})
+    assert main(["effective", "--config", cfg, "--out", out]) == 0
+
+
+def test_manifest_records_resources(workspace, tmp_path):
+    cfg = write_config(workspace["dir"] / "res-sim.json", _simulate_config(
+        workspace, solver=_NOISY_SOLVER, noise={"scale": 0.05, "decay": 1.5}, seed=9))
+    sizes = []
+    for name in ("a", "b"):
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path / name)]) == 0
+        sizes.append((tmp_path / name / "manifest.json").stat().st_size)
+    resources = read_json(tmp_path / "a" / "manifest.json")["resources"]
+    assert set(resources) == {"wall_s", "self", "children"}
+    for who in ("self", "children"):
+        assert set(resources[who]) == {"cpu_s", "peak_rss_mb", "minor_faults"}
+    values = [resources["wall_s"], *resources["self"].values(),
+              *resources["children"].values()]
+    # fixed-width strings: the manifest's size does not vary from run to run
+    assert all(len(v) == len("1.000000e+00") and float(v) >= 0 for v in values)
+    assert float(resources["self"]["peak_rss_mb"]) > 1.0
+    assert sizes[0] == sizes[1]
 
 
 def test_noisy_effective_records_its_noise(workspace, tmp_path):

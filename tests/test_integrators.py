@@ -413,27 +413,36 @@ def _philox_state(gen):
 
 
 @settings(max_examples=40, deadline=None)
-@given(st.sampled_from((1, 2, 3, 4, 7, None)), st.integers(1, 4), st.integers(1, 6),
-       st.integers(1, 30), st.integers(0, 2 ** 32 - 1))
-def test_noise_draws_do_not_depend_on_refill_size(per_refill, members, modes,
-                                                  steps, seed):
+@given(st.sampled_from((1, 2, 3, 4, 7, None)), st.sampled_from((1, 3, 64)),
+       st.integers(0, 2), st.integers(1, 63), st.integers(1, 6), st.integers(1, 30),
+       st.integers(0, 2 ** 32 - 1))
+def test_noise_draws_do_not_depend_on_refill_size(per_refill, block, full_blocks, rest,
+                                                  modes, steps, seed):
     # per_refill None: the whole run fits one refill; a refill of k steps is
-    # drawn as halves of ceil(k / 2) and floor(k / 2) steps
+    # drawn as halves of ceil(k / 2) and floor(k / 2) steps.  A fill draws
+    # `block` members at a time; the member count is no multiple of a block of
+    # more than one member, so the last block is a partial one
+    members = full_blocks * block + (1 + rest % (block - 1) if block > 1 else rest)
     budget = 16 * members * modes * (steps if per_refill is None else per_refill)
     ref = np.stack([_philox(seed + i).standard_normal((steps, 2, modes))
                     for i in range(members)], axis=1)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(integrators, "_NOISE_BYTES", budget)
+        mp.setattr(integrators, "_NOISE_BLOCK", block)
         batch = _NoiseStream(seed, members, modes)
-        alone = [_NoiseStream(seed + i, 1, modes) for i in range(members)]
+        # members alone: the first two and the last, which sits in the partial block
+        picked = sorted({0, min(1, members - 1), members - 1})
+        alone = [_NoiseStream(seed + i, 1, modes) for i in picked]
         for stream in (batch, *alone):
             stream.steps_left = steps
         for t in range(steps):
             z = batch.next_step()
+            assert z.shape == (members, modes) and z.flags.c_contiguous
             assert np.array_equal(z.real, ref[t, :, 0])
             assert np.array_equal(z.imag, ref[t, :, 1])
-            for i, single in enumerate(alone):
+            for i, single in zip(picked, alone):
                 assert np.array_equal(single.next_step()[0], z[i])
+        assert len(batch._scratch) == min(members, block)
 
 
 def test_noise_stream_draws_only_the_steps_a_run_takes(frame_1d_5, monkeypatch):
@@ -479,6 +488,10 @@ def test_noise_buffer_stays_within_budget():
         stream.close()
     assert peak <= integrators._NOISE_BYTES + step
     assert stream._buffer.nbytes <= integrators._NOISE_BYTES
+    # the draw scratch holds one block of members, whatever the member count
+    half = len(stream._halves[0])
+    assert stream._scratch.shape == (integrators._NOISE_BLOCK, half, 2, modes)
+    assert stream._scratch.nbytes <= 16 * integrators._NOISE_BLOCK * half * modes
 
 
 def test_noise_prefetch_with_one_step_halves(monkeypatch):
@@ -569,6 +582,105 @@ def test_noise_fill_error_reaches_the_caller(frame_1d_5, monkeypatch):
                       NoiseModel((0.3,) * 5), 3, seed_base=40)
     assert threading.active_count() == before
     assert multiprocessing.active_children() == []
+
+
+def _ulps(x, y):
+    """|x - y| in units of the last place of y."""
+    return np.abs(x - y) / np.spacing(np.abs(y))
+
+
+def test_guard_norm_matches_weighted_sum():
+    rng = np.random.default_rng(4)
+    for members, modes, s in ((1, 1, 1.0), (7, 5, 0.0), (300, 8, 1.0), (64, 81, 2.5)):
+        lam = np.sort(rng.uniform(0.0, 40.0, modes))
+        a = (rng.standard_normal((members, modes))
+             + 1j * rng.standard_normal((members, modes))) * 10.0 ** rng.uniform(-3, 3)
+        weights = integrators._guard_weights(lam, s)
+        assert np.array_equal(weights[::2], weights[1::2])
+        assert np.array_equal(weights[::2], np.abs(lam) ** s + 1.0)
+        direct = np.sqrt(np.sum(weights[::2] * np.abs(a) ** 2, axis=-1))
+        norm = integrators._guard_norm(a, weights)
+        assert norm.shape == (members,)
+        assert np.all(_ulps(norm, direct) <= 4), (members, modes)
+        out, work = np.empty(members), np.empty((members, 2 * modes))
+        assert integrators._guard_norm(a, weights, out=out, work=work) is out
+        assert np.array_equal(out, norm)
+
+
+def _zero_field(x, tau):
+    return np.zeros_like(x)
+
+
+def test_guard_excludes_non_finite_members():
+    # the field kicks members 1-4 to NaN or an infinity at tau = 0.3, and
+    # member 5 to a finite state whose norm overflows; it leaves the rest alone,
+    # and with mu = 0 nothing else moves them
+    lam = np.array([0.0, 1.0, 1.0, 4.0])
+    kick = np.zeros((7, 4), dtype=complex)
+    kick[1:6, 2] = (np.nan, np.inf, -np.inf, complex(0.0, np.inf), 1e201)
+
+    def field(x, tau):
+        return kick if abs(tau - 0.3) < 1e-9 else np.zeros_like(x)
+
+    cfg = SolverConfig(epsilon=1.0, tau_end=0.5, dt=0.1, scheme="expeuler", samples=6)
+    a0 = np.full((7, 4), 0.25 + 0.5j)
+    with np.errstate(invalid="ignore"):
+        run = integrators._drive(a0, field, lam, 0.0, cfg, cfg.dt)
+    assert run["dead"].tolist() == [False] + [True] * 5 + [False]
+    assert np.allclose(run["death_tau"][1:6], 0.4)
+    assert not np.any(np.isfinite(run["death_norm"][1:6]))
+    assert run["death_norm"][5] == np.inf
+    assert np.all(np.isnan(run["states"][-1, 1:6]))
+    assert np.array_equal(run["states"][-1, [0, 6]], a0[[0, 6]])
+    # a norm that overflows from the start has an infinite bound, and is still over it
+    a0[6, 0] = 1e200
+    with np.errstate(over="ignore"):
+        run = integrators._drive(a0, _zero_field, lam, 0.0, cfg, cfg.dt)
+    assert run["bound"][6] == np.inf
+    assert run["dead"].tolist() == [False] * 6 + [True]
+    assert np.isclose(run["death_tau"][6], 0.1) and run["death_norm"][6] == np.inf
+
+
+def test_guard_keeps_a_norm_at_the_bound():
+    # one step of h = 1/2 with mu = 0 puts a = k1 / 2 exactly; lambda = 0 and
+    # blow_up_norm 1 give weight 1, so the norm is |a|; from a0 = 0 the bound
+    # is blow_up_factor * 1 = 4
+    cfg = SolverConfig(epsilon=1.0, tau_end=0.5, dt=0.5, scheme="expeuler", samples=2,
+                       blow_up_factor=4.0)
+    above = np.nextafter(4.0, np.inf)
+    k1 = np.array([[8.0], [2.0 * above], [-8.0]])
+    run = integrators._drive(np.zeros((3, 1), complex), lambda x, tau: k1,
+                             np.array([0.0]), 0.0, cfg, cfg.dt)
+    assert np.array_equal(run["bound"], [4.0, 4.0, 4.0])
+    assert run["dead"].tolist() == [False, True, False]
+    assert run["death_norm"][1] == above
+    assert run["states"][-1, 0, 0] == 4.0 and run["states"][-1, 2, 0] == -4.0
+
+
+def test_guard_reads_real_and_strided_initial_states_alike():
+    # the bound is taken from the driver's contiguous complex copy of a0, so a
+    # real or a strided a0 gives what its contiguous complex copy gives
+    lam = np.array([0.0, 1.0, 1.0, 4.0, 4.0])
+    rng = np.random.default_rng(12)
+    real = rng.uniform(-1.0, 1.0, (8, 5))
+    real[[2, 5]] *= 50.0  # these two leave the ball
+
+    def field(x, tau):
+        return x * np.abs(x) ** 2
+
+    cfg = SolverConfig(epsilon=1.0, tau_end=0.2, dt=1e-2, scheme="expeuler", samples=3,
+                       blow_up_factor=1.5)
+    wide = np.zeros((8, 10), complex)
+    wide[:, ::2] = real
+    runs = [integrators._drive(a0, field, lam, 0.3, cfg, cfg.dt)
+            for a0 in (real.astype(complex), real, wide[:, ::2],
+                       np.asfortranarray(real.astype(complex)))]
+    first = runs[0]
+    assert first["dead"].tolist() == [i in (2, 5) for i in range(8)]
+    for run in runs[1:]:
+        assert np.array_equal(run["bound"], first["bound"])
+        assert np.array_equal(run["dead"], first["dead"])
+        assert np.array_equal(run["states"], first["states"], equal_nan=True)
 
 
 def test_ou_action_statistics(frame_1d_5):

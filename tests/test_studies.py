@@ -70,6 +70,22 @@ def test_config_refuses_non_finite_times(key):
             StudyConfig.from_document({"study": "stochastic", key: value})
 
 
+def test_config_refuses_bad_seeds():
+    # the studies key member streams from seed up to seed + max(members, rungs)
+    for key, bad in (("seed", -1), ("seed", True), ("seed", 3.0), ("seed", None),
+                     ("seed", 2 ** 128 - 200), ("initial_seed", -5),
+                     ("initial_seed", 2.5), ("initial_seed", True)):
+        with pytest.raises(ConfigError, match=f"^{key} "):
+            StudyConfig.from_document({"study": "stochastic", key: bad})
+    with pytest.raises(ConfigError, match=r"seed \+ 6 must be below 2\*\*128"):
+        StudyConfig("stationary", members=2, epsilons=(0.4, 0.3, 0.2, 0.1, 0.05, 0.01),
+                    seed=2 ** 128 - 6)
+    top = StudyConfig("stochastic", seed=2 ** 128 - 201, initial_seed=2 ** 130)
+    assert top.seed == 2 ** 128 - 201 and top.initial_seed == 2 ** 130
+    numpy_ints = StudyConfig("stochastic", seed=np.int64(5), initial_seed=np.uint8(3))
+    assert type(numpy_ints.seed) is int and type(numpy_ints.initial_seed) is int
+
+
 def test_config_document_round_trip():
     cfg = StudyConfig("stochastic", epsilons=(0.2, 0.05), members=64, seed=5,
                       initial_seed=17, compare_taus=(0.5, 1.0))
