@@ -16,10 +16,11 @@ builds one.  Noisy runs of both systems take the full system's NoiseModel, whose
 resonant average (resonance.build_diffusion) is the effective run's diffusion B.
 Complex noise follows the convention E|beta_l(tau)|^2 = 2 tau (independent
 standard real and imaginary parts).
-A stochastic run draws its normals ahead in one forked producer process that
-shares the noise buffer with it (_NoiseStream).  The buffer is step-major and
-complex, so each step's normals are one contiguous (members, modes) block that
-the driver reads in place.
+A stochastic run's normals are drawn ahead by one forked producer process that
+shares the noise buffer with it and draws every fill of the run's steps
+(_NoiseStream); the run draws them itself only where fork is unavailable.  The
+buffer is step-major and complex, so each step's normals are one contiguous
+(members, modes) block that the driver reads in place.
 """
 
 from dataclasses import dataclass, fields
@@ -180,140 +181,136 @@ class _NoiseStream:
     Member i always consumes its stream in the same order (2 * modes normals
     per step: the real parts, then the imaginary ones), so a member integrated
     alone reproduces its batch trajectory, and how the steps are split into
-    refills does not change a single draw.  steps_left is the number of steps
-    the run still takes; _drive sets it, so no refill draws past the run's end.
+    fills does not change a single draw.
 
     The buffer holds (steps, members, modes) complex normals, at most
     _NOISE_BYTES, or one step when a step is larger, so next_step() hands out
-    each step as a contiguous view.  Philox only fills contiguous arrays, so a
-    fill draws _NOISE_BLOCK members at a time into a scratch of
-    (block, steps, 2, modes) and writes its real and imaginary parts into the
-    buffer with one transposed assignment each.  The buffer is an anonymous
-    shared mmap, split into two halves along the step axis.  The caller draws
-    the first half itself and then forks one producer process, which draws
-    every later step: while the caller consumes one half, the producer
-    refills the other.  Each swap waits for the producer's acknowledgement of
-    the pending fill and sends it the next (half, steps).  Philox is
-    counter-based and keyed per member, so the producer's normals are the bits
-    the caller would draw.  A failing fill sends its exception back, and the
-    swap re-raises it.  The producer exits after the run's last fill, handing
-    its generators' states back to gens, or when close() stops it or its pipe
-    closes.  A one-step buffer has no second half, and where fork is
-    unavailable the caller refills each half itself.  _drive calls close()
-    however the run ends.
+    each step as a contiguous view.  It is an anonymous shared mmap split into
+    two halves along the step axis, or kept as one half when it holds one
+    step.  The run's steps are fixed at construction and listed as fills of
+    (half, steps), which go to the halves in turn.  Philox only fills
+    contiguous arrays, so a fill draws _NOISE_BLOCK members at a time into a
+    scratch of (block, steps, 2, modes) and writes its real and imaginary
+    parts into its half with one transposed assignment each.
+
+    One side draws every fill.  The first next_step() forks one producer
+    process, which builds the generators and the scratch and draws the fills
+    in order; before it refills a half it waits for the caller to release
+    that half, so while the caller consumes one half, the producer refills
+    the other.  It answers each fill with None, or with the fill's exception,
+    which next_step() re-raises, and exits after the last fill.  Philox is
+    counter-based and keyed per member, so these are the bits the caller
+    would draw; where fork is unavailable, the caller draws each fill itself
+    when it needs it.  _drive calls close() however the run ends.
     """
 
-    def __init__(self, seed_base, members, modes):
-        self.gens = [np.random.Generator(np.random.Philox(key=int(seed_base) + i))
-                     for i in range(members)]
-        self.modes = int(modes)
-        self.steps_left = 0
-        self._buffer = None  # (steps, members, modes) complex normals in the shared mmap
-        self._halves = None  # the buffer's two halves along the step axis
-        self._scratch = None  # (block, steps of a half, 2, modes) normals of one member block
-        self._current = 0  # index of the half being consumed
-        self._cursor = self._filled = 0
-        self._producer = None  # (process, connection) once forked
-        self._pending = 0  # steps of the fill the producer is drawing
+    def __init__(self, seed_base, members, modes, steps):
+        self.seed_base, self.members, self.modes = int(seed_base), int(members), int(modes)
+        size = max(1, min(steps, _NOISE_BYTES // (16 * self.members * self.modes)))
+        shape = (size, self.members, self.modes)
+        self._buffer = np.frombuffer(mmap.mmap(-1, 16 * math.prod(shape)),
+                                     dtype=complex).reshape(shape)
+        first = (size + 1) // 2
+        self._halves = (self._buffer[:first], self._buffer[first:]) if size > 1 else (self._buffer,)
+        self._fills = []  # (half, steps) of each fill, in the order they are drawn
+        left = int(steps)
+        while left > 0:
+            half = len(self._fills) % len(self._halves)
+            self._fills.append((half, min(left, len(self._halves[half]))))
+            left -= self._fills[-1][1]
+        self._gens = self._scratch = None  # built by the side that draws
+        self._next = 0  # index of the next fill to consume
+        self._half = self._cursor = self._filled = 0  # the fill being consumed
+        self._producer = None  # (process, connection) while forked
 
-    def _draw(self, half, steps):
+    def _draw(self, k):
+        """Draw fill k into its half."""
+        half, steps = self._fills[k]
+        if self._gens is None:
+            self._gens = [np.random.Generator(np.random.Philox(key=self.seed_base + i))
+                          for i in range(self.members)]
+            self._scratch = np.empty((min(self.members, _NOISE_BLOCK),
+                                      len(self._halves[0]), 2, self.modes))
         block = self._scratch[:, :steps]
-        for lo in range(0, len(self.gens), len(block)):
-            gens = self.gens[lo:lo + len(block)]
+        for lo in range(0, self.members, len(block)):
+            gens = self._gens[lo:lo + len(block)]
             for g, rows in zip(gens, block):
                 g.standard_normal(out=rows)
             drawn = block[:len(gens)]
-            target = half[:steps, lo:lo + len(gens)]
+            target = self._halves[half][:steps, lo:lo + len(gens)]
             target.real = drawn[:, :, 0].transpose(1, 0, 2)
             target.imag = drawn[:, :, 1].transpose(1, 0, 2)
 
     def _fork(self):
-        """Start the producer; False where fork is unavailable."""
+        """Start the producer, unless fork is unavailable."""
         import multiprocessing
         if "fork" not in multiprocessing.get_all_start_methods():
-            return False
+            return
         context = multiprocessing.get_context("fork")
         connection, child_end = context.Pipe()
         process = context.Process(target=self._produce, args=(child_end,), daemon=True)
         self._producer = (process, connection)
         process.start()
         child_end.close()
-        return True
 
     def _produce(self, connection):
-        """The producer's loop: draw each requested half, then acknowledge it."""
+        """The producer's loop: draw every fill, each once its half is released."""
         signal.signal(signal.SIGINT, signal.SIG_IGN)  # the caller handles interrupts
         self._producer[1].close()
-        left = self.steps_left  # the fork comes before the first request is counted
         try:
-            while left > 0:
-                half, steps = connection.recv()
+            for k in range(len(self._fills)):
+                if k >= len(self._halves):
+                    connection.recv()  # the caller is done with this half
                 try:
-                    self._draw(self._halves[half], steps)
+                    self._draw(k)
                 except Exception as exc:
-                    connection.send((exc, None))
+                    connection.send(exc)
                     return
-                left -= steps
-                connection.send((None, _pack_states(self.gens) if left == 0 else None))
+                connection.send(None)
         except (EOFError, OSError):
             return
 
-    def _receive(self):
-        """Wait for the pending fill's acknowledgement; returns its steps or re-raises."""
-        steps, self._pending = self._pending, 0
+    def _receive(self, k):
+        """Release the half of fill k - 1 if a later fill reuses it, then wait for
+        fill k; re-raises the producer's error."""
+        connection = self._producer[1]
+        if k > 0 and k - 1 + len(self._halves) < len(self._fills):
+            try:
+                connection.send(None)
+            except BrokenPipeError:
+                pass  # the producer has ended; its last answer says why
         try:
-            error, states = self._producer[1].recv()
+            error = connection.recv()
         except EOFError:
-            error, states = RuntimeError("the noise producer ended during a fill"), None
+            error = RuntimeError("the noise producer ended during a fill")
         if error is not None:
             raise error
-        if states is not None:  # the run's last fill: the producer exits
-            for g, row in zip(self.gens, states):
-                g.bit_generator.state = _unpack_state(row)
+        if k == len(self._fills) - 1:
             self._stop(finished=True)
-        return steps
 
     def _stop(self, finished):
         """Close the pipe and reap the producer, terminating it unless it has finished."""
         process, connection = self._producer
-        self._producer, self._pending = None, 0
+        self._producer = None
         connection.close()
         if not finished:
             process.terminate()  # drops a fill in progress
         process.join()
 
-    def _swap(self):
-        """Make the next drawn half current and start drawing the one after it."""
-        members = len(self.gens)
-        if self._halves is None:
-            steps = max(1, min(self.steps_left,
-                               _NOISE_BYTES // (16 * members * self.modes)))
-            shape = (steps, members, self.modes)
-            shared = mmap.mmap(-1, 16 * math.prod(shape))
-            self._buffer = np.frombuffer(shared, dtype=complex).reshape(shape)
-            first = (steps + 1) // 2
-            self._halves = (self._buffer[:first], self._buffer[first:])
-            self._scratch = np.empty((min(members, _NOISE_BLOCK), first, 2, self.modes))
-        if self._pending:
-            filled = self._receive()
-            self._current = 1 - self._current
-        else:
-            filled = max(1, min(self.steps_left, len(self._halves[self._current])))
-            self._draw(self._halves[self._current], filled)
-            self.steps_left -= filled
-        self._cursor, self._filled = 0, filled
-        ahead = min(self.steps_left, len(self._halves[1 - self._current]))
-        if ahead > 0 and (self._producer is not None or self._fork()):
-            self.steps_left -= ahead
-            self._producer[1].send((1 - self._current, ahead))
-            self._pending = ahead
-
     def next_step(self):
         """Complex normals z_re + i z_im of shape (members, modes) for one step: a
         view into the buffer, valid until the next call."""
         if self._cursor == self._filled:
-            self._swap()
-        z = self._halves[self._current][self._cursor]
+            k = self._next
+            if k == 0:
+                self._fork()
+            if self._producer is not None:
+                self._receive(k)
+            else:
+                self._draw(k)
+            self._next, self._cursor = k + 1, 0
+            self._half, self._filled = self._fills[k]
+        z = self._halves[self._half][self._cursor]
         self._cursor += 1
         return z
 
@@ -321,24 +318,6 @@ class _NoiseStream:
         """Stop the producer, dropping a pending fill and its errors."""
         if self._producer is not None:
             self._stop(finished=False)
-
-
-def _pack_states(gens):
-    """The generators' Philox states as one (members, 13) uint64 array, a small message."""
-    packed = np.empty((len(gens), 13), dtype=np.uint64)
-    for row, g in zip(packed, gens):
-        state = g.bit_generator.state
-        row[:4], row[4:6] = state["state"]["counter"], state["state"]["key"]
-        row[6:10], row[10:] = state["buffer"], (state["buffer_pos"], state["has_uint32"],
-                                                 state["uinteger"])
-    return packed
-
-
-def _unpack_state(row):
-    """The bit_generator.state of one row of _pack_states."""
-    return {"bit_generator": "Philox", "state": {"counter": row[:4], "key": row[4:6]},
-            "buffer": row[6:10], "buffer_pos": int(row[10]), "has_uint32": int(row[11]),
-            "uinteger": int(row[12])}
 
 
 def _full_noise_injector(noise, frame, epsilon):
@@ -408,20 +387,25 @@ def _guard_norm(a, weights, out=None, work=None):
     return np.sqrt(np.matmul(r, weights, out=out), out=out)
 
 
-def _drive(a0, g, lam, mu, config, h_target, inject=None, stream=None, drift=None):
+def _drive(a0, g, lam, mu, config, h_target, inject=None, seed=None, drift=None):
     """Propagate an (members, modes) batch over the sample grid.
 
     Members whose guard norm leaves the safety ball are frozen to NaN but keep
     consuming their noise stream, so survivors are unaffected by exclusions.
-    Disparity tracking (drift given) accumulates the integral of g - drift by
-    the trapezoid rule on step nodes, reusing the scheme's own k1 stages; the
-    stage that closes a segment at its sample node is the next segment's first.
-    The expeuler update, the noise increment and the guard norm run in work
-    arrays the driver owns.  The returned "meta" (h_target, steps) is what
-    every result reports.
+    Noise that injects draws from the stream of seed's member keys, sized to
+    the run's steps.  Disparity tracking (drift given) accumulates the
+    integral of g - drift by the trapezoid rule on step nodes, reusing the
+    scheme's own k1 stages: a segment's first stage closes the last one's
+    trapezoid at the sample node, and one evaluation after the last step
+    closes the run's.  The expeuler update, the noise increment and the guard
+    norm run in work arrays the driver owns.  The returned "meta" (h_target,
+    steps) is what every result reports.
     """
     taus = config.sample_taus()
     members, modes = a0.shape
+    plan = _segment_steps(taus, h_target)
+    steps = sum(n for n, _ in plan)
+    stream = _noise_stream(config, seed, members, modes, inject, steps)
     states = np.empty((taus.size, members, modes), dtype=complex)
     states[0] = a0
     a = a0.astype(complex, order="C")  # the guard norm reads a contiguous complex copy
@@ -437,16 +421,11 @@ def _drive(a0, g, lam, mu, config, h_target, inject=None, stream=None, drift=Non
     D = np.zeros((members, modes), dtype=complex)
     gap_prev = None
     h_prev = 0.0
-    node = None  # (k1, gap) at the last sample node, reused by the next step
 
     use_lawson = config.scheme == "lawson4"
     spare = np.empty_like(a)  # the expeuler update writes here, then the two swap
     normals, increment = (np.empty_like(a), np.empty_like(a)) if inject else (None, None)
     norm, norm_work = np.empty(members), np.empty((members, 2 * modes))
-    total = 0
-    plan = _segment_steps(taus, h_target)
-    if stream is not None:
-        stream.steps_left = sum(n for n, _ in plan)
     try:
         for i, (n, h) in enumerate(plan):
             E = np.exp(-mu * lam * h)
@@ -455,16 +434,12 @@ def _drive(a0, g, lam, mu, config, h_target, inject=None, stream=None, drift=Non
             t0 = taus[i]
             for j in range(n):
                 tau_n = t0 + j * h
-                if node is not None:
-                    (k1, gap), node = node, None
-                else:
-                    k1 = g(a, tau_n)
-                    if track:
-                        gap = k1 - drift(a)
-                        if gap_prev is not None:
-                            D = D + (0.5 * h_prev) * (gap_prev + gap)
-                            np.maximum(disp_max, np.abs(D), out=disp_max)
+                k1 = g(a, tau_n)
                 if track:
+                    gap = k1 - drift(a)
+                    if gap_prev is not None:
+                        D = D + (0.5 * h_prev) * (gap_prev + gap)
+                        np.maximum(disp_max, np.abs(D), out=disp_max)
                     gap_prev, h_prev = gap, h
                 if use_lawson:
                     a = _lawson4_step(a, tau_n, h, E, E2, g, k1)
@@ -482,24 +457,20 @@ def _drive(a0, g, lam, mu, config, h_target, inject=None, stream=None, drift=Non
                     death_tau[fresh] = tau_n + h
                     death_norm[fresh] = norm[fresh]
                     a[fresh] = np.nan
-                total += 1
             states[i + 1] = a
-            if track:
-                # close the trapezoid at the sample node before recording
-                k1 = g(a, taus[i + 1])
-                gap = k1 - drift(a)
-                D = D + (0.5 * h_prev) * (gap_prev + gap)
-                with np.errstate(invalid="ignore"):
-                    np.maximum(disp_max, np.abs(D), out=disp_max)
-                node = (k1, gap)
     finally:
         if stream is not None:
             stream.close()
+    if track:
+        # close the trapezoid at the last sample node
+        gap = g(a, taus[-1]) - drift(a)
+        D = D + (0.5 * h_prev) * (gap_prev + gap)
+        np.maximum(disp_max, np.abs(D), out=disp_max)
     return {
         "taus": taus, "states": states, "dead": dead,
         "death_tau": death_tau, "death_norm": death_norm, "bound": bound,
-        "disp_max": disp_max, "steps": total,
-        "meta": {"h_target": h_target, "steps": total},
+        "disp_max": disp_max, "steps": steps,
+        "meta": {"h_target": h_target, "steps": steps},
     }
 
 
@@ -512,16 +483,17 @@ def _full_field(spec, frame, epsilon):
     return lambda x, tau: eval_Y(x, inv_eps * tau, field)
 
 
-def _noise_stream(config, seed, members, modes, inject):
-    """Member streams of a stochastic run; a seed of None marks a deterministic one,
-    so it refuses noise that injects.  Noise that injects nothing draws nothing."""
+def _noise_stream(config, seed, members, modes, inject, steps):
+    """Member streams of a stochastic run of `steps` steps; a seed of None marks a
+    deterministic one, so it refuses noise that injects.  Noise that injects
+    nothing draws nothing."""
     if seed is None:
         if inject is not None:
             raise ConfigError("a run whose noise injects needs a seed")
         return None
     if config.scheme != "expeuler":
         raise ConfigError("stochastic runs use scheme='expeuler'")
-    return None if inject is None else _NoiseStream(seed, members, modes)
+    return None if inject is None else _NoiseStream(seed, members, modes, steps)
 
 
 def _run_full(a0, spec, frame, config, noise=None, seed=None, drift=None):
@@ -531,18 +503,26 @@ def _run_full(a0, spec, frame, config, noise=None, seed=None, drift=None):
             drift.frame is not frame and drift.frame.content_hash() != frame.content_hash())):
         raise ConfigError("disparity tracking needs a drift of the run's spec and frame")
     inject = None if noise is None else _full_noise_injector(noise, frame, config.epsilon)
-    stream = _noise_stream(config, seed, *a0.shape, inject)
     h_target = oscillation_step(config, frame.eigenvalues)
     return _drive(a0, _full_field(spec, frame, config.epsilon), frame.eigenvalues,
-                  spec.mu, config, h_target, inject=inject, stream=stream, drift=drift)
+                  spec.mu, config, h_target, inject=inject, seed=seed, drift=drift)
 
 
 def _run_effective(a0, drift, config, noise=None, seed=None):
     """Drive the averaged system of a drift over an (members, modes) batch."""
     inject = None if noise is None else _effective_noise_injector(noise, drift.frame)
-    stream = _noise_stream(config, seed, *a0.shape, inject)
     return _drive(a0, lambda x, tau: drift(x), drift.frame.eigenvalues, drift.spec.mu,
-                  config, config.dt, inject=inject, stream=stream)
+                  config, config.dt, inject=inject, seed=seed)
+
+
+def _broadcast_members(state, members, modes):
+    """The initial (members, modes) batch: state as given, or one (modes,) state
+    repeated; any other shape is refused."""
+    a0 = mode_vector(state)
+    if a0.shape not in ((modes,), (members, modes)):
+        raise ConfigError(f"initial state must have shape ({modes},) or ({members}, {modes}), "
+                          f"got {a0.shape}")
+    return np.broadcast_to(a0, (members, modes)).copy() if a0.ndim == 1 else a0
 
 
 def _trajectory(run, config, frame, epsilon=None, seed=None, noise_doc=None):
@@ -589,20 +569,21 @@ def integrate_full(state, spec, frame, config, drift=None):
     Given the averaged drift of the same spec and frame, the running integral
     of Y - drift along the numerical trajectory is accumulated and sampled.
     """
-    run = _run_full(np.atleast_2d(mode_vector(state)), spec, frame, config, drift=drift)
+    run = _run_full(_broadcast_members(state, 1, frame.modes), spec, frame, config,
+                    drift=drift)
     return _trajectory(run, config, frame, epsilon=config.epsilon)
 
 
 def integrate_effective(state, drift, config):
     """Integrate the averaged equation of a drift (the resonant sum, or the
     quadrature route for oracle swaps); autonomous, so no oscillation refinement."""
-    run = _run_effective(np.atleast_2d(mode_vector(state)), drift, config)
+    run = _run_effective(_broadcast_members(state, 1, drift.frame.modes), drift, config)
     return _trajectory(run, config, drift.frame)
 
 
 def integrate_full_stochastic(state, spec, frame, config, noise, seed):
     """Single noisy trajectory of the full rotated system."""
-    run = _run_full(np.atleast_2d(mode_vector(state)), spec, frame, config,
+    run = _run_full(_broadcast_members(state, 1, frame.modes), spec, frame, config,
                     noise=noise, seed=seed)
     return _trajectory(run, config, frame, epsilon=config.epsilon, seed=seed,
                        noise_doc=noise.to_document())
@@ -611,7 +592,7 @@ def integrate_full_stochastic(state, spec, frame, config, noise, seed):
 def integrate_effective_stochastic(state, drift, config, noise, seed):
     """Single noisy trajectory of the averaged equation, driven by the resonant
     average of the full system's noise."""
-    run = _run_effective(np.atleast_2d(mode_vector(state)), drift, config,
+    run = _run_effective(_broadcast_members(state, 1, drift.frame.modes), drift, config,
                          noise=noise, seed=seed)
     return _trajectory(run, config, drift.frame, seed=seed,
                        noise_doc=noise.to_document())
@@ -670,15 +651,6 @@ def _summarize(run, seed_base, frame_hash, meta):
                           seed_base=None if seed_base is None else int(seed_base),
                           frame_hash=frame_hash, disparity_mean=disp_mean,
                           meta=meta)
-
-
-def _broadcast_members(state, members, modes):
-    a0 = mode_vector(state)
-    if a0.ndim == 1:
-        a0 = np.broadcast_to(a0, (members, modes)).copy()
-    if a0.shape != (members, modes):
-        raise ConfigError(f"initial state must have shape ({members}, {modes})")
-    return a0
 
 
 def ensemble_full(state, spec, frame, config, noise, members, seed_base, drift=None):

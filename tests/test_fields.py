@@ -4,6 +4,7 @@ import dataclasses
 import itertools
 import tracemalloc
 
+from hypothesis import given, settings, strategies as st
 import numpy as np
 import pytest
 
@@ -513,19 +514,27 @@ def test_one_orientation_table_sums_exactly_its_rows(frame_1d_9_cos, frame_2d_9)
         assert_R_matches(drift, oracle_R(frame, spec, half_table, drift), frame, seed=32)
 
 
-def test_chunked_drift_matches_one_chunk(frame_2d_9, monkeypatch):
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(("2d_9", "ensemble_1d", "1d_9_cos")), st.integers(1, 24), st.data())
+def test_chunked_drift_matches_one_chunk(frame_2d_9, frame_1d_9_cos, case, batch, data):
+    # the 2-D M=9 drift, the ensemble_1d drift and a V != 0 drift (with its
+    # mu V cluster group) give the same bits whatever the rows per pass
     spec = NonlinearitySpec("cubic_focusing", mu=0.5)
-    table = build_resonance_table(frame_2d_9)
-    drift = ResonantDrift(frame_2d_9, spec, table)
-    rng = np.random.default_rng(33)
-    batch = np.array([sample_ball(frame_2d_9, 2.0, 1.0, rng) for _ in range(10)])
-    assert drift._chunk_rows >= len(batch)
-    whole = drift(batch)
-    monkeypatch.setattr(fields, "_BATCH_BYTES", 16 * 3 * drift.groups[0].coeffs.size)
-    chunked_drift = ResonantDrift(frame_2d_9, spec, table)
-    assert chunked_drift._chunk_rows == 3
-    chunked = chunked_drift(batch)
-    assert np.max(np.abs(chunked - whole)) <= 1e-15 * np.max(np.abs(whole))
+    build = {"2d_9": lambda: ResonantDrift(frame_2d_9, spec, build_resonance_table(frame_2d_9)),
+             "ensemble_1d": ensemble_1d_drift,
+             "1d_9_cos": lambda: ResonantDrift(frame_1d_9_cos, spec,
+                                               build_resonance_table(frame_1d_9_cos))}[case]
+    drift = build()
+    rows = data.draw(st.integers(1, batch))
+    assert drift._chunk_rows >= batch
+    states = 0.5 * random_rows(np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1))),
+                               (batch, drift.modes))
+    whole = drift(states)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fields, "_BATCH_BYTES", 16 * rows * drift._width)
+        chunked_drift = build()
+    assert chunked_drift._chunk_rows == rows
+    assert np.array_equal(chunked_drift(states), whole)
 
 
 def ensemble_1d_drift():

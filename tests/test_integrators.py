@@ -192,7 +192,8 @@ def test_disparity_shrinks_with_epsilon(frame_1d_5):
 
 
 def test_disparity_tracking_evaluates_once_per_sample_node(frame_1d_5, monkeypatch):
-    # the stage closing a segment at its sample node opens the next segment
+    # a segment's first stage closes the last one's trapezoid at their shared
+    # sample node, so only the run's last node takes an extra evaluation
     evals, drifts = [], []
     eval_Y, drift_call = integrators.eval_Y, ResonantDrift.__call__
     monkeypatch.setattr(integrators, "eval_Y",
@@ -209,6 +210,17 @@ def test_disparity_tracking_evaluates_once_per_sample_node(frame_1d_5, monkeypat
         assert steps == 60
         # one evaluation per stage, plus the closing one at the last sample node
         assert len(evals) == stages * steps + 1 and len(drifts) == steps + 1
+
+
+def test_disparity_of_a_constant_gap_grows_linearly():
+    # g - drift = c at every node, so the trapezoid integral reaches c * tau_end
+    # only once the last segment is closed at the last sample node
+    c = np.array([[0.5 - 1.0j, 2.0]])
+    cfg = SolverConfig(epsilon=1.0, tau_end=0.3, dt=0.01, scheme="expeuler", samples=4)
+    run = integrators._drive(np.zeros((1, 2), complex), lambda x, tau: c, np.zeros(2), 0.0,
+                             cfg, cfg.dt, drift=np.zeros_like)
+    assert run["steps"] == 30
+    assert np.allclose(run["disp_max"], 0.3 * np.abs(c), rtol=1e-12, atol=0)
 
 
 def test_disparity_drift_must_match_the_run(frame_1d_5):
@@ -298,6 +310,24 @@ def test_stochastic_requires_expeuler(frame_1d_5):
         integrate_full_stochastic(np.ones(5, complex), CUBIC, frame_1d_5, cfg, noise, 1)
     with pytest.raises(ConfigError):
         ensemble_full(np.ones(5, complex), CUBIC, frame_1d_5, cfg, noise, 4, 1)
+
+
+def test_runs_refuse_states_of_the_wrong_shape(frame_1d_5):
+    # a single run takes one (5,) state, an ensemble of 4 members one (5,) or
+    # (4, 5) state; a (3, 5) batch or a (4,) vector is refused before any step
+    cfg = SolverConfig(epsilon=0.5, tau_end=0.1, dt=5e-3, scheme="expeuler")
+    noise = NoiseModel((0.3, 0.3, 0.3, 0.2, 0.2))
+    drift = ResonantDrift(frame_1d_5, CUBIC, build_resonance_table(frame_1d_5))
+    runs = (lambda a: integrate_full(a, CUBIC, frame_1d_5, cfg),
+            lambda a: integrate_effective(a, drift, cfg),
+            lambda a: integrate_full_stochastic(a, CUBIC, frame_1d_5, cfg, noise, 1),
+            lambda a: integrate_effective_stochastic(a, drift, cfg, noise, 1),
+            lambda a: ensemble_full(a, CUBIC, frame_1d_5, cfg, noise, 4, 1),
+            lambda a: ensemble_effective(a, drift, cfg, noise, 4, 1))
+    for run in runs:
+        for a0 in (0.4 * np.ones((3, 5), complex), 0.4 * np.ones(4, complex)):
+            with pytest.raises(ConfigError, match="initial state must have shape"):
+                run(a0)
 
 
 def test_injecting_noise_needs_a_seed(frame_1d_5):
@@ -415,13 +445,15 @@ def _philox_state(gen):
 @settings(max_examples=40, deadline=None)
 @given(st.sampled_from((1, 2, 3, 4, 7, None)), st.sampled_from((1, 3, 64)),
        st.integers(0, 2), st.integers(1, 63), st.integers(1, 6), st.integers(1, 30),
-       st.integers(0, 2 ** 32 - 1))
+       st.integers(0, 2 ** 32 - 1), st.booleans())
 def test_noise_draws_do_not_depend_on_refill_size(per_refill, block, full_blocks, rest,
-                                                  modes, steps, seed):
+                                                  modes, steps, seed, fork):
     # per_refill None: the whole run fits one refill; a refill of k steps is
-    # drawn as halves of ceil(k / 2) and floor(k / 2) steps.  A fill draws
-    # `block` members at a time; the member count is no multiple of a block of
-    # more than one member, so the last block is a partial one
+    # drawn as halves of ceil(k / 2) and floor(k / 2) steps, or as one half of
+    # one step.  A fill draws `block` members at a time; the member count is no
+    # multiple of a block of more than one member, so the last block is a
+    # partial one.  The producer draws where fork is available, the caller
+    # where it is not, and both give the same normals
     members = full_blocks * block + (1 + rest % (block - 1) if block > 1 else rest)
     budget = 16 * members * modes * (steps if per_refill is None else per_refill)
     ref = np.stack([_philox(seed + i).standard_normal((steps, 2, modes))
@@ -429,55 +461,75 @@ def test_noise_draws_do_not_depend_on_refill_size(per_refill, block, full_blocks
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(integrators, "_NOISE_BYTES", budget)
         mp.setattr(integrators, "_NOISE_BLOCK", block)
-        batch = _NoiseStream(seed, members, modes)
+        if not fork:
+            mp.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+        batch = _NoiseStream(seed, members, modes, steps)
         # members alone: the first two and the last, which sits in the partial block
         picked = sorted({0, min(1, members - 1), members - 1})
-        alone = [_NoiseStream(seed + i, 1, modes) for i in picked]
-        for stream in (batch, *alone):
-            stream.steps_left = steps
-        for t in range(steps):
-            z = batch.next_step()
-            assert z.shape == (members, modes) and z.flags.c_contiguous
-            assert np.array_equal(z.real, ref[t, :, 0])
-            assert np.array_equal(z.imag, ref[t, :, 1])
-            for i, single in zip(picked, alone):
-                assert np.array_equal(single.next_step()[0], z[i])
-        assert len(batch._scratch) == min(members, block)
+        alone = [_NoiseStream(seed + i, 1, modes, steps) for i in picked]
+        try:
+            for t in range(steps):
+                z = batch.next_step()
+                assert z.shape == (members, modes) and z.flags.c_contiguous
+                assert np.array_equal(z.real, ref[t, :, 0])
+                assert np.array_equal(z.imag, ref[t, :, 1])
+                for i, single in zip(picked, alone):
+                    assert np.array_equal(single.next_step()[0], z[i])
+        finally:
+            for stream in (batch, *alone):
+                stream.close()
+        if not fork:
+            assert len(batch._scratch) == min(members, block)
 
 
 def test_noise_stream_draws_only_the_steps_a_run_takes(frame_1d_5, monkeypatch):
-    streams = []
+    streams, producers = [], []
 
     class Recording(_NoiseStream):
         def __init__(self, *args):
             super().__init__(*args)
             streams.append(self)
 
+        def _fork(self):
+            super()._fork()
+            if self._producer is not None:
+                producers.append(self._producer[0])
+
     monkeypatch.setattr(integrators, "_NoiseStream", Recording)
     noise = NoiseModel((0.3, 0.3, 0.3, 0.2, 0.2))
     cfg = SolverConfig(epsilon=0.5, tau_end=0.3, dt=5e-3, scheme="expeuler", samples=4)
     # the default budget buffers the 60 steps as two halves of 30; a buffer
     # of 7 steps has halves of 4 and 3; one of 16 steps has halves of 8, so
-    # the last prefetch draws only the 4 steps the run still takes
-    for budget in (integrators._NOISE_BYTES, 7 * 16 * 3 * 5, 16 * 16 * 3 * 5):
-        monkeypatch.setattr(integrators, "_NOISE_BYTES", budget)
-        run = ensemble_full(0.4 * np.ones(5, complex), CUBIC, frame_1d_5, cfg,
-                            noise, 3, seed_base=40)
-        stream = streams.pop()
-        assert run.meta["steps"] == 60 and stream.steps_left == 0
-        for i, gen in enumerate(stream.gens):
-            fresh = _philox(40 + i)
-            fresh.standard_normal(60 * 2 * 5)
-            assert _philox_state(gen) == _philox_state(fresh)
+    # the last fill draws only the 4 steps the run still takes
+    budgets = ((integrators._NOISE_BYTES, 30), (7 * 16 * 3 * 5, 4), (16 * 16 * 3 * 5, 4))
+    for fork in (True, False):
+        if not fork:
+            monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+        for budget, last in budgets:
+            monkeypatch.setattr(integrators, "_NOISE_BYTES", budget)
+            run = ensemble_full(0.4 * np.ones(5, complex), CUBIC, frame_1d_5, cfg,
+                                noise, 3, seed_base=40)
+            stream = streams.pop()
+            assert run.meta["steps"] == 60
+            fills = [steps for _, steps in stream._fills]
+            assert sum(fills) == 60 and fills[-1] == last
+            if fork:
+                # the producer drew every fill and ended by itself
+                assert stream._gens is None and producers.pop().exitcode == 0
+                continue
+            assert producers == []
+            for i, gen in enumerate(stream._gens):
+                fresh = _philox(40 + i)
+                fresh.standard_normal(60 * 2 * 5)
+                assert _philox_state(gen) == _philox_state(fresh)
 
 
-def test_noise_buffer_stays_within_budget():
+def test_noise_buffer_stays_within_budget(monkeypatch):
     # 256 steps a refill would buffer 256 * 2000 * 2 * 81 * 8 B = 633 MiB here;
     # tracemalloc does not see the shared mmap buffer, so its size is checked apart
     members, modes = 2000, 81
     step = 16 * members * modes
-    stream = _NoiseStream(0, members, modes)
-    stream.steps_left = 1000
+    stream = _NoiseStream(0, members, modes, 1000)
     tracemalloc.start()
     try:
         for _ in range(4):
@@ -488,7 +540,11 @@ def test_noise_buffer_stays_within_budget():
         stream.close()
     assert peak <= integrators._NOISE_BYTES + step
     assert stream._buffer.nbytes <= integrators._NOISE_BYTES
-    # the draw scratch holds one block of members, whatever the member count
+    # where the caller draws, its scratch holds one block of members, whatever
+    # the member count
+    monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+    stream = _NoiseStream(0, members, modes, 1000)
+    stream.next_step()
     half = len(stream._halves[0])
     assert stream._scratch.shape == (integrators._NOISE_BLOCK, half, 2, modes)
     assert stream._scratch.nbytes <= 16 * integrators._NOISE_BLOCK * half * modes
@@ -501,10 +557,8 @@ def test_noise_prefetch_with_one_step_halves(monkeypatch):
     monkeypatch.setattr(integrators, "_NOISE_BYTES", 2 * 16 * members * modes)
     refs = [np.stack([_philox(s + i).standard_normal((steps, 2, modes))
                       for i in range(members)], axis=1) for s in seeds]
-    streams = [_NoiseStream(s, members, modes) for s in seeds]
+    streams = [_NoiseStream(s, members, modes, steps) for s in seeds]
     try:
-        for stream in streams:
-            stream.steps_left = steps
         for t in range(steps):
             for stream, ref in zip(streams, refs):
                 z = stream.next_step()
@@ -521,13 +575,12 @@ def test_noise_stream_refills_in_the_caller_without_fork(monkeypatch):
     monkeypatch.setattr(integrators, "_NOISE_BYTES", 8 * 16 * members * modes)
     ref = np.stack([_philox(5 + i).standard_normal((steps, 2, modes))
                     for i in range(members)], axis=1)
-    stream = _NoiseStream(5, members, modes)
-    stream.steps_left = steps
+    stream = _NoiseStream(5, members, modes, steps)
     for t in range(steps):
         z = stream.next_step()
         assert np.array_equal(z.real, ref[t, :, 0])
         assert np.array_equal(z.imag, ref[t, :, 1])
-    assert stream._producer is None and stream.steps_left == 0
+    assert stream._producer is None
 
 
 class _Boom(RuntimeError):
@@ -539,10 +592,10 @@ def test_field_error_ends_the_noise_producer(frame_1d_5, monkeypatch):
     caller = os.getpid()
 
     class SlowProducer(_NoiseStream):
-        def _draw(self, half, steps):
+        def _draw(self, k):
             if os.getpid() != caller:
                 time.sleep(0.2)  # the fill is still running when the field raises
-            super()._draw(half, steps)
+            super()._draw(k)
 
     def failing(x, t, field):
         calls.append(t)
@@ -567,21 +620,31 @@ def test_noise_fill_error_reaches_the_caller(frame_1d_5, monkeypatch):
     caller = os.getpid()
 
     class FailingProducer(_NoiseStream):
-        def _draw(self, half, steps):
-            if os.getpid() != caller:
+        def _draw(self, k):
+            if os.getpid() != caller and k == failing:
                 raise _Boom("fill failed")
-            super()._draw(half, steps)
+            super()._draw(k)
 
+        def _receive(self, k):
+            if k == failing:
+                self._producer[0].join()  # the release, if any, goes to an ended producer
+            super()._receive(k)
+
+    # 60 steps in halves of 8: the first fill fails, or the third, which the
+    # producer draws once the caller has released the first one's half; the
+    # producer has then ended when the caller releases the second one's half
     monkeypatch.setattr(integrators, "_NoiseStream", FailingProducer)
+    monkeypatch.setattr(integrators, "_NOISE_BYTES", 16 * 16 * 3 * 5)
     cfg = SolverConfig(epsilon=0.5, tau_end=0.3, dt=5e-3, scheme="expeuler", samples=4)
     before = threading.active_count()
-    # the error is pickled across the pipe: its type and message arrive, the
-    # object the producer raised cannot
-    with pytest.raises(_Boom, match="^fill failed$"):
-        ensemble_full(0.4 * np.ones(5, complex), CUBIC, frame_1d_5, cfg,
-                      NoiseModel((0.3,) * 5), 3, seed_base=40)
-    assert threading.active_count() == before
-    assert multiprocessing.active_children() == []
+    for failing in (0, 2):
+        # the error is pickled across the pipe: its type and message arrive,
+        # the object the producer raised cannot
+        with pytest.raises(_Boom, match="^fill failed$"):
+            ensemble_full(0.4 * np.ones(5, complex), CUBIC, frame_1d_5, cfg,
+                          NoiseModel((0.3,) * 5), 3, seed_base=40)
+        assert threading.active_count() == before
+        assert multiprocessing.active_children() == []
 
 
 def _ulps(x, y):

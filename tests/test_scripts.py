@@ -95,3 +95,34 @@ def test_benchmark_ladder_row_runs():
     result = subprocess.run([sys.executable, "-c", code], cwd=ROOT, capture_output=True,
                             text=True, env=dict(os.environ, PYTHONPATH="src"), timeout=120)
     assert result.returncode == 0, result.stderr
+
+
+_FAILING_PROPERTY = """
+from hypothesis import given, strategies as st
+
+
+@given(st.integers())
+def test_fails(x):
+    assert x < 5
+
+
+def test_runs_after():
+    pass
+"""
+
+
+def test_failing_property_reports_its_example(tmp_path):
+    # a failing Hypothesis property imports libcst to report, which warns a
+    # DeprecationWarning that pyproject.toml's warning filters must not turn
+    # into an INTERNALERROR aborting the session.  The child runs under the
+    # repository's pytest settings with its root, cache and example database
+    # in tmp_path.
+    (tmp_path / "test_failing_property.py").write_text(_FAILING_PROPERTY)
+    result = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         "-c", str(ROOT / "pyproject.toml"), "--rootdir", str(tmp_path),
+         "test_failing_property.py"],
+        cwd=tmp_path, capture_output=True, text=True, timeout=120)
+    assert result.returncode == 1, result.stdout + result.stderr
+    assert "Falsifying example" in result.stdout
+    assert "1 failed, 1 passed" in result.stdout
