@@ -4,18 +4,21 @@ averaging of observables.
 
 The projected field is P(v) = Psi(mu V u + P(grad u, u)) with u synthesized
 from v; the mu V u term belongs here because the dissipative part of the flow
-keeps only the exact diagonal -mu lambda_k.  The averaged drift R keeps exactly
-the resonant monomials of P; the quadrature route approximates the same object
-by a finite-window time average and is kept strictly independent as an oracle.
-One trapezoid loop, _phase_average, takes every finite-window average.
+keeps only the exact diagonal -mu lambda_k.  A Field splits P into a diagonal
+part and a grid part transformed grid-major on real tables; Y rotates on the
+mode side.  The averaged drift R keeps exactly the resonant monomials of P; the
+quadrature route approximates the same object by a finite-window time average
+and is kept strictly independent as an oracle.  One trapezoid loop,
+_phase_average, takes every finite-window average.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 import math
 
 import numpy as np
 
 from .errors import ConfigError
+from .nonlinearity import MonomialFactor
 from .resonance import frequency_rule
 from .spectral import mode_vector, sobolev_norm
 
@@ -48,70 +51,76 @@ def _diagonal_gammas(spec, frame):
 
 
 class Field:
-    """The projected field P of one (spec, frame), evaluated through eval_P.
-
-    The grid is checked once, the frame's complex tables are held, and the
-    (rows x P) grid arrays of a batch live in one work array the field owns,
-    sized to the largest batch it has seen, so one Field serves one caller
-    at a time.  The products are bitwise those of the frame's real tables.
-    """
+    """The projected field P of one (spec, frame), evaluated through eval_P: a
+    diagonal part c v in mode space (the diagonal kind's gammas, or the summed c
+    of a polynomial's plain linear terms c u beside other terms) plus a grid
+    part, transformed grid-major by real GEMMs on the frame's real tables.  Its
+    work arrays fit the largest batch seen, so one Field serves one caller."""
 
     def __init__(self, spec, frame):
-        self.spec = spec
-        self.frame = frame
+        self.rotation = 1j * frame.eigenvalues  # the phase of time t is e^{rotation t}
+        self.diagonal = self.Z = None
         if spec.kind == "diagonal":
-            self.gammas = _diagonal_gammas(spec, frame)
+            self.diagonal = _diagonal_gammas(spec, frame)
             return
         check_grid_resolution(spec, frame)
-        self.gammas = None
-        self.values, self.values_T, gradients = frame._complex_tables
-        self.gradients = gradients if spec.uses_derivatives() else []
-        self.potential = (spec.mu * frame.potential_values
+        linear = [t for t in spec.terms if t.factors == (MonomialFactor(),)]
+        rest = tuple(t for t in spec.terms if t not in linear)
+        self.pointwise = (replace(spec, terms=rest) if linear and rest else spec).pointwise
+        if linear and rest:
+            self.diagonal = np.full(frame.modes, sum(t.coefficient for t in linear))
+        self.potential = (spec.mu * frame.potential_values[:, None]
                           if spec.mu > 0.0 and not frame.potential.is_zero else None)
-        self._work = np.empty(0, dtype=complex)
+        self.Z, self.dx = frame.eigenfunction_values, frame.cell_volume
+        self.Z_T, gradients_T = frame._transposed_tables
+        self.gradients_T = gradients_T if spec.uses_derivatives() else []
+        self.ones = np.ones((frame.modes, 1))
+        self._work, self._rows = np.empty(0, dtype=complex), 0
 
-    def grid_arrays(self, rows):
-        """(u, gradients, pointwise work) views of the work array for `rows` rows."""
-        count, points = 4 + len(self.gradients), self.values.shape[1]
-        size = count * rows * points
-        if self._work.size < size:
-            self._work = np.empty(size, dtype=complex)
-        arrays = self._work[:size].reshape(count, rows, points)
-        return arrays[0], arrays[1:1 + len(self.gradients)], arrays[-3:]
+    def work(self, rows):
+        """Views, kept for the last row count, of the (M, rows) batch and result
+        and the (P, rows) grid values, gradients and pointwise work arrays."""
+        if rows != self._rows:
+            modes, points = self.Z.shape
+            size = ((4 + len(self.gradients_T)) * points + 2 * modes) * rows
+            if self._work.size < size:
+                self._work = np.empty(size, dtype=complex)
+            batch, back = self._work[:2 * modes * rows].reshape(2, modes, rows)
+            grid = self._work[2 * modes * rows:size].reshape(-1, points, rows)
+            self._views = (batch, grid[:-3].view(float), grid[0], grid[1:-3], grid[-3:], back)
+            self._rows = rows
+        return self._views
 
 
-def eval_P(state, field, frame=None):
-    """Projected perturbing field P(v) in mode coordinates, as a fresh array.
-
-    Accepts (..., M) batches.  The diagonal kind bypasses the grid entirely.
-    eval_P(state, spec, frame) builds a one-off Field for the pair.
-    """
-    if frame is not None:
-        field = Field(field, frame)
+def eval_P(state, field, frame=None, phase=None):
+    """Projected perturbing field P(v) of an (..., M) batch, as a fresh array;
+    eval_P(state, spec, frame) builds a one-off Field.  Given the (M,) phases
+    e^{i lambda t}, the rotated field phase * P(conj(phase) * v): the grid part
+    rotates its transposed batch and result; the diagonal part commutes."""
+    field = field if frame is None else Field(field, frame)
     v = mode_vector(state)
-    if field.gammas is not None:
-        return v * field.gammas
+    if field.Z is None:
+        return v * field.diagonal
     flat = v.reshape(-1, v.shape[-1])
-    u, gradients, work = field.grid_arrays(flat.shape[0])
-    np.matmul(flat, field.values, out=u)
-    for g, table in zip(gradients, field.gradients):
-        np.matmul(flat, table, out=g)
-    w = field.spec.pointwise(u, gradients, work)
+    batch, grid_f, u, gradients, work, back = field.work(flat.shape[0])
+    phase = field.ones if phase is None else phase[:, None]
+    np.multiply(flat.T, np.conj(phase), out=batch)
+    for table, values in zip((field.Z_T, *field.gradients_T), grid_f):
+        np.matmul(table, batch.view(float), out=values)
+    w = field.pointwise(u, gradients, work)
     if field.potential is not None:
         np.add(w, np.multiply(field.potential, u, out=work[1]), out=w)
-    # scaling after the sum keeps the rounding of the trigonometric projection;
-    # out owns its data, so callers' expressions elide temporaries as before
+    np.matmul(field.Z, w.view(float), out=back.view(float))
     out = np.empty(v.shape, dtype=complex)
-    np.matmul(w, field.values_T, out=out.reshape(flat.shape))
-    out *= field.frame.cell_volume
+    np.multiply(back, phase * field.dx, out=out.reshape(flat.shape).T)
+    if field.diagonal is not None:
+        out += v * field.diagonal
     return out
 
 
 def eval_Y(state, t, field):
     """Rotated field Y(a, t): conjugation of P by the linear phase flow at time t."""
-    a = mode_vector(state)
-    phase = np.exp(1j * t * field.frame.eigenvalues)
-    return phase * eval_P(a * np.conj(phase), field)
+    return eval_P(state, field, phase=np.exp(t * field.rotation))
 
 
 # -- analytic (resonant-sum) drift route -----------------------------------

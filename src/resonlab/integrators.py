@@ -324,14 +324,13 @@ def _full_noise_injector(noise, frame, epsilon):
     b = noise.array(frame)
     if noise.is_zero:
         return None
-    # (basis l, mode k), cast to complex once: the products are those of the real matrix
-    scaled = (b[:, None] * frame.eigenvectors.T).astype(complex)
-    lam = frame.eigenvalues
+    scaled = b[:, None] * frame.eigenvectors.T  # (basis l, mode k)
+    rotation = 1j * frame.eigenvalues
 
-    def inject(tau, dbeta, out):
-        # physical-space increment Psi(b dbeta), rotated into interaction frame
-        phase = np.exp(1j * (tau / epsilon) * lam)
-        return np.multiply(phase, np.matmul(dbeta, scaled, out=out), out=out)
+    def inject(tau, sqrt_h, normals, out):
+        # Psi(b dbeta) rotated into the interaction frame; sqrt(h) folds into the matrix
+        phase = sqrt_h * np.exp((tau / epsilon) * rotation)
+        return np.matmul(normals, scaled * phase, out=out)
 
     return inject
 
@@ -341,10 +340,10 @@ def _effective_noise_injector(noise, frame):
     b = noise.array(frame)
     if noise.is_zero:
         return None
-    root = build_diffusion(frame, b).root
+    root_T = build_diffusion(frame, b).root.T
 
-    def inject(tau, dbeta, out):
-        return np.matmul(dbeta, root.T, out=out)
+    def inject(tau, sqrt_h, normals, out):
+        return np.matmul(normals, sqrt_h * root_T, out=out)
 
     return inject
 
@@ -424,7 +423,7 @@ def _drive(a0, g, lam, mu, config, h_target, inject=None, seed=None, drift=None)
 
     use_lawson = config.scheme == "lawson4"
     spare = np.empty_like(a)  # the expeuler update writes here, then the two swap
-    normals, increment = (np.empty_like(a), np.empty_like(a)) if inject else (None, None)
+    increment = np.empty_like(a) if inject else None
     norm, norm_work = np.empty(members), np.empty((members, 2 * modes))
     try:
         for i, (n, h) in enumerate(plan):
@@ -446,8 +445,7 @@ def _drive(a0, g, lam, mu, config, h_target, inject=None, seed=None, drift=None)
                 else:
                     a, spare = _expeuler_step(a, h, E, k1, out=spare), a
                 if inject is not None:
-                    z = np.multiply(sqrt_h, stream.next_step(), out=normals)
-                    np.add(a, inject(tau_n + h, z, increment), out=a)
+                    np.add(a, inject(tau_n + h, sqrt_h, stream.next_step(), increment), out=a)
                 with np.errstate(over="ignore", invalid="ignore"):
                     # the norm is >= 0, inf or NaN: over means "not finite or above the bound"
                     over = ~(_guard_norm(a, weights, out=norm, work=norm_work) <= limit)

@@ -271,17 +271,10 @@ class SpectralFrame:
         return self._grid_tables[1]
 
     @cached_property
-    def _complex_tables(self):
-        """Complex copies of Z, of a C-contiguous Z.T and of the gradients.
-
-        Multiplying a complex state by a real table makes numpy cast the table
-        to complex on every call; this is the same cast done once, so the
-        products are bitwise those of the real tables.
-        """
-        Z = self.eigenfunction_values
-        return (_read_only(Z.astype(complex)),
-                _read_only(np.ascontiguousarray(Z.T).astype(complex)),
-                [_read_only(g.astype(complex)) for g in self.eigenfunction_gradients])
+    def _transposed_tables(self):
+        """C-contiguous (P, M) transposes of Z and of the gradients, for grid-major fields."""
+        return (_read_only(np.ascontiguousarray(self.eigenfunction_values.T)),
+                [_read_only(np.ascontiguousarray(g.T)) for g in self.eigenfunction_gradients])
 
     @cached_property
     def potential_values(self):

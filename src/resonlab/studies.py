@@ -155,11 +155,19 @@ def _table(columns, rows):
 
 
 def _provenance(frame, cfg, runs, extra=None):
+    """Content hashes of the frame, the config and every run; runs maps a name
+    to (hash, result), and each trajectory or ensemble result also gives its
+    run's steps, h_target and excluded members, which are deterministic."""
     prov = {
         "frame_sha256": frame.content_hash(),
         "config_sha256": content_hash(cfg.to_document()),
-        "runs": dict(sorted(runs.items())),
+        "runs": {name: digest for name, (digest, _) in sorted(runs.items())},
     }
+    meta = {name: {"steps": result.meta["steps"], "h_target": result.meta["h_target"],
+                   "excluded": len(getattr(result, "excluded", ()))}
+            for name, (_, result) in sorted(runs.items()) if result is not None}
+    if meta:
+        prov["run_meta"] = meta
     if extra:
         prov.update(extra)
     return prov
@@ -212,13 +220,13 @@ def study_deterministic_convergence(frame, spec, table, cfg):
     eff0_actions = None
     for j, v0 in enumerate(initials):
         eff = integrate_effective(v0, drift, base)
-        runs[f"effective_init{j}"] = trajectory_hash(eff, base)
+        runs[f"effective_init{j}"] = trajectory_hash(eff, base), eff
         if j == 0:
             eff0_actions = eff.actions()
         for i, eps in enumerate(cfg.epsilons):
             full_cfg = replace(base, epsilon=eps)
             full = integrate_full(v0, spec, frame, full_cfg)
-            runs[f"full_eps{eps:g}_init{j}"] = trajectory_hash(full, full_cfg)
+            runs[f"full_eps{eps:g}_init{j}"] = trajectory_hash(full, full_cfg), full
             gap = action_distance(full.actions(), eff.actions(), cfg.s1,
                                   frame.eigenvalues)
             deltas[j, i] = float(np.max(gap))
@@ -226,7 +234,7 @@ def study_deterministic_convergence(frame, spec, table, cfg):
     # Route swap: rerunning the effective flow with the quadrature drift must
     # reproduce delta up to the measured drift residual scaled by the horizon.
     swapped = integrate_effective(initials[0], quadrature, base)
-    runs["effective_route_swap"] = trajectory_hash(swapped, base)
+    runs["effective_route_swap"] = trajectory_hash(swapped, base), swapped
     residual = drift_route_residual(initials[0], drift, quadrature, s=cfg.s1)["residual"]
     route_gap = float(np.max(action_distance(
         swapped.actions(), eff0_actions, cfg.s1, frame.eigenvalues)))
@@ -302,8 +310,8 @@ def study_operator_convergence(frame, cfg):
     windows = cfg.windows or tuple(shortest * 2.0 ** j for j in range(4))
     states = _initial_states(frame, cfg)
     battery = _operator_battery(frame, cfg.tracked_modes)
-    runs = {"states": content_hash([[v.real.tolist(), v.imag.tolist()]
-                                    for v in states])}
+    runs = {"states": (content_hash([[v.real.tolist(), v.imag.tolist()]
+                                     for v in states]), None)}
 
     rows = []
     worst = np.zeros(len(windows))
@@ -342,8 +350,10 @@ def study_operator_convergence(frame, cfg):
 
 def study_stochastic_actions(frame, spec, table, noise, cfg):
     """Full-system ensembles along the epsilon ladder against one effective
-    ensemble, under common random numbers; compares action means and
-    variances at the comparison times.
+    ensemble; compares action means and variances at the comparison times.
+    The ensembles share member seeding for reproducibility, not variance: the
+    full noise enters rotated, so the actions agree in law, not path by path,
+    and the bands combine the two standard errors unpaired.
 
     Verdicts: at the smallest epsilon the mean-action discrepancy sits inside
     combined three-sigma Monte Carlo bands for every tracked mode, and for at
@@ -357,7 +367,7 @@ def study_stochastic_actions(frame, spec, table, noise, cfg):
 
     eff = ensemble_effective(v0, ResonantDrift(frame, spec, table), base, noise,
                              cfg.members, cfg.seed)
-    runs["effective"] = ensemble_hash(eff)
+    runs["effective"] = ensemble_hash(eff), eff
     idx = _compare_indices(eff.taus, cfg)
 
     rows, var_rows = [], []
@@ -365,7 +375,7 @@ def study_stochastic_actions(frame, spec, table, noise, cfg):
     for eps in cfg.epsilons:
         res = ensemble_full(v0, spec, frame, replace(base, epsilon=eps),
                             noise, cfg.members, cfg.seed)
-        runs[f"full_eps{eps:g}"] = ensemble_hash(res)
+        runs[f"full_eps{eps:g}"] = ensemble_hash(res), res
         diffs = np.abs(res.mean_actions[:, :tracked] - eff.mean_actions[:, :tracked])
         bands = 3.0 * np.sqrt(res.stderr_actions[:, :tracked] ** 2
                               + eff.stderr_actions[:, :tracked] ** 2)
@@ -482,7 +492,7 @@ def study_stationary_measure(frame, spec, table, noise, cfg):
     eff_cfg = replace(base, dt=min(5e-3, base.dt * 2))
     eff = integrate_effective_stochastic(v0, ResonantDrift(frame, spec, table), eff_cfg,
                                          noise, seed=cfg.seed + len(cfg.epsilons))
-    runs["effective"] = trajectory_hash(eff, eff_cfg)
+    runs["effective"] = trajectory_hash(eff, eff_cfg), eff
 
     def estimates(traj):
         out, stationary = {}, True
@@ -504,7 +514,7 @@ def study_stationary_measure(frame, spec, table, noise, cfg):
         full_cfg = replace(base, epsilon=eps)
         full = integrate_full_stochastic(v0, spec, frame, full_cfg, noise,
                                          seed=cfg.seed + i)
-        runs[f"full_eps{eps:g}"] = trajectory_hash(full, full_cfg)
+        runs[f"full_eps{eps:g}"] = trajectory_hash(full, full_cfg), full
         est, ok = estimates(full)
         stationary_ok = stationary_ok and ok
         total, within_all = 0.0, True
@@ -574,12 +584,12 @@ def study_disparity_decay(frame, spec, table, cfg, noise=None):
     for i, eps in enumerate(cfg.epsilons):
         det_cfg = replace(det_base, epsilon=eps)
         traj = integrate_full(v0, spec, frame, det_cfg, drift=drift)
-        runs[f"det_eps{eps:g}"] = trajectory_hash(traj, det_cfg)
+        runs[f"det_eps{eps:g}"] = trajectory_hash(traj, det_cfg), traj
         det[i] = traj.disparity_max[:tracked]
         if sto is not None:
             res = ensemble_full(v0, spec, frame, replace(sto_base, epsilon=eps),
                                 noise, cfg.members, cfg.seed + 1, drift=drift)
-            runs[f"ens_eps{eps:g}"] = ensemble_hash(res)
+            runs[f"ens_eps{eps:g}"] = ensemble_hash(res), res
             sto[i] = res.disparity_mean[:tracked]
 
     # integrator independence: halving the step should not move the number;
@@ -589,7 +599,7 @@ def study_disparity_decay(frame, spec, table, cfg, noise=None):
     half_cfg = replace(det_base, epsilon=cfg.epsilons[mid],
                               dt=cfg.dt / 2, theta_osc=cfg.theta_osc / 2)
     half = integrate_full(v0, spec, frame, half_cfg, drift=drift)
-    runs[f"det_eps{cfg.epsilons[mid]:g}_halfstep"] = trajectory_hash(half, half_cfg)
+    runs[f"det_eps{cfg.epsilons[mid]:g}_halfstep"] = trajectory_hash(half, half_cfg), half
     ref = det[mid]
     shift = float(np.max(np.abs(half.disparity_max[:tracked] - ref)
                          / np.maximum(ref, 1e-300)))

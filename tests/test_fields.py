@@ -133,14 +133,43 @@ def test_eval_p_batched_matches_loop(frame_1d_9):
         assert np.allclose(eval_P(row_in, Field(CUBIC, frame_1d_9)), row_out, atol=1e-14)
 
 
+def _grid_major_reference(v, spec, frame, phase=None):
+    # the grid-major kernel spelled out on fresh arrays: the batch transposed
+    # to (M, rows) and counter-rotated, real GEMMs of its float view by the
+    # (P, M) transposes, the pointwise product, one real GEMM by Z, then the
+    # rotation and dx on the mode side
+    Z, dx = frame.eigenfunction_values, frame.cell_volume
+    flat = v.reshape(-1, frame.modes)
+    batch = np.ascontiguousarray(flat.T if phase is None else flat.T * np.conj(phase)[:, None])
+    u, *gradients = ((np.ascontiguousarray(table.T) @ batch.view(float)).view(complex)
+                     for table in (Z, *frame.eigenfunction_gradients))
+    w = spec.pointwise(u, gradients)
+    if not frame.potential.is_zero:
+        w = w + spec.mu * frame.potential_values[:, None] * u
+    back = (Z @ w.view(float)).view(complex)
+    scale = dx if phase is None else phase[:, None] * dx
+    return (back * scale).T.reshape(v.shape)
+
+
+def _complex_copy_reference(v, spec, frame):
+    # the earlier transform: (rows x M) batches times complex copies of the tables
+    Z, dx = frame.eigenfunction_values.astype(complex), frame.cell_volume
+    u = v @ Z
+    gradients = [v @ g.astype(complex) for g in frame.eigenfunction_gradients]
+    w = spec.pointwise(u, gradients)
+    if not frame.potential.is_zero:
+        w = w + spec.mu * frame.potential_values * u
+    return (w @ np.ascontiguousarray(Z.T)) * dx
+
+
 def test_transforms_match_real_table_products_bitwise(frame_2d_9, frame_1d_9_cos):
-    # a Field multiplies by cached complex copies of the frame's real tables,
-    # in grid arrays it owns; the products must be bit for bit those of the
-    # real tables, on an identity and on a dense Psi (V != 0 with mu > 0), for
-    # single rows and for batches, cold and warm, for every kind
+    # a Field transforms grid-major on the frame's real tables, in work arrays
+    # it owns; eval_P and eval_Y must be bit for bit the kernel spelled out on
+    # fresh arrays, on an identity and on a dense Psi (V != 0 with mu > 0), for
+    # single rows and for batches, cold and warm, for every kind.  The earlier
+    # complex-copy transform stays within 1e-14 relative.
     rng = np.random.default_rng(45)
     for frame in (frame_2d_9, frame_1d_9_cos):
-        Z, dx = frame.eigenfunction_values, frame.cell_volume
         d = MonomialFactor(derivative=frame.dimension - 1)
         terms = (MonomialTerm(0.5 - 1j, (MonomialFactor(), d)),
                  MonomialTerm(-0.3 + 0.2j, (MonomialFactor(conjugate=True), MonomialFactor(),
@@ -154,15 +183,54 @@ def test_transforms_match_real_table_products_bitwise(frame_2d_9, frame_1d_9_cos
             field = Field(spec, frame)
             for shape in ((frame.modes,), (3, frame.modes), (frame.modes,)):
                 v = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+                phase = np.exp(1j * rng.uniform(-20, 20) * frame.eigenvalues)
                 if spec.kind == "diagonal":
                     assert np.array_equal(eval_P(v, field), v * np.array(gammas))
+                    assert np.array_equal(eval_P(v, field, phase=phase), v * np.array(gammas))
                     continue
-                u = v @ Z
-                gradients = [v @ g for g in frame.eigenfunction_gradients]
-                w = spec.pointwise(u, gradients)
-                if not frame.potential.is_zero:
-                    w = w + spec.mu * frame.potential_values * u
-                assert np.array_equal(eval_P(v, field), (w @ Z.T) * dx)
+                got = eval_P(v, field)
+                assert np.array_equal(got, _grid_major_reference(v, spec, frame))
+                assert np.array_equal(eval_P(v, field, phase=phase),
+                                      _grid_major_reference(v, spec, frame, phase))
+                old = _complex_copy_reference(v, spec, frame)
+                assert np.max(np.abs(got - old)) <= 1e-14 * np.max(np.abs(old))
+
+
+@settings(max_examples=25, deadline=None)
+@given(rows=st.integers(1, 64), t=st.floats(-50.0, 50.0), seed=st.integers(0, 2 ** 32 - 1))
+def test_rotated_batch_matches_rows_and_conjugated_field(rows, t, seed):
+    # eval_Y on a batch is row-by-row eval_Y and phase * P(conj(phase) * a), on
+    # the acceptance 9 field -u + z|u|^2 u, whose -u is the diagonal part
+    frame = build_frame(TorusGeometry((TAU,), 32), Potential.zero(), 8)
+    field = Field(NonlinearitySpec("polynomial", mu=0.3,
+                                   terms=cubic_damping_terms(-0.3 - 2.5j)), frame)
+    a = random_rows(np.random.default_rng(seed), (rows, frame.modes))
+    y = eval_Y(a, t, field)
+    scale = np.max(np.abs(y))
+    rowwise = np.array([eval_Y(row, t, field) for row in a])
+    assert np.max(np.abs(y - rowwise)) <= 1e-14 * scale
+    phase = np.exp(1j * t * frame.eigenvalues)
+    direct = phase * eval_P(np.conj(phase) * a, field)
+    assert np.max(np.abs(y - direct)) <= 1e-14 * scale
+
+
+def test_linear_monomials_are_the_diagonal_part(frame_1d_9_cos, frame_2d_9):
+    # a plain linear term c u beside a grid term goes to the diagonal part,
+    # applied as c v in mode space; it must match the term evaluated on the grid
+    rng = np.random.default_rng(47)
+    linear = MonomialTerm(-0.7 + 0.4j, (MonomialFactor(),))
+    cubic = cubic_damping_terms(-0.3 - 2.5j)[1]
+    for frame in (frame_1d_9_cos, frame_2d_9):
+        v = random_rows(rng, (5, frame.modes))
+        Z, dx = frame.eigenfunction_values, frame.cell_volume
+        on_grid = (((-0.7 + 0.4j) * (v @ Z)) @ Z.T) * dx
+        both = Field(NonlinearitySpec("polynomial", terms=(linear, cubic)), frame)
+        diagonal = v * both.diagonal
+        assert np.max(np.abs(diagonal - on_grid)) <= 1e-14 * np.max(np.abs(on_grid))
+        # the field is the two parts, and the grid part is the other term alone
+        alone = Field(NonlinearitySpec("polynomial", terms=(cubic,)), frame)
+        assert alone.diagonal is None
+        assert np.array_equal(eval_P(v, both), eval_P(v, alone) + diagonal)
 
 
 def test_warm_batched_field_allocates_less_than_one_grid_array():

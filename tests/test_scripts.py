@@ -48,6 +48,24 @@ def test_make_workspace_configs_load(tmp_path, capsys):
         assert f"resonlab study {kind} --config" in out
 
 
+def test_ab_pairs_times_both_trees(tmp_path):
+    # two alternating pairs of `basis`, both sides this tree given two ways
+    # (the repository root and its src directory)
+    config = tmp_path / "basis.json"
+    config.write_text('{"geometry": {"lengths": [6.283185307179586], "grid_points": 16}, '
+                      '"modes": 5}')
+    result = subprocess.run(
+        [sys.executable, str(SCRIPTS / "ab_pairs.py"), str(ROOT), str(ROOT / "src"),
+         "--pairs", "2", "--", "basis", "--config", str(config), "--out", str(tmp_path / "out")],
+        cwd=tmp_path, capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    lines = result.stdout.splitlines()
+    assert [line.split(":")[0] for line in lines[:4]] == ["pair 1", "pair 2", "parent", "change"]
+    assert lines[4].startswith("change faster in ") and " of 2 pairs" in lines[4]
+    assert lines[5] == "gain: not judged (fewer than 10 pairs)"
+    assert (tmp_path / "out" / "frame.json").exists()
+
+
 _TRACED_RUNS = """
 import sys
 sys.path.insert(0, 'benchmark')

@@ -166,7 +166,7 @@ def test_cached_frame_tables_are_read_only(frame_1d_9_cos):
     # fields, drift assembly and the potential block share these arrays
     frame = frame_1d_9_cos
     tables = [frame.eigenfunction_values, *frame.eigenfunction_gradients, frame.potential_values,
-              frame._complex_tables[0], frame._complex_tables[1], *frame._complex_tables[2]]
+              frame._transposed_tables[0], *frame._transposed_tables[1]]
     for table in tables:
         with pytest.raises(ValueError):
             table[0] += 1.0

@@ -129,6 +129,13 @@ def test_converge_study_cubic_ladder(frame_1d_5, cubic5):
     # provenance lets every number be traced to a run
     assert len(rep.provenance["runs"]) == 2 * 2 + 2 + 1
     assert all(len(h) == 64 for h in rep.provenance["runs"].values())
+    # and records what each run did: 5 segments of 0.1 in steps of at most
+    # theta_osc * eps / lambda_max = 2.5e-3 for the full runs at eps = 0.05
+    meta = rep.provenance["run_meta"]
+    assert list(meta) == list(rep.provenance["runs"])
+    assert meta["effective_init0"] == {"steps": 500, "h_target": 2e-3, "excluded": 0}
+    assert meta["full_eps0.05_init1"] == {"steps": 500, "h_target": 2e-3, "excluded": 0}
+    assert meta["full_eps0.2_init0"]["steps"] == 500
 
 
 def test_report_csv_cells_are_numbers(tmp_path, frame_1d_5, cubic5):
@@ -218,6 +225,10 @@ def test_stochastic_study_single_rung_bands(frame_1d_5, mix5):
     rep = study_stochastic_actions(frame_1d_5, spec, table, noise, cfg)
     assert rep.verdicts["bands"], rep.tables["mean_actions"]["rows"]
     assert rep.provenance["noise_convention"].startswith("E|beta")
+    # 4 segments of 0.25; the full run's step is min(dt, 0.2 * 0.05 / 4)
+    assert rep.provenance["run_meta"] == {
+        "effective": {"steps": 500, "h_target": 2e-3, "excluded": 0},
+        "full_eps0.05": {"steps": 500, "h_target": 2e-3, "excluded": 0}}
     taus = {r[1] for r in rep.tables["mean_actions"]["rows"]}
     assert taus == {0.5, 1.0}
     assert len(rep.tables["var_actions"]["rows"]) == 2 * 3
@@ -286,6 +297,11 @@ def test_disparity_study_with_ensemble(frame_1d_5, cubic5):
     assert rep.verdicts["ensemble_monotone"]
     cols = rep.tables["disparity"]["columns"]
     assert cols[-1] == "ensemble_mean"
+    meta = rep.provenance["run_meta"]
+    assert sorted(meta) == ["det_eps0.05", "det_eps0.05_halfstep", "det_eps0.2",
+                            "ens_eps0.05", "ens_eps0.2"]
+    assert meta["ens_eps0.2"] == {"steps": 500, "h_target": 2e-3, "excluded": 0}
+    assert meta["det_eps0.05_halfstep"] == {"steps": 1000, "h_target": 1e-3, "excluded": 0}
 
 
 def test_each_study_builds_one_drift(frame_1d_5, cubic5, mix5, monkeypatch):
