@@ -283,10 +283,7 @@ def _cmd_basis(args, config, base_dir):
     from .io import write_json, write_text
     _check_keys("config", config, _COMMAND_KEYS["basis"],
                 required=("geometry", "modes"))
-    geometry = _build_geometry(config["geometry"])
-    potential = _build_potential(config.get("potential"), geometry.dimension)
-    from .spectral import build_frame
-    frame = build_frame(geometry, potential, int(config["modes"]))
+    frame = _load_frame(config, base_dir)  # the config is an inline frame
     os.makedirs(args.out, exist_ok=True)
     outputs = {"frame.json": write_json(os.path.join(args.out, "frame.json"),
                                         frame.to_document()),
@@ -334,8 +331,7 @@ def _resolve_seed(args, config):
 
 def _cmd_trajectory(args, config, base_dir, effective):
     from .fields import ResonantDrift
-    from .integrators import (integrate_effective, integrate_effective_stochastic,
-                              integrate_full, integrate_full_stochastic)
+    from .integrators import integrate_effective, integrate_full
     from .io import save_trajectory
     from .nonlinearity import NonlinearitySpec
     command = "effective" if effective else "simulate"
@@ -349,20 +345,16 @@ def _cmd_trajectory(args, config, base_dir, effective):
     solver = _build_solver(config["solver"])
     v0 = _build_initial(config["initial"], frame)
     noise = _build_noise(config.get("noise"), frame)
-    noisy = noise is not None and not noise.is_zero
-    if noisy and seed is None:
+    if noise is None or noise.is_zero:
+        noise = seed = None  # noise that injects nothing makes a deterministic run
+    elif seed is None:
         raise ConfigError("a run whose noise injects needs a seed (--seed or config seed)")
 
-    drift = ResonantDrift(frame, spec, table) if effective else None
-    if noisy:
-        if effective:
-            traj = integrate_effective_stochastic(v0, drift, solver, noise, seed)
-        else:
-            traj = integrate_full_stochastic(v0, spec, frame, solver, noise, seed)
-    elif effective:
-        traj = integrate_effective(v0, drift, solver)
+    if effective:
+        traj = integrate_effective(v0, ResonantDrift(frame, spec, table), solver,
+                                   noise=noise, seed=seed)
     else:
-        traj = integrate_full(v0, spec, frame, solver)
+        traj = integrate_full(v0, spec, frame, solver, noise=noise, seed=seed)
 
     os.makedirs(args.out, exist_ok=True)
     digest = save_trajectory(os.path.join(args.out, "trajectory.jsonl"), traj,

@@ -7,13 +7,16 @@ exponential (Lawson) schemes:
     effective  da/dtau = -mu Lambda a + R(a)                     [+ B dbeta]
 
 Deterministic runs use a Lawson RK4 step by default; stochastic runs use an
-exponential Euler-Maruyama step.  Every run, single or ensemble, goes through
-one batched driver, so a zero-amplitude stochastic run is bitwise identical to
-the deterministic "expeuler" scheme.  Runs take the averaged drift they
-integrate or track the disparity against (a fields.ResonantDrift or
-QuadratureDrift, built by the caller and reused across runs); nothing here
-builds one.  Noisy runs of both systems take the full system's NoiseModel, whose
-resonant average (resonance.build_diffusion) is the effective run's diffusion B.
+exponential Euler-Maruyama step.  Each system has one single-run function
+(integrate_full, integrate_effective; noise and seed optional) and one ensemble
+function, and all four run through one batched driver, _drive, which alone
+makes a run stochastic: a seed marks one, so a zero-amplitude stochastic run
+is bitwise identical to the deterministic "expeuler" scheme.  Runs take the
+averaged drift they integrate or track the disparity against (a
+fields.ResonantDrift or QuadratureDrift, built by the caller and reused across
+runs); nothing here builds one.  Noisy runs of both systems take the full
+system's NoiseModel, whose resonant average (resonance.build_diffusion) is the
+effective run's diffusion B.
 Complex noise follows the convention E|beta_l(tau)|^2 = 2 tau (independent
 standard real and imaginary parts).
 A stochastic run's normals are drawn ahead by one forked producer process that
@@ -70,20 +73,17 @@ class SolverConfig:
             raise ConfigError(f"unknown scheme {self.scheme!r}; choose from {SCHEMES}")
         if not (self.theta_osc > 0):
             raise ConfigError("theta_osc must be positive")
-        if int(self.samples) < 2:
-            raise ConfigError("need at least two sample times")
+        object.__setattr__(self, "samples", check_count(self.samples, "samples", 2))
         if not (self.blow_up_factor > 1):
             raise ConfigError("blow_up_factor must exceed 1")
         if not (self.blow_up_norm >= 0):
             raise ConfigError("blow_up_norm must be >= 0")
 
     def sample_taus(self):
-        return np.linspace(0.0, self.tau_end, int(self.samples))
+        return np.linspace(0.0, self.tau_end, self.samples)
 
     def to_document(self):
-        doc = {f.name: getattr(self, f.name) for f in fields(self)}
-        doc["samples"] = int(self.samples)
-        return doc
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     @staticmethod
     def from_document(doc):
@@ -161,6 +161,13 @@ class NoiseModel:
     @staticmethod
     def from_document(doc):
         return NoiseModel(tuple(doc["amplitudes"]))
+
+
+def check_count(value, name, least):
+    """value as an int, refused unless it is an integer (a bool is not) >= least."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
+        raise ConfigError(f"{name} must be an integer >= {least}, got {value!r}")
+    return int(value)
 
 
 def check_seed(seed, name, keys=None):
@@ -320,30 +327,23 @@ class _NoiseStream:
             self._stop(finished=False)
 
 
-def _full_noise_injector(noise, frame, epsilon):
+def _noise_injector(noise, frame, epsilon=None):
+    """Increments of the full system's Psi(b dbeta) rotated into the interaction
+    frame (epsilon given), or of the effective B dbeta, with B the principal
+    root of the noise's resonant covariance; None if the noise injects nothing."""
     b = noise.array(frame)
     if noise.is_zero:
         return None
-    scaled = b[:, None] * frame.eigenvectors.T  # (basis l, mode k)
-    rotation = 1j * frame.eigenvalues
+    if epsilon is None:
+        matrix = build_diffusion(frame, b).root.T
+    else:
+        matrix = b[:, None] * frame.eigenvectors.T  # (basis l, mode k)
+        rotation = 1j * frame.eigenvalues
 
     def inject(tau, sqrt_h, normals, out):
-        # Psi(b dbeta) rotated into the interaction frame; sqrt(h) folds into the matrix
-        phase = sqrt_h * np.exp((tau / epsilon) * rotation)
-        return np.matmul(normals, scaled * phase, out=out)
-
-    return inject
-
-
-def _effective_noise_injector(noise, frame):
-    """B dbeta, with B the principal root of the noise's resonant covariance."""
-    b = noise.array(frame)
-    if noise.is_zero:
-        return None
-    root_T = build_diffusion(frame, b).root.T
-
-    def inject(tau, sqrt_h, normals, out):
-        return np.matmul(normals, sqrt_h * root_T, out=out)
+        # sqrt(h), and the full system's rotation, fold into the matrix
+        scale = sqrt_h if epsilon is None else sqrt_h * np.exp((tau / epsilon) * rotation)
+        return np.matmul(normals, matrix * scale, out=out)
 
     return inject
 
@@ -389,22 +389,27 @@ def _guard_norm(a, weights, out=None, work=None):
 def _drive(a0, g, lam, mu, config, h_target, inject=None, seed=None, drift=None):
     """Propagate an (members, modes) batch over the sample grid.
 
-    Members whose guard norm leaves the safety ball are frozen to NaN but keep
-    consuming their noise stream, so survivors are unaffected by exclusions.
-    Noise that injects draws from the stream of seed's member keys, sized to
-    the run's steps.  Disparity tracking (drift given) accumulates the
-    integral of g - drift by the trapezoid rule on step nodes, reusing the
-    scheme's own k1 stages: a segment's first stage closes the last one's
-    trapezoid at the sample node, and one evaluation after the last step
-    closes the run's.  The expeuler update, the noise increment and the guard
-    norm run in work arrays the driver owns.  The returned "meta" (h_target,
-    steps) is what every result reports.
+    A seed marks a stochastic run, which must use the expeuler scheme; noise
+    that injects needs one, and draws from seed's member streams, sized to the
+    run's steps.  Members whose guard norm leaves the safety ball are frozen to
+    NaN but keep consuming their noise stream, so survivors are unaffected by
+    exclusions.  Disparity tracking (drift given) accumulates the integral of
+    g - drift by the trapezoid rule on step nodes, reusing the scheme's own k1
+    stages: a segment's first stage closes the last one's trapezoid at the
+    sample node, and one evaluation after the last step closes the run's.  The
+    expeuler update, the noise increment and the guard norm run in work arrays
+    the driver owns.  The returned "meta" (h_target, steps) is what every
+    result reports.
     """
+    if seed is None and inject is not None:
+        raise ConfigError("a run whose noise injects needs a seed")
+    if seed is not None and config.scheme != "expeuler":
+        raise ConfigError("stochastic runs use scheme='expeuler'")
     taus = config.sample_taus()
     members, modes = a0.shape
     plan = _segment_steps(taus, h_target)
     steps = sum(n for n, _ in plan)
-    stream = _noise_stream(config, seed, members, modes, inject, steps)
+    stream = None if inject is None else _NoiseStream(seed, members, modes, steps)
     states = np.empty((taus.size, members, modes), dtype=complex)
     states[0] = a0
     a = a0.astype(complex, order="C")  # the guard norm reads a contiguous complex copy
@@ -474,41 +479,25 @@ def _drive(a0, g, lam, mu, config, h_target, inject=None, seed=None, drift=None)
 
 # -- run helpers: one per system, shared by single runs and ensembles --------
 
-def _full_field(spec, frame, epsilon):
-    """Y(a, tau / epsilon) in slow time; the one place fast time is spelled."""
-    inv_eps = 1.0 / epsilon
-    field = Field(spec, frame)
-    return lambda x, tau: eval_Y(x, inv_eps * tau, field)
-
-
-def _noise_stream(config, seed, members, modes, inject, steps):
-    """Member streams of a stochastic run of `steps` steps; a seed of None marks a
-    deterministic one, so it refuses noise that injects.  Noise that injects
-    nothing draws nothing."""
-    if seed is None:
-        if inject is not None:
-            raise ConfigError("a run whose noise injects needs a seed")
-        return None
-    if config.scheme != "expeuler":
-        raise ConfigError("stochastic runs use scheme='expeuler'")
-    return None if inject is None else _NoiseStream(seed, members, modes, steps)
-
-
-def _run_full(a0, spec, frame, config, noise=None, seed=None, drift=None):
-    """Drive the rotated full system over an (members, modes) batch; a drift given
-    is what the disparity is tracked against, and must be of this spec and frame."""
+def _run_full(state, members, spec, frame, config, noise=None, seed=None, drift=None):
+    """Drive the rotated full system, Y(a, tau / epsilon) in slow time, from state
+    over `members` members; a drift given is what the disparity is tracked
+    against, and must be of this spec and frame."""
     if drift is not None and (drift.spec != spec or (
             drift.frame is not frame and drift.frame.content_hash() != frame.content_hash())):
         raise ConfigError("disparity tracking needs a drift of the run's spec and frame")
-    inject = None if noise is None else _full_noise_injector(noise, frame, config.epsilon)
-    h_target = oscillation_step(config, frame.eigenvalues)
-    return _drive(a0, _full_field(spec, frame, config.epsilon), frame.eigenvalues,
-                  spec.mu, config, h_target, inject=inject, seed=seed, drift=drift)
+    a0 = _broadcast_members(state, members, frame.modes)
+    inject = None if noise is None else _noise_injector(noise, frame, config.epsilon)
+    field, inv_eps = Field(spec, frame), 1.0 / config.epsilon
+    return _drive(a0, lambda x, tau: eval_Y(x, inv_eps * tau, field), frame.eigenvalues,
+                  spec.mu, config, oscillation_step(config, frame.eigenvalues),
+                  inject=inject, seed=seed, drift=drift)
 
 
-def _run_effective(a0, drift, config, noise=None, seed=None):
-    """Drive the averaged system of a drift over an (members, modes) batch."""
-    inject = None if noise is None else _effective_noise_injector(noise, drift.frame)
+def _run_effective(state, members, drift, config, noise=None, seed=None):
+    """Drive the averaged system of a drift from state over `members` members."""
+    a0 = _broadcast_members(state, members, drift.frame.modes)
+    inject = None if noise is None else _noise_injector(noise, drift.frame)
     return _drive(a0, lambda x, tau: drift(x), drift.frame.eigenvalues, drift.spec.mu,
                   config, config.dt, inject=inject, seed=seed)
 
@@ -523,7 +512,7 @@ def _broadcast_members(state, members, modes):
     return np.broadcast_to(a0, (members, modes)).copy() if a0.ndim == 1 else a0
 
 
-def _trajectory(run, config, frame, epsilon=None, seed=None, noise_doc=None):
+def _trajectory(run, config, frame, epsilon=None, seed=None, noise=None):
     """Member 0 of a single run; raises BlowUpError if it left the safety ball."""
     if run["dead"][0]:
         raise BlowUpError(float(run["death_tau"][0]), float(run["death_norm"][0]),
@@ -532,7 +521,8 @@ def _trajectory(run, config, frame, epsilon=None, seed=None, noise_doc=None):
     return Trajectory(
         taus=run["taus"], states=run["states"][:, 0], scheme=config.scheme,
         epsilon=epsilon, seed=None if seed is None else int(seed),
-        frame_hash=frame.content_hash(), noise_doc=noise_doc,
+        frame_hash=frame.content_hash(),
+        noise_doc=None if noise is None else noise.to_document(),
         disparity_max=None if run["disp_max"] is None else run["disp_max"][0],
         meta=run["meta"])
 
@@ -551,7 +541,8 @@ def step_full_deterministic(state, tau, h, spec, frame, config):
     a = np.atleast_2d(mode_vector(state))
     lam = frame.eigenvalues
     E = np.exp(-spec.mu * lam * h)
-    g = _full_field(spec, frame, config.epsilon)
+    field, inv_eps = Field(spec, frame), 1.0 / config.epsilon
+    g = lambda x, t: eval_Y(x, inv_eps * t, field)  # fast time as _run_full spells it
     k1 = g(a, tau)
     if config.scheme == "lawson4":
         E2 = np.exp(-spec.mu * lam * (0.5 * h))
@@ -561,39 +552,34 @@ def step_full_deterministic(state, tau, h, spec, frame, config):
     return out.reshape(np.shape(mode_vector(state)))
 
 
-def integrate_full(state, spec, frame, config, drift=None):
+def integrate_full(state, spec, frame, config, drift=None, noise=None, seed=None):
     """Integrate the rotated full system from tau = 0 to tau_end.
 
     Given the averaged drift of the same spec and frame, the running integral
     of Y - drift along the numerical trajectory is accumulated and sampled.
+    Given a seed, the run is stochastic: the noise draws from the seed's stream.
     """
-    run = _run_full(_broadcast_members(state, 1, frame.modes), spec, frame, config,
-                    drift=drift)
-    return _trajectory(run, config, frame, epsilon=config.epsilon)
+    run = _run_full(state, 1, spec, frame, config, noise=noise, seed=seed, drift=drift)
+    return _trajectory(run, config, frame, epsilon=config.epsilon, seed=seed, noise=noise)
 
 
-def integrate_effective(state, drift, config):
+def integrate_effective(state, drift, config, noise=None, seed=None):
     """Integrate the averaged equation of a drift (the resonant sum, or the
-    quadrature route for oracle swaps); autonomous, so no oscillation refinement."""
-    run = _run_effective(_broadcast_members(state, 1, drift.frame.modes), drift, config)
-    return _trajectory(run, config, drift.frame)
+    quadrature route for oracle swaps); autonomous, so no oscillation refinement.
+    Given a seed, the run is stochastic, driven by the full system's noise."""
+    run = _run_effective(state, 1, drift, config, noise=noise, seed=seed)
+    return _trajectory(run, config, drift.frame, seed=seed, noise=noise)
 
 
 def integrate_full_stochastic(state, spec, frame, config, noise, seed):
-    """Single noisy trajectory of the full rotated system."""
-    run = _run_full(_broadcast_members(state, 1, frame.modes), spec, frame, config,
-                    noise=noise, seed=seed)
-    return _trajectory(run, config, frame, epsilon=config.epsilon, seed=seed,
-                       noise_doc=noise.to_document())
+    """integrate_full with noise and a seed; kept while benchmark/traced_cli.py names it."""
+    return integrate_full(state, spec, frame, config, noise=noise, seed=seed)
 
 
 def integrate_effective_stochastic(state, drift, config, noise, seed):
-    """Single noisy trajectory of the averaged equation, driven by the resonant
-    average of the full system's noise."""
-    run = _run_effective(_broadcast_members(state, 1, drift.frame.modes), drift, config,
-                         noise=noise, seed=seed)
-    return _trajectory(run, config, drift.frame, seed=seed,
-                       noise_doc=noise.to_document())
+    """integrate_effective with noise and a seed; kept while benchmark/traced_cli.py
+    names it."""
+    return integrate_effective(state, drift, config, noise=noise, seed=seed)
 
 
 # -- ensembles --------------------------------------------------------------
@@ -621,7 +607,7 @@ class EnsembleResult:
 _MAX_EXCLUDED_FRACTION = 0.05
 
 
-def _summarize(run, seed_base, frame_hash, meta):
+def _summarize(run, system, frame, noise, seed_base):
     states, dead = run["states"], run["dead"]
     members = states.shape[1]
     excluded = [int(i) for i in np.flatnonzero(dead)]
@@ -647,22 +633,20 @@ def _summarize(run, seed_base, frame_hash, meta):
                           stderr_actions=stderr, members=members,
                           excluded=excluded,
                           seed_base=None if seed_base is None else int(seed_base),
-                          frame_hash=frame_hash, disparity_mean=disp_mean,
-                          meta=meta)
+                          frame_hash=frame.content_hash(), disparity_mean=disp_mean,
+                          meta={**run["meta"], "system": system,
+                                "noise": noise.to_document()})
 
 
 def ensemble_full(state, spec, frame, config, noise, members, seed_base, drift=None):
     """Batch of noisy full-system runs; member i uses Philox key seed_base + i.
     A drift given tracks the disparity as integrate_full does."""
-    run = _run_full(_broadcast_members(state, members, frame.modes), spec, frame,
-                    config, noise=noise, seed=seed_base, drift=drift)
-    return _summarize(run, seed_base, frame.content_hash(),
-                      {**run["meta"], "system": "full", "noise": noise.to_document()})
+    run = _run_full(state, members, spec, frame, config, noise=noise, seed=seed_base,
+                    drift=drift)
+    return _summarize(run, "full", frame, noise, seed_base)
 
 
 def ensemble_effective(state, drift, config, noise, members, seed_base):
     """Batch of noisy effective-equation runs with matched member seeding."""
-    run = _run_effective(_broadcast_members(state, members, drift.frame.modes), drift,
-                         config, noise=noise, seed=seed_base)
-    return _summarize(run, seed_base, drift.frame.content_hash(),
-                      {**run["meta"], "system": "effective", "noise": noise.to_document()})
+    run = _run_effective(state, members, drift, config, noise=noise, seed=seed_base)
+    return _summarize(run, "effective", drift.frame, noise, seed_base)

@@ -18,10 +18,9 @@ from .errors import ConfigError
 from .fields import (Observable, QuadratureDrift, ResonantDrift, action_observable,
                      default_quadrature_nodes, drift_route_residual,
                      monomial_observable, scalar_average, scalar_average_limit)
-from .integrators import (NOISE_CONVENTION, SolverConfig, check_seed, ensemble_full,
-                          ensemble_effective, integrate_effective,
-                          integrate_effective_stochastic, integrate_full,
-                          integrate_full_stochastic)
+from .integrators import (NOISE_CONVENTION, SolverConfig, check_count, check_seed,
+                          ensemble_full, ensemble_effective, integrate_effective,
+                          integrate_full)
 from .io import (REPORT_SCHEMA, content_hash, ensemble_hash, trajectory_hash)
 from .resonance import minimal_frequency_gap
 from .spectral import action_distance, sample_ball
@@ -82,18 +81,18 @@ class StudyConfig:
             raise ConfigError("epsilon ladder must be strictly decreasing")
         if not (0.0 <= self.s1 < self.s_star):
             raise ConfigError(f"need 0 <= s1 < s_star, got s1={self.s1} s_star={self.s_star}")
-        if self.initials < 1 or self.members < 2 or self.tracked_modes < 1:
-            raise ConfigError("need initials >= 1, members >= 2, tracked_modes >= 1")
+        for name, least in (("samples", 2), ("initials", 1), ("members", 2),
+                            ("tracked_modes", 1), ("batches", 4)):
+            object.__setattr__(self, name, check_count(getattr(self, name), name, least))
         object.__setattr__(self, "seed", check_seed(
-            self.seed, "seed", keys=max(int(self.members), len(eps)) + 1))
+            self.seed, "seed", keys=max(self.members, len(eps)) + 1))
         if self.initial_seed is not None:
             object.__setattr__(self, "initial_seed",
                                check_seed(self.initial_seed, "initial_seed"))
         if not 0.0 < self.tau_end < math.inf:
             raise ConfigError(f"tau_end must be positive and finite, got {self.tau_end}")
-        if (self.batches < 4 or not 0.0 <= self.burn_in < math.inf
-                or not 0.0 < self.batch_length < math.inf):
-            raise ConfigError("stationary averaging needs batches >= 4, a finite burn_in >= 0 "
+        if not (0.0 <= self.burn_in < math.inf and 0.0 < self.batch_length < math.inf):
+            raise ConfigError("stationary averaging needs a finite burn_in >= 0 "
                               "and a finite batch_length > 0")
         compare_taus = tuple(float(t) for t in self.compare_taus)
         if not all(map(math.isfinite, compare_taus)):
@@ -490,8 +489,8 @@ def study_stationary_measure(frame, spec, table, noise, cfg):
     runs = {}
 
     eff_cfg = replace(base, dt=min(5e-3, base.dt * 2))
-    eff = integrate_effective_stochastic(v0, ResonantDrift(frame, spec, table), eff_cfg,
-                                         noise, seed=cfg.seed + len(cfg.epsilons))
+    eff = integrate_effective(v0, ResonantDrift(frame, spec, table), eff_cfg,
+                              noise=noise, seed=cfg.seed + len(cfg.epsilons))
     runs["effective"] = trajectory_hash(eff, eff_cfg), eff
 
     def estimates(traj):
@@ -512,8 +511,7 @@ def study_stationary_measure(frame, spec, table, noise, cfg):
     discrepancy = {}
     for i, eps in enumerate(cfg.epsilons):
         full_cfg = replace(base, epsilon=eps)
-        full = integrate_full_stochastic(v0, spec, frame, full_cfg, noise,
-                                         seed=cfg.seed + i)
+        full = integrate_full(v0, spec, frame, full_cfg, noise=noise, seed=cfg.seed + i)
         runs[f"full_eps{eps:g}"] = trajectory_hash(full, full_cfg), full
         est, ok = estimates(full)
         stationary_ok = stationary_ok and ok

@@ -215,6 +215,20 @@ def test_stochastic_simulate_needs_seed(workspace, tmp_path, capsys):
     assert "seed" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["simulate", "effective"])
+def test_fractional_sample_count_exits_one_before_any_drift(workspace, tmp_path, capsys,
+                                                            monkeypatch, command):
+    # "samples": 3.9 used to run 3 samples and write 3 into the trajectory header
+    built = _count_drift_builds(monkeypatch)
+    table = {"table": workspace["table_ref"]} if command == "effective" else {}
+    cfg = write_config(workspace["dir"] / "frac.json", _simulate_config(
+        workspace, solver={"epsilon": 0.2, "tau_end": 0.5, "dt": 2e-3, "samples": 3.9},
+        **table))
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+    assert "samples must be an integer >= 2, got 3.9" in capsys.readouterr().err
+    assert built == [] and not (tmp_path / "o").exists()
+
+
 _NOISY_SOLVER = {"epsilon": 0.2, "tau_end": 0.5, "dt": 2e-3, "samples": 6,
                  "scheme": "expeuler"}
 

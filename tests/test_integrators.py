@@ -53,9 +53,12 @@ def test_config_validation():
     good = SolverConfig(epsilon=0.1, tau_end=1.0)
     assert SolverConfig.from_document(good.to_document()) == good
     for bad in (dict(epsilon=0), dict(tau_end=-1), dict(dt=0), dict(scheme="rk4"),
-                dict(theta_osc=0), dict(samples=1), dict(blow_up_factor=1.0)):
+                dict(theta_osc=0), dict(samples=1), dict(blow_up_factor=1.0),
+                # samples=3.9 used to run 3 samples while the config kept 3.9
+                dict(samples=2.5), dict(samples=3.9), dict(samples=True)):
         with pytest.raises(ConfigError):
             SolverConfig(**{"epsilon": 0.1, "tau_end": 1.0, **bad})
+    assert type(SolverConfig(epsilon=0.1, tau_end=1.0, samples=np.int64(5)).samples) is int
 
 
 @pytest.mark.parametrize("name", ["epsilon", "tau_end", "dt"])
@@ -79,6 +82,21 @@ def test_step_refuses_oversized(frame_1d_5):
     cfg = SolverConfig(epsilon=0.1, tau_end=1.0, dt=0.05)
     with pytest.raises(ConfigError):
         step_full_deterministic(np.ones(5, complex), 0.0, 0.04, CUBIC, frame_1d_5, cfg)
+
+
+@pytest.mark.parametrize("scheme", ["lawson4", "expeuler"])
+@pytest.mark.parametrize("frame_name", ["frame_1d_9_cos", "frame_2d_9"])
+def test_step_probe_is_the_drivers_step(request, frame_name, scheme):
+    # the ladder's "step" column times step_full_deterministic, which steps
+    # outside the driver; a one-step run of the same width must match it bitwise
+    frame = request.getfixturevalue(frame_name)
+    cfg = SolverConfig(epsilon=0.3, tau_end=1.0, dt=1.0, scheme=scheme)
+    h = oscillation_step(cfg, frame.eigenvalues)
+    a = sample_ball(frame, 2.0, 1.0, np.random.default_rng(5))
+    probe = step_full_deterministic(a, 0.0, h, CUBIC, frame, cfg)
+    run = integrate_full(a, CUBIC, frame, replace(cfg, tau_end=h, samples=2, dt=h))
+    assert run.meta["steps"] == 1
+    assert np.array_equal(probe, run.final_state())
 
 
 # -- deterministic closed forms ---------------------------------------------
@@ -307,7 +325,7 @@ def test_stochastic_requires_expeuler(frame_1d_5):
     cfg = SolverConfig(epsilon=0.5, tau_end=0.1, scheme="lawson4")
     noise = NoiseModel.zero(5)
     with pytest.raises(ConfigError):
-        integrate_full_stochastic(np.ones(5, complex), CUBIC, frame_1d_5, cfg, noise, 1)
+        integrate_full(np.ones(5, complex), CUBIC, frame_1d_5, cfg, noise=noise, seed=1)
     with pytest.raises(ConfigError):
         ensemble_full(np.ones(5, complex), CUBIC, frame_1d_5, cfg, noise, 4, 1)
 
@@ -320,8 +338,8 @@ def test_runs_refuse_states_of_the_wrong_shape(frame_1d_5):
     drift = ResonantDrift(frame_1d_5, CUBIC, build_resonance_table(frame_1d_5))
     runs = (lambda a: integrate_full(a, CUBIC, frame_1d_5, cfg),
             lambda a: integrate_effective(a, drift, cfg),
-            lambda a: integrate_full_stochastic(a, CUBIC, frame_1d_5, cfg, noise, 1),
-            lambda a: integrate_effective_stochastic(a, drift, cfg, noise, 1),
+            lambda a: integrate_full(a, CUBIC, frame_1d_5, cfg, noise=noise, seed=1),
+            lambda a: integrate_effective(a, drift, cfg, noise=noise, seed=1),
             lambda a: ensemble_full(a, CUBIC, frame_1d_5, cfg, noise, 4, 1),
             lambda a: ensemble_effective(a, drift, cfg, noise, 4, 1))
     for run in runs:
@@ -336,13 +354,56 @@ def test_injecting_noise_needs_a_seed(frame_1d_5):
     b = (0.3, 0.3, 0.3, 0.2, 0.2)
     noise = NoiseModel(b)
     drift = ResonantDrift(frame_1d_5, CUBIC, build_resonance_table(frame_1d_5))
-    runs = (lambda: integrate_full_stochastic(a0, CUBIC, frame_1d_5, cfg, noise, None),
-            lambda: integrate_effective_stochastic(a0, drift, cfg, noise, None),
+    runs = (lambda: integrate_full(a0, CUBIC, frame_1d_5, cfg, noise=noise, seed=None),
+            lambda: integrate_effective(a0, drift, cfg, noise=noise, seed=None),
             lambda: ensemble_full(a0, CUBIC, frame_1d_5, cfg, noise, 4, None),
             lambda: ensemble_effective(a0, drift, cfg, noise, 4, None))
     for run in runs:
         with pytest.raises(ConfigError, match="needs a seed"):
             run()
+
+
+def test_stochastic_aliases_return_their_survivors_bitwise(frame_1d_5):
+    cfg = SolverConfig(epsilon=0.5, tau_end=0.1, dt=5e-3, scheme="expeuler", samples=3)
+    a0 = 0.4 * np.ones(5, dtype=complex)
+    noise = NoiseModel((0.3, 0.3, 0.3, 0.2, 0.2))
+    drift = ResonantDrift(frame_1d_5, CUBIC, build_resonance_table(frame_1d_5))
+    pairs = ((integrate_full_stochastic(a0, CUBIC, frame_1d_5, cfg, noise, 3),
+              integrate_full(a0, CUBIC, frame_1d_5, cfg, noise=noise, seed=3)),
+             (integrate_effective_stochastic(a0, drift, cfg, noise, 3),
+              integrate_effective(a0, drift, cfg, noise=noise, seed=3)))
+    for alias, survivor in pairs:
+        assert np.array_equal(alias.states, survivor.states)
+        assert (alias.epsilon, alias.seed, alias.noise_doc, alias.meta) == \
+            (survivor.epsilon, survivor.seed, survivor.noise_doc, survivor.meta)
+
+
+def test_noise_injector_matches_the_two_it_replaced(frame_1d_9_cos):
+    # the full system's Psi(b dbeta) rotated into the interaction frame and
+    # the effective B dbeta, spelled as the two injectors that preceded
+    # _noise_injector spelled them
+    frame, eps = frame_1d_9_cos, 0.3
+    b = 0.2 * (1.0 + frame.eigenvalues) ** -1.0
+    noise = NoiseModel(tuple(b))
+    scaled, rotation = b[:, None] * frame.eigenvectors.T, 1j * frame.eigenvalues
+    root_T = build_diffusion(frame, b).root.T
+    references = (
+        (integrators._noise_injector(noise, frame, eps),
+         lambda tau, sqrt_h: scaled * (sqrt_h * np.exp((tau / eps) * rotation))),
+        (integrators._noise_injector(noise, frame),
+         lambda tau, sqrt_h: sqrt_h * root_T))
+    rng = np.random.default_rng(11)
+    for inject, matrix in references:
+        for tau, h, rows in ((0.0, 0.1, 1), (0.37, 2e-3, 7), (5.3, 1e-4, 64), (41.0, 3e-5, 3)):
+            normals = (rng.standard_normal((rows, frame.modes))
+                       + 1j * rng.standard_normal((rows, frame.modes)))
+            got, want = np.empty_like(normals), np.empty_like(normals)
+            inject(tau, math.sqrt(h), normals, got)
+            np.matmul(normals, matrix(tau, math.sqrt(h)), out=want)
+            assert np.array_equal(got, want), (tau, h, rows)
+    zero = NoiseModel.zero(frame.modes)
+    assert integrators._noise_injector(zero, frame, eps) is None
+    assert integrators._noise_injector(zero, frame) is None
 
 
 def test_seedless_zero_noise_ensembles_report_no_seed(frame_1d_5):
@@ -381,12 +442,13 @@ def test_noise_amplitude_count_must_match_modes(frame_1d_5):
     with pytest.raises(ConfigError, match="3 amplitudes, the frame has 5 modes"):
         ensemble_full(a0, CUBIC, frame_1d_5, cfg, NoiseModel((0.3, 0.3, 0.2)), 4, 1)
     with pytest.raises(ConfigError, match="3 amplitudes"):
-        integrate_full_stochastic(a0, CUBIC, frame_1d_5, cfg, NoiseModel((0.3, 0.3, 0.2)), 1)
+        integrate_full(a0, CUBIC, frame_1d_5, cfg, noise=NoiseModel((0.3, 0.3, 0.2)),
+                       seed=1)
     drift = ResonantDrift(frame_1d_5, CUBIC, build_resonance_table(frame_1d_5))
     with pytest.raises(ConfigError, match="3 amplitudes, the frame has 5 modes"):
         ensemble_effective(a0, drift, cfg, NoiseModel((0.3, 0.3, 0.2)), 4, 1)
     with pytest.raises(ConfigError, match="3 amplitudes, the frame has 5 modes"):
-        integrate_effective_stochastic(a0, drift, cfg, NoiseModel((0.3, 0.3, 0.2)), 1)
+        integrate_effective(a0, drift, cfg, noise=NoiseModel((0.3, 0.3, 0.2)), seed=1)
 
 
 def test_zero_noise_reduces_to_deterministic_bitwise(frame_1d_5):
@@ -396,8 +458,8 @@ def test_zero_noise_reduces_to_deterministic_bitwise(frame_1d_5):
         cfg = SolverConfig(epsilon=eps, tau_end=0.5, dt=5e-3, scheme="expeuler",
                            samples=6)
         det = integrate_full(a0, CUBIC, frame_1d_5, cfg)
-        sto = integrate_full_stochastic(a0, CUBIC, frame_1d_5, cfg,
-                                        NoiseModel.zero(5), seed=123)
+        sto = integrate_full(a0, CUBIC, frame_1d_5, cfg, noise=NoiseModel.zero(5),
+                             seed=123)
         assert np.array_equal(det.states, sto.states), eps
         ens = ensemble_full(a0, CUBIC, frame_1d_5, cfg, NoiseModel.zero(5),
                             members=1, seed_base=123)
@@ -422,7 +484,7 @@ def test_members_reproduce_batch(frame_1d_5):
     noise = NoiseModel((0.3, 0.3, 0.3, 0.2, 0.2))
     cfg = SolverConfig(epsilon=0.5, tau_end=0.3, dt=5e-3, scheme="expeuler", samples=4)
     batch = ensemble_full(a0, CUBIC, frame_1d_5, cfg, noise, 3, seed_base=40)
-    singles = [integrate_full_stochastic(a0, CUBIC, frame_1d_5, cfg, noise, 40 + i)
+    singles = [integrate_full(a0, CUBIC, frame_1d_5, cfg, noise=noise, seed=40 + i)
                for i in range(3)]
     # three sample segments of 0.1, each 20 steps of h = dt = 5e-3
     assert batch.meta["steps"] == 60 and batch.meta["h_target"] == 5e-3
@@ -793,11 +855,10 @@ def test_full_and_effective_singles_share_streams(frame_1d_5):
     spec = diag_spec([0] * 5, mu=0.5)
     b = np.array([0.5, 0.4, 0.4, 0.3, 0.3])
     cfg = SolverConfig(epsilon=1.0, tau_end=0.5, dt=0.01, scheme="expeuler", samples=3)
-    full = integrate_full_stochastic(0.5 * np.ones(5, complex), spec, frame_1d_5,
-                                     cfg, NoiseModel(tuple(b)), seed=4)
-    eff = integrate_effective_stochastic(0.5 * np.ones(5, complex),
-                                         ResonantDrift(frame_1d_5, spec), cfg,
-                                         NoiseModel(tuple(b)), seed=4)
+    full = integrate_full(0.5 * np.ones(5, complex), spec, frame_1d_5, cfg,
+                          noise=NoiseModel(tuple(b)), seed=4)
+    eff = integrate_effective(0.5 * np.ones(5, complex), ResonantDrift(frame_1d_5, spec),
+                              cfg, noise=NoiseModel(tuple(b)), seed=4)
     assert np.array_equal(full.states[:, 0], eff.states[:, 0])
     assert full.noise_doc == eff.noise_doc == NoiseModel(tuple(b)).to_document()
     assert full.meta["steps"] == eff.meta["steps"] == 50

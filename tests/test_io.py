@@ -20,7 +20,6 @@ from resonlab.integrators import (
     SolverConfig,
     ensemble_full,
     integrate_full,
-    integrate_full_stochastic,
 )
 from resonlab.io import (
     RunManifest,
@@ -59,8 +58,8 @@ def test_trajectory_round_trip(tmp_path, frame_1d_5):
 def test_stochastic_trajectory_keeps_noise_header(tmp_path, frame_1d_5):
     cfg = SolverConfig(epsilon=0.5, tau_end=0.2, dt=5e-3, scheme="expeuler", samples=3)
     noise = NoiseModel((0.2, 0.2, 0.2, 0.1, 0.1))
-    traj = integrate_full_stochastic(0.3 * np.ones(5, complex), CUBIC, frame_1d_5,
-                                     cfg, noise, seed=9)
+    traj = integrate_full(0.3 * np.ones(5, complex), CUBIC, frame_1d_5, cfg,
+                          noise=noise, seed=9)
     path = tmp_path / "sde.jsonl"
     save_trajectory(path, traj, config=cfg)
     back = load_trajectory(path)

@@ -86,6 +86,16 @@ def test_config_refuses_bad_seeds():
     assert type(numpy_ints.seed) is int and type(numpy_ints.initial_seed) is int
 
 
+@pytest.mark.parametrize("key", ["samples", "initials", "members", "tracked_modes", "batches"])
+def test_config_refuses_counts_that_are_not_integers(key):
+    # samples=30.5 used to be echoed while 30 ran, and batches=4.5 split the
+    # series into 5 groups but divided by sqrt(4.5)
+    for bad in (2.5, 30.5, True, "30"):
+        with pytest.raises(ConfigError, match=f"^{key} must be an integer"):
+            StudyConfig.from_document({"study": "stationary", key: bad})
+    assert type(getattr(StudyConfig("stationary", **{key: np.int64(30)}), key)) is int
+
+
 def test_config_document_round_trip():
     cfg = StudyConfig("stochastic", epsilons=(0.2, 0.05), members=64, seed=5,
                       initial_seed=17, compare_taus=(0.5, 1.0))
