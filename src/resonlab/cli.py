@@ -8,14 +8,14 @@ its criteria failed.
 """
 
 import argparse
-import dataclasses
 import os
 import sys
 import time
 
 from . import __version__
 from .errors import (BlowUpError, ConfigError, EnsembleError, StaleArtifactError,
-                     UnsupportedModeError, ValidationError)
+                     UnsupportedModeError, ValidationError, check_int, check_keys,
+                     check_seed)
 
 _THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
                 "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS")
@@ -46,16 +46,6 @@ config file keys (JSON, one object; unknown keys anywhere are errors):
                 seed, initial_seed, tracked_modes, compare_taus, burn_in,
                 batches, batch_length, windows, quadrature_margin)
 """
-
-_SECTION_KEYS = {
-    "geometry": {"lengths", "grid_points"},
-    "potential": {"cosines"},
-    "artifact_ref": {"file", "sha256"},
-    "frame_inline": {"geometry", "potential", "modes"},
-    "resonance": {"patterns", "eta", "mode"},
-    "initial": {"radius", "s", "seed", "re", "im"},
-    "noise": {"amplitudes", "scale", "decay", "eigenvalue_power"},
-}
 
 _COMMAND_KEYS = {
     "basis": {"geometry", "potential", "modes"},
@@ -104,43 +94,30 @@ def _fail(message):
     print(f"resonlab: error: {message}", file=sys.stderr)
 
 
-def _check_keys(name, doc, allowed, required=()):
-    if not isinstance(doc, dict):
-        raise ConfigError(f"config section {name!r} must be an object")
-    unknown = sorted(set(doc) - set(allowed))
-    if unknown:
-        raise ConfigError(f"unknown key(s) in {name}: {', '.join(unknown)}")
-    missing = sorted(set(required) - set(doc))
-    if missing:
-        raise ConfigError(f"{name} is missing required key(s): {', '.join(missing)}")
-
-
 def _build_geometry(section):
     from .spectral import TorusGeometry
-    _check_keys("geometry", section, _SECTION_KEYS["geometry"],
-                required=("lengths", "grid_points"))
-    return TorusGeometry(tuple(float(x) for x in section["lengths"]),
-                         int(section["grid_points"]))
+    check_keys("geometry", section, {"lengths", "grid_points"},
+               required=("lengths", "grid_points"))
+    return TorusGeometry(tuple(section["lengths"]), section["grid_points"])
 
 
 def _build_potential(section, dimension):
     from .spectral import Potential
     if section is None:
         return Potential.zero()
-    _check_keys("potential", section, _SECTION_KEYS["potential"])
+    check_keys("potential", section, {"cosines"})
     terms = {}
     for entry in section.get("cosines", ()):
-        _check_keys("potential.cosines entry", entry, {"m", "amplitude"},
-                    required=("m", "amplitude"))
-        terms[tuple(int(x) for x in entry["m"])] = float(entry["amplitude"])
+        check_keys("potential.cosines entry", entry, {"m", "amplitude"},
+                   required=("m", "amplitude"))
+        terms[tuple(entry["m"])] = float(entry["amplitude"])
     return Potential.from_cosines(terms, dimension=dimension)
 
 
 def _read_reference(section, base_dir, what, command):
     """The document a {file, sha256} reference pins; `command` makes the file."""
     from .io import read_json
-    _check_keys(what, section, _SECTION_KEYS["artifact_ref"],
-                required=("file", "sha256"))
+    check_keys(what, section, {"file", "sha256"}, required=("file", "sha256"))
     path = os.path.join(base_dir, section["file"])
     if not os.path.exists(path):
         raise ConfigError(f"{what} file {path} not found; "
@@ -153,16 +130,14 @@ def _read_reference(section, base_dir, what, command):
 
 def _load_frame(section, base_dir):
     from .spectral import SpectralFrame, build_frame
-    if section is None:
-        raise ConfigError("config needs a 'frame' section")
     if "file" in section:
         return SpectralFrame.from_document(
             _read_reference(section, base_dir, "frame", "basis"))
-    _check_keys("frame", section, _SECTION_KEYS["frame_inline"],
-                required=("geometry", "modes"))
+    check_keys("frame", section, {"geometry", "potential", "modes"},
+               required=("geometry", "modes"))
     geometry = _build_geometry(section["geometry"])
     potential = _build_potential(section.get("potential"), geometry.dimension)
-    return build_frame(geometry, potential, int(section["modes"]))
+    return build_frame(geometry, potential, section["modes"])
 
 
 def _load_table(section, frame, base_dir):
@@ -177,59 +152,41 @@ def _load_table(section, frame, base_dir):
     return table
 
 
-def _build_solver(section):
-    from .integrators import SolverConfig
-    if section is None:
-        raise ConfigError("config needs a 'solver' section")
-    _check_keys("solver", section, {f.name for f in dataclasses.fields(SolverConfig)},
-                required=("epsilon", "tau_end"))
-    return SolverConfig(**section)
-
-
 def _build_initial(section, frame):
     import numpy as np
     from .spectral import sample_ball
-    if section is None:
-        raise ConfigError("config needs an 'initial' section")
-    _check_keys("initial", section, _SECTION_KEYS["initial"])
     if "re" in section or "im" in section:
-        _check_keys("initial", section, {"re", "im"}, required=("re", "im"))
+        check_keys("initial", section, {"re", "im"}, required=("re", "im"))
         v = np.array(section["re"], dtype=float) + 1j * np.array(section["im"], dtype=float)
         if v.shape != (frame.modes,):
             raise ConfigError(f"initial state has {v.shape[0]} entries, "
                               f"frame has {frame.modes} modes")
         return v
-    from .integrators import check_seed
-    _check_keys("initial", section, {"radius", "s", "seed"},
-                required=("radius", "s", "seed"))
+    check_keys("initial", section, {"radius", "s", "seed"}, required=("radius", "s", "seed"))
     return sample_ball(frame, float(section["s"]), float(section["radius"]),
                        np.random.default_rng(check_seed(section["seed"], "initial.seed")))
 
 
 def _build_noise(section, frame):
-    import numpy as np
     from .integrators import NoiseModel
     if section is None:
         return None
-    _check_keys("noise", section, _SECTION_KEYS["noise"])
     forms = [k for k in ("amplitudes", "scale", "eigenvalue_power") if k in section]
     if len(forms) != 1:
         raise ConfigError("noise section needs exactly one of amplitudes, "
                           "scale(+decay), eigenvalue_power")
-    if "amplitudes" in section:
-        _check_keys("noise", section, {"amplitudes"})
-        b = tuple(float(x) for x in section["amplitudes"])
-        if len(b) != frame.modes:
-            raise ConfigError(f"noise has {len(b)} amplitudes, frame has "
-                              f"{frame.modes} modes")
-        return NoiseModel(b)
-    if "eigenvalue_power" in section:
-        _check_keys("noise", section, {"eigenvalue_power"})
+    if forms == ["amplitudes"]:
+        check_keys("noise", section, {"amplitudes"})
+        noise = NoiseModel(tuple(section["amplitudes"]))
+        noise.array(frame)  # refuses a count other than the frame's modes
+        return noise
+    if forms == ["eigenvalue_power"]:
+        check_keys("noise", section, {"eigenvalue_power"})
         return NoiseModel.from_eigenvalue_power(frame.eigenvalues,
                                                 float(section["eigenvalue_power"]))
+    check_keys("noise", section, {"scale", "decay"})
     decay = float(section.get("decay", 0.0))
-    b = float(section["scale"]) * (1.0 + frame.eigenvalues) ** -decay
-    return NoiseModel(tuple(float(x) for x in b))
+    return NoiseModel(tuple(float(section["scale"]) * (1.0 + frame.eigenvalues) ** -decay))
 
 
 def _resources(started):
@@ -281,8 +238,7 @@ def _spectrum_summary(frame):
 
 def _cmd_basis(args, config, base_dir):
     from .io import write_json, write_text
-    _check_keys("config", config, _COMMAND_KEYS["basis"],
-                required=("geometry", "modes"))
+    check_keys("config", config, _COMMAND_KEYS["basis"], required=("geometry", "modes"))
     frame = _load_frame(config, base_dir)  # the config is an inline frame
     os.makedirs(args.out, exist_ok=True)
     outputs = {"frame.json": write_json(os.path.join(args.out, "frame.json"),
@@ -298,18 +254,14 @@ def _cmd_basis(args, config, base_dir):
 def _cmd_resonances(args, config, base_dir):
     from .io import write_json
     from .resonance import build_resonance_table
-    _check_keys("config", config, _COMMAND_KEYS["resonances"],
-                required=("frame", "resonance"))
+    check_keys("config", config, _COMMAND_KEYS["resonances"],
+               required=("frame", "resonance"))
     frame = _load_frame(config["frame"], base_dir)
     section = config["resonance"]
-    _check_keys("resonance", section, _SECTION_KEYS["resonance"],
-                required=("patterns",))
-    kwargs = {"patterns": tuple(tuple(int(s) for s in p)
-                                for p in section["patterns"])}
+    check_keys("resonance", section, {"patterns", "eta", "mode"}, required=("patterns",))
+    kwargs = {k: section[k] for k in ("patterns", "mode") if k in section}
     if "eta" in section:
         kwargs["eta"] = float(section["eta"])
-    if "mode" in section:
-        kwargs["mode"] = section["mode"]
     table = build_resonance_table(frame, **kwargs)
     os.makedirs(args.out, exist_ok=True)
     digest = write_json(os.path.join(args.out, "table.json"), table.to_document())
@@ -321,7 +273,6 @@ def _cmd_resonances(args, config, base_dir):
 
 def _resolve_seed(args, config):
     """The run's seed (--seed over config seed), or None; one member stream is keyed."""
-    from .integrators import check_seed
     if args.seed is not None:
         return check_seed(args.seed, "--seed", keys=1)
     if config.get("seed") is not None:
@@ -331,18 +282,18 @@ def _resolve_seed(args, config):
 
 def _cmd_trajectory(args, config, base_dir, effective):
     from .fields import ResonantDrift
-    from .integrators import integrate_effective, integrate_full
+    from .integrators import SolverConfig, integrate_effective, integrate_full
     from .io import save_trajectory
     from .nonlinearity import NonlinearitySpec
     command = "effective" if effective else "simulate"
-    _check_keys("config", config, _COMMAND_KEYS[command],
-                required=("frame", "nonlinearity", "solver", "initial")
-                         + (("table",) if effective else ()))
+    check_keys("config", config, _COMMAND_KEYS[command],
+               required=("frame", "nonlinearity", "solver", "initial")
+                        + (("table",) if effective else ()))
     seed = _resolve_seed(args, config)
     frame = _load_frame(config["frame"], base_dir)
     table = _load_table(config.get("table"), frame, base_dir)
     spec = NonlinearitySpec.from_document(config["nonlinearity"])
-    solver = _build_solver(config["solver"])
+    solver = SolverConfig.from_document(config["solver"])
     v0 = _build_initial(config["initial"], frame)
     noise = _build_noise(config.get("noise"), frame)
     if noise is None or noise.is_zero:
@@ -366,12 +317,10 @@ def _cmd_trajectory(args, config, base_dir, effective):
 
 
 def _cmd_study(args, config, base_dir):
-    from .integrators import check_seed
     from .io import write_report
     from .nonlinearity import NonlinearitySpec
     from .studies import StudyConfig, run_study
-    _check_keys("config", config, _COMMAND_KEYS["study"],
-                required=("frame", "study"))
+    check_keys("config", config, _COMMAND_KEYS["study"], required=("frame", "study"))
     section = dict(config["study"])
     section.setdefault("study", args.kind)
     if section["study"] != args.kind:
@@ -420,14 +369,11 @@ def main(argv=None):
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 1
     args.started = started
-    if args.threads is not None:
-        if args.threads < 1:
-            _fail("--threads must be a positive integer")
-            return 1
-        for var in _THREAD_VARS:
-            os.environ[var] = str(args.threads)
-
     try:
+        if args.threads is not None:
+            threads = str(check_int(args.threads, "--threads", 1))
+            for var in _THREAD_VARS:
+                os.environ[var] = threads
         return _dispatch(args)
     except (ConfigError, StaleArtifactError, UnsupportedModeError,
             ValidationError) as exc:

@@ -1,4 +1,16 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the three checks that refuse
+an outside value: check_int for integers, check_seed for RNG seeds and
+check_keys for config objects.  Each value is checked once, by the object that
+reads it, and is refused rather than truncated.
+
+This module imports no numpy: cli imports it before --threads has become the
+BLAS environment variables.  numpy's integer types are numbers.Integral, so
+they pass check_int without it.
+"""
+
+import numbers
+
+_KEY_BITS = 128  # a Philox key is a 128-bit integer
 
 
 class ConfigError(ValueError):
@@ -31,3 +43,38 @@ class EnsembleError(RuntimeError):
 
 class StaleArtifactError(RuntimeError):
     """A referenced artifact does not hash-match the configuration that claims it."""
+
+
+def check_int(value, name, least=None):
+    """value as an int, refused unless it is an integer (a bool is not), and
+    >= least when least is given."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
+            or least is not None and value < least):
+        bound = "" if least is None else f" >= {least}"
+        raise ConfigError(f"{name} must be an integer{bound}, got {value!r}")
+    return int(value)
+
+
+def check_seed(seed, name, keys=None):
+    """seed as an int, refused unless it is a non-negative integer (a bool is not);
+    the base of `keys` member streams must also keep seed + keys - 1 a Philox key."""
+    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
+        raise ConfigError(f"{name} must be a non-negative integer, got {seed!r}")
+    seed = int(seed)
+    if keys is not None and seed + keys - 1 >= 2 ** _KEY_BITS:
+        raise ConfigError(f"{name} + {keys - 1} must be below 2**{_KEY_BITS}, "
+                          f"the Philox key range, got {name} = {seed}")
+    return seed
+
+
+def check_keys(name, doc, allowed, required=()):
+    """Refuse doc unless it is an object whose keys are among allowed and
+    include required."""
+    if not isinstance(doc, dict):
+        raise ConfigError(f"config section {name!r} must be an object")
+    unknown = sorted(set(doc) - set(allowed))
+    if unknown:
+        raise ConfigError(f"unknown key(s) in {name}: {', '.join(unknown)}")
+    missing = sorted(set(required) - set(doc))
+    if missing:
+        raise ConfigError(f"{name} is missing required key(s): {', '.join(missing)}")

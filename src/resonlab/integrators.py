@@ -33,7 +33,7 @@ import signal
 
 import numpy as np
 
-from .errors import BlowUpError, ConfigError, EnsembleError
+from .errors import BlowUpError, ConfigError, EnsembleError, check_int, check_keys, check_seed
 from .fields import Field, eval_Y
 from .resonance import build_diffusion
 from .spectral import mode_vector
@@ -42,7 +42,6 @@ SCHEMES = ("lawson4", "expeuler")
 NOISE_CONVENTION = "E|beta_l(tau)|^2 = 2 tau"
 _NOISE_BYTES = 1 << 22  # bytes of normals one refill of the noise buffer may hold
 _NOISE_BLOCK = 64  # members drawn into the contiguous scratch at a time
-_KEY_BITS = 128  # a Philox key is a 128-bit integer
 
 
 @dataclass(frozen=True)
@@ -73,7 +72,7 @@ class SolverConfig:
             raise ConfigError(f"unknown scheme {self.scheme!r}; choose from {SCHEMES}")
         if not (self.theta_osc > 0):
             raise ConfigError("theta_osc must be positive")
-        object.__setattr__(self, "samples", check_count(self.samples, "samples", 2))
+        object.__setattr__(self, "samples", check_int(self.samples, "samples", 2))
         if not (self.blow_up_factor > 1):
             raise ConfigError("blow_up_factor must exceed 1")
         if not (self.blow_up_norm >= 0):
@@ -87,6 +86,8 @@ class SolverConfig:
 
     @staticmethod
     def from_document(doc):
+        check_keys("solver", doc, {f.name for f in fields(SolverConfig)},
+                   required=("epsilon", "tau_end"))
         return SolverConfig(**doc)
 
 
@@ -163,25 +164,6 @@ class NoiseModel:
         return NoiseModel(tuple(doc["amplitudes"]))
 
 
-def check_count(value, name, least):
-    """value as an int, refused unless it is an integer (a bool is not) >= least."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
-        raise ConfigError(f"{name} must be an integer >= {least}, got {value!r}")
-    return int(value)
-
-
-def check_seed(seed, name, keys=None):
-    """seed as an int, refused unless it is a non-negative integer (a bool is not);
-    the base of `keys` member streams must also keep seed + keys - 1 a Philox key."""
-    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
-        raise ConfigError(f"{name} must be a non-negative integer, got {seed!r}")
-    seed = int(seed)
-    if keys is not None and seed + keys - 1 >= 2 ** _KEY_BITS:
-        raise ConfigError(f"{name} + {keys - 1} must be below 2**{_KEY_BITS}, "
-                          f"the Philox key range, got {name} = {seed}")
-    return seed
-
-
 class _NoiseStream:
     """Per-member Philox generators, drawn in step blocks of a bounded buffer.
 
@@ -212,7 +194,7 @@ class _NoiseStream:
     """
 
     def __init__(self, seed_base, members, modes, steps):
-        self.seed_base, self.members, self.modes = int(seed_base), int(members), int(modes)
+        self.seed_base, self.members, self.modes = seed_base, members, modes
         size = max(1, min(steps, _NOISE_BYTES // (16 * self.members * self.modes)))
         shape = (size, self.members, self.modes)
         self._buffer = np.frombuffer(mmap.mmap(-1, 16 * math.prod(shape)),
@@ -391,22 +373,25 @@ def _drive(a0, g, lam, mu, config, h_target, inject=None, seed=None, drift=None)
 
     A seed marks a stochastic run, which must use the expeuler scheme; noise
     that injects needs one, and draws from seed's member streams, sized to the
-    run's steps.  Members whose guard norm leaves the safety ball are frozen to
-    NaN but keep consuming their noise stream, so survivors are unaffected by
-    exclusions.  Disparity tracking (drift given) accumulates the integral of
-    g - drift by the trapezoid rule on step nodes, reusing the scheme's own k1
-    stages: a segment's first stage closes the last one's trapezoid at the
-    sample node, and one evaluation after the last step closes the run's.  The
-    expeuler update, the noise increment and the guard norm run in work arrays
-    the driver owns.  The returned "meta" (h_target, steps) is what every
-    result reports.
+    run's steps.  The seed is refused here, once per run, unless it keys all
+    of the members' streams.  Members whose guard norm leaves the safety ball
+    are frozen to NaN but keep consuming their noise stream, so survivors are
+    unaffected by exclusions.  Disparity tracking (drift given) accumulates
+    the integral of g - drift by the trapezoid rule on step nodes, reusing the
+    scheme's own k1 stages: a segment's first stage closes the last one's
+    trapezoid at the sample node, and one evaluation after the last step
+    closes the run's.  The expeuler update, the noise increment and the guard
+    norm run in work arrays the driver owns.  The returned "meta" (h_target, steps) is what every
+    result reports, and "seed" is the seed as an int.
     """
+    members, modes = a0.shape
     if seed is None and inject is not None:
         raise ConfigError("a run whose noise injects needs a seed")
-    if seed is not None and config.scheme != "expeuler":
-        raise ConfigError("stochastic runs use scheme='expeuler'")
+    if seed is not None:
+        seed = check_seed(seed, "seed", keys=members)
+        if config.scheme != "expeuler":
+            raise ConfigError("stochastic runs use scheme='expeuler'")
     taus = config.sample_taus()
-    members, modes = a0.shape
     plan = _segment_steps(taus, h_target)
     steps = sum(n for n, _ in plan)
     stream = None if inject is None else _NoiseStream(seed, members, modes, steps)
@@ -472,7 +457,7 @@ def _drive(a0, g, lam, mu, config, h_target, inject=None, seed=None, drift=None)
     return {
         "taus": taus, "states": states, "dead": dead,
         "death_tau": death_tau, "death_norm": death_norm, "bound": bound,
-        "disp_max": disp_max, "steps": steps,
+        "disp_max": disp_max, "steps": steps, "seed": seed,
         "meta": {"h_target": h_target, "steps": steps},
     }
 
@@ -512,15 +497,16 @@ def _broadcast_members(state, members, modes):
     return np.broadcast_to(a0, (members, modes)).copy() if a0.ndim == 1 else a0
 
 
-def _trajectory(run, config, frame, epsilon=None, seed=None, noise=None):
+def _trajectory(run, config, frame, epsilon=None, noise=None):
     """Member 0 of a single run; raises BlowUpError if it left the safety ball."""
+    seed = run["seed"]
     if run["dead"][0]:
         raise BlowUpError(float(run["death_tau"][0]), float(run["death_norm"][0]),
                           float(np.atleast_1d(run["bound"])[0]),
                           member=None if seed is None else 0)
     return Trajectory(
         taus=run["taus"], states=run["states"][:, 0], scheme=config.scheme,
-        epsilon=epsilon, seed=None if seed is None else int(seed),
+        epsilon=epsilon, seed=seed,
         frame_hash=frame.content_hash(),
         noise_doc=None if noise is None else noise.to_document(),
         disparity_max=None if run["disp_max"] is None else run["disp_max"][0],
@@ -560,7 +546,7 @@ def integrate_full(state, spec, frame, config, drift=None, noise=None, seed=None
     Given a seed, the run is stochastic: the noise draws from the seed's stream.
     """
     run = _run_full(state, 1, spec, frame, config, noise=noise, seed=seed, drift=drift)
-    return _trajectory(run, config, frame, epsilon=config.epsilon, seed=seed, noise=noise)
+    return _trajectory(run, config, frame, epsilon=config.epsilon, noise=noise)
 
 
 def integrate_effective(state, drift, config, noise=None, seed=None):
@@ -568,7 +554,7 @@ def integrate_effective(state, drift, config, noise=None, seed=None):
     quadrature route for oracle swaps); autonomous, so no oscillation refinement.
     Given a seed, the run is stochastic, driven by the full system's noise."""
     run = _run_effective(state, 1, drift, config, noise=noise, seed=seed)
-    return _trajectory(run, config, drift.frame, seed=seed, noise=noise)
+    return _trajectory(run, config, drift.frame, noise=noise)
 
 
 def integrate_full_stochastic(state, spec, frame, config, noise, seed):
@@ -607,7 +593,7 @@ class EnsembleResult:
 _MAX_EXCLUDED_FRACTION = 0.05
 
 
-def _summarize(run, system, frame, noise, seed_base):
+def _summarize(run, system, frame, noise):
     states, dead = run["states"], run["dead"]
     members = states.shape[1]
     excluded = [int(i) for i in np.flatnonzero(dead)]
@@ -632,7 +618,7 @@ def _summarize(run, system, frame, noise, seed_base):
     return EnsembleResult(taus=run["taus"], mean_actions=mean, var_actions=var,
                           stderr_actions=stderr, members=members,
                           excluded=excluded,
-                          seed_base=None if seed_base is None else int(seed_base),
+                          seed_base=run["seed"],
                           frame_hash=frame.content_hash(), disparity_mean=disp_mean,
                           meta={**run["meta"], "system": system,
                                 "noise": noise.to_document()})
@@ -643,10 +629,10 @@ def ensemble_full(state, spec, frame, config, noise, members, seed_base, drift=N
     A drift given tracks the disparity as integrate_full does."""
     run = _run_full(state, members, spec, frame, config, noise=noise, seed=seed_base,
                     drift=drift)
-    return _summarize(run, "full", frame, noise, seed_base)
+    return _summarize(run, "full", frame, noise)
 
 
 def ensemble_effective(state, drift, config, noise, members, seed_base):
     """Batch of noisy effective-equation runs with matched member seeding."""
     run = _run_effective(state, members, drift, config, noise=noise, seed=seed_base)
-    return _summarize(run, "effective", drift.frame, noise, seed_base)
+    return _summarize(run, "effective", drift.frame, noise)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, check_int, check_keys
 
 
 def smoothed_power_coefficients(p):
@@ -40,9 +40,7 @@ def _refuse_unwritten_keys(doc, written, where):
     """Refuse a key of doc, or of an object nested in it, that the document
     `written` (what to_document writes for the same object) does not hold."""
     if isinstance(doc, dict) and isinstance(written, dict):
-        unknown = sorted(set(doc) - set(written))
-        if unknown:
-            raise ConfigError(f"unknown key(s) in {where}: {', '.join(unknown)}")
+        check_keys(where, doc, written)
         for key in doc:
             _refuse_unwritten_keys(doc[key], written[key], f"{where}.{key}")
     elif isinstance(doc, list) and isinstance(written, list):
@@ -62,9 +60,11 @@ class MonomialFactor:
 
     @staticmethod
     def from_document(doc):
-        deriv = doc.get("derivative")
-        return MonomialFactor(bool(doc.get("conjugate", False)),
-                              None if deriv is None else int(deriv))
+        conjugate, deriv = doc.get("conjugate", False), doc.get("derivative")
+        if not isinstance(conjugate, bool):
+            raise ConfigError(f"conjugate must be true or false, got {conjugate!r}")
+        return MonomialFactor(conjugate,
+                              None if deriv is None else check_int(deriv, "derivative", 0))
 
 
 @dataclass(frozen=True)

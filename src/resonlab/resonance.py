@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 
-from .errors import ConfigError, UnsupportedModeError, ValidationError
+from .errors import ConfigError, UnsupportedModeError, ValidationError, check_int
 
 DEFAULT_ETA = 1e-8
 TABLE_SCHEMA = "resonlab-resonance-v1"
@@ -287,7 +287,7 @@ def build_resonance_table(frame, patterns=((1, -1, 1),), eta=DEFAULT_ETA, mode="
 
     Frequencies are compared by frequency_rule(frame, eta, mode).
     """
-    patterns = tuple(tuple(int(s) for s in p) for p in patterns)
+    patterns = tuple(tuple(check_int(s, "pattern sign") for s in p) for p in patterns)
     values, _, _ = frequency_rule(frame, eta, mode)
     mode = "exact" if values.dtype.kind == "i" else "float"  # exact values are integers
     lam = frame.eigenvalues

@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 
-from .errors import ConfigError, ValidationError
+from .errors import ConfigError, ValidationError, check_int
 from .resonance import check_ascending, eigenvalue_clusters
 
 TWO_PI = 2.0 * math.pi
@@ -41,9 +41,10 @@ class TorusGeometry:
             raise ConfigError(f"dimension must be 1 or 2, got {len(lengths)}")
         if any(not (x > 0.0) for x in lengths):
             raise ConfigError(f"side lengths must be positive, got {lengths}")
-        n = self.grid_points
-        if not isinstance(n, int) or n < 4 or n % 2 != 0:
-            raise ConfigError(f"grid_points must be an even integer >= 4, got {n!r}")
+        n = check_int(self.grid_points, "grid_points", 4)
+        if n % 2:
+            raise ConfigError(f"grid_points must be even, got {n}")
+        object.__setattr__(self, "grid_points", n)
 
     @property
     def dimension(self):
@@ -72,7 +73,7 @@ class TorusGeometry:
 
     @staticmethod
     def from_document(doc):
-        return TorusGeometry(tuple(doc["lengths"]), int(doc["grid_points"]))
+        return TorusGeometry(tuple(doc["lengths"]), doc["grid_points"])
 
 
 @dataclass(frozen=True)
@@ -87,10 +88,7 @@ class Potential:
     coefficients: tuple = ()
 
     def __post_init__(self):
-        items = []
-        for m, c in self.coefficients:
-            m = tuple(int(x) for x in (m if isinstance(m, (tuple, list)) else (m,)))
-            items.append((m, complex(c)))
+        items = [(_lattice_index(m), complex(c)) for m, c in self.coefficients]
         items.sort(key=lambda mc: mc[0])
         table = dict(items)
         if len(table) != len(items):
@@ -111,7 +109,7 @@ class Potential:
         """Build from {m: amplitude} with V = sum 2*amplitude*cos(2 pi m.x/L)."""
         coeffs = []
         for m, amp in terms.items():
-            m = tuple(int(x) for x in (m if isinstance(m, (tuple, list)) else (m,)))
+            m = _lattice_index(m)
             if len(m) != dimension:
                 raise ConfigError(f"cosine index {m} does not match dimension {dimension}")
             coeffs.append((m, complex(amp)))
@@ -160,8 +158,7 @@ def trig_basis(dimension, count):
     (max_i |m_i|, sum m_i^2, m lexicographic), so full symmetric windows
     |m_i| <= K are filled before anything outside them.
     """
-    if count < 1:
-        raise ConfigError("mode count must be positive")
+    count = check_int(count, "modes", 1)
     labels = [("const", (0,) * dimension)]
     shell = 0
     while len(labels) < count:
@@ -310,12 +307,18 @@ class SpectralFrame:
         geometry = TorusGeometry.from_document(doc["geometry"])
         potential = Potential.from_document(doc["potential"])
         basis = tuple((kind, tuple(m)) for kind, m in doc["basis"])
-        expected = tuple(trig_basis(geometry.dimension, int(doc["modes"])))
+        expected = tuple(trig_basis(geometry.dimension, doc["modes"]))
         if basis != expected:
             raise ValidationError("frame file basis ordering does not match the canonical ordering")
         return SpectralFrame(geometry, potential, basis,
                              np.array(doc["lambda"], dtype=float),
                              np.array(doc["psi"], dtype=float))
+
+
+def _lattice_index(m):
+    """A lattice index, given as a sequence of integers or as one integer, as a tuple."""
+    return tuple(check_int(x, "potential index")
+                 for x in (m if isinstance(m, (tuple, list)) else (m,)))
 
 
 def _read_only(array):

@@ -14,13 +14,12 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, check_int, check_keys, check_seed
 from .fields import (Observable, QuadratureDrift, ResonantDrift, action_observable,
                      default_quadrature_nodes, drift_route_residual,
                      monomial_observable, scalar_average, scalar_average_limit)
-from .integrators import (NOISE_CONVENTION, SolverConfig, check_count, check_seed,
-                          ensemble_full, ensemble_effective, integrate_effective,
-                          integrate_full)
+from .integrators import (NOISE_CONVENTION, SolverConfig, ensemble_full,
+                          ensemble_effective, integrate_effective, integrate_full)
 from .io import (REPORT_SCHEMA, content_hash, ensemble_hash, trajectory_hash)
 from .resonance import minimal_frequency_gap
 from .spectral import action_distance, sample_ball
@@ -83,7 +82,7 @@ class StudyConfig:
             raise ConfigError(f"need 0 <= s1 < s_star, got s1={self.s1} s_star={self.s_star}")
         for name, least in (("samples", 2), ("initials", 1), ("members", 2),
                             ("tracked_modes", 1), ("batches", 4)):
-            object.__setattr__(self, name, check_count(getattr(self, name), name, least))
+            object.__setattr__(self, name, check_int(getattr(self, name), name, least))
         object.__setattr__(self, "seed", check_seed(
             self.seed, "seed", keys=max(self.members, len(eps)) + 1))
         if self.initial_seed is not None:
@@ -114,11 +113,7 @@ class StudyConfig:
 
     @staticmethod
     def from_document(doc):
-        unknown = sorted(set(doc) - {f.name for f in fields(StudyConfig)})
-        if unknown:
-            raise ConfigError(f"unknown study config keys: {', '.join(unknown)}")
-        if "study" not in doc:
-            raise ConfigError("study config needs a 'study' key")
+        check_keys("study", doc, {f.name for f in fields(StudyConfig)}, required=("study",))
         return StudyConfig(**{k: (tuple(v) if isinstance(v, list) else v)
                               for k, v in doc.items()})
 

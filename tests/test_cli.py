@@ -2,6 +2,8 @@ import hashlib
 import json
 import os
 import shutil
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -140,6 +142,41 @@ def test_unknown_config_key_is_an_error(workspace, tmp_path, capsys):
         assert key in capsys.readouterr().err
 
 
+_INLINE_FRAME = {"geometry": {"lengths": [TAU], "grid_points": 16}, "modes": 5}
+
+
+@pytest.mark.parametrize("command, name, doc", [
+    ("basis", "grid_points", {**_INLINE_FRAME,
+                              "geometry": {"lengths": [TAU], "grid_points": 16.9}}),
+    ("basis", "modes", {**_INLINE_FRAME, "modes": 5.7}),
+    ("basis", "potential index", {**_INLINE_FRAME, "potential": {
+        "cosines": [{"m": [1.5], "amplitude": 0.1}]}}),
+    ("resonances", "pattern sign", {"frame": _INLINE_FRAME,
+                                    "resonance": {"patterns": [[1, -1, 1.5]]}}),
+])
+def test_fractional_integers_exit_one(tmp_path, capsys, command, name, doc):
+    # each used to be truncated: a 16-point grid, 5 modes, the pattern
+    # (1, -1, 1), the cosine index 1
+    cfg = write_config(tmp_path / "frac.json", doc)
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+    assert f"error: {name} must be an integer" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("name, factor", [("conjugate", {"conjugate": "false"}),
+                                          ("derivative", {"derivative": 0.7}),
+                                          ("derivative", {"derivative": True})])
+def test_nonlinearity_factor_values_exit_one(workspace, tmp_path, capsys, name, factor):
+    # "false" used to build a conjugated factor, 0.7 axis 0 and true axis 1
+    nonlinearity = {"kind": "polynomial", "mu": 0.5,
+                    "terms": [{"re": 1.0, "im": 0.0, "factors": [factor]}]}
+    cfg = write_config(workspace["dir"] / "factor.json", _simulate_config(
+        workspace, nonlinearity=nonlinearity))
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+    assert f"error: {name} must be" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_missing_frame_file_is_actionable(workspace, tmp_path, capsys):
     cfg = write_config(tmp_path / "r.json", {
         "frame": {"file": "nowhere/frame.json", "sha256": "0" * 64},
@@ -241,6 +278,17 @@ def test_seedless_noisy_effective_builds_no_drift(workspace, tmp_path, capsys, m
     assert main(["effective", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
     assert "seed" in capsys.readouterr().err
     assert built == []
+
+
+def test_wrong_noise_count_exits_one_before_any_drift(workspace, tmp_path, capsys,
+                                                     monkeypatch):
+    built = _count_drift_builds(monkeypatch)
+    cfg = write_config(workspace["dir"] / "count.json", _simulate_config(
+        workspace, table=workspace["table_ref"], solver=_NOISY_SOLVER, seed=9,
+        noise={"amplitudes": [0.1] * 3}))
+    assert main(["effective", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+    assert "noise has 3 amplitudes, the frame has 5 modes" in capsys.readouterr().err
+    assert built == [] and not (tmp_path / "o").exists()
 
 
 def _count_drift_builds(monkeypatch):
@@ -534,3 +582,21 @@ def test_threads_flag_sets_environment(workspace, tmp_path, monkeypatch):
     assert main(["basis", "--config", cfg, "--out", str(tmp_path / "t"),
                  "--threads", "2"]) == 0
     assert os.environ["OPENBLAS_NUM_THREADS"] == "2"
+
+
+def test_bad_threads_exit_one(workspace, tmp_path, capsys, monkeypatch):
+    monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+    cfg = str(workspace["dir"] / "basis.json")
+    assert main(["basis", "--config", cfg, "--out", str(tmp_path / "t"),
+                 "--threads", "0"]) == 1
+    assert "--threads must be an integer >= 1, got 0" in capsys.readouterr().err
+    assert "OPENBLAS_NUM_THREADS" not in os.environ
+
+
+def test_importing_the_cli_loads_no_numpy():
+    # --threads only pins BLAS if numpy loads after the variables are set
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = {**os.environ, "PYTHONPATH": src}
+    subprocess.run([sys.executable, "-c",
+                    "import resonlab.cli, sys; assert 'numpy' not in sys.modules"],
+                   env=env, check=True)

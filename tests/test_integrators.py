@@ -363,6 +363,42 @@ def test_injecting_noise_needs_a_seed(frame_1d_5):
             run()
 
 
+def test_runs_refuse_seeds_that_are_not_keys(frame_1d_5):
+    # seed=3.7 used to run seed 3 and record 3, seed=True recorded 1, and a
+    # negative seed escaped as numpy's ValueError from the Philox constructor
+    cfg = SolverConfig(epsilon=0.5, tau_end=0.1, dt=5e-3, scheme="expeuler", samples=3)
+    a0 = 0.4 * np.ones(5, dtype=complex)
+    noise = NoiseModel((0.3, 0.3, 0.3, 0.2, 0.2))
+    drift = ResonantDrift(frame_1d_5, CUBIC, build_resonance_table(frame_1d_5))
+    runs = {"integrate_full": lambda seed: integrate_full(a0, CUBIC, frame_1d_5, cfg,
+                                                          noise=noise, seed=seed),
+            "integrate_effective": lambda seed: integrate_effective(a0, drift, cfg,
+                                                                    noise=noise, seed=seed),
+            "ensemble_full": lambda seed: ensemble_full(a0, CUBIC, frame_1d_5, cfg,
+                                                        noise, 2, seed),
+            "ensemble_effective": lambda seed: ensemble_effective(a0, drift, cfg,
+                                                                  noise, 2, seed)}
+    for name, run in runs.items():
+        # one member keys seed .. seed, two members seed .. seed + 1
+        top = 2 ** 128 if name.startswith("integrate") else 2 ** 128 - 1
+        for bad in (3.7, True, -1, "7", top):
+            with pytest.raises(ConfigError, match="^seed "):
+                run(bad)
+        as_int, as_numpy = run(7), run(np.int64(7))
+        states = "states" if name.startswith("integrate") else "mean_actions"
+        assert np.array_equal(getattr(as_int, states), getattr(as_numpy, states)), name
+        recorded = as_numpy.seed if name.startswith("integrate") else as_numpy.seed_base
+        assert type(recorded) is int and recorded == 7, name
+
+
+def test_solver_document_refuses_unknown_and_missing_keys():
+    # an unknown key used to escape as TypeError from the dataclass constructor
+    with pytest.raises(ConfigError, match="foo"):
+        SolverConfig.from_document({"epsilon": 0.1, "tau_end": 1.0, "foo": 1})
+    with pytest.raises(ConfigError, match="tau_end"):
+        SolverConfig.from_document({"epsilon": 0.1})
+
+
 def test_stochastic_aliases_return_their_survivors_bitwise(frame_1d_5):
     cfg = SolverConfig(epsilon=0.5, tau_end=0.1, dt=5e-3, scheme="expeuler", samples=3)
     a0 = 0.4 * np.ones(5, dtype=complex)

@@ -280,6 +280,15 @@ def test_table_document_refuses_malformed_tuples(frame_1d_9):
             pytest.fail(name)
 
 
+def test_table_refuses_pattern_signs_that_are_not_integers(frame_1d_5):
+    # (1, -1, 1.5) used to be truncated to the cubic pattern (1, -1, 1)
+    for bad in (1.5, True, "1"):
+        with pytest.raises(ConfigError, match="^pattern sign must be an integer"):
+            build_resonance_table(frame_1d_5, patterns=((1, -1, bad),))
+    table = build_resonance_table(frame_1d_5, patterns=((1, np.int64(-1), 1),))
+    assert table.content_hash() == build_resonance_table(frame_1d_5).content_hash()
+
+
 def test_suggested_window(frame_1d_5):
     table = build_resonance_table(frame_1d_5)
     assert table.suggested_window() == pytest.approx(50 * TAU)

@@ -125,10 +125,31 @@ def test_even_mode_count_truncates_canonically():
 def test_rejects_bad_geometry():
     with pytest.raises(ConfigError):
         TorusGeometry((TAU,), 7)  # odd grid
+    for bad in (16.9, True):  # 16.9 used to build a 16-point grid
+        with pytest.raises(ConfigError, match="^grid_points must be an integer"):
+            TorusGeometry((TAU,), bad)
     with pytest.raises(ConfigError):
         TorusGeometry((-1.0,), 16)
     with pytest.raises(ConfigError):
         TorusGeometry((TAU, TAU, TAU), 16)  # d = 3 unsupported
+
+
+def test_numpy_integer_sizes_build_the_int_frame():
+    # TorusGeometry used to refuse np.int64(16) while build_frame took np.int64(5)
+    frame = build_frame(TorusGeometry((TAU,), np.int64(16)), Potential.zero(), np.int64(5))
+    assert type(frame.geometry.grid_points) is int
+    want = build_frame(TorusGeometry((TAU,), 16), Potential.zero(), 5)
+    assert frame.content_hash() == want.content_hash()
+
+
+def test_fractional_modes_and_potential_indices_are_refused():
+    # each used to be truncated to an integer, building another problem
+    for make, name in ((lambda: build_frame(TorusGeometry((TAU,), 16), Potential.zero(), 5.7),
+                        "modes"),
+                       (lambda: Potential.from_cosines({(1.5,): 0.1}), "potential index"),
+                       (lambda: Potential((((1.5,), 0.1), ((-1.5,), 0.1))), "potential index")):
+        with pytest.raises(ConfigError, match=f"^{name} must be an integer"):
+            make()
 
 
 def test_rejects_undersized_grid():
