@@ -30,10 +30,15 @@ _NODE_BUDGET = 10 ** 6  # most quadrature nodes one finite-window average may ta
 _BATCH_BYTES = 1 << 23
 
 
-def check_grid_resolution(spec, frame):
-    """Dealiasing rule for polynomial kinds: N_g >= 2 * degree * window radius."""
+def check_spec_on_frame(spec, frame):
+    """A polynomial kind's derivative axes exist on the frame, and its products
+    are dealiased: N_g >= 2 * degree * window radius."""
     if not spec.is_polynomial:
         return
+    for axis in {f.derivative for t in spec.polynomial_terms() for f in t.factors} - {None}:
+        if not 0 <= axis < frame.dimension:
+            raise ConfigError(f"derivative axis {axis} does not exist on a frame of "
+                              f"dimension {frame.dimension}")
     need = 2 * spec.degree * frame.window_radius
     if frame.geometry.grid_points < need:
         raise ConfigError(
@@ -63,7 +68,7 @@ class Field:
         if spec.kind == "diagonal":
             self.diagonal = _diagonal_gammas(spec, frame)
             return
-        check_grid_resolution(spec, frame)
+        check_spec_on_frame(spec, frame)
         linear = [t for t in spec.terms if t.factors == (MonomialFactor(),)]
         rest = tuple(t for t in spec.terms if t not in linear)
         self.pointwise = (replace(spec, terms=rest) if linear and rest else spec).pointwise
@@ -275,7 +280,7 @@ class ResonantDrift:
             raise ConfigError("analytic drift route needs a polynomial nonlinearity")
         if table is None:
             raise ConfigError("analytic drift route needs a resonance table")
-        check_grid_resolution(spec, frame)
+        check_spec_on_frame(spec, frame)
         _check_table_frame(table, frame)
         self.gammas = None
         dx = frame.cell_volume

@@ -8,15 +8,16 @@ exponential (Lawson) schemes:
 
 Deterministic runs use a Lawson RK4 step by default; stochastic runs use an
 exponential Euler-Maruyama step.  Each system has one single-run function
-(integrate_full, integrate_effective; noise and seed optional) and one ensemble
-function, and all four run through one batched driver, _drive, which alone
-makes a run stochastic: a seed marks one, so a zero-amplitude stochastic run
-is bitwise identical to the deterministic "expeuler" scheme.  Runs take the
-averaged drift they integrate or track the disparity against (a
-fields.ResonantDrift or QuadratureDrift, built by the caller and reused across
-runs); nothing here builds one.  Noisy runs of both systems take the full
-system's NoiseModel, whose resonant average (resonance.build_diffusion) is the
-effective run's diffusion B.
+(integrate_full, integrate_effective; noise and seed optional; every member of
+an (n, M) batch of initial states is run) and one ensemble function, and all
+four run through one batched driver, _drive, which alone makes a run
+stochastic: a seed marks one, so a zero-amplitude stochastic run is bitwise
+identical to the deterministic "expeuler" scheme.  Runs take the averaged drift
+they integrate or track the disparity against (a fields.ResonantDrift or
+QuadratureDrift, built by the caller and reused across runs); nothing here
+builds one.  Noisy runs of both systems take the full system's NoiseModel,
+whose resonant average (resonance.build_diffusion) is the effective run's
+diffusion B.
 Complex noise follows the convention E|beta_l(tau)|^2 = 2 tau (independent
 standard real and imaginary parts).
 A stochastic run's normals are drawn ahead by one forked producer process that
@@ -102,13 +103,13 @@ class Trajectory:
     """Sampled mode coordinates of a single run (interaction representation)."""
 
     taus: np.ndarray
-    states: np.ndarray          # (samples, modes) complex
+    states: np.ndarray          # (samples, modes) complex, or (samples, members, modes)
     scheme: str
     epsilon: float | None = None   # None marks an effective-equation run
     seed: int | None = None
     frame_hash: str | None = None
     noise_doc: dict | None = None
-    disparity_max: np.ndarray | None = None  # running max of |gap integral|
+    disparity_max: np.ndarray | None = None  # running max of |gap integral|, per member
     meta: dict | None = None
 
     def actions(self):
@@ -464,52 +465,59 @@ def _drive(a0, g, lam, mu, config, h_target, inject=None, seed=None, drift=None)
 
 # -- run helpers: one per system, shared by single runs and ensembles --------
 
+def _rotated_field(spec, frame, epsilon):
+    """The full system's field Y(a, tau / epsilon), the one spelling of fast time."""
+    field, inv_eps = Field(spec, frame), 1.0 / epsilon
+    return lambda x, tau: eval_Y(x, inv_eps * tau, field)
+
+
 def _run_full(state, members, spec, frame, config, noise=None, seed=None, drift=None):
-    """Drive the rotated full system, Y(a, tau / epsilon) in slow time, from state
-    over `members` members; a drift given is what the disparity is tracked
-    against, and must be of this spec and frame."""
+    """Drive the rotated full system from state over `members` members; a drift
+    given tracks the disparity, and must be of this spec and frame."""
     if drift is not None and (drift.spec != spec or (
             drift.frame is not frame and drift.frame.content_hash() != frame.content_hash())):
         raise ConfigError("disparity tracking needs a drift of the run's spec and frame")
-    a0 = _broadcast_members(state, members, frame.modes)
+    a0 = _initial_batch(state, members, frame.modes)
     inject = None if noise is None else _noise_injector(noise, frame, config.epsilon)
-    field, inv_eps = Field(spec, frame), 1.0 / config.epsilon
-    return _drive(a0, lambda x, tau: eval_Y(x, inv_eps * tau, field), frame.eigenvalues,
+    return _drive(a0, _rotated_field(spec, frame, config.epsilon), frame.eigenvalues,
                   spec.mu, config, oscillation_step(config, frame.eigenvalues),
                   inject=inject, seed=seed, drift=drift)
 
 
 def _run_effective(state, members, drift, config, noise=None, seed=None):
     """Drive the averaged system of a drift from state over `members` members."""
-    a0 = _broadcast_members(state, members, drift.frame.modes)
+    a0 = _initial_batch(state, members, drift.frame.modes)
     inject = None if noise is None else _noise_injector(noise, drift.frame)
     return _drive(a0, lambda x, tau: drift(x), drift.frame.eigenvalues, drift.spec.mu,
                   config, config.dt, inject=inject, seed=seed)
 
 
-def _broadcast_members(state, members, modes):
-    """The initial (members, modes) batch: state as given, or one (modes,) state
-    repeated; any other shape is refused."""
+def _initial_batch(state, members, modes):
+    """The initial (members, modes) batch: one (modes,) state repeated, or an
+    (n, modes) batch, where an ensemble needs n = members and a single run
+    (members None) takes any n >= 1; any other shape is refused."""
     a0 = mode_vector(state)
-    if a0.shape not in ((modes,), (members, modes)):
-        raise ConfigError(f"initial state must have shape ({modes},) or ({members}, {modes}), "
-                          f"got {a0.shape}")
-    return np.broadcast_to(a0, (members, modes)).copy() if a0.ndim == 1 else a0
+    n = len(np.atleast_2d(a0)) if members is None else members
+    if a0.shape not in ((modes,), (n, modes)) or n == 0:
+        raise ConfigError(f"initial state must have shape ({modes},) or "
+                          f"({'n >= 1' if members is None else members}, {modes}), got {a0.shape}")
+    return np.broadcast_to(a0, (n, modes)).copy() if a0.ndim == 1 else a0
 
 
-def _trajectory(run, config, frame, epsilon=None, noise=None):
-    """Member 0 of a single run; raises BlowUpError if it left the safety ball."""
-    seed = run["seed"]
-    if run["dead"][0]:
-        raise BlowUpError(float(run["death_tau"][0]), float(run["death_norm"][0]),
-                          float(np.atleast_1d(run["bound"])[0]),
-                          member=None if seed is None else 0)
+def _trajectory(run, shape, config, frame, epsilon=None, noise=None):
+    """Every member of a single run from an initial state of the given shape:
+    (samples, *shape) states.  Raises BlowUpError naming the first member that
+    left the safety ball, or none for a deterministic (modes,) run."""
+    seed, dead = run["seed"], run["dead"]
+    if dead.any():
+        i = int(np.argmax(dead))
+        raise BlowUpError(float(run["death_tau"][i]), float(run["death_norm"][i]),
+                          float(run["bound"][i]), None if seed is None and len(shape) == 1 else i)
     return Trajectory(
-        taus=run["taus"], states=run["states"][:, 0], scheme=config.scheme,
-        epsilon=epsilon, seed=seed,
-        frame_hash=frame.content_hash(),
+        taus=run["taus"], states=run["states"].reshape(-1, *shape), scheme=config.scheme,
+        epsilon=epsilon, seed=seed, frame_hash=frame.content_hash(),
         noise_doc=None if noise is None else noise.to_document(),
-        disparity_max=None if run["disp_max"] is None else run["disp_max"][0],
+        disparity_max=None if run["disp_max"] is None else run["disp_max"].reshape(shape),
         meta=run["meta"])
 
 
@@ -524,37 +532,33 @@ def step_full_deterministic(state, tau, h, spec, frame, config):
     limit = oscillation_step(config, frame.eigenvalues)
     if h > limit * (1.0 + 1e-9):
         raise ConfigError(f"step {h:.3g} exceeds the oscillation bound {limit:.3g}")
-    a = np.atleast_2d(mode_vector(state))
-    lam = frame.eigenvalues
+    a, lam = mode_vector(state), frame.eigenvalues
     E = np.exp(-spec.mu * lam * h)
-    field, inv_eps = Field(spec, frame), 1.0 / config.epsilon
-    g = lambda x, t: eval_Y(x, inv_eps * t, field)  # fast time as _run_full spells it
+    g = _rotated_field(spec, frame, config.epsilon)
     k1 = g(a, tau)
     if config.scheme == "lawson4":
-        E2 = np.exp(-spec.mu * lam * (0.5 * h))
-        out = _lawson4_step(a, tau, h, E, E2, g, k1)
-    else:
-        out = _expeuler_step(a, h, E, k1)
-    return out.reshape(np.shape(mode_vector(state)))
+        return _lawson4_step(a, tau, h, E, np.exp(-spec.mu * lam * (0.5 * h)), g, k1)
+    return _expeuler_step(a, h, E, k1)
 
 
 def integrate_full(state, spec, frame, config, drift=None, noise=None, seed=None):
-    """Integrate the rotated full system from tau = 0 to tau_end.
+    """Integrate the rotated full system from tau = 0 to tau_end, from one (M,)
+    state or from each member of an (n, M) batch.
 
     Given the averaged drift of the same spec and frame, the running integral
     of Y - drift along the numerical trajectory is accumulated and sampled.
-    Given a seed, the run is stochastic: the noise draws from the seed's stream.
+    Given a seed, the run is stochastic: member i draws noise from seed + i's stream.
     """
-    run = _run_full(state, 1, spec, frame, config, noise=noise, seed=seed, drift=drift)
-    return _trajectory(run, config, frame, epsilon=config.epsilon, noise=noise)
+    run = _run_full(state, None, spec, frame, config, noise=noise, seed=seed, drift=drift)
+    return _trajectory(run, np.shape(state), config, frame, config.epsilon, noise)
 
 
 def integrate_effective(state, drift, config, noise=None, seed=None):
-    """Integrate the averaged equation of a drift (the resonant sum, or the
-    quadrature route for oracle swaps); autonomous, so no oscillation refinement.
-    Given a seed, the run is stochastic, driven by the full system's noise."""
-    run = _run_effective(state, 1, drift, config, noise=noise, seed=seed)
-    return _trajectory(run, config, drift.frame, noise=noise)
+    """integrate_full's counterpart for the averaged equation of a drift (the
+    resonant sum, or the quadrature route for oracle swaps), driven by the full
+    system's noise; autonomous, so no oscillation refinement."""
+    run = _run_effective(state, None, drift, config, noise=noise, seed=seed)
+    return _trajectory(run, np.shape(state), config, drift.frame, noise=noise)
 
 
 def integrate_full_stochastic(state, spec, frame, config, noise, seed):

@@ -225,7 +225,7 @@ def _trajectory_lines(trajectory, config=None):
     from .integrators import NOISE_CONVENTION
     header = {
         "schema": TRAJECTORY_SCHEMA,
-        "modes": int(trajectory.states.shape[1]),
+        "modes": int(trajectory.states.shape[-1]),
         "scheme": trajectory.scheme,
         "epsilon": trajectory.epsilon,
         "seed": trajectory.seed,
@@ -247,8 +247,8 @@ def _trajectory_lines(trajectory, config=None):
 
 
 def save_trajectory(path, trajectory, config=None):
-    """JSON-lines: a header record, then one record per sample; returns the
-    file's sha256."""
+    """JSON-lines: a header record, then one record per sample, whose lists nest
+    one per member for a batch run; returns the file's sha256."""
     return _digest(_trajectory_lines(trajectory, config), path)
 
 

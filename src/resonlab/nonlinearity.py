@@ -12,7 +12,7 @@ quintic on [0, 1] that matches value and first two derivatives at 1 and
 vanishes to second order at 0.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -36,16 +36,19 @@ def smoothed_power(x, p):
     return np.where(x >= 1.0, np.maximum(x, 1e-300) ** p, inner)
 
 
-def _refuse_unwritten_keys(doc, written, where):
-    """Refuse a key of doc, or of an object nested in it, that the document
-    `written` (what to_document writes for the same object) does not hold."""
-    if isinstance(doc, dict) and isinstance(written, dict):
-        check_keys(where, doc, written)
-        for key in doc:
-            _refuse_unwritten_keys(doc[key], written[key], f"{where}.{key}")
-    elif isinstance(doc, list) and isinstance(written, list):
-        for i, (item, written_item) in enumerate(zip(doc, written)):
-            _refuse_unwritten_keys(item, written_item, f"{where}[{i}]")
+def _parts(doc, key, where):
+    """(place, part) of each part of the list doc[key], none when it is absent;
+    a value that is not a list is refused.  Each part's reader checks its keys."""
+    parts = doc.get(key, [])
+    if not isinstance(parts, (list, tuple)):
+        raise ConfigError(f"{where}.{key} must be a list, got {parts!r}")
+    return [(f"{where}.{key}[{i}]", part) for i, part in enumerate(parts)]
+
+
+def _complex_part(doc, where):
+    """re + i im of a config object that holds only those two keys."""
+    check_keys(where, doc, ("re", "im"), required=("re", "im"))
+    return complex(doc["re"], doc["im"])
 
 
 @dataclass(frozen=True)
@@ -59,7 +62,8 @@ class MonomialFactor:
         return {"conjugate": self.conjugate, "derivative": self.derivative}
 
     @staticmethod
-    def from_document(doc):
+    def from_document(doc, where="factor"):
+        check_keys(where, doc, ("conjugate", "derivative"))
         conjugate, deriv = doc.get("conjugate", False), doc.get("derivative")
         if not isinstance(conjugate, bool):
             raise ConfigError(f"conjugate must be true or false, got {conjugate!r}")
@@ -95,9 +99,11 @@ class MonomialTerm:
                 "factors": [f.to_document() for f in self.factors]}
 
     @staticmethod
-    def from_document(doc):
+    def from_document(doc, where="term"):
+        check_keys(where, doc, ("re", "im", "factors"), required=("re", "im"))
         return MonomialTerm(complex(doc["re"], doc["im"]),
-                            tuple(MonomialFactor.from_document(f) for f in doc["factors"]))
+                            tuple(MonomialFactor.from_document(f, at)
+                                  for at, f in _parts(doc, "factors", where)))
 
 
 CUBIC_TERM = MonomialTerm(1j, (MonomialFactor(), MonomialFactor(conjugate=True), MonomialFactor()))
@@ -208,15 +214,19 @@ class NonlinearitySpec:
 
     @staticmethod
     def from_document(doc):
+        where = "nonlinearity"
+        check_keys(where, doc, {f.name for f in fields(NonlinearitySpec)})
         kind = doc.get("kind")
         kwargs = {"kind": kind, "mu": float(doc.get("mu", 0.0))}
         if kind == "smoothed_monomial":
             kwargs.update(gr=float(doc.get("gr", 0.0)), gi=float(doc.get("gi", 0.0)),
                           p=float(doc.get("p", 1.0)), q=float(doc.get("q", 1.0)))
         elif kind == "diagonal":
-            kwargs["gammas"] = tuple(complex(g["re"], g["im"]) for g in doc.get("gammas", ()))
+            kwargs["gammas"] = tuple(_complex_part(g, at)
+                                     for at, g in _parts(doc, "gammas", where))
         elif kind == "polynomial":
-            kwargs["terms"] = tuple(MonomialTerm.from_document(t) for t in doc.get("terms", ()))
+            kwargs["terms"] = tuple(MonomialTerm.from_document(t, at)
+                                    for at, t in _parts(doc, "terms", where))
         spec = NonlinearitySpec(**kwargs)
-        _refuse_unwritten_keys(doc, spec.to_document(), "nonlinearity")
+        check_keys(where, doc, spec.to_document())  # and no key of another kind
         return spec

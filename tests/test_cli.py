@@ -177,6 +177,51 @@ def test_nonlinearity_factor_values_exit_one(workspace, tmp_path, capsys, name, 
     assert not (tmp_path / "o").exists()
 
 
+_TERM = {"re": 1.0, "im": 0.0, "factors": [{"conjugate": False}]}
+
+
+@pytest.mark.parametrize("place, nonlinearity", [
+    ("'nonlinearity'", [1]),
+    ("nonlinearity.terms must be a list", {"kind": "polynomial", "mu": 0.5, "terms": 1}),
+    ("'nonlinearity.terms[1]'", {"kind": "polynomial", "mu": 0.5, "terms": [_TERM, 1]}),
+    ("'nonlinearity.terms[0].factors[0]'", {"kind": "polynomial", "mu": 0.5,
+                                            "terms": [{**_TERM, "factors": [1]}]}),
+    ("'nonlinearity.gammas[2]'", {"kind": "diagonal", "mu": 0.5,
+                                  "gammas": [{"re": -1.0, "im": 0.0}] * 2 + [1] * 3}),
+    ("nonlinearity.terms[0] is missing required key(s): re", {
+        "kind": "polynomial", "mu": 0.5, "terms": [{"im": 1.0, "factors": [{}]}]}),
+])
+def test_malformed_nonlinearity_parts_exit_one(workspace, tmp_path, capsys, place,
+                                               nonlinearity):
+    # "factors": [1] and "nonlinearity": [1] used to escape as AttributeError
+    # tracebacks, "terms": [1], "gammas": [1, ...] and a term with no "re" as
+    # "malformed config" that named no place
+    cfg = write_config(workspace["dir"] / "part.json", _simulate_config(
+        workspace, nonlinearity=nonlinearity))
+    out = tmp_path / "o"
+    assert main(["simulate", "--config", cfg, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert place in err, err
+    assert "malformed" not in err and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["simulate", "effective"])
+def test_derivative_axis_beyond_the_frame_exits_one(workspace, tmp_path, capsys, command):
+    # "derivative": 1 on the 1-D workspace frame used to die with IndexError
+    nonlinearity = {"kind": "polynomial", "mu": 0.5, "terms": [{
+        "re": 0.0, "im": 1.0,
+        "factors": [{}, {"conjugate": True}, {"derivative": 1}]}]}
+    tables = {"table": workspace["table_ref"]} if command == "effective" else {}
+    cfg = write_config(workspace["dir"] / "axis.json", _simulate_config(
+        workspace, nonlinearity=nonlinearity, **tables))
+    out = tmp_path / "o"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "error: derivative axis 1 does not exist on a frame of dimension 1" in err, err
+    assert not out.exists()
+
+
 def test_missing_frame_file_is_actionable(workspace, tmp_path, capsys):
     cfg = write_config(tmp_path / "r.json", {
         "frame": {"file": "nowhere/frame.json", "sha256": "0" * 64},

@@ -327,6 +327,28 @@ def test_polynomial_pointwise_matches_term_loop_bitwise():
         assert np.array_equal(spec.pointwise(u, (gx, gy)), expect)
 
 
+def test_derivative_axis_must_exist_on_the_frame(frame_1d_9, frame_2d_9):
+    # axis 1 on a 1-D frame used to die with IndexError: in Field at the first
+    # evaluation, in ResonantDrift at its construction; axis -1 on a 2-D frame
+    # ran as axis 1
+    def spec(axis):
+        term = MonomialTerm(0.4j, (MonomialFactor(), MonomialFactor(conjugate=True),
+                                   MonomialFactor(derivative=axis)))
+        return NonlinearitySpec("polynomial", mu=0.5, terms=(term,))
+
+    for frame, axis in ((frame_1d_9, 1), (frame_2d_9, -1)):
+        table = build_resonance_table(frame)
+        for build in (lambda: Field(spec(axis), frame),
+                      lambda: ResonantDrift(frame, spec(axis), table)):
+            with pytest.raises(ConfigError, match=f"derivative axis {axis} .* dimension "
+                                                  f"{frame.dimension}"):
+                build()
+    v = sample_ball(frame_2d_9, 2.0, 1.0, np.random.default_rng(8))
+    drift = ResonantDrift(frame_2d_9, spec(1), build_resonance_table(frame_2d_9))
+    assert np.all(np.isfinite(eval_P(v, Field(spec(1), frame_2d_9))))
+    assert np.all(np.isfinite(drift(v)))
+
+
 def test_derivative_terms_require_positive_mu():
     dterm = MonomialTerm(1.0, (MonomialFactor(), MonomialFactor(derivative=0)))
     with pytest.raises(ConfigError):

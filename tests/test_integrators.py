@@ -310,6 +310,66 @@ def test_deterministic_blow_up_raises(frame_1d_5):
     assert info.value.norm > info.value.bound
 
 
+# -- batch runs: initial data as members -------------------------------------
+
+@pytest.mark.parametrize("frame_name", ["frame_1d_9_cos", "frame_2d_9"])
+def test_batch_members_are_single_runs(request, frame_name):
+    # member j of an (n, M) run is the (M,) run of initial j: bitwise for the
+    # effective flow, and up to the BLAS rounding of the batched eval_P GEMMs
+    # for the full system
+    frame = request.getfixturevalue(frame_name)
+    table = build_resonance_table(frame, [(1, -1, 1)])
+    drift = ResonantDrift(frame, CUBIC, table)
+    rng = np.random.default_rng(11)
+    initials = np.array([sample_ball(frame, 2.0, 1.0, rng) for _ in range(3)])
+    cfg = SolverConfig(epsilon=0.1, tau_end=0.2, dt=2e-3, samples=5)
+    eff = integrate_effective(initials, drift, cfg)
+    full = integrate_full(initials, CUBIC, frame, cfg, drift=drift)
+    assert eff.states.shape == full.states.shape == (5, 3, frame.modes)
+    assert full.disparity_max.shape == (3, frame.modes)
+    for j, v0 in enumerate(initials):
+        assert np.array_equal(eff.states[:, j], integrate_effective(v0, drift, cfg).states)
+        single = integrate_full(v0, CUBIC, frame, cfg, drift=drift)
+        scale = np.max(np.abs(single.states))
+        assert np.max(np.abs(full.states[:, j] - single.states)) <= 1e-13 * scale
+        assert np.allclose(full.disparity_max[j], single.disparity_max, rtol=1e-12, atol=1e-15)
+
+
+def test_noisy_batch_members_are_seeded_singles(frame_1d_5):
+    # the per-member form of test_members_reproduce_batch: member i of a noisy
+    # (3, M) run draws from seed + i, as the single run at that seed does
+    rng = np.random.default_rng(4)
+    initials = np.array([sample_ball(frame_1d_5, 2.0, 0.8, rng) for _ in range(3)])
+    noise = NoiseModel((0.3, 0.3, 0.3, 0.2, 0.2))
+    drift = ResonantDrift(frame_1d_5, CUBIC, build_resonance_table(frame_1d_5))
+    cfg = SolverConfig(epsilon=0.5, tau_end=0.3, dt=5e-3, scheme="expeuler", samples=4)
+    full = integrate_full(initials, CUBIC, frame_1d_5, cfg, noise=noise, seed=40)
+    eff = integrate_effective(initials, drift, cfg, noise=noise, seed=40)
+    assert full.seed == eff.seed == 40
+    for i, v0 in enumerate(initials):
+        single_full = integrate_full(v0, CUBIC, frame_1d_5, cfg, noise=noise, seed=40 + i)
+        single_eff = integrate_effective(v0, drift, cfg, noise=noise, seed=40 + i)
+        assert np.allclose(full.states[:, i], single_full.states, rtol=0, atol=1e-12)
+        assert np.allclose(eff.states[:, i], single_eff.states, rtol=0, atol=1e-12)
+
+
+def test_batch_blow_up_names_the_member(frame_1d_5):
+    # uniform growth e^{5 tau}: only the member that starts far out crosses
+    # 100 * (its initial norm + 1) by tau = 1
+    spec = diag_spec([5.0] * 5)
+    cfg = SolverConfig(epsilon=1.0, tau_end=1.0, dt=0.01, samples=3)
+    batch = np.zeros((3, 5), complex)
+    batch[:, 0] = 0.1, 10.0, 0.1
+    with pytest.raises(BlowUpError, match=r"\(member 1\)") as info:
+        integrate_full(batch, spec, frame_1d_5, cfg)
+    assert info.value.member == 1 and info.value.norm > info.value.bound
+    # alone, the same state blows up as a deterministic run names no member
+    with pytest.raises(BlowUpError) as info:
+        integrate_full(batch[1], spec, frame_1d_5, cfg)
+    assert info.value.member is None
+    assert integrate_full(batch[::2], spec, frame_1d_5, cfg).states.shape == (3, 2, 5)
+
+
 # -- stochastic machinery ---------------------------------------------------
 
 def test_noise_model_basics(frame_1d_5):
@@ -331,19 +391,30 @@ def test_stochastic_requires_expeuler(frame_1d_5):
 
 
 def test_runs_refuse_states_of_the_wrong_shape(frame_1d_5):
-    # a single run takes one (5,) state, an ensemble of 4 members one (5,) or
-    # (4, 5) state; a (3, 5) batch or a (4,) vector is refused before any step
+    # a single run takes one (5,) state or an (n, 5) batch with n >= 1, whose
+    # rows it runs as members (a (3, 5) batch used to be refused); an ensemble
+    # of 4 members takes one (5,) or (4, 5) state.  Any other shape is refused
+    # before any step
     cfg = SolverConfig(epsilon=0.5, tau_end=0.1, dt=5e-3, scheme="expeuler")
     noise = NoiseModel((0.3, 0.3, 0.3, 0.2, 0.2))
     drift = ResonantDrift(frame_1d_5, CUBIC, build_resonance_table(frame_1d_5))
-    runs = (lambda a: integrate_full(a, CUBIC, frame_1d_5, cfg),
-            lambda a: integrate_effective(a, drift, cfg),
-            lambda a: integrate_full(a, CUBIC, frame_1d_5, cfg, noise=noise, seed=1),
-            lambda a: integrate_effective(a, drift, cfg, noise=noise, seed=1),
-            lambda a: ensemble_full(a, CUBIC, frame_1d_5, cfg, noise, 4, 1),
-            lambda a: ensemble_effective(a, drift, cfg, noise, 4, 1))
-    for run in runs:
-        for a0 in (0.4 * np.ones((3, 5), complex), 0.4 * np.ones(4, complex)):
+    singles = (lambda a, seed: integrate_full(a, CUBIC, frame_1d_5, cfg),
+               lambda a, seed: integrate_effective(a, drift, cfg),
+               lambda a, seed: integrate_full(a, CUBIC, frame_1d_5, cfg, noise=noise, seed=seed),
+               lambda a, seed: integrate_effective(a, drift, cfg, noise=noise, seed=seed))
+    ensembles = (lambda a: ensemble_full(a, CUBIC, frame_1d_5, cfg, noise, 4, 1),
+                 lambda a: ensemble_effective(a, drift, cfg, noise, 4, 1))
+    batch, vector = 0.4 * np.ones((3, 5), complex), 0.4 * np.ones(4, complex)
+    for run in singles:
+        members = run(batch, 1).states
+        assert members.shape == (cfg.samples, 3, 5)
+        for i in range(3):  # member i of a noisy batch draws from seed 1 + i
+            assert np.allclose(members[:, i], run(batch[i], 1 + i).states, rtol=0, atol=1e-12)
+        for a0 in (vector, np.zeros((0, 5)), np.zeros((2, 3, 5)), np.zeros((3, 4))):
+            with pytest.raises(ConfigError, match="initial state must have shape"):
+                run(a0, 1)
+    for run in ensembles:
+        for a0 in (batch, vector):
             with pytest.raises(ConfigError, match="initial state must have shape"):
                 run(a0)
 

@@ -55,6 +55,24 @@ def test_trajectory_round_trip(tmp_path, frame_1d_5):
     assert back.seed is None
 
 
+def test_batch_trajectory_round_trip(tmp_path, frame_1d_5):
+    # a batch run's file records the frame's mode count, not the member count,
+    # and nests one list per member in each sample record
+    rng = np.random.default_rng(61)
+    batch = np.array([sample_ball(frame_1d_5, 2.0, 1.0, rng) for _ in range(3)])
+    cfg = SolverConfig(epsilon=0.5, tau_end=0.5, dt=5e-3, samples=6)
+    traj = integrate_full(batch, CUBIC, frame_1d_5, cfg)
+    path = tmp_path / "batch.jsonl"
+    save_trajectory(path, traj, config=cfg)
+    header, first = (json.loads(line) for line in path.read_text().splitlines()[:2])
+    assert header["modes"] == 5
+    assert np.shape(first["re"]) == np.shape(first["actions"]) == (3, 5)
+    back = load_trajectory(path)
+    assert back.states.shape == (6, 3, 5)
+    assert np.array_equal(back.states, traj.states)
+    assert np.array_equal(back.actions(), traj.actions())
+
+
 def test_stochastic_trajectory_keeps_noise_header(tmp_path, frame_1d_5):
     cfg = SolverConfig(epsilon=0.5, tau_end=0.2, dt=5e-3, scheme="expeuler", samples=3)
     noise = NoiseModel((0.2, 0.2, 0.2, 0.1, 0.1))

@@ -136,16 +136,17 @@ def test_converge_study_cubic_ladder(frame_1d_5, cubic5):
     assert rep.passed(), rep.verdicts
     deltas = {(r[0], r[1]): r[2] for r in rep.tables["deviation"]["rows"]}
     assert deltas[(0.05, 0)] < 0.5 * deltas[(0.2, 0)]
-    # provenance lets every number be traced to a run
-    assert len(rep.provenance["runs"]) == 2 * 2 + 2 + 1
+    # provenance lets every number be traced to a run: the initials are the
+    # members of one effective run and of one full run per epsilon
+    assert len(rep.provenance["runs"]) == 2 + 1 + 1
     assert all(len(h) == 64 for h in rep.provenance["runs"].values())
     # and records what each run did: 5 segments of 0.1 in steps of at most
     # theta_osc * eps / lambda_max = 2.5e-3 for the full runs at eps = 0.05
     meta = rep.provenance["run_meta"]
     assert list(meta) == list(rep.provenance["runs"])
-    assert meta["effective_init0"] == {"steps": 500, "h_target": 2e-3, "excluded": 0}
-    assert meta["full_eps0.05_init1"] == {"steps": 500, "h_target": 2e-3, "excluded": 0}
-    assert meta["full_eps0.2_init0"]["steps"] == 500
+    assert meta["effective"] == {"steps": 500, "h_target": 2e-3, "excluded": 0}
+    assert meta["full_eps0.05"] == {"steps": 500, "h_target": 2e-3, "excluded": 0}
+    assert meta["full_eps0.2"]["steps"] == 500
 
 
 def test_report_csv_cells_are_numbers(tmp_path, frame_1d_5, cubic5):
