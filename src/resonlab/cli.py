@@ -208,20 +208,22 @@ def _resources(started):
 
 
 def _write_manifest(args, config, outputs):
+    """The output directory's manifest.json: the provenance of this invocation,
+    with `outputs` mapping each file it wrote to the sha256 of its bytes."""
     import datetime
-    from .io import RunManifest, write_manifest
-    manifest = RunManifest(
-        command=args.command if args.command != "study" else f"study {args.kind}",
-        config_path=os.path.relpath(args.config, args.out),
-        config=config,
-        version=__version__,
-        timestamp=datetime.datetime.now(datetime.timezone.utc)
-                  .strftime("%Y-%m-%dT%H:%M:%SZ"),
-        seed=args.seed,
-        outputs=outputs,
-        resources=_resources(args.started),
-    )
-    write_manifest(args.out, manifest)
+    from .io import write_json
+    write_json(os.path.join(args.out, "manifest.json"), {
+        "schema": "resonlab-manifest-v2",
+        "command": args.command if args.command != "study" else f"study {args.kind}",
+        "config_path": os.path.relpath(args.config, args.out),
+        "config": config,
+        "version": __version__,
+        "timestamp": datetime.datetime.now(datetime.timezone.utc)
+                     .strftime("%Y-%m-%dT%H:%M:%SZ"),
+        "seed": args.seed,
+        "outputs": dict(sorted(outputs.items())),
+        "resources": _resources(args.started),  # varies from run to run
+    })
 
 
 def _spectrum_summary(frame):

@@ -19,7 +19,6 @@ json as before.
 
 import contextlib
 import csv
-from dataclasses import dataclass, field
 import hashlib
 from io import StringIO
 import json
@@ -31,8 +30,6 @@ from .errors import ConfigError, StaleArtifactError
 from .resonance import TABLE_SCHEMA
 
 TRAJECTORY_SCHEMA = "resonlab-trajectory-v1"
-REPORT_SCHEMA = "resonlab-report-v1"
-MANIFEST_SCHEMA = "resonlab-manifest-v2"
 
 
 def _digest(chunks, path=None):
@@ -348,39 +345,4 @@ def write_report(out_dir, report):
         files[csv_name] = save_table_csv(os.path.join(out_dir, csv_name),
                                          table["columns"], table["rows"])
     return files
-
-
-# -- manifests --------------------------------------------------------------
-
-@dataclass
-class RunManifest:
-    """Provenance of one CLI invocation; exactly one per output directory."""
-
-    command: str
-    config_path: str | None  # relative to the output directory
-    config: dict | None
-    version: str
-    timestamp: str
-    seed: int | None = None
-    outputs: dict = field(default_factory=dict)  # filename -> sha256 of bytes
-    resources: dict | None = None  # what the run cost; varies from run to run
-
-    def to_document(self):
-        return {
-            "schema": MANIFEST_SCHEMA,
-            "command": self.command,
-            "config_path": self.config_path,
-            "config": self.config,
-            "version": self.version,
-            "timestamp": self.timestamp,
-            "seed": self.seed,
-            "outputs": dict(sorted(self.outputs.items())),
-            "resources": self.resources,
-        }
-
-
-def write_manifest(out_dir, manifest):
-    path = os.path.join(out_dir, "manifest.json")
-    write_json(path, manifest.to_document())
-    return path
 

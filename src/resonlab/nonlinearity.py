@@ -2,7 +2,7 @@
 
 Four kinds are supported:
 
-cubic_focusing     P(u) = i |u|^2 u
+cubic_focusing     P(u) = i |u|^2 u, the one-term polynomial CUBIC_TERM
 smoothed_monomial  P(u) = -gr * f_p(|u|^2) u - i gi * f_q(|u|^2) u
 diagonal           P_k(v) = gamma_k v_k directly in mode coordinates
 polynomial         finite sum of monomials in u, conj(u) and first derivatives
@@ -182,16 +182,11 @@ class NonlinearitySpec:
         if self.kind == "diagonal":
             raise ConfigError("diagonal nonlinearity has no grid evaluation")
         out, acc, scratch = np.empty((3,) + u.shape, dtype=complex) if work is None else work
-        if self.kind == "cubic_focusing":
-            r = scratch.reshape(-1).view(float)[:u.size].reshape(u.shape)
-            np.square(np.absolute(u, out=r), out=r)
-            np.multiply(1j, r, out=out)
-            return np.multiply(out, u, out=out)
         if self.kind == "smoothed_monomial":
             r = np.abs(u) ** 2
             return np.multiply(-self.gr * smoothed_power(r, self.p)
                                - 1j * self.gi * smoothed_power(r, self.q), u, out=out)
-        for n, term in enumerate(self.terms):
+        for n, term in enumerate(self.polynomial_terms()):
             target = out if n == 0 else acc
             for j, f in enumerate(term.factors):
                 base = u if f.derivative is None else gradients[f.derivative]

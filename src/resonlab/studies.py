@@ -20,7 +20,7 @@ from .fields import (Observable, QuadratureDrift, ResonantDrift, action_observab
                      monomial_observable, scalar_average, scalar_average_limit)
 from .integrators import (NOISE_CONVENTION, SolverConfig, ensemble_full,
                           ensemble_effective, integrate_effective, integrate_full)
-from .io import (REPORT_SCHEMA, content_hash, ensemble_hash, trajectory_hash)
+from .io import content_hash, ensemble_hash, trajectory_hash
 from .resonance import minimal_frequency_gap
 from .spectral import action_distance, sample_ball
 
@@ -32,6 +32,7 @@ __all__ = [
 ]
 
 STUDIES = ("converge", "operator", "stochastic", "stationary", "disparity")
+REPORT_SCHEMA = "resonlab-report-v1"
 
 
 @dataclass(frozen=True)

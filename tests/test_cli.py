@@ -59,6 +59,17 @@ def test_basis_outputs_and_manifest(workspace):
     assert mults == ["1", "2", "2"]
 
 
+def test_manifest_document(workspace, tmp_path):
+    cfg = str(workspace["dir"] / "basis.json")
+    assert main(["basis", "--config", cfg, "--out", str(tmp_path / "b"), "--seed", "7"]) == 0
+    doc = read_json(tmp_path / "b" / "manifest.json")
+    assert list(doc) == ["schema", "command", "config_path", "config", "version",
+                         "timestamp", "seed", "outputs", "resources"]
+    assert doc["schema"] == "resonlab-manifest-v2"
+    assert list(doc["outputs"]) == sorted(doc["outputs"])  # sorted for stability
+    assert doc["seed"] == 7 and doc["command"] == "basis"
+
+
 def test_table_file_is_canonical_and_reads_back_exactly(workspace):
     raw = (workspace["dir"] / "res" / "table.json").read_bytes()
     assert raw.endswith(b"\n") and b"\n" not in raw[:-1]
@@ -528,7 +539,7 @@ def test_manifest_hashes_are_the_output_bytes(workspace, tmp_path):
         outs.append(out)
     for out in outs:
         outputs = read_json(out / "manifest.json")["outputs"]
-        assert outputs
+        assert outputs and list(outputs) == sorted(outputs)
         for name, digest in outputs.items():
             assert digest == hashlib.sha256((out / name).read_bytes()).hexdigest(), name
 

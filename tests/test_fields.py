@@ -24,6 +24,7 @@ from resonlab.fields import (
     scalar_average_limit,
 )
 from resonlab.nonlinearity import (
+    CUBIC_TERM,
     MonomialFactor,
     MonomialTerm,
     NonlinearitySpec,
@@ -325,6 +326,18 @@ def test_polynomial_pointwise_matches_term_loop_bitwise():
                 acc = np.multiply(acc, np.conj(base) if f.conjugate else base)
             expect += acc
         assert np.array_equal(spec.pointwise(u, (gx, gy)), expect)
+
+
+def test_cubic_is_its_one_term_polynomial_bitwise(frame_1d_9, frame_2d_9):
+    cubic = NonlinearitySpec("cubic_focusing", mu=0.5)
+    poly = NonlinearitySpec("polynomial", mu=0.5, terms=(CUBIC_TERM,))
+    rng = np.random.default_rng(47)
+    for shape in ((32,), (1000, 32), (7, 33)):
+        u = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        assert np.array_equal(cubic.pointwise(u, ()), poly.pointwise(u, ()))
+    for frame in (frame_1d_9, frame_2d_9):
+        v = rng.standard_normal((5, frame.modes)) + 1j * rng.standard_normal((5, frame.modes))
+        assert np.array_equal(eval_P(v, Field(cubic, frame)), eval_P(v, Field(poly, frame)))
 
 
 def test_derivative_axis_must_exist_on_the_frame(frame_1d_9, frame_2d_9):

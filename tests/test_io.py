@@ -22,7 +22,6 @@ from resonlab.integrators import (
     integrate_full,
 )
 from resonlab.io import (
-    RunManifest,
     canonical_bytes,
     content_hash,
     file_hash,
@@ -32,7 +31,6 @@ from resonlab.io import (
     save_ensemble_csv,
     save_trajectory,
     write_json,
-    write_manifest,
 )
 from resonlab.nonlinearity import NonlinearitySpec
 from resonlab.resonance import TABLE_SCHEMA, ResonanceTable, build_resonance_table
@@ -138,18 +136,6 @@ def test_write_json_refused_document_writes_nothing(tmp_path):
             write_json(path, {"a": [1.0, 2.0], "b": float("nan")})
     assert not fresh.exists()
     assert kept.read_bytes() == before
-
-
-def test_manifest_document(tmp_path):
-    man = RunManifest(command="basis", config_path="../cfg.json", config={"k": 1},
-                      version="0.1.0",
-                      timestamp="2026-01-01T00:00:00Z", seed=7,
-                      outputs={"b.json": "ff", "a.json": "aa"})
-    path = write_manifest(tmp_path, man)
-    doc = read_json(path)
-    assert doc["schema"] == "resonlab-manifest-v2"
-    assert list(doc["outputs"]) == ["a.json", "b.json"]  # sorted for stability
-    assert doc["seed"] == 7 and doc["command"] == "basis"
 
 
 def test_stale_artifact_guard(tmp_path, frame_1d_5, frame_1d_9):

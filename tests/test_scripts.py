@@ -3,6 +3,7 @@
 import importlib.util
 import os
 from pathlib import Path
+import re
 import subprocess
 import sys
 
@@ -61,6 +62,13 @@ def test_ab_pairs_times_both_trees(tmp_path):
     assert result.returncode == 0, result.stderr
     lines = result.stdout.splitlines()
     assert [line.split(":")[0] for line in lines[:4]] == ["pair 1", "pair 2", "parent", "change"]
+    for line in lines[2:4]:
+        # each side's median CPU seconds, read from the manifests: `basis`
+        # starts no noise producer, and one thread spends no more than the wall
+        wall, cpu = line.split("; ")
+        median_wall = float(wall.split()[2])
+        assert re.fullmatch(r"median cpu self \d+\.\d{3} s, children 0\.000 s", cpu), line
+        assert 0 < float(cpu.split()[3]) <= median_wall
     assert lines[4].startswith("change faster in ") and " of 2 pairs" in lines[4]
     assert lines[5] == "gain: not judged (fewer than 10 pairs)"
     assert (tmp_path / "out" / "frame.json").exists()
