@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .nonlinearity import MonomialFactor
-from .resonance import frequency_rule
+from .resonance import eigenvalue_clusters, frequency_rule
 from .spectral import mode_vector, sobolev_norm
 
 _CHUNK = 4096  # rows of f per quadrature block; fixed so sums are reproducible
@@ -59,8 +59,8 @@ class Field:
     """The projected field P of one (spec, frame), evaluated through eval_P: a
     diagonal part c v in mode space (the diagonal kind's gammas, or the summed c
     of a polynomial's plain linear terms c u beside other terms) plus a grid
-    part, transformed grid-major by real GEMMs on the frame's real tables.  Its
-    work arrays fit the largest batch seen, so one Field serves one caller."""
+    part, transformed grid-major by real GEMMs on .T views of the frame's tables.
+    Its work arrays fit the largest batch seen, so one Field serves one caller."""
 
     def __init__(self, spec, frame):
         self.rotation = 1j * frame.eigenvalues  # the phase of time t is e^{rotation t}
@@ -77,8 +77,8 @@ class Field:
         self.potential = (spec.mu * frame.potential_values[:, None]
                           if spec.mu > 0.0 and not frame.potential.is_zero else None)
         self.Z, self.dx = frame.eigenfunction_values, frame.cell_volume
-        self.Z_T, gradients_T = frame._transposed_tables
-        self.gradients_T = gradients_T if spec.uses_derivatives() else []
+        self.gradients_T = ([g.T for g in frame.eigenfunction_gradients]
+                            if spec.uses_derivatives() else [])
         self.ones = np.ones((frame.modes, 1))
         self._work, self._rows = np.empty(0, dtype=complex), 0
 
@@ -110,7 +110,7 @@ def eval_P(state, field, frame=None, phase=None):
     batch, grid_f, u, gradients, work, back = field.work(flat.shape[0])
     phase = field.ones if phase is None else phase[:, None]
     np.multiply(flat.T, np.conj(phase), out=batch)
-    for table, values in zip((field.Z_T, *field.gradients_T), grid_f):
+    for table, values in zip((field.Z.T, *field.gradients_T), grid_f):
         np.matmul(table, batch.view(float), out=values)
     w = field.pointwise(u, gradients, work)
     if field.potential is not None:
@@ -273,6 +273,10 @@ class ResonantDrift:
         self.spec = spec
         self.modes = frame.modes
         self.groups = []
+        if table is not None:
+            _check_table_frame(table, frame)
+        # the partition the averaging keeps, for the mu V u block and the noise
+        self.clusters = eigenvalue_clusters(frame) if table is None else table.clusters
         if spec.kind == "diagonal":
             self.gammas = _diagonal_gammas(spec, frame)
             return
@@ -281,7 +285,6 @@ class ResonantDrift:
         if table is None:
             raise ConfigError("analytic drift route needs a resonance table")
         check_spec_on_frame(spec, frame)
-        _check_table_frame(table, frame)
         self.gammas = None
         dx = frame.cell_volume
         Z = frame.eigenfunction_values
@@ -308,7 +311,7 @@ class ResonantDrift:
         if spec.mu > 0.0 and not frame.potential.is_zero:
             W = spec.mu * ((Z * (frame.potential_values * dx)) @ Z.T)
             same = np.zeros(W.shape, dtype=bool)
-            for cluster in table.clusters:
+            for cluster in self.clusters:
                 same[np.ix_(cluster, cluster)] = True
             k, kp = np.nonzero(same & (np.abs(W) > 1e-14))
             self._add_group([False], kp[:, None], k, W[k, kp].astype(complex))
@@ -391,6 +394,7 @@ class QuadratureDrift:
     def __init__(self, frame, spec, window, n_quad=None):
         self.frame = frame
         self.spec = spec
+        self.clusters = eigenvalue_clusters(frame)  # the effective noise's partition
         self.field = Field(spec, frame)
         self.window = float(window)
         if n_quad is None and self.window > 0:

@@ -16,8 +16,8 @@ identical to the deterministic "expeuler" scheme.  Runs take the averaged drift
 they integrate or track the disparity against (a fields.ResonantDrift or
 QuadratureDrift, built by the caller and reused across runs); nothing here
 builds one.  Noisy runs of both systems take the full system's NoiseModel,
-whose resonant average (resonance.build_diffusion) is the effective run's
-diffusion B.
+whose resonant average over the drift's clusters (resonance.build_diffusion)
+is the effective run's diffusion B.
 Complex noise follows the convention E|beta_l(tau)|^2 = 2 tau (independent
 standard real and imaginary parts).
 A stochastic run's normals are drawn ahead by one forked producer process that
@@ -310,15 +310,16 @@ class _NoiseStream:
             self._stop(finished=False)
 
 
-def _noise_injector(noise, frame, epsilon=None):
+def _noise_injector(noise, frame, epsilon=None, clusters=None):
     """Increments of the full system's Psi(b dbeta) rotated into the interaction
     frame (epsilon given), or of the effective B dbeta, with B the principal
-    root of the noise's resonant covariance; None if the noise injects nothing."""
+    root of the noise's resonant covariance on the drift's clusters; None if the
+    noise injects nothing."""
     b = noise.array(frame)
     if noise.is_zero:
         return None
     if epsilon is None:
-        matrix = build_diffusion(frame, b).root.T
+        matrix = build_diffusion(frame, b, clusters).root.T
     else:
         matrix = b[:, None] * frame.eigenvectors.T  # (basis l, mode k)
         rotation = 1j * frame.eigenvalues
@@ -487,7 +488,7 @@ def _run_full(state, members, spec, frame, config, noise=None, seed=None, drift=
 def _run_effective(state, members, drift, config, noise=None, seed=None):
     """Drive the averaged system of a drift from state over `members` members."""
     a0 = _initial_batch(state, members, drift.frame.modes)
-    inject = None if noise is None else _noise_injector(noise, drift.frame)
+    inject = None if noise is None else _noise_injector(noise, drift.frame, clusters=drift.clusters)
     return _drive(a0, lambda x, tau: drift(x), drift.frame.eigenvalues, drift.spec.mu,
                   config, config.dt, inject=inject, seed=seed)
 

@@ -12,9 +12,10 @@ reproduces the exact binary values.
 
 A resonance table's index rows never become Python lists: canonical_bytes
 writes a 2-D integer array as the JSON list of its rows with numpy, and the
-pinned read of a table parses each canonical "tuples" payload with numpy
-into a read-only intp array.  A payload in any other spelling is parsed by
-json as before.
+pinned read of a table parses each "tuples" payload with numpy into a
+read-only intp array.  That writer is the one definition of a canonical row
+payload: the read keeps the array only when the writer gives the payload's
+bytes back from it, and any other spelling is parsed by json.
 """
 
 import contextlib
@@ -23,6 +24,7 @@ import hashlib
 from io import StringIO
 import json
 import os
+import warnings
 
 import numpy as np
 
@@ -141,13 +143,6 @@ def read_json(path, sha256=None):
 
 _TABLE_HEAD = b'{"schema":' + json.dumps(TABLE_SCHEMA).encode() + b","
 _TUPLES_KEY = b'"tuples":[['
-# byte classes: digit, comma, "[", "]", anything else; and the neighbour pairs
-# a canonical list of integer rows has inside its outer brackets
-_CLASS = np.full(256, 4, np.uint8)
-_CLASS[ord("0"):ord("9") + 1] = 0
-_CLASS[[ord(","), ord("["), ord("]")]] = 1, 2, 3
-_PAIRS = np.zeros(25, bool)
-_PAIRS[[5 * a + b for a, b in ((0, 0), (0, 1), (0, 3), (1, 0), (1, 2), (2, 0), (3, 1))]] = True
 _BRACKETS_TO_SPACES = bytes.maketrans(b"[]", b"  ")
 
 
@@ -191,25 +186,18 @@ def _loads(data):
 
 
 def _parse_rows(payload):
-    """A canonical JSON list of equal-width rows of integers in 0..10**18-1
-    as a read-only intp array, else None."""
-    raw = np.frombuffer(payload, np.uint8)
-    cls = _CLASS[raw]
-    inner = cls[1:-1]  # the caller found the payload's "[[" and "]]"
-    if not _PAIRS[5 * inner[:-1] + inner[1:]].all():
+    """The read-only intp rows of a "[[...]]" payload, as wide as its first row,
+    when the writer spells them as the payload (`_rows_bytes`), else None."""
+    try:
+        with warnings.catch_warnings():  # older numpy warns where newer raises
+            warnings.simplefilter("error", DeprecationWarning)
+            flat = np.fromstring(payload.translate(_BRACKETS_TO_SPACES), dtype=np.intp, sep=",")
+    except (ValueError, DeprecationWarning):
         return None
-    if np.any((raw[1:-1] == ord("0")) & (cls[:-2] != 0) & (cls[2:] == 0)):  # leading zero
+    width = payload.count(b",", 0, payload.index(b"]")) + 1
+    rows = flat[:flat.size - flat.size % width].reshape(-1, width)  # ragged: bytes differ
+    if _rows_bytes(rows) != payload:
         return None
-    seps = payload.translate(None, b"0123456789")
-    width = seps.index(b"]") - 1
-    n = (len(seps) - 1) // (width + 2)
-    row = b"[" + b"," * (width - 1) + b"]"
-    if seps != b"[" + (row + b",") * (n - 1) + row + b"]":
-        return None
-    rows = np.fromstring(payload.translate(_BRACKETS_TO_SPACES), dtype=np.intp, sep=",")
-    if rows.max() >= 10 ** 18:  # 19 digits or more may have saturated
-        return None
-    rows = rows.reshape(n, width)
     rows.flags.writeable = False
     return rows
 

@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 
-from .errors import ConfigError, UnsupportedModeError, ValidationError, check_int
+from .errors import ConfigError, UnsupportedModeError, ValidationError, check_int, check_keys
 
 DEFAULT_ETA = 1e-8
 TABLE_SCHEMA = "resonlab-resonance-v1"
@@ -218,12 +218,19 @@ class ResonanceTable:
 
     @staticmethod
     def from_document(doc):
-        if doc.get("schema") != TABLE_SCHEMA:
-            raise ConfigError(f"unknown resonance schema {doc.get('schema')!r}")
+        keys = ("schema", "lambda", "eta_res", "mode", "gamma_min", "clusters", "resonances")
+        entry_keys = ("pattern", "target", "tuples")
+        check_keys("table", doc, keys + ("frame_sha256",), required=keys)
+        if doc["schema"] != TABLE_SCHEMA:
+            raise ConfigError(f"unknown resonance schema {doc['schema']!r}")
         eigenvalues = np.array(doc["lambda"], dtype=float)
         modes = eigenvalues.size
+        clusters = [[check_int(k, "table cluster index") for k in c] for c in doc["clusters"]]
+        if sorted(itertools.chain.from_iterable(clusters)) != list(range(modes)):
+            raise ConfigError(f"table clusters must partition the modes 0..{modes - 1}")
         resonances = {}
-        for entry in doc["resonances"]:
+        for i, entry in enumerate(doc["resonances"]):
+            check_keys(f"table.resonances[{i}]", entry, entry_keys, required=entry_keys)
             pattern = tuple(entry["pattern"])
             per_target = resonances.setdefault(pattern, {})
             target = entry["target"]
@@ -242,7 +249,7 @@ class ResonanceTable:
             eigenvalues=eigenvalues,
             eta=float(doc["eta_res"]),
             mode=doc["mode"],
-            clusters=[list(c) for c in doc["clusters"]],
+            clusters=clusters,
             resonances=resonances,
             gamma_min=math.inf if gamma is None else float(gamma),
             frame_hash=doc.get("frame_sha256"),
@@ -329,11 +336,11 @@ class DiffusionSpec:
             raise ValidationError("principal root is not positive semidefinite")
 
 
-def build_diffusion(frame, amplitudes):
+def build_diffusion(frame, amplitudes, clusters):
     """Covariance of the effective noise and its blockwise principal root.
 
-    A_kr = sum_l b_l^2 psi_kl psi_rl on equal-frequency clusters, zero across
-    clusters.  The square root is taken per cluster via symmetric
+    A_kr = sum_l b_l^2 psi_kl psi_rl on the given clusters (the drift's partition),
+    zero across clusters.  The square root is taken per cluster via symmetric
     eigendecomposition with tiny negative eigenvalues (>= -1e-12) clamped.
     """
     b = np.asarray(amplitudes, dtype=float)
@@ -341,7 +348,6 @@ def build_diffusion(frame, amplitudes):
         raise ConfigError(f"need {frame.modes} noise amplitudes, got shape {b.shape}")
     if np.any(b < 0):
         raise ConfigError("noise amplitudes must be nonnegative")
-    clusters = eigenvalue_clusters(frame)
     full = (frame.eigenvectors * b ** 2) @ frame.eigenvectors.T
     A = np.zeros_like(full)
     B = np.zeros_like(full)

@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 
-from .errors import ConfigError, ValidationError, check_int
+from .errors import ConfigError, ValidationError, check_int, check_keys
 from .resonance import check_ascending, eigenvalue_clusters
 
 TWO_PI = 2.0 * math.pi
@@ -73,6 +73,8 @@ class TorusGeometry:
 
     @staticmethod
     def from_document(doc):
+        keys = ("dimension", "lengths", "grid_points")
+        check_keys("frame.geometry", doc, keys, required=keys)
         return TorusGeometry(tuple(doc["lengths"]), doc["grid_points"])
 
 
@@ -147,6 +149,9 @@ class Potential:
 
     @staticmethod
     def from_document(doc):
+        for i, entry in enumerate(doc):
+            check_keys(f"frame.potential[{i}]", entry, ("m", "re", "im"),
+                       required=("m", "re", "im"))
         return Potential(tuple((tuple(e["m"]), complex(e["re"], e["im"])) for e in doc))
 
 
@@ -268,12 +273,6 @@ class SpectralFrame:
         return self._grid_tables[1]
 
     @cached_property
-    def _transposed_tables(self):
-        """C-contiguous (P, M) transposes of Z and of the gradients, for grid-major fields."""
-        return (_read_only(np.ascontiguousarray(self.eigenfunction_values.T)),
-                [_read_only(np.ascontiguousarray(g.T)) for g in self.eigenfunction_gradients])
-
-    @cached_property
     def potential_values(self):
         return _read_only(self.potential.values_on(self.geometry))
 
@@ -302,8 +301,10 @@ class SpectralFrame:
 
     @staticmethod
     def from_document(doc):
-        if doc.get("schema") != "resonlab-frame-v1":
-            raise ConfigError(f"unknown frame schema {doc.get('schema')!r}")
+        keys = ("schema", "geometry", "potential", "modes", "basis", "lambda", "psi")
+        check_keys("frame", doc, keys, required=keys)
+        if doc["schema"] != "resonlab-frame-v1":
+            raise ConfigError(f"unknown frame schema {doc['schema']!r}")
         geometry = TorusGeometry.from_document(doc["geometry"])
         potential = Potential.from_document(doc["potential"])
         basis = tuple((kind, tuple(m)) for kind, m in doc["basis"])

@@ -525,6 +525,35 @@ def test_tampered_frame_file_is_refused(workspace, tmp_path, capsys):
     assert "frame hash" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("what, edit, message", [
+    ("frame", lambda doc: doc.pop("psi"), "frame is missing required key(s): psi"),
+    ("frame", lambda doc: doc["geometry"].pop("grid_points"),
+     "frame.geometry is missing required key(s): grid_points"),
+    ("frame", lambda doc: doc["potential"].append({"m": [1], "im": 0.0}),
+     "frame.potential[0] is missing required key(s): re"),
+    ("table", lambda doc: doc.pop("clusters"), "table is missing required key(s): clusters"),
+    ("table", lambda doc: doc["resonances"][2].pop("tuples"),
+     "table.resonances[2] is missing required key(s): tuples"),
+    ("table", lambda doc: doc.update(extra=1), "unknown key(s) in table: extra"),
+], ids=["frame", "geometry", "potential", "table", "table-entry", "table-extra"])
+def test_artifact_documents_name_their_missing_keys(workspace, tmp_path, capsys, what, edit,
+                                                    message):
+    # a pinned frame without "psi" used to exit with "malformed config: KeyError('psi')"
+    doc = json.loads(io.canonical_bytes(workspace[what].to_document()))
+    edit(doc)
+    raw = json.dumps(doc, separators=(",", ":")).encode()
+    (workspace["dir"] / f"keys_{what}.json").write_bytes(raw + b"\n")
+    ref = {"file": f"keys_{what}.json", "sha256": hashlib.sha256(raw).hexdigest()}
+    cfg = write_config(workspace["dir"] / "keys.json", _simulate_config(
+        workspace, **{"table": workspace["table_ref"], what: ref}))
+    out = tmp_path / "o"
+    assert main(["effective", "--config", cfg, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert message in err, err
+    assert "malformed" not in err and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_manifest_hashes_are_the_output_bytes(workspace, tmp_path):
     outs = [workspace["dir"] / "basis", workspace["dir"] / "res"]
     for argv, doc in (
@@ -624,6 +653,20 @@ def test_study_kind_mismatch(workspace, tmp_path):
     })
     assert main(["study", "converge", "--config", cfg,
                  "--out", str(tmp_path / "o")]) == 1
+
+
+def test_unknown_study_kind_exits_one(workspace, tmp_path, capsys):
+    # the kind is refused once, by StudyConfig; the parser holds no copy of the list
+    cfg = write_config(workspace["dir"] / "bogus.json", {
+        "frame": workspace["frame_ref"],
+        "study": {},
+    })
+    out = tmp_path / "o"
+    assert main(["study", "bogus", "--config", cfg, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "error: unknown study 'bogus'" in err, err
+    assert "Traceback" not in err
+    assert not out.exists()
 
 
 def test_usage_errors_exit_one():

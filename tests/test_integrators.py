@@ -14,7 +14,7 @@ import pytest
 
 from resonlab import integrators
 from resonlab.errors import BlowUpError, ConfigError, EnsembleError
-from resonlab.fields import ResonantDrift
+from resonlab.fields import QuadratureDrift, ResonantDrift
 from resonlab.integrators import (
     EnsembleResult,
     NoiseModel,
@@ -30,7 +30,7 @@ from resonlab.integrators import (
     step_full_deterministic,
 )
 from resonlab.nonlinearity import NonlinearitySpec
-from resonlab.resonance import build_diffusion, build_resonance_table
+from resonlab.resonance import build_diffusion, build_resonance_table, eigenvalue_clusters
 from resonlab.spectral import (
     Potential,
     TorusGeometry,
@@ -493,11 +493,12 @@ def test_noise_injector_matches_the_two_it_replaced(frame_1d_9_cos):
     b = 0.2 * (1.0 + frame.eigenvalues) ** -1.0
     noise = NoiseModel(tuple(b))
     scaled, rotation = b[:, None] * frame.eigenvectors.T, 1j * frame.eigenvalues
-    root_T = build_diffusion(frame, b).root.T
+    clusters = eigenvalue_clusters(frame)
+    root_T = build_diffusion(frame, b, clusters).root.T
     references = (
         (integrators._noise_injector(noise, frame, eps),
          lambda tau, sqrt_h: scaled * (sqrt_h * np.exp((tau / eps) * rotation))),
-        (integrators._noise_injector(noise, frame),
+        (integrators._noise_injector(noise, frame, clusters=clusters),
          lambda tau, sqrt_h: sqrt_h * root_T))
     rng = np.random.default_rng(11)
     for inject, matrix in references:
@@ -511,6 +512,39 @@ def test_noise_injector_matches_the_two_it_replaced(frame_1d_9_cos):
     zero = NoiseModel.zero(frame.modes)
     assert integrators._noise_injector(zero, frame, eps) is None
     assert integrators._noise_injector(zero, frame) is None
+
+
+def test_effective_noise_uses_the_drifts_partition(frame_1d_9_cos, monkeypatch):
+    # at eta 1e-3 the table merges modes 3 and 4 (lambda 4.001331, 4.001337),
+    # which the diffusion kept apart when it took the frame's default partition
+    frame = frame_1d_9_cos
+    table = build_resonance_table(frame, eta=1e-3)
+    default = eigenvalue_clusters(frame)
+    assert [3, 4] in table.clusters and [3, 4] not in default
+    b = np.linspace(0.1, 0.5, frame.modes)
+    roots, original = [], integrators.build_diffusion
+
+    def recorded(*args):
+        spec = original(*args)
+        roots.append(spec.root)
+        return spec
+
+    monkeypatch.setattr(integrators, "build_diffusion", recorded)
+    cfg = SolverConfig(epsilon=1.0, tau_end=0.02, dt=0.01, scheme="expeuler", samples=2)
+    drifts = (ResonantDrift(frame, CUBIC, table),
+              ResonantDrift(frame, CUBIC, build_resonance_table(frame)),
+              ResonantDrift(frame, diag_spec([0] * frame.modes)),
+              QuadratureDrift(frame, CUBIC, 1.0))
+    for drift in drifts:
+        integrate_effective(0.3 * np.ones(frame.modes, complex), drift, cfg,
+                            noise=NoiseModel(tuple(b)), seed=4)
+    assert roots[0][3, 4] != 0.0
+    assert np.array_equal(roots[0], build_diffusion(frame, b, table.clusters).root)
+    # a default-eta table and a drift without one take the frame's default partition
+    for root in roots[1:]:
+        assert root[3, 4] == 0.0
+        assert np.array_equal(root, build_diffusion(frame, b, default).root)
+    assert len(roots) == len(drifts)
 
 
 def test_seedless_zero_noise_ensembles_report_no_seed(frame_1d_5):
@@ -941,7 +975,7 @@ def test_effective_ou_matches_diffusion_root(frame_1d_5):
     mu, tau_end = 0.5, 1.0
     spec = diag_spec([0] * 5, mu=mu)
     b = np.array([0.5, 0.4, 0.4, 0.3, 0.3])
-    diffusion = build_diffusion(frame_1d_5, b)
+    diffusion = build_diffusion(frame_1d_5, b, eigenvalue_clusters(frame_1d_5))
     assert np.allclose(diffusion.root, np.diag(b), atol=1e-12)
     cfg = SolverConfig(epsilon=1.0, tau_end=tau_end, dt=0.01,
                        scheme="expeuler", samples=3)

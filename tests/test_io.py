@@ -229,6 +229,10 @@ def test_noncanonical_table_payloads_read_as_json_loads(tmp_path, frame_1d_9):
         "nested": edit(b"[[[0],0,3]," + payload[9:]),
         "negative": edit(b"[[-0,0,3]," + payload[9:]),
         "past int64": edit(b"[[0,0,30000000000000000000]," + payload[9:]),
+        "exponent": edit(b"[[0,0,3e0]," + payload[9:]),
+        "plus sign": edit(b"[[0,+0,3]," + payload[9:]),
+        # the writer's own spelling of an index below 2**63: read as an array
+        "19 digits": edit(b"[[0,0,1234567890123456789]," + payload[9:]),
         "constant elsewhere": canonical.replace(b'"gamma_min":1.0', b'"gamma_min":Infinity'),
     }
     for name, raw in variants.items():
@@ -243,7 +247,7 @@ def test_noncanonical_table_payloads_read_as_json_loads(tmp_path, frame_1d_9):
         got = _pinned(path, raw)
         assert _as_lists(got) == expected, name
         as_array = isinstance(got["resonances"][3]["tuples"], np.ndarray)
-        assert as_array == (name == "canonical"), name
+        assert as_array == (name in ("canonical", "19 digits")), name
         outcomes = []
         for doc in (got, expected):
             try:

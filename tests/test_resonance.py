@@ -280,6 +280,20 @@ def test_table_document_refuses_malformed_tuples(frame_1d_9):
             pytest.fail(name)
 
 
+def test_table_document_refuses_clusters_that_do_not_partition_the_modes(frame_1d_5):
+    # the effective noise and the mu V u block are built on these clusters
+    doc = build_resonance_table(frame_1d_5).to_document()
+    assert doc["clusters"] == [[0], [1, 2], [3, 4]]
+    for clusters, match in (([[0], [1, 2], [3]], "partition"),
+                            ([[0], [1, 2], [2, 3, 4]], "partition"),
+                            ([[0], [1, 2], [3, 4, 5]], "partition"),
+                            ([[0.0], [1, 2], [3, 4]], "cluster index must be an integer"),
+                            ([[False], [1, 2], [3, 4]], "cluster index must be an integer")):
+        with pytest.raises(ConfigError, match=match):
+            ResonanceTable.from_document({**doc, "clusters": clusters})
+    assert ResonanceTable.from_document(doc).clusters == doc["clusters"]
+
+
 def test_table_refuses_pattern_signs_that_are_not_integers(frame_1d_5):
     # (1, -1, 1.5) used to be truncated to the cubic pattern (1, -1, 1)
     for bad in (1.5, True, "1"):
@@ -298,7 +312,7 @@ def test_suggested_window(frame_1d_5):
 
 def test_diffusion_identity_frame(frame_1d_5):
     b = np.array([1.0, 0.5, 0.5, 0.25, 0.2])
-    spec = build_diffusion(frame_1d_5, b)
+    spec = build_diffusion(frame_1d_5, b, eigenvalue_clusters(frame_1d_5))
     # psi = identity: the covariance is diagonal even inside clusters
     assert np.allclose(spec.matrix, np.diag(b ** 2), atol=1e-14)
     assert np.allclose(spec.root, np.diag(b), atol=1e-14)
@@ -314,7 +328,7 @@ def test_diffusion_mixed_cluster():
     lam = np.array([0.0, 1.0, 1.0, 4.0, 4.0])
     frame = SpectralFrame(geometry, Potential.zero(), basis, lam, psi)
     b = np.array([0.3, 0.8, 0.2, 0.1, 0.1])
-    spec = build_diffusion(frame, b)
+    spec = build_diffusion(frame, b, eigenvalue_clusters(frame))
     idx = np.ix_([1, 2], [1, 2])
     block = (psi[1:3] * b ** 2) @ psi[1:3].T
     assert np.allclose(spec.matrix[idx], block, atol=1e-14)
@@ -341,6 +355,7 @@ def test_principal_root_properties(seed):
 
 def test_diffusion_rejects_bad_amplitudes(frame_1d_5):
     with pytest.raises(ConfigError):
-        build_diffusion(frame_1d_5, np.array([1.0, -0.5, 0.5, 0.25, 0.2]))
+        build_diffusion(frame_1d_5, np.array([1.0, -0.5, 0.5, 0.25, 0.2]),
+                        eigenvalue_clusters(frame_1d_5))
     with pytest.raises(ConfigError):
-        build_diffusion(frame_1d_5, np.ones(4))
+        build_diffusion(frame_1d_5, np.ones(4), eigenvalue_clusters(frame_1d_5))

@@ -10,7 +10,7 @@ from resonlab import spectral
 from resonlab.errors import ConfigError, ValidationError
 from resonlab.fields import Field, eval_P
 from resonlab.integrators import Trajectory
-from resonlab.nonlinearity import NonlinearitySpec
+from resonlab.nonlinearity import MonomialFactor, MonomialTerm, NonlinearitySpec
 from resonlab.spectral import (
     Potential,
     SpectralFrame,
@@ -186,11 +186,22 @@ def test_coefficients_match_quadrature_oracle(frame_1d_9_cos):
 def test_cached_frame_tables_are_read_only(frame_1d_9_cos):
     # fields, drift assembly and the potential block share these arrays
     frame = frame_1d_9_cos
-    tables = [frame.eigenfunction_values, *frame.eigenfunction_gradients, frame.potential_values,
-              frame._transposed_tables[0], *frame._transposed_tables[1]]
+    tables = [frame.eigenfunction_values, *frame.eigenfunction_gradients, frame.potential_values]
     for table in tables:
         with pytest.raises(ValueError):
             table[0] += 1.0
+
+
+def test_field_grid_tables_are_the_frames(frame_1d_9_cos, frame_2d_9):
+    # a Field multiplies by transposed views of the frame's tables, not copies
+    spec = NonlinearitySpec("polynomial", mu=0.5, terms=(
+        MonomialTerm(1.0, (MonomialFactor(), MonomialFactor(derivative=0))),))
+    for frame in (frame_1d_9_cos, frame_2d_9):
+        field = Field(spec, frame)
+        assert np.shares_memory(field.Z, frame.eigenfunction_values)
+        assert len(field.gradients_T) == frame.dimension
+        for table, gradient in zip(field.gradients_T, frame.eigenfunction_gradients):
+            assert np.shares_memory(table, gradient) and not table.flags.writeable
 
 
 def test_parseval_on_grid(frame_2d_9):
