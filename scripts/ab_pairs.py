@@ -6,9 +6,9 @@ the parent first in even pairs and the change first in odd ones, each as
 BLAS thread.  A tree is a repository root or its src directory.  The script
 prints every pair's wall seconds, each side's median and quartiles, each
 side's median CPU seconds of the resonlab process and of its children (the
-noise producer), read from the manifest.json the command writes under its
---out, and how many pairs the change won.  The CPU split shows whether the
-caller or the noise producer sets the pace.  On a shared host whose speed
+member shards its stochastic runs forked), read from the manifest.json the
+command writes under its --out, and how many pairs the change won.  The CPU
+split shows whether the two shards of a run are balanced.  On a shared host whose speed
 drifts, a gain is claimed only from at least 10 pairs, when the change wins
 at least 9 in 10 and its median beats the parent's by more than the
 parent's interquartile range.  A command that exits non-zero stops the

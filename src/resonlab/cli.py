@@ -75,8 +75,8 @@ def build_parser():
                        help="override the config's RNG base seed")
         p.add_argument("--threads", type=int, default=None,
                        help="BLAS worker threads (default: library default, "
-                            "usually all cores); a stochastic run adds one "
-                            "noise-drawing process that this does not cap")
+                            "usually all cores), in each of the two processes "
+                            "a stochastic run splits its members between")
         p.add_argument("--verbose", action="store_true")
 
     common(sub.add_parser("basis", help="build and export a spectral frame"))
@@ -190,7 +190,7 @@ def _build_noise(section, frame):
 
 def _resources(started):
     """Wall seconds since main started, and CPU seconds, peak RSS and minor page
-    faults of this process and of its reaped children (the noise producers).
+    faults of this process and of its reaped children (the forked member shards).
     Each is a fixed-width string, so a manifest's size does not vary from run
     to run."""
     import resource

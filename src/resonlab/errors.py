@@ -1,11 +1,11 @@
-"""Exception types shared across the package, and the three checks that refuse
-an outside value: check_int for integers, check_seed for RNG seeds and
-check_keys for config objects.  Each value is checked once, by the object that
-reads it, and is refused rather than truncated.
+"""Exception types shared across the package, and the checks that refuse an
+outside value: check_int (integers), check_real (real numbers), check_seed
+(RNG seeds) and check_keys (config objects).  Each value is checked once, by
+the object that reads it, and is refused rather than truncated.
 
 This module imports no numpy: cli imports it before --threads has become the
 BLAS environment variables.  numpy's integer types are numbers.Integral, so
-they pass check_int without it.
+they pass check_int and check_real without it.
 """
 
 import numbers
@@ -53,6 +53,13 @@ def check_int(value, name, least=None):
         bound = "" if least is None else f" >= {least}"
         raise ConfigError(f"{name} must be an integer{bound}, got {value!r}")
     return int(value)
+
+
+def check_real(value, name):
+    """value as a float, refused unless it is a real number (a bool is not)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ConfigError(f"{name} must be a real number, got {value!r}")
+    return float(value)
 
 
 def check_seed(seed, name, keys=None):

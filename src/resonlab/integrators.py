@@ -19,12 +19,12 @@ builds one.  Noisy runs of both systems take the full system's NoiseModel,
 whose resonant average over the drift's clusters (resonance.build_diffusion)
 is the effective run's diffusion B.
 Complex noise follows the convention E|beta_l(tau)|^2 = 2 tau (independent
-standard real and imaginary parts).
-A stochastic run's normals are drawn ahead by one forked producer process that
-shares the noise buffer with it and draws every fill of the run's steps
-(_NoiseStream); the run draws them itself only where fork is unavailable.  The
-buffer is step-major and complex, so each step's normals are one contiguous
-(members, modes) block that the driver reads in place.
+standard real and imaginary parts).  A run that draws noise splits its
+members with one forked child (_sharded), each process drawing its own
+members' normals (_NoiseStream): member i's stream is keyed seed + i
+whichever process draws it.  The noise buffer is step-major and complex, so
+each step's normals are one contiguous (members, modes) block that the
+driver reads in place.
 """
 
 from dataclasses import dataclass, fields
@@ -43,6 +43,7 @@ SCHEMES = ("lawson4", "expeuler")
 NOISE_CONVENTION = "E|beta_l(tau)|^2 = 2 tau"
 _NOISE_BYTES = 1 << 22  # bytes of normals one refill of the noise buffer may hold
 _NOISE_BLOCK = 64  # members drawn into the contiguous scratch at a time
+_SHARD_ROWS = 8  # GEMM row block: shards split on a multiple round as one batch does
 
 
 @dataclass(frozen=True)
@@ -170,144 +171,50 @@ class _NoiseStream:
 
     Member i always consumes its stream in the same order (2 * modes normals
     per step: the real parts, then the imaginary ones), so a member integrated
-    alone reproduces its batch trajectory, and how the steps are split into
-    fills does not change a single draw.
+    alone, or in either shard of a forked run, reproduces its batch trajectory,
+    and how the steps are split into refills does not change a single draw.
 
     The buffer holds (steps, members, modes) complex normals, at most
     _NOISE_BYTES, or one step when a step is larger, so next_step() hands out
-    each step as a contiguous view.  It is an anonymous shared mmap split into
-    two halves along the step axis, or kept as one half when it holds one
-    step.  The run's steps are fixed at construction and listed as fills of
-    (half, steps), which go to the halves in turn.  Philox only fills
-    contiguous arrays, so a fill draws _NOISE_BLOCK members at a time into a
-    scratch of (block, steps, 2, modes) and writes its real and imaginary
-    parts into its half with one transposed assignment each.
-
-    One side draws every fill.  The first next_step() forks one producer
-    process, which builds the generators and the scratch and draws the fills
-    in order; before it refills a half it waits for the caller to release
-    that half, so while the caller consumes one half, the producer refills
-    the other.  It answers each fill with None, or with the fill's exception,
-    which next_step() re-raises, and exits after the last fill.  Philox is
-    counter-based and keyed per member, so these are the bits the caller
-    would draw; where fork is unavailable, the caller draws each fill itself
-    when it needs it.  _drive calls close() however the run ends.
+    each step as a contiguous view; the process that reads it refills it in
+    place with the run's next steps once it is used up.  Philox only fills
+    contiguous arrays, so a refill draws _NOISE_BLOCK members at a time into
+    a scratch of (block, steps, 2, modes) and writes its real and imaginary
+    parts into the buffer with one transposed assignment each.
     """
 
     def __init__(self, seed_base, members, modes, steps):
-        self.seed_base, self.members, self.modes = seed_base, members, modes
-        size = max(1, min(steps, _NOISE_BYTES // (16 * self.members * self.modes)))
-        shape = (size, self.members, self.modes)
-        self._buffer = np.frombuffer(mmap.mmap(-1, 16 * math.prod(shape)),
-                                     dtype=complex).reshape(shape)
-        first = (size + 1) // 2
-        self._halves = (self._buffer[:first], self._buffer[first:]) if size > 1 else (self._buffer,)
-        self._fills = []  # (half, steps) of each fill, in the order they are drawn
-        left = int(steps)
-        while left > 0:
-            half = len(self._fills) % len(self._halves)
-            self._fills.append((half, min(left, len(self._halves[half]))))
-            left -= self._fills[-1][1]
-        self._gens = self._scratch = None  # built by the side that draws
-        self._next = 0  # index of the next fill to consume
-        self._half = self._cursor = self._filled = 0  # the fill being consumed
-        self._producer = None  # (process, connection) while forked
+        size = max(1, min(steps, _NOISE_BYTES // (16 * members * modes)))
+        self._buffer = np.empty((size, members, modes), dtype=complex)
+        self._gens = [np.random.Generator(np.random.Philox(key=seed_base + i))
+                      for i in range(members)]
+        self._scratch = np.empty((min(members, _NOISE_BLOCK), size, 2, modes))
+        self._left = int(steps)  # steps of the run not drawn yet
+        self._cursor = self._filled = 0  # steps of the buffer handed out, and drawn
 
-    def _draw(self, k):
-        """Draw fill k into its half."""
-        half, steps = self._fills[k]
-        if self._gens is None:
-            self._gens = [np.random.Generator(np.random.Philox(key=self.seed_base + i))
-                          for i in range(self.members)]
-            self._scratch = np.empty((min(self.members, _NOISE_BLOCK),
-                                      len(self._halves[0]), 2, self.modes))
+    def _refill(self):
+        """Draw the run's next steps into the buffer, as many as it holds."""
+        steps = min(self._left, len(self._buffer))
         block = self._scratch[:, :steps]
-        for lo in range(0, self.members, len(block)):
+        for lo in range(0, len(self._gens), len(block)):
             gens = self._gens[lo:lo + len(block)]
             for g, rows in zip(gens, block):
                 g.standard_normal(out=rows)
             drawn = block[:len(gens)]
-            target = self._halves[half][:steps, lo:lo + len(gens)]
+            target = self._buffer[:steps, lo:lo + len(gens)]
             target.real = drawn[:, :, 0].transpose(1, 0, 2)
             target.imag = drawn[:, :, 1].transpose(1, 0, 2)
-
-    def _fork(self):
-        """Start the producer, unless fork is unavailable."""
-        import multiprocessing
-        if "fork" not in multiprocessing.get_all_start_methods():
-            return
-        context = multiprocessing.get_context("fork")
-        connection, child_end = context.Pipe()
-        process = context.Process(target=self._produce, args=(child_end,), daemon=True)
-        self._producer = (process, connection)
-        process.start()
-        child_end.close()
-
-    def _produce(self, connection):
-        """The producer's loop: draw every fill, each once its half is released."""
-        signal.signal(signal.SIGINT, signal.SIG_IGN)  # the caller handles interrupts
-        self._producer[1].close()
-        try:
-            for k in range(len(self._fills)):
-                if k >= len(self._halves):
-                    connection.recv()  # the caller is done with this half
-                try:
-                    self._draw(k)
-                except Exception as exc:
-                    connection.send(exc)
-                    return
-                connection.send(None)
-        except (EOFError, OSError):
-            return
-
-    def _receive(self, k):
-        """Release the half of fill k - 1 if a later fill reuses it, then wait for
-        fill k; re-raises the producer's error."""
-        connection = self._producer[1]
-        if k > 0 and k - 1 + len(self._halves) < len(self._fills):
-            try:
-                connection.send(None)
-            except BrokenPipeError:
-                pass  # the producer has ended; its last answer says why
-        try:
-            error = connection.recv()
-        except EOFError:
-            error = RuntimeError("the noise producer ended during a fill")
-        if error is not None:
-            raise error
-        if k == len(self._fills) - 1:
-            self._stop(finished=True)
-
-    def _stop(self, finished):
-        """Close the pipe and reap the producer, terminating it unless it has finished."""
-        process, connection = self._producer
-        self._producer = None
-        connection.close()
-        if not finished:
-            process.terminate()  # drops a fill in progress
-        process.join()
+        self._left -= steps
+        self._cursor, self._filled = 0, steps
 
     def next_step(self):
         """Complex normals z_re + i z_im of shape (members, modes) for one step: a
         view into the buffer, valid until the next call."""
         if self._cursor == self._filled:
-            k = self._next
-            if k == 0:
-                self._fork()
-            if self._producer is not None:
-                self._receive(k)
-            else:
-                self._draw(k)
-            self._next, self._cursor = k + 1, 0
-            self._half, self._filled = self._fills[k]
-        z = self._halves[self._half][self._cursor]
+            self._refill()
+        z = self._buffer[self._cursor]
         self._cursor += 1
         return z
-
-    def close(self):
-        """Stop the producer, dropping a pending fill and its errors."""
-        if self._producer is not None:
-            self._stop(finished=False)
 
 
 def _noise_injector(noise, frame, epsilon=None, clusters=None):
@@ -374,16 +281,10 @@ def _drive(a0, g, lam, mu, config, h_target, inject=None, seed=None, drift=None)
     """Propagate an (members, modes) batch over the sample grid.
 
     A seed marks a stochastic run, which must use the expeuler scheme; noise
-    that injects needs one, and draws from seed's member streams, sized to the
-    run's steps.  The seed is refused here, once per run, unless it keys all
-    of the members' streams.  Members whose guard norm leaves the safety ball
-    are frozen to NaN but keep consuming their noise stream, so survivors are
-    unaffected by exclusions.  Disparity tracking (drift given) accumulates
-    the integral of g - drift by the trapezoid rule on step nodes, reusing the
-    scheme's own k1 stages: a segment's first stage closes the last one's
-    trapezoid at the sample node, and one evaluation after the last step
-    closes the run's.  The expeuler update, the noise increment and the guard
-    norm run in work arrays the driver owns.  The returned "meta" (h_target, steps) is what every
+    that injects needs one, and member i draws from the stream keyed seed + i.
+    The seed is refused here, once per run, unless it keys every member's
+    stream, and a run whose noise injects splits its members with one forked
+    child (_sharded).  The returned "meta" (h_target, steps) is what every
     result reports, and "seed" is the seed as an int.
     """
     members, modes = a0.shape
@@ -396,7 +297,32 @@ def _drive(a0, g, lam, mu, config, h_target, inject=None, seed=None, drift=None)
     taus = config.sample_taus()
     plan = _segment_steps(taus, h_target)
     steps = sum(n for n, _ in plan)
-    stream = None if inject is None else _NoiseStream(seed, members, modes, steps)
+
+    def propagate(lo, hi):  # members lo..hi - 1, run alone
+        return _propagate(a0[lo:hi], g, lam, mu, config, taus, plan, inject,
+                          None if seed is None else seed + lo, drift)
+
+    run = (propagate(0, members) if inject is None
+           else _sharded(propagate, members, taus.size, modes, drift is not None))
+    return {"taus": taus, **run, "steps": steps, "seed": seed,
+            "meta": {"h_target": h_target, "steps": steps}}
+
+
+def _propagate(a0, g, lam, mu, config, taus, plan, inject, seed, drift):
+    """_drive's loop over the steps of plan, for one batch of members.
+
+    Members whose guard norm leaves the safety ball are frozen to NaN but keep
+    consuming their noise stream, so survivors are unaffected by exclusions.
+    Disparity tracking (drift given) accumulates the integral of g - drift by
+    the trapezoid rule on step nodes, reusing the scheme's own k1 stages: a
+    segment's first stage closes the last one's trapezoid at the sample node,
+    and one evaluation after the last step closes the run's.  The expeuler
+    update, the noise increment and the guard norm run in work arrays the
+    loop owns.
+    """
+    members, modes = a0.shape
+    stream = None if inject is None else _NoiseStream(seed, members, modes,
+                                                      sum(n for n, _ in plan))
     states = np.empty((taus.size, members, modes), dtype=complex)
     states[0] = a0
     a = a0.astype(complex, order="C")  # the guard norm reads a contiguous complex copy
@@ -417,51 +343,101 @@ def _drive(a0, g, lam, mu, config, h_target, inject=None, seed=None, drift=None)
     spare = np.empty_like(a)  # the expeuler update writes here, then the two swap
     increment = np.empty_like(a) if inject else None
     norm, norm_work = np.empty(members), np.empty((members, 2 * modes))
-    try:
-        for i, (n, h) in enumerate(plan):
-            E = np.exp(-mu * lam * h)
-            E2 = np.exp(-mu * lam * (0.5 * h)) if use_lawson else None
-            sqrt_h = math.sqrt(h)
-            t0 = taus[i]
-            for j in range(n):
-                tau_n = t0 + j * h
-                k1 = g(a, tau_n)
-                if track:
-                    gap = k1 - drift(a)
-                    if gap_prev is not None:
-                        D = D + (0.5 * h_prev) * (gap_prev + gap)
-                        np.maximum(disp_max, np.abs(D), out=disp_max)
-                    gap_prev, h_prev = gap, h
-                if use_lawson:
-                    a = _lawson4_step(a, tau_n, h, E, E2, g, k1)
-                else:
-                    a, spare = _expeuler_step(a, h, E, k1, out=spare), a
-                if inject is not None:
-                    np.add(a, inject(tau_n + h, sqrt_h, stream.next_step(), increment), out=a)
-                with np.errstate(over="ignore", invalid="ignore"):
-                    # the norm is >= 0, inf or NaN: over means "not finite or above the bound"
-                    over = ~(_guard_norm(a, weights, out=norm, work=norm_work) <= limit)
-                if over.any():
-                    fresh = over & ~dead
-                    dead |= fresh
-                    death_tau[fresh] = tau_n + h
-                    death_norm[fresh] = norm[fresh]
-                    a[fresh] = np.nan
-            states[i + 1] = a
-    finally:
-        if stream is not None:
-            stream.close()
+    for i, (n, h) in enumerate(plan):
+        E = np.exp(-mu * lam * h)
+        E2 = np.exp(-mu * lam * (0.5 * h)) if use_lawson else None
+        sqrt_h = math.sqrt(h)
+        t0 = taus[i]
+        for j in range(n):
+            tau_n = t0 + j * h
+            k1 = g(a, tau_n)
+            if track:
+                gap = k1 - drift(a)
+                if gap_prev is not None:
+                    D = D + (0.5 * h_prev) * (gap_prev + gap)
+                    np.maximum(disp_max, np.abs(D), out=disp_max)
+                gap_prev, h_prev = gap, h
+            if use_lawson:
+                a = _lawson4_step(a, tau_n, h, E, E2, g, k1)
+            else:
+                a, spare = _expeuler_step(a, h, E, k1, out=spare), a
+            if inject is not None:
+                np.add(a, inject(tau_n + h, sqrt_h, stream.next_step(), increment), out=a)
+            with np.errstate(over="ignore", invalid="ignore"):
+                # the norm is >= 0, inf or NaN: over means "not finite or above the bound"
+                over = ~(_guard_norm(a, weights, out=norm, work=norm_work) <= limit)
+            if over.any():
+                fresh = over & ~dead
+                dead |= fresh
+                death_tau[fresh] = tau_n + h
+                death_norm[fresh] = norm[fresh]
+                a[fresh] = np.nan
+        states[i + 1] = a
     if track:
         # close the trapezoid at the last sample node
         gap = g(a, taus[-1]) - drift(a)
         D = D + (0.5 * h_prev) * (gap_prev + gap)
         np.maximum(disp_max, np.abs(D), out=disp_max)
-    return {
-        "taus": taus, "states": states, "dead": dead,
-        "death_tau": death_tau, "death_norm": death_norm, "bound": bound,
-        "disp_max": disp_max, "steps": steps, "seed": seed,
-        "meta": {"h_target": h_target, "steps": steps},
-    }
+    return {"states": states, "dead": dead, "death_tau": death_tau,
+            "death_norm": death_norm, "bound": bound, "disp_max": disp_max}
+
+
+def _sharded(propagate, members, samples, modes, tracked):
+    """propagate(0, members), with the members from split on run by one forked
+    child where fork is available.  split is half the members rounded down to
+    a multiple of _SHARD_ROWS, so each member rounds as in an unsharded run;
+    fewer than 2 * _SHARD_ROWS members stay here.  The child writes its
+    results into arrays laid out in anonymous shared mmaps before the fork,
+    then sends None or the exception it raised, which is raised here.  An
+    error or an interrupt in the caller terminates the child, which is reaped
+    however the run ends.
+    """
+    import multiprocessing  # imported by the first noisy run only
+    split = members // 2 // _SHARD_ROWS * _SHARD_ROWS
+    if split == 0 or "fork" not in multiprocessing.get_all_start_methods():
+        return propagate(0, members)
+
+    def shared(shape, dtype=float):  # zeroed; what the child writes there reaches us
+        nbytes = math.prod(shape) * np.dtype(dtype).itemsize
+        return np.frombuffer(mmap.mmap(-1, nbytes), dtype).reshape(shape)
+
+    n = members - split
+    theirs = {"states": shared((samples, n, modes), complex), "dead": shared((n,), bool),
+              "death_tau": shared((n,)), "death_norm": shared((n,)), "bound": shared((n,)),
+              "disp_max": shared((n, modes)) if tracked else None}
+    connection, child_end = multiprocessing.Pipe(duplex=False)
+
+    def child():
+        signal.signal(signal.SIGINT, signal.SIG_IGN)  # the caller handles interrupts
+        try:
+            for name, part in propagate(split, members).items():
+                if part is not None:
+                    theirs[name][...] = part
+        except Exception as exc:
+            child_end.send(exc)
+        else:
+            child_end.send(None)
+
+    process = multiprocessing.get_context("fork").Process(target=child, daemon=True)
+    process.start()
+    child_end.close()
+    try:
+        mine = propagate(0, split)
+        try:
+            error = connection.recv()
+        except EOFError:
+            error = RuntimeError("the forked member shard ended without a result")
+    except BaseException:
+        process.terminate()
+        raise
+    finally:
+        connection.close()
+        process.join()
+    if error is not None:
+        raise error
+    return {name: None if part is None else
+            np.concatenate((part, theirs[name]), axis=1 if name == "states" else 0)
+            for name, part in mine.items()}
 
 
 # -- run helpers: one per system, shared by single runs and ensembles --------

@@ -13,10 +13,12 @@ import math
 
 import numpy as np
 
-from .errors import ConfigError, UnsupportedModeError, ValidationError, check_int, check_keys
+from .errors import (ConfigError, UnsupportedModeError, ValidationError, check_int,
+                     check_keys, check_real)
 
 DEFAULT_ETA = 1e-8
 TABLE_SCHEMA = "resonlab-resonance-v1"
+TABLE_MODES = ("exact", "float")  # the arithmetic a table was built with
 TWO_PI = 2.0 * math.pi
 
 
@@ -178,7 +180,7 @@ class ResonanceTable:
 
     eigenvalues: np.ndarray
     eta: float
-    mode: str  # "exact" or "float"
+    mode: str  # one of TABLE_MODES
     clusters: list
     resonances: dict  # pattern tuple -> {target index -> (n, len(pattern)) intp array}
     gamma_min: float
@@ -223,6 +225,8 @@ class ResonanceTable:
         check_keys("table", doc, keys + ("frame_sha256",), required=keys)
         if doc["schema"] != TABLE_SCHEMA:
             raise ConfigError(f"unknown resonance schema {doc['schema']!r}")
+        if doc["mode"] not in TABLE_MODES:
+            raise ConfigError(f"table.mode must be one of {TABLE_MODES}, got {doc['mode']!r}")
         eigenvalues = np.array(doc["lambda"], dtype=float)
         modes = eigenvalues.size
         clusters = [[check_int(k, "table cluster index") for k in c] for c in doc["clusters"]]
@@ -231,7 +235,12 @@ class ResonanceTable:
         resonances = {}
         for i, entry in enumerate(doc["resonances"]):
             check_keys(f"table.resonances[{i}]", entry, entry_keys, required=entry_keys)
-            pattern = tuple(entry["pattern"])
+            pattern = entry["pattern"]
+            if (not isinstance(pattern, list) or not pattern
+                    or any(type(s) is not int or s not in (-1, 1) for s in pattern)):
+                raise ConfigError(f"table.resonances[{i}].pattern must be a nonempty list "
+                                  f"of +-1 signs, got {pattern!r}")
+            pattern = tuple(pattern)
             per_target = resonances.setdefault(pattern, {})
             target = entry["target"]
             if type(target) is not int or target not in range(modes) or target in per_target:
@@ -247,11 +256,11 @@ class ResonanceTable:
         gamma = doc["gamma_min"]
         return ResonanceTable(
             eigenvalues=eigenvalues,
-            eta=float(doc["eta_res"]),
+            eta=check_real(doc["eta_res"], "table.eta_res"),
             mode=doc["mode"],
             clusters=clusters,
             resonances=resonances,
-            gamma_min=math.inf if gamma is None else float(gamma),
+            gamma_min=math.inf if gamma is None else check_real(gamma, "table.gamma_min"),
             frame_hash=doc.get("frame_sha256"),
         )
 

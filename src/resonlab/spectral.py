@@ -307,13 +307,20 @@ class SpectralFrame:
             raise ConfigError(f"unknown frame schema {doc['schema']!r}")
         geometry = TorusGeometry.from_document(doc["geometry"])
         potential = Potential.from_document(doc["potential"])
-        basis = tuple((kind, tuple(m)) for kind, m in doc["basis"])
+        try:
+            basis = tuple((kind, tuple(m)) for kind, m in doc["basis"])
+        except (TypeError, ValueError) as exc:  # not pairs of a kind and a list
+            raise ConfigError("frame.basis must be a list of [kind, lattice index] pairs") from exc
         expected = tuple(trig_basis(geometry.dimension, doc["modes"]))
         if basis != expected:
             raise ValidationError("frame file basis ordering does not match the canonical ordering")
-        return SpectralFrame(geometry, potential, basis,
-                             np.array(doc["lambda"], dtype=float),
-                             np.array(doc["psi"], dtype=float))
+        arrays = {}
+        for key in ("lambda", "psi"):
+            try:
+                arrays[key] = np.array(doc[key], dtype=float)
+            except (TypeError, ValueError) as exc:  # a ragged nest, or not numbers
+                raise ConfigError(f"frame.{key} must be a rectangular array of numbers") from exc
+        return SpectralFrame(geometry, potential, basis, arrays["lambda"], arrays["psi"])
 
 
 def _lattice_index(m):

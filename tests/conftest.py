@@ -8,8 +8,8 @@ from resonlab.spectral import TorusGeometry, Potential, build_frame
 
 @pytest.fixture(autouse=True)
 def no_child_process_left():
-    """Fail a test that leaves a child process running, such as a noise producer
-    its stream did not stop; pyproject.toml fails one whose thread raises."""
+    """Fail a test that leaves a child process running, such as a member shard
+    its run did not reap; pyproject.toml fails one whose thread raises."""
     yield
     left = multiprocessing.active_children()
     for child in left:

@@ -539,6 +539,12 @@ def test_tampered_frame_file_is_refused(workspace, tmp_path, capsys):
 def test_artifact_documents_name_their_missing_keys(workspace, tmp_path, capsys, what, edit,
                                                     message):
     # a pinned frame without "psi" used to exit with "malformed config: KeyError('psi')"
+    _refuses_edited_artifact(workspace, tmp_path, capsys, what, edit, message)
+
+
+def _refuses_edited_artifact(workspace, tmp_path, capsys, what, edit, message):
+    """`effective` on a pinned copy of the workspace's frame or table, edited by
+    edit(doc), exits 1 with message and no traceback, and writes nothing."""
     doc = json.loads(io.canonical_bytes(workspace[what].to_document()))
     edit(doc)
     raw = json.dumps(doc, separators=(",", ":")).encode()
@@ -552,6 +558,30 @@ def test_artifact_documents_name_their_missing_keys(workspace, tmp_path, capsys,
     assert message in err, err
     assert "malformed" not in err and "Traceback" not in err
     assert not out.exists()
+
+
+def _ragged_psi(doc):
+    doc["psi"][1].pop()
+
+
+@pytest.mark.parametrize("what, edit, message", [
+    ("frame", lambda doc: doc.update(basis=3),
+     "frame.basis must be a list of [kind, lattice index] pairs"),
+    ("frame", _ragged_psi, "frame.psi must be a rectangular array of numbers"),
+    ("table", lambda doc: doc.update(eta_res="x"),
+     "table.eta_res must be a real number, got 'x'"),
+    ("table", lambda doc: doc.update(gamma_min="x"),
+     "table.gamma_min must be a real number, got 'x'"),
+    ("table", lambda doc: doc["resonances"][1].update(pattern=5),
+     "table.resonances[1].pattern must be a nonempty list of +-1 signs, got 5"),
+    ("table", lambda doc: doc.update(mode="bogus"),
+     "table.mode must be one of ('exact', 'float'), got 'bogus'"),
+], ids=["frame-basis", "frame-psi", "table-eta", "table-gamma", "table-pattern", "table-mode"])
+def test_artifact_values_of_the_wrong_type_name_their_place(workspace, tmp_path, capsys,
+                                                            what, edit, message):
+    # each escaped as "malformed config" with a bare TypeError or ValueError,
+    # and a table "mode" the writer never emits was read without complaint
+    _refuses_edited_artifact(workspace, tmp_path, capsys, what, edit, message)
 
 
 def test_manifest_hashes_are_the_output_bytes(workspace, tmp_path):

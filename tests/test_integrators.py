@@ -29,7 +29,7 @@ from resonlab.integrators import (
     oscillation_step,
     step_full_deterministic,
 )
-from resonlab.nonlinearity import NonlinearitySpec
+from resonlab.nonlinearity import NonlinearitySpec, cubic_damping_terms
 from resonlab.resonance import build_diffusion, build_resonance_table, eigenvalue_clusters
 from resonlab.spectral import (
     Potential,
@@ -559,6 +559,19 @@ def test_seedless_zero_noise_ensembles_report_no_seed(frame_1d_5):
         assert np.array_equal(seedless.mean_actions, seeded.mean_actions)
 
 
+def _record_runs(monkeypatch):
+    """The member count of each batch propagated in this process from now on:
+    a sharded run propagates only its first shard here."""
+    propagate, counts = integrators._propagate, []
+
+    def counted(a0, *args):
+        counts.append(len(a0))
+        return propagate(a0, *args)
+
+    monkeypatch.setattr(integrators, "_propagate", counted)
+    return counts
+
+
 def test_zero_noise_builds_no_stream(frame_1d_5, monkeypatch):
     built = []
 
@@ -567,14 +580,16 @@ def test_zero_noise_builds_no_stream(frame_1d_5, monkeypatch):
             super().__init__(*args)
             built.append(self)
 
+    runs = _record_runs(monkeypatch)
     monkeypatch.setattr(integrators, "_NoiseStream", Counting)
     cfg = SolverConfig(epsilon=0.5, tau_end=0.1, dt=5e-3, scheme="expeuler", samples=3)
     a0 = 0.4 * np.ones(5, dtype=complex)
-    res = ensemble_full(a0, CUBIC, frame_1d_5, cfg, NoiseModel.zero(5), 4, seed_base=7)
-    assert built == [] and res.seed_base == 7 and res.meta["steps"] == 20
+    res = ensemble_full(a0, CUBIC, frame_1d_5, cfg, NoiseModel.zero(5), 16, seed_base=7)
+    assert built == [] and runs == [16] and res.seed_base == 7 and res.meta["steps"] == 20
     ensemble_full(a0, CUBIC, frame_1d_5, cfg, NoiseModel((0.3, 0.3, 0.3, 0.2, 0.2)),
-                  4, seed_base=7)
-    assert len(built) == 1
+                  16, seed_base=7)
+    # the caller runs members 0-7 and builds only their generators; a child runs 8-15
+    assert runs == [16, 8] and len(built) == 1 and len(built[0]._gens) == 8
 
 
 def test_noise_amplitude_count_must_match_modes(frame_1d_5):
@@ -648,15 +663,14 @@ def _philox_state(gen):
 @settings(max_examples=40, deadline=None)
 @given(st.sampled_from((1, 2, 3, 4, 7, None)), st.sampled_from((1, 3, 64)),
        st.integers(0, 2), st.integers(1, 63), st.integers(1, 6), st.integers(1, 30),
-       st.integers(0, 2 ** 32 - 1), st.booleans())
+       st.integers(0, 2 ** 32 - 1))
 def test_noise_draws_do_not_depend_on_refill_size(per_refill, block, full_blocks, rest,
-                                                  modes, steps, seed, fork):
-    # per_refill None: the whole run fits one refill; a refill of k steps is
-    # drawn as halves of ceil(k / 2) and floor(k / 2) steps, or as one half of
-    # one step.  A fill draws `block` members at a time; the member count is no
+                                                  modes, steps, seed):
+    # per_refill None: the whole run fits one refill; otherwise the buffer
+    # holds per_refill steps and the last refill draws what the run has left.
+    # A refill draws `block` members at a time; the member count is no
     # multiple of a block of more than one member, so the last block is a
-    # partial one.  The producer draws where fork is available, the caller
-    # where it is not, and both give the same normals
+    # partial one
     members = full_blocks * block + (1 + rest % (block - 1) if block > 1 else rest)
     budget = 16 * members * modes * (steps if per_refill is None else per_refill)
     ref = np.stack([_philox(seed + i).standard_normal((steps, 2, modes))
@@ -664,72 +678,57 @@ def test_noise_draws_do_not_depend_on_refill_size(per_refill, block, full_blocks
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(integrators, "_NOISE_BYTES", budget)
         mp.setattr(integrators, "_NOISE_BLOCK", block)
-        if not fork:
-            mp.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
         batch = _NoiseStream(seed, members, modes, steps)
         # members alone: the first two and the last, which sits in the partial block
         picked = sorted({0, min(1, members - 1), members - 1})
         alone = [_NoiseStream(seed + i, 1, modes, steps) for i in picked]
-        try:
-            for t in range(steps):
-                z = batch.next_step()
-                assert z.shape == (members, modes) and z.flags.c_contiguous
-                assert np.array_equal(z.real, ref[t, :, 0])
-                assert np.array_equal(z.imag, ref[t, :, 1])
-                for i, single in zip(picked, alone):
-                    assert np.array_equal(single.next_step()[0], z[i])
-        finally:
-            for stream in (batch, *alone):
-                stream.close()
-        if not fork:
-            assert len(batch._scratch) == min(members, block)
+        for t in range(steps):
+            z = batch.next_step()
+            assert z.shape == (members, modes) and z.flags.c_contiguous
+            assert np.array_equal(z.real, ref[t, :, 0])
+            assert np.array_equal(z.imag, ref[t, :, 1])
+            for i, single in zip(picked, alone):
+                assert np.array_equal(single.next_step()[0], z[i])
+    assert len(batch._scratch) == min(members, block)
 
 
 def test_noise_stream_draws_only_the_steps_a_run_takes(frame_1d_5, monkeypatch):
-    streams, producers = [], []
+    streams = []
 
     class Recording(_NoiseStream):
         def __init__(self, *args):
             super().__init__(*args)
+            self.refills = []
             streams.append(self)
 
-        def _fork(self):
-            super()._fork()
-            if self._producer is not None:
-                producers.append(self._producer[0])
+        def _refill(self):
+            super()._refill()
+            self.refills.append(self._filled)
 
     monkeypatch.setattr(integrators, "_NoiseStream", Recording)
     noise = NoiseModel((0.3, 0.3, 0.3, 0.2, 0.2))
     cfg = SolverConfig(epsilon=0.5, tau_end=0.3, dt=5e-3, scheme="expeuler", samples=4)
-    # the default budget buffers the 60 steps as two halves of 30; a buffer
-    # of 7 steps has halves of 4 and 3; one of 16 steps has halves of 8, so
-    # the last fill draws only the 4 steps the run still takes
-    budgets = ((integrators._NOISE_BYTES, 30), (7 * 16 * 3 * 5, 4), (16 * 16 * 3 * 5, 4))
-    for fork in (True, False):
-        if not fork:
-            monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
-        for budget, last in budgets:
-            monkeypatch.setattr(integrators, "_NOISE_BYTES", budget)
-            run = ensemble_full(0.4 * np.ones(5, complex), CUBIC, frame_1d_5, cfg,
-                                noise, 3, seed_base=40)
-            stream = streams.pop()
-            assert run.meta["steps"] == 60
-            fills = [steps for _, steps in stream._fills]
-            assert sum(fills) == 60 and fills[-1] == last
-            if fork:
-                # the producer drew every fill and ended by itself
-                assert stream._gens is None and producers.pop().exitcode == 0
-                continue
-            assert producers == []
-            for i, gen in enumerate(stream._gens):
-                fresh = _philox(40 + i)
-                fresh.standard_normal(60 * 2 * 5)
-                assert _philox_state(gen) == _philox_state(fresh)
+    # the default budget buffers all 60 steps; a buffer of 7 steps is refilled
+    # 9 times and one of 16 steps 4 times, the last refill drawing only the 4
+    # or 12 steps the run still takes
+    budgets = ((integrators._NOISE_BYTES, [60]), (7 * 16 * 3 * 5, [7] * 8 + [4]),
+               (16 * 16 * 3 * 5, [16, 16, 16, 12]))
+    for budget, refills in budgets:
+        monkeypatch.setattr(integrators, "_NOISE_BYTES", budget)
+        run = ensemble_full(0.4 * np.ones(5, complex), CUBIC, frame_1d_5, cfg,
+                            noise, 3, seed_base=40)
+        stream = streams.pop()
+        assert run.meta["steps"] == 60 and stream.refills == refills
+        assert len(stream._gens) == 3
+        for i, gen in enumerate(stream._gens):
+            fresh = _philox(40 + i)
+            fresh.standard_normal(60 * 2 * 5)
+            assert _philox_state(gen) == _philox_state(fresh)
 
 
-def test_noise_buffer_stays_within_budget(monkeypatch):
+def test_noise_buffer_stays_within_budget():
     # 256 steps a refill would buffer 256 * 2000 * 2 * 81 * 8 B = 633 MiB here;
-    # tracemalloc does not see the shared mmap buffer, so its size is checked apart
+    # the scratch holds one block of members, whatever the member count
     members, modes = 2000, 81
     step = 16 * members * modes
     stream = _NoiseStream(0, members, modes, 1000)
@@ -740,80 +739,75 @@ def test_noise_buffer_stays_within_budget(monkeypatch):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-        stream.close()
     assert peak <= integrators._NOISE_BYTES + step
     assert stream._buffer.nbytes <= integrators._NOISE_BYTES
-    # where the caller draws, its scratch holds one block of members, whatever
-    # the member count
-    monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
-    stream = _NoiseStream(0, members, modes, 1000)
-    stream.next_step()
-    half = len(stream._halves[0])
-    assert stream._scratch.shape == (integrators._NOISE_BLOCK, half, 2, modes)
-    assert stream._scratch.nbytes <= 16 * integrators._NOISE_BLOCK * half * modes
+    size = len(stream._buffer)
+    assert stream._scratch.shape == (integrators._NOISE_BLOCK, size, 2, modes)
+    assert stream._scratch.nbytes <= 16 * integrators._NOISE_BLOCK * size * modes
 
 
-def test_noise_prefetch_with_one_step_halves(monkeypatch):
-    # halves of one step hand the buffer between caller and producer each
-    # step; four streams keep four producers running beside the caller
+def test_noise_streams_with_two_step_buffers_interleave(monkeypatch):
+    # four streams drawn in turn, each refilling its own buffer every other
+    # step, draw what each draws alone
     members, modes, steps, seeds = 8, 4, 40, (11, 22, 33, 44)
     monkeypatch.setattr(integrators, "_NOISE_BYTES", 2 * 16 * members * modes)
     refs = [np.stack([_philox(s + i).standard_normal((steps, 2, modes))
                       for i in range(members)], axis=1) for s in seeds]
     streams = [_NoiseStream(s, members, modes, steps) for s in seeds]
-    try:
-        for t in range(steps):
-            for stream, ref in zip(streams, refs):
-                z = stream.next_step()
-                assert np.array_equal(z.real, ref[t, :, 0])
-                assert np.array_equal(z.imag, ref[t, :, 1])
-    finally:
-        for stream in streams:
-            stream.close()
+    for t in range(steps):
+        for stream, ref in zip(streams, refs):
+            z = stream.next_step()
+            assert np.array_equal(z.real, ref[t, :, 0])
+            assert np.array_equal(z.imag, ref[t, :, 1])
 
 
-def test_noise_stream_refills_in_the_caller_without_fork(monkeypatch):
+def test_noise_stream_refills_in_the_caller_without_fork():
     members, modes, steps = 3, 4, 25
-    monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
-    monkeypatch.setattr(integrators, "_NOISE_BYTES", 8 * 16 * members * modes)
     ref = np.stack([_philox(5 + i).standard_normal((steps, 2, modes))
                     for i in range(members)], axis=1)
-    stream = _NoiseStream(5, members, modes, steps)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(integrators, "_NOISE_BYTES", 8 * 16 * members * modes)
+        stream = _NoiseStream(5, members, modes, steps)
     for t in range(steps):
         z = stream.next_step()
         assert np.array_equal(z.real, ref[t, :, 0])
         assert np.array_equal(z.imag, ref[t, :, 1])
-    assert stream._producer is None
+    assert stream._left == 0 and len(stream._buffer) == 8
 
+
+# -- member shards ------------------------------------------------------------
 
 class _Boom(RuntimeError):
     pass
 
 
-def test_field_error_ends_the_noise_producer(frame_1d_5, monkeypatch):
+def _sharded_ensemble(frame, **kwargs):
+    # 16 members: the caller runs members 0-7 and one forked child 8-15
+    cfg = SolverConfig(epsilon=0.5, tau_end=0.3, dt=5e-3, scheme="expeuler", samples=4)
+    return ensemble_full(0.4 * np.ones(5, complex), CUBIC, frame, cfg,
+                         NoiseModel((0.3,) * 5), 16, seed_base=40, **kwargs)
+
+
+def test_caller_error_ends_the_member_shard(frame_1d_5, monkeypatch):
     calls = []
     caller = os.getpid()
 
-    class SlowProducer(_NoiseStream):
-        def _draw(self, k):
-            if os.getpid() != caller:
-                time.sleep(0.2)  # the fill is still running when the field raises
-            super()._draw(k)
-
     def failing(x, t, field):
-        calls.append(t)
-        if len(calls) == 10:
-            raise _Boom
+        if os.getpid() != caller:
+            time.sleep(0.2)  # the child's 61 evaluations would take 12 s
+        else:
+            calls.append(t)
+            if len(calls) == 10:
+                raise _Boom
         return np.zeros_like(x)
 
-    # 60 steps in halves of 30: the second half is being drawn at step 10
-    monkeypatch.setattr(integrators, "_NoiseStream", SlowProducer)
     monkeypatch.setattr(integrators, "eval_Y", failing)
-    cfg = SolverConfig(epsilon=0.5, tau_end=0.3, dt=5e-3, scheme="expeuler", samples=4)
     before = threading.active_count()
+    start = time.perf_counter()
     with pytest.raises(_Boom):
-        ensemble_full(0.4 * np.ones(5, complex), CUBIC, frame_1d_5, cfg,
-                      NoiseModel((0.3,) * 5), 3, seed_base=40)
+        _sharded_ensemble(frame_1d_5)
+    # the caller terminated and reaped the child instead of waiting for it
+    assert time.perf_counter() - start < 6.0
     assert len(calls) == 10
     assert threading.active_count() == before
     assert multiprocessing.active_children() == []
@@ -822,32 +816,100 @@ def test_field_error_ends_the_noise_producer(frame_1d_5, monkeypatch):
 def test_noise_fill_error_reaches_the_caller(frame_1d_5, monkeypatch):
     caller = os.getpid()
 
-    class FailingProducer(_NoiseStream):
-        def _draw(self, k):
-            if os.getpid() != caller and k == failing:
+    class FailingInTheChild(_NoiseStream):
+        def _refill(self):
+            if os.getpid() != caller and self._left == 60 - 8 * failing:
                 raise _Boom("fill failed")
-            super()._draw(k)
+            super()._refill()
 
-        def _receive(self, k):
-            if k == failing:
-                self._producer[0].join()  # the release, if any, goes to an ended producer
-            super()._receive(k)
-
-    # 60 steps in halves of 8: the first fill fails, or the third, which the
-    # producer draws once the caller has released the first one's half; the
-    # producer has then ended when the caller releases the second one's half
-    monkeypatch.setattr(integrators, "_NoiseStream", FailingProducer)
-    monkeypatch.setattr(integrators, "_NOISE_BYTES", 16 * 16 * 3 * 5)
-    cfg = SolverConfig(epsilon=0.5, tau_end=0.3, dt=5e-3, scheme="expeuler", samples=4)
+    # 60 steps in refills of 8: the child's first refill fails, or its third
+    monkeypatch.setattr(integrators, "_NoiseStream", FailingInTheChild)
+    monkeypatch.setattr(integrators, "_NOISE_BYTES", 8 * 16 * 8 * 5)
     before = threading.active_count()
     for failing in (0, 2):
         # the error is pickled across the pipe: its type and message arrive,
-        # the object the producer raised cannot
+        # the object the child raised cannot
         with pytest.raises(_Boom, match="^fill failed$"):
-            ensemble_full(0.4 * np.ones(5, complex), CUBIC, frame_1d_5, cfg,
-                          NoiseModel((0.3,) * 5), 3, seed_base=40)
+            _sharded_ensemble(frame_1d_5)
         assert threading.active_count() == before
         assert multiprocessing.active_children() == []
+
+
+def test_shard_field_error_reaches_the_caller(frame_1d_5, monkeypatch):
+    caller = os.getpid()
+    ran = []
+
+    def failing(x, t, field):
+        if os.getpid() != caller and t > 0.1:
+            raise _Boom(f"field failed at {len(x)} rows")
+        ran.append(len(x))
+        return np.zeros_like(x)
+
+    monkeypatch.setattr(integrators, "eval_Y", failing)
+    with pytest.raises(_Boom, match="^field failed at 8 rows$"):
+        _sharded_ensemble(frame_1d_5)
+    assert set(ran) == {8} and len(ran) == 60  # the caller ran its 8 members to the end
+    assert multiprocessing.active_children() == []
+
+
+@pytest.fixture(scope="module")
+def ensemble_1d_setup():
+    # the ensemble_1d benchmark's frame, nonlinearity and noise: 1-D M = 8
+    # on 32 points, the damped cubic of acceptance check 9
+    frame = build_frame(TorusGeometry((TAU,), 32), Potential.zero(), 8)
+    spec = NonlinearitySpec("polynomial", mu=0.3, terms=cubic_damping_terms(-0.3 - 2.5j))
+    drift = ResonantDrift(frame, spec, build_resonance_table(frame, [(1,), (1, -1, 1)]))
+    noise = NoiseModel(tuple(0.14 * (1.0 + frame.eigenvalues) ** -1.5))
+    return frame, spec, drift, noise
+
+
+def _without_fork(run):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+        return run()
+
+
+def _assert_same_ensemble(a, b):
+    for name in ("mean_actions", "var_actions", "stderr_actions", "disparity_mean"):
+        assert np.array_equal(getattr(a, name), getattr(b, name)), name
+    assert (a.members, a.excluded, a.seed_base, a.meta) == (b.members, b.excluded,
+                                                            b.seed_base, b.meta)
+
+
+@pytest.mark.parametrize("members, split", [(1000, 496), (37, 16)])
+def test_sharded_ensembles_equal_unsharded_runs_bitwise(ensemble_1d_setup, monkeypatch,
+                                                        members, split):
+    # the child's shard starts on a multiple of 8 rows, so every batched GEMM
+    # rounds each member as the unsharded run does
+    frame, spec, drift, noise = ensemble_1d_setup
+    propagated = _record_runs(monkeypatch)
+    a0 = sample_ball(frame, 2.0, 1.5, np.random.default_rng(99))
+    cfg = SolverConfig(epsilon=0.1, tau_end=0.05, dt=2e-3, scheme="expeuler", samples=3)
+    runs = (lambda: ensemble_full(a0, spec, frame, cfg, noise, members, 12345, drift=drift),
+            lambda: ensemble_effective(a0, drift, cfg, noise, members, 12345))
+    for run in runs:
+        _assert_same_ensemble(run(), _without_fork(run))
+    # here, each sharded run propagated its first shard, each unsharded one all members
+    assert propagated == [split, members] * 2
+
+
+def test_blow_up_in_the_child_shard_names_its_global_index(frame_1d_5, monkeypatch):
+    # uniform growth e^{2 tau}: only member 30, in the child's members 16-39,
+    # leaves the ball; the noise is too weak to push any other member out
+    spec = diag_spec([2.0] * 5)
+    initial = np.zeros((40, 5), dtype=complex)
+    initial[30] = 1.0
+    cfg = SolverConfig(epsilon=1.0, tau_end=3.0, dt=0.01, scheme="expeuler", samples=4)
+
+    def run():
+        return ensemble_full(initial, spec, frame_1d_5, cfg, NoiseModel((1e-3,) * 5),
+                             members=40, seed_base=1)
+
+    propagated = _record_runs(monkeypatch)
+    res = run()
+    assert res.excluded == [30] and res.survivors == 39
+    _assert_same_ensemble(res, _without_fork(run))
+    assert propagated == [16, 40]
 
 
 def _ulps(x, y):
