@@ -11,8 +11,9 @@ command writes under its --out, and how many pairs the change won.  The CPU
 split shows whether the two shards of a run are balanced.  On a shared host whose speed
 drifts, a gain is claimed only from at least 10 pairs, when the change wins
 at least 9 in 10 and its median beats the parent's by more than the
-parent's interquartile range.  A command that exits non-zero stops the
-script with its exit code.
+parent's interquartile range.  A study whose criteria fail (exit 3) ran to
+the end and is timed like any other run; the script prints how many runs
+ended so.  A command that exits 1 or 2 stops the script with its exit code.
 
 Usage: python scripts/ab_pairs.py PARENT_SRC CHANGE_SRC [--pairs N] -- <cli args>
 """
@@ -39,20 +40,21 @@ def source_dir(tree):
 
 
 def run_once(src, cli_args, out):
-    """Wall seconds of one CLI run from the package under src, and the CPU
-    seconds of its process and of its children that its manifest records."""
+    """Wall seconds of one CLI run from the package under src, the CPU seconds
+    of its process and of its children that its manifest records, and its
+    exit code, 0 or 3."""
     env = dict(os.environ, PYTHONPATH=str(src), **{var: "1" for var in THREAD_VARS})
     start = time.perf_counter()
     result = subprocess.run([sys.executable, "-m", "resonlab.cli", *cli_args], env=env,
                             stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True)
     elapsed = time.perf_counter() - start
-    if result.returncode != 0:
+    if result.returncode not in (0, 3):
         sys.stderr.write(result.stderr)
         raise SystemExit(result.returncode)
     with open(Path(out) / "manifest.json", encoding="utf-8") as fh:
         resources = json.load(fh)["resources"]
     return (elapsed, float(resources["self"]["cpu_s"]),
-            float(resources["children"]["cpu_s"]))
+            float(resources["children"]["cpu_s"]), result.returncode)
 
 
 def summary(times):
@@ -77,12 +79,14 @@ def main(argv=None):
     trees = {"parent": source_dir(args.parent), "change": source_dir(args.change)}
     times = {"parent": [], "change": []}
     cpu = {"parent": [], "change": []}
+    failed_criteria = 0
     for i in range(args.pairs):
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
         for side in order:
-            elapsed, *cpu_s = run_once(trees[side], cli_args, out)
+            elapsed, *cpu_s, code = run_once(trees[side], cli_args, out)
             times[side].append(elapsed)
             cpu[side].append(cpu_s)
+            failed_criteria += code == 3
         print(f"pair {i + 1}: parent {times['parent'][-1]:.3f} s, "
               f"change {times['change'][-1]:.3f} s", flush=True)
     stats = {side: summary(values) for side, values in times.items()}
@@ -95,6 +99,7 @@ def main(argv=None):
     spread = stats["parent"][2] - stats["parent"][1]
     print(f"change faster in {wins} of {args.pairs} pairs; median gap {gap:.3f} s, "
           f"parent interquartile range {spread:.3f} s")
+    print(f"{failed_criteria} of {2 * args.pairs} runs exited 3 (study criteria failed)")
     if args.pairs < MIN_PAIRS_FOR_GAIN:
         print(f"gain: not judged (fewer than {MIN_PAIRS_FOR_GAIN} pairs)")
     else:

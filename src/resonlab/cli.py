@@ -15,7 +15,7 @@ import time
 from . import __version__
 from .errors import (BlowUpError, ConfigError, EnsembleError, StaleArtifactError,
                      UnsupportedModeError, ValidationError, check_int, check_keys,
-                     check_seed)
+                     check_list, check_real, check_reals, check_seed)
 
 _THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
                 "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS")
@@ -33,8 +33,8 @@ config file keys (JSON, one object; unknown keys anywhere are errors):
   table         {file: PATH, sha256: HASH} referencing a resonances export
   nonlinearity  kind: cubic_focusing | smoothed_monomial | diagonal |
                 polynomial, plus mu and the kind's coefficients
-  solver        epsilon, tau_end, dt, scheme: lawson4 | expeuler, samples,
-                theta_osc, blow_up_factor, blow_up_norm
+  solver        epsilon, tau_end, dt, samples, theta_osc, blow_up_factor,
+                blow_up_norm
   initial       {radius: r, s: exponent, seed: n} for a random smooth state,
                 or {re: [...], im: [...]} for an explicit one
   noise         {amplitudes: [...]}, or {scale: a, decay: p} for
@@ -97,7 +97,7 @@ def _build_geometry(section):
     from .spectral import TorusGeometry
     check_keys("geometry", section, {"lengths", "grid_points"},
                required=("lengths", "grid_points"))
-    return TorusGeometry(tuple(section["lengths"]), section["grid_points"])
+    return TorusGeometry(section["lengths"], section["grid_points"])
 
 
 def _build_potential(section, dimension):
@@ -106,10 +106,9 @@ def _build_potential(section, dimension):
         return Potential.zero()
     check_keys("potential", section, {"cosines"})
     terms = {}
-    for entry in section.get("cosines", ()):
-        check_keys("potential.cosines entry", entry, {"m", "amplitude"},
-                   required=("m", "amplitude"))
-        terms[tuple(entry["m"])] = float(entry["amplitude"])
+    for where, entry in check_list(section.get("cosines", []), "potential.cosines"):
+        check_keys(where, entry, {"m", "amplitude"}, required=("m", "amplitude"))
+        terms[tuple(entry["m"])] = check_real(entry["amplitude"], f"{where}.amplitude")
     return Potential.from_cosines(terms, dimension=dimension)
 
 
@@ -117,6 +116,9 @@ def _read_reference(section, base_dir, what, command):
     """The document a {file, sha256} reference pins; `command` makes the file."""
     from .io import read_json
     check_keys(what, section, {"file", "sha256"}, required=("file", "sha256"))
+    for key in ("file", "sha256"):
+        if not isinstance(section[key], str):
+            raise ConfigError(f"{what}.{key} must be a string, got {section[key]!r}")
     path = os.path.join(base_dir, section["file"])
     if not os.path.exists(path):
         raise ConfigError(f"{what} file {path} not found; "
@@ -129,7 +131,7 @@ def _read_reference(section, base_dir, what, command):
 
 def _load_frame(section, base_dir):
     from .spectral import SpectralFrame, build_frame
-    if "file" in section:
+    if isinstance(section, dict) and "file" in section:
         return SpectralFrame.from_document(
             _read_reference(section, base_dir, "frame", "basis"))
     check_keys("frame", section, {"geometry", "potential", "modes"},
@@ -154,15 +156,18 @@ def _load_table(section, frame, base_dir):
 def _build_initial(section, frame):
     import numpy as np
     from .spectral import sample_ball
-    if "re" in section or "im" in section:
+    if isinstance(section, dict) and ("re" in section or "im" in section):
         check_keys("initial", section, {"re", "im"}, required=("re", "im"))
-        v = np.array(section["re"], dtype=float) + 1j * np.array(section["im"], dtype=float)
-        if v.shape != (frame.modes,):
-            raise ConfigError(f"initial state has {v.shape[0]} entries, "
-                              f"frame has {frame.modes} modes")
-        return v
+        for key in ("re", "im"):
+            shape = np.shape(np.array(section[key], dtype=object))
+            if shape != (frame.modes,):
+                raise ConfigError(f"initial.{key} must be a list of {frame.modes} real "
+                                  f"numbers, one per mode, got shape {shape}")
+        re, im = (np.array(check_reals(section[k], f"initial.{k}")) for k in ("re", "im"))
+        return re + 1j * im
     check_keys("initial", section, {"radius", "s", "seed"}, required=("radius", "s", "seed"))
-    return sample_ball(frame, float(section["s"]), float(section["radius"]),
+    return sample_ball(frame, check_real(section["s"], "initial.s"),
+                       check_real(section["radius"], "initial.radius"),
                        np.random.default_rng(check_seed(section["seed"], "initial.seed")))
 
 
@@ -170,22 +175,22 @@ def _build_noise(section, frame):
     from .integrators import NoiseModel
     if section is None:
         return None
+    check_keys("noise", section, {"amplitudes", "scale", "decay", "eigenvalue_power"})
     forms = [k for k in ("amplitudes", "scale", "eigenvalue_power") if k in section]
     if len(forms) != 1:
         raise ConfigError("noise section needs exactly one of amplitudes, "
                           "scale(+decay), eigenvalue_power")
+    check_keys("noise", section, {"scale", "decay"} if forms == ["scale"] else forms)
     if forms == ["amplitudes"]:
-        check_keys("noise", section, {"amplitudes"})
-        noise = NoiseModel(tuple(section["amplitudes"]))
+        noise = NoiseModel(section["amplitudes"])
         noise.array(frame)  # refuses a count other than the frame's modes
         return noise
     if forms == ["eigenvalue_power"]:
-        check_keys("noise", section, {"eigenvalue_power"})
-        return NoiseModel.from_eigenvalue_power(frame.eigenvalues,
-                                                float(section["eigenvalue_power"]))
-    check_keys("noise", section, {"scale", "decay"})
-    decay = float(section.get("decay", 0.0))
-    return NoiseModel(tuple(float(section["scale"]) * (1.0 + frame.eigenvalues) ** -decay))
+        return NoiseModel.from_eigenvalue_power(
+            frame.eigenvalues, check_real(section["eigenvalue_power"], "noise.eigenvalue_power"))
+    decay = check_real(section.get("decay", 0.0), "noise.decay")
+    return NoiseModel(tuple(check_real(section["scale"], "noise.scale")
+                            * (1.0 + frame.eigenvalues) ** -decay))
 
 
 def _resources(started):
@@ -262,7 +267,7 @@ def _cmd_resonances(args, config, base_dir):
     check_keys("resonance", section, {"patterns", "eta", "mode"}, required=("patterns",))
     kwargs = {k: section[k] for k in ("patterns", "mode") if k in section}
     if "eta" in section:
-        kwargs["eta"] = float(section["eta"])
+        kwargs["eta"] = check_real(section["eta"], "resonance.eta")
     table = build_resonance_table(frame, **kwargs)
     os.makedirs(args.out, exist_ok=True)
     digest = write_json(os.path.join(args.out, "table.json"), table.to_document())
@@ -281,13 +286,14 @@ def _resolve_seed(args, config):
     return None
 
 
-def _cmd_trajectory(args, config, base_dir, effective):
+def _cmd_trajectory(args, config, base_dir):
+    """simulate (the full system) or effective (the averaged one)."""
     from .fields import ResonantDrift
     from .integrators import SolverConfig, integrate_effective, integrate_full
     from .io import save_trajectory
     from .nonlinearity import NonlinearitySpec
-    command = "effective" if effective else "simulate"
-    check_keys("config", config, _COMMAND_KEYS[command],
+    effective = args.command == "effective"
+    check_keys("config", config, _COMMAND_KEYS[args.command],
                required=("frame", "nonlinearity", "solver", "initial")
                         + (("table",) if effective else ()))
     seed = _resolve_seed(args, config)
@@ -297,9 +303,8 @@ def _cmd_trajectory(args, config, base_dir, effective):
     solver = SolverConfig.from_document(config["solver"])
     v0 = _build_initial(config["initial"], frame)
     noise = _build_noise(config.get("noise"), frame)
-    if noise is None or noise.is_zero:
-        noise = seed = None  # noise that injects nothing makes a deterministic run
-    elif seed is None:
+    if seed is None and noise is not None and not noise.is_zero:
+        # the run refuses this too; refused here before the drift is built
         raise ConfigError("a run whose noise injects needs a seed (--seed or config seed)")
 
     if effective:
@@ -352,15 +357,9 @@ def _dispatch(args):
     if not isinstance(config, dict):
         raise ConfigError("config root must be a JSON object")
     base_dir = os.path.dirname(os.path.abspath(args.config))
-    if args.command == "basis":
-        return _cmd_basis(args, config, base_dir)
-    if args.command == "resonances":
-        return _cmd_resonances(args, config, base_dir)
-    if args.command == "simulate":
-        return _cmd_trajectory(args, config, base_dir, effective=False)
-    if args.command == "effective":
-        return _cmd_trajectory(args, config, base_dir, effective=True)
-    return _cmd_study(args, config, base_dir)
+    command = {"basis": _cmd_basis, "resonances": _cmd_resonances, "simulate": _cmd_trajectory,
+               "effective": _cmd_trajectory, "study": _cmd_study}[args.command]
+    return command(args, config, base_dir)
 
 
 def main(argv=None):

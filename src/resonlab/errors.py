@@ -1,7 +1,8 @@
 """Exception types shared across the package, and the checks that refuse an
-outside value: check_int (integers), check_real (real numbers), check_seed
-(RNG seeds) and check_keys (config objects).  Each value is checked once, by
-the object that reads it, and is refused rather than truncated.
+outside value: check_int, check_real, check_list and check_reals (integers,
+reals, lists, lists of reals), check_seed (RNG seeds) and check_keys (config
+objects).  Each value is checked once, by the object that reads it, and is
+refused rather than truncated.
 
 This module imports no numpy: cli imports it before --threads has become the
 BLAS environment variables.  numpy's integer types are numbers.Integral, so
@@ -60,6 +61,19 @@ def check_real(value, name):
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ConfigError(f"{name} must be a real number, got {value!r}")
     return float(value)
+
+
+def check_list(values, name):
+    """(name[i], entry) for each entry of values, refused unless it is a list
+    (or tuple); each entry's reader checks it."""
+    if not isinstance(values, (list, tuple)):
+        raise ConfigError(f"{name} must be a list, got {values!r}")
+    return [(f"{name}[{i}]", value) for i, value in enumerate(values)]
+
+
+def check_reals(values, name):
+    """values as a tuple of floats, refused unless it is a list of real numbers."""
+    return tuple(check_real(value, place) for place, value in check_list(values, name))
 
 
 def check_seed(seed, name, keys=None):

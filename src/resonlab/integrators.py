@@ -6,25 +6,23 @@ exponential (Lawson) schemes:
     full       da/dtau = -mu Lambda a + Y(a, tau / epsilon)      [+ noise]
     effective  da/dtau = -mu Lambda a + R(a)                     [+ B dbeta]
 
-Deterministic runs use a Lawson RK4 step by default; stochastic runs use an
-exponential Euler-Maruyama step.  Each system has one single-run function
-(integrate_full, integrate_effective; noise and seed optional; every member of
-an (n, M) batch of initial states is run) and one ensemble function, and all
-four run through one batched driver, _drive, which alone makes a run
-stochastic: a seed marks one, so a zero-amplitude stochastic run is bitwise
-identical to the deterministic "expeuler" scheme.  Runs take the averaged drift
-they integrate or track the disparity against (a fields.ResonantDrift or
-QuadratureDrift, built by the caller and reused across runs); nothing here
-builds one.  Noisy runs of both systems take the full system's NoiseModel,
-whose resonant average over the drift's clusters (resonance.build_diffusion)
-is the effective run's diffusion B.
-Complex noise follows the convention E|beta_l(tau)|^2 = 2 tau (independent
-standard real and imaginary parts).  A run that draws noise splits its
-members with one forked child (_sharded), each process drawing its own
-members' normals (_NoiseStream): member i's stream is keyed seed + i
+Each system has one single-run function (integrate_full, integrate_effective;
+noise and seed optional; every member of an (n, M) batch of initial states is
+run) and one ensemble function, and all four run through one batched driver,
+_drive, which alone decides how a run steps: noise that injects makes it
+stochastic, needing a seed and stepping with exponential Euler-Maruyama;
+every other run steps with Lawson RK4.  Runs take the averaged drift they
+integrate or track the disparity against (a fields.ResonantDrift or
+QuadratureDrift, built by the caller and reused across runs).  Noisy runs of
+both systems take the full system's NoiseModel, whose resonant average over
+the drift's clusters (resonance.build_diffusion) is the effective run's
+diffusion B.  Complex noise follows the convention E|beta_l(tau)|^2 = 2 tau
+(independent standard real and imaginary parts).  A run that draws noise
+splits its members with one forked child (_sharded), each process drawing its
+own members' normals (_NoiseStream): member i's stream is keyed seed + i
 whichever process draws it.  The noise buffer is step-major and complex, so
-each step's normals are one contiguous (members, modes) block that the
-driver reads in place.
+each step's normals are one contiguous (members, modes) block that the driver
+reads in place.
 """
 
 from dataclasses import dataclass, fields
@@ -34,12 +32,12 @@ import signal
 
 import numpy as np
 
-from .errors import BlowUpError, ConfigError, EnsembleError, check_int, check_keys, check_seed
+from .errors import (BlowUpError, ConfigError, EnsembleError, check_int, check_keys,
+                     check_real, check_reals, check_seed)
 from .fields import Field, eval_Y
 from .resonance import build_diffusion
 from .spectral import mode_vector
 
-SCHEMES = ("lawson4", "expeuler")
 NOISE_CONVENTION = "E|beta_l(tau)|^2 = 2 tau"
 _NOISE_BYTES = 1 << 22  # bytes of normals one refill of the noise buffer may hold
 _NOISE_BLOCK = 64  # members drawn into the contiguous scratch at a time
@@ -59,7 +57,6 @@ class SolverConfig:
     epsilon: float
     tau_end: float
     dt: float = 1e-2
-    scheme: str = "lawson4"
     theta_osc: float = 0.2
     samples: int = 101
     blow_up_factor: float = 100.0
@@ -67,17 +64,15 @@ class SolverConfig:
 
     def __post_init__(self):
         for name in ("epsilon", "tau_end", "dt"):
-            if not 0 < getattr(self, name) < math.inf:
+            if not 0 < check_real(getattr(self, name), name) < math.inf:
                 raise ConfigError(f"{name} must be positive and finite, "
                                   f"got {getattr(self, name)}")
-        if self.scheme not in SCHEMES:
-            raise ConfigError(f"unknown scheme {self.scheme!r}; choose from {SCHEMES}")
-        if not (self.theta_osc > 0):
+        if not (check_real(self.theta_osc, "theta_osc") > 0):
             raise ConfigError("theta_osc must be positive")
         object.__setattr__(self, "samples", check_int(self.samples, "samples", 2))
-        if not (self.blow_up_factor > 1):
+        if not (check_real(self.blow_up_factor, "blow_up_factor") > 1):
             raise ConfigError("blow_up_factor must exceed 1")
-        if not (self.blow_up_norm >= 0):
+        if not (check_real(self.blow_up_norm, "blow_up_norm") >= 0):
             raise ConfigError("blow_up_norm must be >= 0")
 
     def sample_taus(self):
@@ -129,7 +124,7 @@ class NoiseModel:
     amplitudes: tuple
 
     def __post_init__(self):
-        b = tuple(float(x) for x in self.amplitudes)
+        b = check_reals(self.amplitudes, "noise.amplitudes")
         if any(x < 0 or not math.isfinite(x) for x in b):
             raise ConfigError("noise amplitudes must be finite and >= 0")
         object.__setattr__(self, "amplitudes", b)
@@ -163,7 +158,7 @@ class NoiseModel:
 
     @staticmethod
     def from_document(doc):
-        return NoiseModel(tuple(doc["amplitudes"]))
+        return NoiseModel(doc["amplitudes"])
 
 
 class _NoiseStream:
@@ -280,20 +275,18 @@ def _guard_norm(a, weights, out=None, work=None):
 def _drive(a0, g, lam, mu, config, h_target, inject=None, seed=None, drift=None):
     """Propagate an (members, modes) batch over the sample grid.
 
-    A seed marks a stochastic run, which must use the expeuler scheme; noise
-    that injects needs one, and member i draws from the stream keyed seed + i.
-    The seed is refused here, once per run, unless it keys every member's
-    stream, and a run whose noise injects splits its members with one forked
-    child (_sharded).  The returned "meta" (h_target, steps) is what every
-    result reports, and "seed" is the seed as an int.
+    The one place that decides how a run steps: noise that injects (inject
+    given) needs a seed, keys member i's stream seed + i, steps with
+    exponential Euler-Maruyama and splits the members with one forked child
+    (_sharded).  Every other run steps with Lawson RK4, and a seed given to
+    it is checked and recorded but keys no stream.  The returned "meta"
+    (h_target, steps) is what every result reports, "scheme" names the step
+    taken and "seed" is the seed as an int, refused unless it keys every member.
     """
     members, modes = a0.shape
     if seed is None and inject is not None:
         raise ConfigError("a run whose noise injects needs a seed")
-    if seed is not None:
-        seed = check_seed(seed, "seed", keys=members)
-        if config.scheme != "expeuler":
-            raise ConfigError("stochastic runs use scheme='expeuler'")
+    seed = None if seed is None else check_seed(seed, "seed", keys=members)
     taus = config.sample_taus()
     plan = _segment_steps(taus, h_target)
     steps = sum(n for n, _ in plan)
@@ -305,6 +298,7 @@ def _drive(a0, g, lam, mu, config, h_target, inject=None, seed=None, drift=None)
     run = (propagate(0, members) if inject is None
            else _sharded(propagate, members, taus.size, modes, drift is not None))
     return {"taus": taus, **run, "steps": steps, "seed": seed,
+            "scheme": "lawson4" if inject is None else "expeuler",
             "meta": {"h_target": h_target, "steps": steps}}
 
 
@@ -314,11 +308,11 @@ def _propagate(a0, g, lam, mu, config, taus, plan, inject, seed, drift):
     Members whose guard norm leaves the safety ball are frozen to NaN but keep
     consuming their noise stream, so survivors are unaffected by exclusions.
     Disparity tracking (drift given) accumulates the integral of g - drift by
-    the trapezoid rule on step nodes, reusing the scheme's own k1 stages: a
+    the trapezoid rule on step nodes, reusing the step's own k1 stages: a
     segment's first stage closes the last one's trapezoid at the sample node,
-    and one evaluation after the last step closes the run's.  The expeuler
-    update, the noise increment and the guard norm run in work arrays the
-    loop owns.
+    and one evaluation after the last step closes the run's.  A run with
+    inject takes the noisy step, whose update and increment run, with the
+    guard norm, in work arrays the loop owns; any other takes Lawson RK4.
     """
     members, modes = a0.shape
     stream = None if inject is None else _NoiseStream(seed, members, modes,
@@ -339,13 +333,11 @@ def _propagate(a0, g, lam, mu, config, taus, plan, inject, seed, drift):
     gap_prev = None
     h_prev = 0.0
 
-    use_lawson = config.scheme == "lawson4"
-    spare = np.empty_like(a)  # the expeuler update writes here, then the two swap
-    increment = np.empty_like(a) if inject else None
+    spare, increment = (np.empty_like(a), np.empty_like(a)) if inject else (None, None)
     norm, norm_work = np.empty(members), np.empty((members, 2 * modes))
     for i, (n, h) in enumerate(plan):
         E = np.exp(-mu * lam * h)
-        E2 = np.exp(-mu * lam * (0.5 * h)) if use_lawson else None
+        E2 = None if inject else np.exp(-mu * lam * (0.5 * h))
         sqrt_h = math.sqrt(h)
         t0 = taus[i]
         for j in range(n):
@@ -357,12 +349,11 @@ def _propagate(a0, g, lam, mu, config, taus, plan, inject, seed, drift):
                     D = D + (0.5 * h_prev) * (gap_prev + gap)
                     np.maximum(disp_max, np.abs(D), out=disp_max)
                 gap_prev, h_prev = gap, h
-            if use_lawson:
-                a = _lawson4_step(a, tau_n, h, E, E2, g, k1)
-            else:
+            if inject:
                 a, spare = _expeuler_step(a, h, E, k1, out=spare), a
-            if inject is not None:
                 np.add(a, inject(tau_n + h, sqrt_h, stream.next_step(), increment), out=a)
+            else:
+                a = _lawson4_step(a, tau_n, h, E, E2, g, k1)
             with np.errstate(over="ignore", invalid="ignore"):
                 # the norm is >= 0, inf or NaN: over means "not finite or above the bound"
                 over = ~(_guard_norm(a, weights, out=norm, work=norm_work) <= limit)
@@ -481,18 +472,18 @@ def _initial_batch(state, members, modes):
     return np.broadcast_to(a0, (n, modes)).copy() if a0.ndim == 1 else a0
 
 
-def _trajectory(run, shape, config, frame, epsilon=None, noise=None):
+def _trajectory(run, shape, frame, epsilon=None, noise=None):
     """Every member of a single run from an initial state of the given shape:
     (samples, *shape) states.  Raises BlowUpError naming the first member that
-    left the safety ball, or none for a deterministic (modes,) run."""
-    seed, dead = run["seed"], run["dead"]
+    left the safety ball, or none for a (modes,) run."""
+    dead = run["dead"]
     if dead.any():
         i = int(np.argmax(dead))
         raise BlowUpError(float(run["death_tau"][i]), float(run["death_norm"][i]),
-                          float(run["bound"][i]), None if seed is None and len(shape) == 1 else i)
+                          float(run["bound"][i]), None if len(shape) == 1 else i)
     return Trajectory(
-        taus=run["taus"], states=run["states"].reshape(-1, *shape), scheme=config.scheme,
-        epsilon=epsilon, seed=seed, frame_hash=frame.content_hash(),
+        taus=run["taus"], states=run["states"].reshape(-1, *shape), scheme=run["scheme"],
+        epsilon=epsilon, seed=run["seed"], frame_hash=frame.content_hash(),
         noise_doc=None if noise is None else noise.to_document(),
         disparity_max=None if run["disp_max"] is None else run["disp_max"].reshape(shape),
         meta=run["meta"])
@@ -501,7 +492,8 @@ def _trajectory(run, shape, config, frame, epsilon=None, noise=None):
 # -- public single-run integrators ------------------------------------------
 
 def step_full_deterministic(state, tau, h, spec, frame, config):
-    """Advance the full rotated system by one step of the configured scheme.
+    """Advance the full rotated system by one Lawson RK4 step, the step of a
+    noiseless run.
 
     Refuses steps larger than the oscillation-resolving bound; the driver
     routines never produce such steps, so hitting this means a caller bug.
@@ -510,12 +502,9 @@ def step_full_deterministic(state, tau, h, spec, frame, config):
     if h > limit * (1.0 + 1e-9):
         raise ConfigError(f"step {h:.3g} exceeds the oscillation bound {limit:.3g}")
     a, lam = mode_vector(state), frame.eigenvalues
-    E = np.exp(-spec.mu * lam * h)
     g = _rotated_field(spec, frame, config.epsilon)
-    k1 = g(a, tau)
-    if config.scheme == "lawson4":
-        return _lawson4_step(a, tau, h, E, np.exp(-spec.mu * lam * (0.5 * h)), g, k1)
-    return _expeuler_step(a, h, E, k1)
+    return _lawson4_step(a, tau, h, np.exp(-spec.mu * lam * h),
+                         np.exp(-spec.mu * lam * (0.5 * h)), g, g(a, tau))
 
 
 def integrate_full(state, spec, frame, config, drift=None, noise=None, seed=None):
@@ -524,10 +513,11 @@ def integrate_full(state, spec, frame, config, drift=None, noise=None, seed=None
 
     Given the averaged drift of the same spec and frame, the running integral
     of Y - drift along the numerical trajectory is accumulated and sampled.
-    Given a seed, the run is stochastic: member i draws noise from seed + i's stream.
+    Given noise that injects, the run is stochastic and needs a seed: member i
+    draws noise from seed + i's stream.
     """
     run = _run_full(state, None, spec, frame, config, noise=noise, seed=seed, drift=drift)
-    return _trajectory(run, np.shape(state), config, frame, config.epsilon, noise)
+    return _trajectory(run, np.shape(state), frame, config.epsilon, noise)
 
 
 def integrate_effective(state, drift, config, noise=None, seed=None):
@@ -535,7 +525,7 @@ def integrate_effective(state, drift, config, noise=None, seed=None):
     resonant sum, or the quadrature route for oracle swaps), driven by the full
     system's noise; autonomous, so no oscillation refinement."""
     run = _run_effective(state, None, drift, config, noise=noise, seed=seed)
-    return _trajectory(run, np.shape(state), config, drift.frame, noise=noise)
+    return _trajectory(run, np.shape(state), drift.frame, noise=noise)
 
 
 def integrate_full_stochastic(state, spec, frame, config, noise, seed):

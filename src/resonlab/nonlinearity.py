@@ -16,7 +16,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .errors import ConfigError, check_int, check_keys
+from .errors import ConfigError, check_int, check_keys, check_list, check_real
 
 
 def smoothed_power_coefficients(p):
@@ -36,19 +36,10 @@ def smoothed_power(x, p):
     return np.where(x >= 1.0, np.maximum(x, 1e-300) ** p, inner)
 
 
-def _parts(doc, key, where):
-    """(place, part) of each part of the list doc[key], none when it is absent;
-    a value that is not a list is refused.  Each part's reader checks its keys."""
-    parts = doc.get(key, [])
-    if not isinstance(parts, (list, tuple)):
-        raise ConfigError(f"{where}.{key} must be a list, got {parts!r}")
-    return [(f"{where}.{key}[{i}]", part) for i, part in enumerate(parts)]
-
-
-def _complex_part(doc, where):
-    """re + i im of a config object that holds only those two keys."""
-    check_keys(where, doc, ("re", "im"), required=("re", "im"))
-    return complex(doc["re"], doc["im"])
+def _complex_part(doc, where, keys=("re", "im")):
+    """re + i im of a config object that holds re, im and nothing outside keys."""
+    check_keys(where, doc, keys, required=("re", "im"))
+    return complex(check_real(doc["re"], f"{where}.re"), check_real(doc["im"], f"{where}.im"))
 
 
 @dataclass(frozen=True)
@@ -100,10 +91,9 @@ class MonomialTerm:
 
     @staticmethod
     def from_document(doc, where="term"):
-        check_keys(where, doc, ("re", "im", "factors"), required=("re", "im"))
-        return MonomialTerm(complex(doc["re"], doc["im"]),
-                            tuple(MonomialFactor.from_document(f, at)
-                                  for at, f in _parts(doc, "factors", where)))
+        return MonomialTerm(_complex_part(doc, where, ("re", "im", "factors")),
+                            tuple(MonomialFactor.from_document(f, at) for at, f
+                                  in check_list(doc.get("factors", []), f"{where}.factors")))
 
 
 CUBIC_TERM = MonomialTerm(1j, (MonomialFactor(), MonomialFactor(conjugate=True), MonomialFactor()))
@@ -212,16 +202,16 @@ class NonlinearitySpec:
         where = "nonlinearity"
         check_keys(where, doc, {f.name for f in fields(NonlinearitySpec)})
         kind = doc.get("kind")
-        kwargs = {"kind": kind, "mu": float(doc.get("mu", 0.0))}
+        kwargs = {"kind": kind, "mu": check_real(doc.get("mu", 0.0), f"{where}.mu")}
         if kind == "smoothed_monomial":
-            kwargs.update(gr=float(doc.get("gr", 0.0)), gi=float(doc.get("gi", 0.0)),
-                          p=float(doc.get("p", 1.0)), q=float(doc.get("q", 1.0)))
+            kwargs.update({key: check_real(doc.get(key, d), f"{where}.{key}")
+                           for key, d in (("gr", 0.0), ("gi", 0.0), ("p", 1.0), ("q", 1.0))})
         elif kind == "diagonal":
-            kwargs["gammas"] = tuple(_complex_part(g, at)
-                                     for at, g in _parts(doc, "gammas", where))
+            kwargs["gammas"] = tuple(_complex_part(g, at) for at, g
+                                     in check_list(doc.get("gammas", []), f"{where}.gammas"))
         elif kind == "polynomial":
-            kwargs["terms"] = tuple(MonomialTerm.from_document(t, at)
-                                    for at, t in _parts(doc, "terms", where))
+            kwargs["terms"] = tuple(MonomialTerm.from_document(t, at) for at, t
+                                    in check_list(doc.get("terms", []), f"{where}.terms"))
         spec = NonlinearitySpec(**kwargs)
         check_keys(where, doc, spec.to_document())  # and no key of another kind
         return spec

@@ -14,7 +14,7 @@ import math
 import numpy as np
 
 from .errors import (ConfigError, UnsupportedModeError, ValidationError, check_int,
-                     check_keys, check_real)
+                     check_keys, check_list, check_real)
 
 DEFAULT_ETA = 1e-8
 TABLE_SCHEMA = "resonlab-resonance-v1"
@@ -229,16 +229,17 @@ class ResonanceTable:
             raise ConfigError(f"table.mode must be one of {TABLE_MODES}, got {doc['mode']!r}")
         eigenvalues = np.array(doc["lambda"], dtype=float)
         modes = eigenvalues.size
-        clusters = [[check_int(k, "table cluster index") for k in c] for c in doc["clusters"]]
+        clusters = [[check_int(k, "table cluster index") for _, k in check_list(c, place)]
+                    for place, c in check_list(doc["clusters"], "table.clusters")]
         if sorted(itertools.chain.from_iterable(clusters)) != list(range(modes)):
             raise ConfigError(f"table clusters must partition the modes 0..{modes - 1}")
         resonances = {}
-        for i, entry in enumerate(doc["resonances"]):
-            check_keys(f"table.resonances[{i}]", entry, entry_keys, required=entry_keys)
+        for where, entry in check_list(doc["resonances"], "table.resonances"):
+            check_keys(where, entry, entry_keys, required=entry_keys)
             pattern = entry["pattern"]
             if (not isinstance(pattern, list) or not pattern
                     or any(type(s) is not int or s not in (-1, 1) for s in pattern)):
-                raise ConfigError(f"table.resonances[{i}].pattern must be a nonempty list "
+                raise ConfigError(f"{where}.pattern must be a nonempty list "
                                   f"of +-1 signs, got {pattern!r}")
             pattern = tuple(pattern)
             per_target = resonances.setdefault(pattern, {})
@@ -303,7 +304,8 @@ def build_resonance_table(frame, patterns=((1, -1, 1),), eta=DEFAULT_ETA, mode="
 
     Frequencies are compared by frequency_rule(frame, eta, mode).
     """
-    patterns = tuple(tuple(check_int(s, "pattern sign") for s in p) for p in patterns)
+    patterns = tuple(tuple(check_int(s, "pattern sign") for _, s in check_list(p, where))
+                     for where, p in check_list(patterns, "patterns"))
     values, _, _ = frequency_rule(frame, eta, mode)
     mode = "exact" if values.dtype.kind == "i" else "float"  # exact values are integers
     lam = frame.eigenvalues

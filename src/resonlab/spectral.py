@@ -13,7 +13,8 @@ import math
 
 import numpy as np
 
-from .errors import ConfigError, ValidationError, check_int, check_keys
+from .errors import (ConfigError, ValidationError, check_int, check_keys, check_list, check_real,
+                     check_reals)
 from .resonance import check_ascending, eigenvalue_clusters
 
 TWO_PI = 2.0 * math.pi
@@ -35,7 +36,7 @@ class TorusGeometry:
     grid_points: int
 
     def __post_init__(self):
-        lengths = tuple(float(x) for x in self.lengths)
+        lengths = check_reals(self.lengths, "geometry.lengths")
         object.__setattr__(self, "lengths", lengths)
         if len(lengths) not in (1, 2):
             raise ConfigError(f"dimension must be 1 or 2, got {len(lengths)}")
@@ -75,7 +76,8 @@ class TorusGeometry:
     def from_document(doc):
         keys = ("dimension", "lengths", "grid_points")
         check_keys("frame.geometry", doc, keys, required=keys)
-        return TorusGeometry(tuple(doc["lengths"]), doc["grid_points"])
+        lengths = check_reals(doc["lengths"], "frame.geometry.lengths")
+        return TorusGeometry(lengths, doc["grid_points"])
 
 
 @dataclass(frozen=True)
@@ -149,10 +151,12 @@ class Potential:
 
     @staticmethod
     def from_document(doc):
-        for i, entry in enumerate(doc):
-            check_keys(f"frame.potential[{i}]", entry, ("m", "re", "im"),
-                       required=("m", "re", "im"))
-        return Potential(tuple((tuple(e["m"]), complex(e["re"], e["im"])) for e in doc))
+        coefficients = []
+        for where, entry in check_list(doc, "frame.potential"):
+            check_keys(where, entry, ("m", "re", "im"), required=("m", "re", "im"))
+            coefficients.append((entry["m"], complex(check_real(entry["re"], f"{where}.re"),
+                                                     check_real(entry["im"], f"{where}.im"))))
+        return Potential(tuple(coefficients))
 
 
 def trig_basis(dimension, count):

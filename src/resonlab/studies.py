@@ -14,7 +14,7 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .errors import ConfigError, check_int, check_keys, check_seed
+from .errors import ConfigError, check_int, check_keys, check_real, check_reals, check_seed
 from .fields import (Observable, QuadratureDrift, ResonantDrift, action_observable,
                      default_quadrature_nodes, drift_route_residual,
                      monomial_observable, scalar_average, scalar_average_limit)
@@ -74,7 +74,10 @@ class StudyConfig:
     def __post_init__(self):
         if self.study not in STUDIES:
             raise ConfigError(f"unknown study {self.study!r}; pick one of {STUDIES}")
-        eps = tuple(float(e) for e in self.epsilons)
+        for name in ("s1", "s_star", "tau_end", "dt", "theta_osc", "radius", "burn_in",
+                     "batch_length", "quadrature_margin"):  # each a real, before any use
+            check_real(getattr(self, name), name)
+        eps = check_reals(self.epsilons, "epsilons")
         if not eps or any(not (e > 0) for e in eps):
             raise ConfigError("epsilon ladder must be nonempty and positive")
         if any(b >= a for a, b in zip(eps, eps[1:])):
@@ -94,10 +97,10 @@ class StudyConfig:
         if not (0.0 <= self.burn_in < math.inf and 0.0 < self.batch_length < math.inf):
             raise ConfigError("stationary averaging needs a finite burn_in >= 0 "
                               "and a finite batch_length > 0")
-        compare_taus = tuple(float(t) for t in self.compare_taus)
+        compare_taus = check_reals(self.compare_taus, "compare_taus")
         if not all(map(math.isfinite, compare_taus)):
             raise ConfigError(f"compare_taus must be finite, got {compare_taus}")
-        windows = tuple(float(w) for w in self.windows)
+        windows = check_reals(self.windows, "windows")
         if any(not 0.0 < w < math.inf for w in windows):
             raise ConfigError(f"averaging windows must be positive and finite, got {windows}")
         object.__setattr__(self, "epsilons", eps)
@@ -115,8 +118,7 @@ class StudyConfig:
     @staticmethod
     def from_document(doc):
         check_keys("study", doc, {f.name for f in fields(StudyConfig)}, required=("study",))
-        return StudyConfig(**{k: (tuple(v) if isinstance(v, list) else v)
-                              for k, v in doc.items()})
+        return StudyConfig(**doc)
 
 
 @dataclass
@@ -211,7 +213,7 @@ def study_deterministic_convergence(frame, spec, table, cfg):
         raise ConfigError(f"route swap: {err}; gamma_min={table.gamma_min:.3e}") from None
     drift = ResonantDrift(frame, spec, table)
     initials = _initial_states(frame, cfg)
-    base = cfg.solver(scheme="lawson4")
+    base = cfg.solver()
     eff = integrate_effective(initials, drift, base)
     runs = {"effective": (trajectory_hash(eff, base), eff)}
     deltas = np.empty((len(initials), len(cfg.epsilons)))
@@ -352,7 +354,7 @@ def study_stochastic_actions(frame, spec, table, noise, cfg):
     the comparison times) shrinks from the largest epsilon to the smallest.
     """
     v0 = _initial_states(frame, cfg)[0]
-    base = cfg.solver(scheme="expeuler")
+    base = cfg.solver()
     tracked = min(cfg.tracked_modes, frame.modes)
     runs = {}
 
@@ -475,7 +477,7 @@ def study_stationary_measure(frame, spec, table, noise, cfg):
     v0 = _initial_states(frame, cfg)[0]
     tau_end = cfg.burn_in + cfg.batches * cfg.batch_length
     samples = max(cfg.samples, 16 * cfg.batches + 1)
-    base = cfg.solver(scheme="expeuler", tau_end=tau_end, samples=samples)
+    base = cfg.solver(tau_end=tau_end, samples=samples)
     tracked = min(cfg.tracked_modes, frame.modes)
     battery, (a, b) = _stationary_battery(frame, tracked)
     runs = {}
@@ -563,8 +565,7 @@ def study_disparity_decay(frame, spec, table, cfg, noise=None):
     than of the integrator.
     """
     v0 = _initial_states(frame, cfg)[0]
-    det_base = cfg.solver(scheme="lawson4")
-    sto_base = cfg.solver(scheme="expeuler")
+    base = cfg.solver()
     tracked = min(cfg.tracked_modes, frame.modes)
     drift = ResonantDrift(frame, spec, table)
     runs = {}
@@ -572,13 +573,13 @@ def study_disparity_decay(frame, spec, table, cfg, noise=None):
     det = np.empty((len(cfg.epsilons), tracked))
     sto = np.empty_like(det) if noise is not None and not noise.is_zero else None
     for i, eps in enumerate(cfg.epsilons):
-        det_cfg = replace(det_base, epsilon=eps)
-        traj = integrate_full(v0, spec, frame, det_cfg, drift=drift)
-        runs[f"det_eps{eps:g}"] = trajectory_hash(traj, det_cfg), traj
+        eps_cfg = replace(base, epsilon=eps)
+        traj = integrate_full(v0, spec, frame, eps_cfg, drift=drift)
+        runs[f"det_eps{eps:g}"] = trajectory_hash(traj, eps_cfg), traj
         det[i] = traj.disparity_max[:tracked]
         if sto is not None:
-            res = ensemble_full(v0, spec, frame, replace(sto_base, epsilon=eps),
-                                noise, cfg.members, cfg.seed + 1, drift=drift)
+            res = ensemble_full(v0, spec, frame, eps_cfg, noise, cfg.members, cfg.seed + 1,
+                                drift=drift)
             runs[f"ens_eps{eps:g}"] = ensemble_hash(res), res
             sto[i] = res.disparity_mean[:tracked]
 
@@ -586,8 +587,7 @@ def study_disparity_decay(frame, spec, table, cfg, noise=None):
     # theta_osc halves too so the refinement bites even when the oscillation
     # bound, not dt, sets the step
     mid = len(cfg.epsilons) // 2
-    half_cfg = replace(det_base, epsilon=cfg.epsilons[mid],
-                              dt=cfg.dt / 2, theta_osc=cfg.theta_osc / 2)
+    half_cfg = replace(base, epsilon=cfg.epsilons[mid], dt=cfg.dt / 2, theta_osc=cfg.theta_osc / 2)
     half = integrate_full(v0, spec, frame, half_cfg, drift=drift)
     runs[f"det_eps{cfg.epsilons[mid]:g}_halfstep"] = trajectory_hash(half, half_cfg), half
     ref = det[mid]

@@ -309,8 +309,7 @@ def test_criterion_08_ou_closed_form():
                             gammas=(0.0,) * frame.modes)
     noise = NoiseModel.from_eigenvalue_power(frame.eigenvalues, 2.0)
     v0 = sample_ball(frame, 2.0, 1.0, default_rng(13))
-    config = SolverConfig(epsilon=1.0, tau_end=1.0, dt=1e-3,
-                          scheme="expeuler", samples=11)
+    config = SolverConfig(epsilon=1.0, tau_end=1.0, dt=1e-3, samples=11)
     result = ensemble_full(v0, spec, frame, config, noise, 2000, 4242)
     lam = frame.eigenvalues
     b = np.asarray(noise.amplitudes)

@@ -134,10 +134,14 @@ def test_unknown_config_key_is_an_error(workspace, tmp_path, capsys):
                   {"amplitudes": [0.1] * 5, "decay": 3}):
         cfg = write_config(workspace["dir"] / "noise.json", _simulate_config(
             workspace, noise=noise, seed=9,
-            solver={"epsilon": 0.2, "tau_end": 0.5, "dt": 2e-3, "samples": 6,
-                    "scheme": "expeuler"}))
+            solver={"epsilon": 0.2, "tau_end": 0.5, "dt": 2e-3, "samples": 6}))
         assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "n")]) == 1
         assert "decay" in capsys.readouterr().err
+    # a run's noise picks its step; the solver has no scheme to choose
+    cfg = write_config(workspace["dir"] / "scheme.json", _simulate_config(
+        workspace, solver={"epsilon": 0.2, "tau_end": 0.5, "scheme": "expeuler"}))
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "s")]) == 1
+    assert "error: unknown key(s) in solver: scheme" in capsys.readouterr().err
     # a nonlinearity key its kind does not write: spec, term, factor, gamma entry
     one = {"re": 1.0, "im": 0.0, "factors": [{"conjugate": False}]}
     for key, nonlinearity in (
@@ -284,8 +288,7 @@ def test_simulate_rerun_bitwise_identical(workspace, tmp_path):
 
 
 def test_zero_noise_simulate_matches_deterministic(workspace, tmp_path):
-    solver = {"epsilon": 0.2, "tau_end": 0.5, "dt": 2e-3, "samples": 6,
-              "scheme": "expeuler"}
+    solver = {"epsilon": 0.2, "tau_end": 0.5, "dt": 2e-3, "samples": 6}
     cfg_det = write_config(workspace["dir"] / "det.json",
                            _simulate_config(workspace, solver=solver))
     cfg_sto = write_config(workspace["dir"] / "sto.json",
@@ -296,13 +299,15 @@ def test_zero_noise_simulate_matches_deterministic(workspace, tmp_path):
     det = load_trajectory(tmp_path / "d" / "trajectory.jsonl")
     sto = load_trajectory(tmp_path / "s" / "trajectory.jsonl")
     assert np.array_equal(det.states, sto.states)
+    # the seeded run records its noise and seed, and the Lawson4 step it took
+    assert (det.scheme, det.seed, det.noise_doc) == ("lawson4", None, None)
+    assert (sto.scheme, sto.seed, sto.noise_doc["amplitudes"]) == ("lawson4", 9, [0.0] * 5)
 
 
 def test_stochastic_simulate_needs_seed(workspace, tmp_path, capsys):
     cfg = write_config(workspace["dir"] / "ns.json", _simulate_config(
         workspace,
-        solver={"epsilon": 0.2, "tau_end": 0.5, "dt": 2e-3, "samples": 6,
-                "scheme": "expeuler"},
+        solver={"epsilon": 0.2, "tau_end": 0.5, "dt": 2e-3, "samples": 6},
         noise={"scale": 0.05, "decay": 1.5}))
     assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
     assert "seed" in capsys.readouterr().err
@@ -322,8 +327,7 @@ def test_fractional_sample_count_exits_one_before_any_drift(workspace, tmp_path,
     assert built == [] and not (tmp_path / "o").exists()
 
 
-_NOISY_SOLVER = {"epsilon": 0.2, "tau_end": 0.5, "dt": 2e-3, "samples": 6,
-                 "scheme": "expeuler"}
+_NOISY_SOLVER = {"epsilon": 0.2, "tau_end": 0.5, "dt": 2e-3, "samples": 6}
 
 
 def test_seedless_noisy_effective_builds_no_drift(workspace, tmp_path, capsys, monkeypatch):
@@ -380,6 +384,119 @@ def test_bad_seeds_exit_one_before_any_drift(workspace, tmp_path, capsys, monkey
         assert f"error: {key} " in err and "malformed" not in err, (key, bad)
     assert built == []
     assert not os.path.exists(out)
+
+
+_STUDY_REALS = ("s1", "s_star", "tau_end", "dt", "theta_osc", "radius", "burn_in",
+                "batch_length", "quadrature_margin")
+_SOLVER_REALS = ("epsilon", "tau_end", "dt", "theta_osc", "blow_up_factor", "blow_up_norm")
+
+
+@pytest.mark.parametrize("section, key, bad, place", [
+    *(("study", key, "x", key) for key in _STUDY_REALS),
+    *(("study", key, [0.2, "x"], f"{key}[1]") for key in ("epsilons", "compare_taus",
+                                                           "windows")),
+    ("study", "epsilons", 0.1, "epsilons"),
+    *(("solver", key, "x", key) for key in _SOLVER_REALS),
+])
+def test_non_real_study_and_solver_values_exit_one(workspace, tmp_path, capsys, monkeypatch,
+                                                   section, key, bad, place):
+    # quadrature_margin "x" used to run and write "x" into report.json; the
+    # others escaped as "malformed config" naming no field, radius from
+    # inside numpy's divide
+    built = _count_drift_builds(monkeypatch)
+    if section == "study":
+        command = ["study", "converge"]
+        doc = {"frame": workspace["frame_ref"], "table": workspace["table_ref"],
+               "nonlinearity": {"kind": "cubic_focusing", "mu": 0.5},
+               "study": {"study": "converge", key: bad}}
+    else:
+        command = ["simulate"]
+        doc = _simulate_config(workspace)
+        doc["solver"] = {**doc["solver"], key: bad}
+    cfg = write_config(workspace["dir"] / "reals.json", doc)
+    out = tmp_path / "o"
+    assert main([*command, "--config", cfg, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert f"error: {place} must be a" in err and "malformed" not in err, err
+    assert built == [] and not out.exists()
+
+
+_FRAME_16 = {"geometry": {"lengths": [TAU], "grid_points": 16}, "modes": 5}
+
+
+@pytest.mark.parametrize("command, edit, message", [
+    ("simulate", {"noise": {"scale": "x"}}, "noise.scale must be a real number"),
+    ("simulate", {"noise": {"scale": 0.1, "decay": "x"}}, "noise.decay must be a real number"),
+    ("simulate", {"noise": {"eigenvalue_power": "x"}},
+     "noise.eigenvalue_power must be a real number"),
+    ("simulate", {"noise": {"amplitudes": 0.1}}, "noise.amplitudes must be a list, got 0.1"),
+    ("simulate", {"noise": {"amplitudes": [0.1] * 4 + ["x"]}},
+     "noise.amplitudes[4] must be a real number"),
+    ("simulate", {"nonlinearity": {"kind": "cubic_focusing", "mu": "x"}},
+     "nonlinearity.mu must be a real number"),
+    ("simulate", {"initial": {"radius": "x", "s": 2.0, "seed": 3}},
+     "initial.radius must be a real number"),
+    ("simulate", {"initial": {"radius": 1.0, "s": "x", "seed": 3}},
+     "initial.s must be a real number"),
+    ("simulate", {"frame": 5}, "config section 'frame' must be an object"),
+    ("simulate", {"initial": 5}, "config section 'initial' must be an object"),
+    ("simulate", {"noise": 5}, "config section 'noise' must be an object"),
+    ("simulate", {"frame": {"file": 5, "sha256": "0" * 64}}, "frame.file must be a string"),
+    ("simulate", {"frame": {"file": "basis/frame.json", "sha256": 5}},
+     "frame.sha256 must be a string"),
+    ("resonances", {"resonance": {"patterns": [[1, -1, 1]], "eta": "x"}},
+     "resonance.eta must be a real number"),
+    ("resonances", {"resonance": {"patterns": 5}},
+     "patterns must be a list, got 5"),
+    ("resonances", {"resonance": {"patterns": [5]}},
+     "patterns[0] must be a list, got 5"),
+    ("basis", {"potential": {"cosines": 5}}, "potential.cosines must be a list, got 5"),
+    ("basis", {"potential": {"cosines": [{"m": [1], "amplitude": "x"}]}},
+     "potential.cosines[0].amplitude must be a real number"),
+])
+def test_cli_section_values_name_their_place(workspace, tmp_path, capsys, command, edit,
+                                             message):
+    # each used to exit 1 as "malformed config" with a bare TypeError or ValueError
+    base = {"simulate": _simulate_config(workspace, seed=9),
+            "resonances": {"frame": workspace["frame_ref"]},
+            "basis": dict(_FRAME_16)}[command]
+    cfg = write_config(workspace["dir"] / "place.json", {**base, **edit})
+    out = tmp_path / "o"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert f"error: {message}" in err, err
+    assert "malformed" not in err and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("initial, message", [
+    ({"re": 5, "im": [0.0] * 5}, "initial.re must be a list of 5 real numbers, one per mode, "
+                                 "got shape ()"),
+    ({"re": [0.5] * 5, "im": 0}, "initial.im must be a list of 5 real numbers, one per mode, "
+                                 "got shape ()"),
+    ({"re": [[0.5] * 5], "im": [0.0] * 5}, "initial.re must be a list of 5 real numbers, "
+                                           "one per mode, got shape (1, 5)"),
+    ({"re": [0.5] * 4, "im": [0.0] * 4}, "initial.re must be a list of 5 real numbers, "
+                                         "one per mode, got shape (4,)"),
+    ({"re": [0.5] * 4 + ["x"], "im": [0.0] * 5}, "initial.re[4] must be a real number"),
+], ids=["scalar-re", "scalar-im", "nested-re", "short", "entry"])
+def test_explicit_initial_states_need_one_real_per_mode(workspace, tmp_path, capsys, initial,
+                                                        message):
+    # a scalar re or im used to be broadcast to every mode and run, and a
+    # nested list was refused as "initial state has 1 entries"
+    cfg = write_config(workspace["dir"] / "explicit.json",
+                       _simulate_config(workspace, initial=initial))
+    out = tmp_path / "o"
+    assert main(["simulate", "--config", cfg, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert f"error: {message}" in err, err
+    assert "malformed" not in err and not out.exists()
+    good = {"re": [0.5, 0.0, 0.25, 0.0, 0.0], "im": [0.0, 0.1, 0.0, 0.0, 0.0]}
+    cfg = write_config(workspace["dir"] / "explicit.json",
+                       _simulate_config(workspace, initial=good))
+    assert main(["simulate", "--config", cfg, "--out", str(out)]) == 0
+    traj = load_trajectory(out / "trajectory.jsonl")
+    assert np.array_equal(traj.states[0], np.array(good["re"]) + 1j * np.array(good["im"]))
 
 
 def test_bad_trajectory_seeds_exit_one_before_any_drift(workspace, tmp_path, capsys,
@@ -576,7 +693,20 @@ def _ragged_psi(doc):
      "table.resonances[1].pattern must be a nonempty list of +-1 signs, got 5"),
     ("table", lambda doc: doc.update(mode="bogus"),
      "table.mode must be one of ('exact', 'float'), got 'bogus'"),
-], ids=["frame-basis", "frame-psi", "table-eta", "table-gamma", "table-pattern", "table-mode"])
+    ("frame", lambda doc: doc["potential"].append({"m": [1], "re": "x", "im": 0.0}),
+     "frame.potential[0].re must be a real number, got 'x'"),
+    ("frame", lambda doc: doc["geometry"].update(lengths="x"),
+     "frame.geometry.lengths must be a list, got 'x'"),
+    ("frame", lambda doc: doc["geometry"].update(lengths=["x"]),
+     "frame.geometry.lengths[0] must be a real number, got 'x'"),
+    ("table", lambda doc: doc.update(clusters=5),
+     "table.clusters must be a list, got 5"),
+    ("table", lambda doc: doc.update(clusters=[5]),
+     "table.clusters[0] must be a list, got 5"),
+    ("table", lambda doc: doc.update(resonances=5), "table.resonances must be a list, got 5"),
+], ids=["frame-basis", "frame-psi", "table-eta", "table-gamma", "table-pattern", "table-mode",
+        "frame-potential-re", "frame-lengths", "frame-lengths-entry", "table-clusters",
+        "table-cluster", "table-resonances"])
 def test_artifact_values_of_the_wrong_type_name_their_place(workspace, tmp_path, capsys,
                                                             what, edit, message):
     # each escaped as "malformed config" with a bare TypeError or ValueError,

@@ -52,8 +52,8 @@ def diag_spec(gammas, mu=0.0):
 def test_config_validation():
     good = SolverConfig(epsilon=0.1, tau_end=1.0)
     assert SolverConfig.from_document(good.to_document()) == good
-    for bad in (dict(epsilon=0), dict(tau_end=-1), dict(dt=0), dict(scheme="rk4"),
-                dict(theta_osc=0), dict(samples=1), dict(blow_up_factor=1.0),
+    for bad in (dict(epsilon=0), dict(tau_end=-1), dict(dt=0), dict(theta_osc=0),
+                dict(samples=1), dict(blow_up_factor=1.0),
                 # samples=3.9 used to run 3 samples while the config kept 3.9
                 dict(samples=2.5), dict(samples=3.9), dict(samples=True)):
         with pytest.raises(ConfigError):
@@ -84,13 +84,13 @@ def test_step_refuses_oversized(frame_1d_5):
         step_full_deterministic(np.ones(5, complex), 0.0, 0.04, CUBIC, frame_1d_5, cfg)
 
 
-@pytest.mark.parametrize("scheme", ["lawson4", "expeuler"])
 @pytest.mark.parametrize("frame_name", ["frame_1d_9_cos", "frame_2d_9"])
-def test_step_probe_is_the_drivers_step(request, frame_name, scheme):
-    # the ladder's "step" column times step_full_deterministic, which steps
-    # outside the driver; a one-step run of the same width must match it bitwise
+def test_step_probe_is_the_drivers_step(request, frame_name):
+    # the ladder's "step" column times step_full_deterministic, which takes a
+    # noiseless run's Lawson4 step outside the driver; a one-step run of the
+    # same width must match it bitwise
     frame = request.getfixturevalue(frame_name)
-    cfg = SolverConfig(epsilon=0.3, tau_end=1.0, dt=1.0, scheme=scheme)
+    cfg = SolverConfig(epsilon=0.3, tau_end=1.0, dt=1.0)
     h = oscillation_step(cfg, frame.eigenvalues)
     a = sample_ball(frame, 2.0, 1.0, np.random.default_rng(5))
     probe = step_full_deterministic(a, 0.0, h, CUBIC, frame, cfg)
@@ -122,16 +122,27 @@ def test_diagonal_closed_form_lawson(frame_1d_5):
     assert np.allclose(traj.final_state(), expect, atol=1e-10)
 
 
+def _adds_zeros(tau, sqrt_h, normals, out):
+    """A noise injector whose increments are all zero: the run it drives takes
+    the noisy step, whose exponential Euler update is then all that moves it."""
+    return np.multiply(normals, 0.0, out=out)
+
+
 def test_expeuler_is_first_order(frame_1d_5):
+    # the noisy step, driven as _run_full drives a full-system run
     gammas = np.array([-0.3 + 0.8j] * 5)
     spec = diag_spec(gammas, mu=0.2)
-    a0 = np.ones(5, dtype=complex)
-    exact = np.exp((-0.2 * frame_1d_5.eigenvalues + gammas) * 1.0) * a0
+    lam = frame_1d_5.eigenvalues
+    a0 = np.ones((1, 5), dtype=complex)
+    exact = np.exp((-0.2 * lam + gammas) * 1.0) * a0[0]
 
     def err(dt):
-        cfg = SolverConfig(epsilon=10.0, tau_end=1.0, dt=dt, scheme="expeuler", samples=2)
-        traj = integrate_full(a0, spec, frame_1d_5, cfg)
-        return np.max(np.abs(traj.final_state() - exact))
+        cfg = SolverConfig(epsilon=10.0, tau_end=1.0, dt=dt, samples=2)
+        run = integrators._drive(a0, integrators._rotated_field(spec, frame_1d_5, cfg.epsilon),
+                                 lam, spec.mu, cfg, oscillation_step(cfg, lam),
+                                 inject=_adds_zeros, seed=1)
+        assert run["scheme"] == "expeuler"
+        return np.max(np.abs(run["states"][-1, 0] - exact))
 
     ratio = err(2e-3) / err(1e-3)
     assert 1.7 < ratio < 2.3
@@ -220,10 +231,11 @@ def test_disparity_tracking_evaluates_once_per_sample_node(frame_1d_5, monkeypat
                         lambda self, x: drifts.append(x) or drift_call(self, x))
     drift = ResonantDrift(frame_1d_5, CUBIC, build_resonance_table(frame_1d_5))
     a0 = sample_ball(frame_1d_5, 2.0, 0.5, np.random.default_rng(37))
-    for scheme, stages in (("lawson4", 4), ("expeuler", 1)):
+    cfg = SolverConfig(epsilon=0.5, tau_end=0.3, dt=5e-3, samples=4)
+    # a noiseless run steps with Lawson4, a noisy one with exponential Euler
+    for noise, stages in ((None, 4), (NoiseModel((0.3,) * 5), 1)):
         del evals[:], drifts[:]
-        cfg = SolverConfig(epsilon=0.5, tau_end=0.3, dt=5e-3, scheme=scheme, samples=4)
-        traj = integrate_full(a0, CUBIC, frame_1d_5, cfg, drift=drift)
+        traj = integrate_full(a0, CUBIC, frame_1d_5, cfg, drift=drift, noise=noise, seed=2)
         steps = traj.meta["steps"]
         assert steps == 60
         # one evaluation per stage, plus the closing one at the last sample node
@@ -234,7 +246,7 @@ def test_disparity_of_a_constant_gap_grows_linearly():
     # g - drift = c at every node, so the trapezoid integral reaches c * tau_end
     # only once the last segment is closed at the last sample node
     c = np.array([[0.5 - 1.0j, 2.0]])
-    cfg = SolverConfig(epsilon=1.0, tau_end=0.3, dt=0.01, scheme="expeuler", samples=4)
+    cfg = SolverConfig(epsilon=1.0, tau_end=0.3, dt=0.01, samples=4)
     run = integrators._drive(np.zeros((1, 2), complex), lambda x, tau: c, np.zeros(2), 0.0,
                              cfg, cfg.dt, drift=np.zeros_like)
     assert run["steps"] == 30
@@ -268,12 +280,11 @@ def test_shared_drift_runs_equal_fresh_drift_runs(frame_1d_5):
     table = build_resonance_table(frame_1d_5)
     a0 = sample_ball(frame_1d_5, 2.0, 1.0, np.random.default_rng(38))
     cfg = SolverConfig(epsilon=0.2, tau_end=0.2, dt=5e-3, samples=3)
-    sto_cfg = replace(cfg, scheme="expeuler")
     noise = NoiseModel((0.3, 0.3, 0.3, 0.2, 0.2))
 
     def runs(drift):
         single = integrate_full(a0, CUBIC, frame_1d_5, cfg, drift=drift())
-        ens = ensemble_full(a0, CUBIC, frame_1d_5, sto_cfg, noise, 200, 11, drift=drift())
+        ens = ensemble_full(a0, CUBIC, frame_1d_5, cfg, noise, 200, 11, drift=drift())
         return single, ens, integrate_full(a0, CUBIC, frame_1d_5, cfg, drift=drift())
 
     shared = ResonantDrift(frame_1d_5, CUBIC, table)
@@ -342,7 +353,7 @@ def test_noisy_batch_members_are_seeded_singles(frame_1d_5):
     initials = np.array([sample_ball(frame_1d_5, 2.0, 0.8, rng) for _ in range(3)])
     noise = NoiseModel((0.3, 0.3, 0.3, 0.2, 0.2))
     drift = ResonantDrift(frame_1d_5, CUBIC, build_resonance_table(frame_1d_5))
-    cfg = SolverConfig(epsilon=0.5, tau_end=0.3, dt=5e-3, scheme="expeuler", samples=4)
+    cfg = SolverConfig(epsilon=0.5, tau_end=0.3, dt=5e-3, samples=4)
     full = integrate_full(initials, CUBIC, frame_1d_5, cfg, noise=noise, seed=40)
     eff = integrate_effective(initials, drift, cfg, noise=noise, seed=40)
     assert full.seed == eff.seed == 40
@@ -381,13 +392,31 @@ def test_noise_model_basics(frame_1d_5):
         NoiseModel((-0.1, 1.0))
 
 
-def test_stochastic_requires_expeuler(frame_1d_5):
-    cfg = SolverConfig(epsilon=0.5, tau_end=0.1, scheme="lawson4")
-    noise = NoiseModel.zero(5)
-    with pytest.raises(ConfigError):
-        integrate_full(np.ones(5, complex), CUBIC, frame_1d_5, cfg, noise=noise, seed=1)
-    with pytest.raises(ConfigError):
-        ensemble_full(np.ones(5, complex), CUBIC, frame_1d_5, cfg, noise, 4, 1)
+def test_noise_that_injects_nothing_makes_the_noiseless_run(frame_1d_5):
+    # a seed beside zero noise is recorded but keys no stream: the run steps
+    # with Lawson4 as the unseeded run does, bitwise, for both systems, single
+    # runs and ensembles alike
+    cfg = SolverConfig(epsilon=0.5, tau_end=0.1, dt=5e-3, samples=3)
+    a0 = sample_ball(frame_1d_5, 2.0, 1.0, np.random.default_rng(35))
+    zero = NoiseModel.zero(5)
+    drift = ResonantDrift(frame_1d_5, CUBIC, build_resonance_table(frame_1d_5))
+    singles = (lambda **kw: integrate_full(a0, CUBIC, frame_1d_5, cfg, **kw),
+               lambda **kw: integrate_effective(a0, drift, cfg, **kw))
+    for run in singles:
+        plain, seeded = run(), run(noise=zero, seed=1)
+        assert np.array_equal(plain.states, seeded.states)
+        assert (plain.scheme, plain.seed, seeded.scheme, seeded.seed) == \
+            ("lawson4", None, "lawson4", 1)
+        assert seeded.noise_doc == zero.to_document()
+    ensembles = (lambda seed, n: ensemble_full(a0, CUBIC, frame_1d_5, cfg, zero, n, seed),
+                 lambda seed, n: ensemble_effective(a0, drift, cfg, zero, n, seed))
+    for ensemble, single in zip(ensembles, singles):
+        seedless, seeded = ensemble(None, 4), ensemble(1, 4)
+        assert seeded.seed_base == 1
+        assert np.array_equal(seedless.mean_actions, seeded.mean_actions)
+        assert np.array_equal(ensemble(1, 1).mean_actions, single().actions())
+    with pytest.raises(ConfigError, match="unknown key\\(s\\) in solver: scheme"):
+        SolverConfig.from_document({"epsilon": 0.5, "tau_end": 0.1, "scheme": "expeuler"})
 
 
 def test_runs_refuse_states_of_the_wrong_shape(frame_1d_5):
@@ -395,7 +424,7 @@ def test_runs_refuse_states_of_the_wrong_shape(frame_1d_5):
     # rows it runs as members (a (3, 5) batch used to be refused); an ensemble
     # of 4 members takes one (5,) or (4, 5) state.  Any other shape is refused
     # before any step
-    cfg = SolverConfig(epsilon=0.5, tau_end=0.1, dt=5e-3, scheme="expeuler")
+    cfg = SolverConfig(epsilon=0.5, tau_end=0.1, dt=5e-3)
     noise = NoiseModel((0.3, 0.3, 0.3, 0.2, 0.2))
     drift = ResonantDrift(frame_1d_5, CUBIC, build_resonance_table(frame_1d_5))
     singles = (lambda a, seed: integrate_full(a, CUBIC, frame_1d_5, cfg),
@@ -420,7 +449,7 @@ def test_runs_refuse_states_of_the_wrong_shape(frame_1d_5):
 
 
 def test_injecting_noise_needs_a_seed(frame_1d_5):
-    cfg = SolverConfig(epsilon=0.5, tau_end=0.1, dt=5e-3, scheme="expeuler")
+    cfg = SolverConfig(epsilon=0.5, tau_end=0.1, dt=5e-3)
     a0 = 0.4 * np.ones(5, dtype=complex)
     b = (0.3, 0.3, 0.3, 0.2, 0.2)
     noise = NoiseModel(b)
@@ -437,7 +466,7 @@ def test_injecting_noise_needs_a_seed(frame_1d_5):
 def test_runs_refuse_seeds_that_are_not_keys(frame_1d_5):
     # seed=3.7 used to run seed 3 and record 3, seed=True recorded 1, and a
     # negative seed escaped as numpy's ValueError from the Philox constructor
-    cfg = SolverConfig(epsilon=0.5, tau_end=0.1, dt=5e-3, scheme="expeuler", samples=3)
+    cfg = SolverConfig(epsilon=0.5, tau_end=0.1, dt=5e-3, samples=3)
     a0 = 0.4 * np.ones(5, dtype=complex)
     noise = NoiseModel((0.3, 0.3, 0.3, 0.2, 0.2))
     drift = ResonantDrift(frame_1d_5, CUBIC, build_resonance_table(frame_1d_5))
@@ -471,7 +500,7 @@ def test_solver_document_refuses_unknown_and_missing_keys():
 
 
 def test_stochastic_aliases_return_their_survivors_bitwise(frame_1d_5):
-    cfg = SolverConfig(epsilon=0.5, tau_end=0.1, dt=5e-3, scheme="expeuler", samples=3)
+    cfg = SolverConfig(epsilon=0.5, tau_end=0.1, dt=5e-3, samples=3)
     a0 = 0.4 * np.ones(5, dtype=complex)
     noise = NoiseModel((0.3, 0.3, 0.3, 0.2, 0.2))
     drift = ResonantDrift(frame_1d_5, CUBIC, build_resonance_table(frame_1d_5))
@@ -530,7 +559,7 @@ def test_effective_noise_uses_the_drifts_partition(frame_1d_9_cos, monkeypatch):
         return spec
 
     monkeypatch.setattr(integrators, "build_diffusion", recorded)
-    cfg = SolverConfig(epsilon=1.0, tau_end=0.02, dt=0.01, scheme="expeuler", samples=2)
+    cfg = SolverConfig(epsilon=1.0, tau_end=0.02, dt=0.01, samples=2)
     drifts = (ResonantDrift(frame, CUBIC, table),
               ResonantDrift(frame, CUBIC, build_resonance_table(frame)),
               ResonantDrift(frame, diag_spec([0] * frame.modes)),
@@ -548,7 +577,7 @@ def test_effective_noise_uses_the_drifts_partition(frame_1d_9_cos, monkeypatch):
 
 
 def test_seedless_zero_noise_ensembles_report_no_seed(frame_1d_5):
-    cfg = SolverConfig(epsilon=0.5, tau_end=0.1, dt=5e-3, scheme="expeuler", samples=3)
+    cfg = SolverConfig(epsilon=0.5, tau_end=0.1, dt=5e-3, samples=3)
     a0 = 0.4 * np.ones(5, dtype=complex)
     drift = ResonantDrift(frame_1d_5, CUBIC, build_resonance_table(frame_1d_5))
     for run in (lambda seed: ensemble_full(a0, CUBIC, frame_1d_5, cfg,
@@ -582,7 +611,7 @@ def test_zero_noise_builds_no_stream(frame_1d_5, monkeypatch):
 
     runs = _record_runs(monkeypatch)
     monkeypatch.setattr(integrators, "_NoiseStream", Counting)
-    cfg = SolverConfig(epsilon=0.5, tau_end=0.1, dt=5e-3, scheme="expeuler", samples=3)
+    cfg = SolverConfig(epsilon=0.5, tau_end=0.1, dt=5e-3, samples=3)
     a0 = 0.4 * np.ones(5, dtype=complex)
     res = ensemble_full(a0, CUBIC, frame_1d_5, cfg, NoiseModel.zero(5), 16, seed_base=7)
     assert built == [] and runs == [16] and res.seed_base == 7 and res.meta["steps"] == 20
@@ -593,7 +622,7 @@ def test_zero_noise_builds_no_stream(frame_1d_5, monkeypatch):
 
 
 def test_noise_amplitude_count_must_match_modes(frame_1d_5):
-    cfg = SolverConfig(epsilon=0.5, tau_end=0.1, dt=5e-3, scheme="expeuler")
+    cfg = SolverConfig(epsilon=0.5, tau_end=0.1, dt=5e-3)
     a0 = 0.4 * np.ones(5, dtype=complex)
     with pytest.raises(ConfigError, match="3 amplitudes, the frame has 5 modes"):
         ensemble_full(a0, CUBIC, frame_1d_5, cfg, NoiseModel((0.3, 0.3, 0.2)), 4, 1)
@@ -611,8 +640,7 @@ def test_zero_noise_reduces_to_deterministic_bitwise(frame_1d_5):
     # epsilons that are not powers of two catch any second spelling of fast time
     a0 = sample_ball(frame_1d_5, 2.0, 1.0, np.random.default_rng(36))
     for eps in (0.5, 0.1, 0.05):
-        cfg = SolverConfig(epsilon=eps, tau_end=0.5, dt=5e-3, scheme="expeuler",
-                           samples=6)
+        cfg = SolverConfig(epsilon=eps, tau_end=0.5, dt=5e-3, samples=6)
         det = integrate_full(a0, CUBIC, frame_1d_5, cfg)
         sto = integrate_full(a0, CUBIC, frame_1d_5, cfg, noise=NoiseModel.zero(5),
                              seed=123)
@@ -625,7 +653,7 @@ def test_zero_noise_reduces_to_deterministic_bitwise(frame_1d_5):
 def test_ensemble_repeatability(frame_1d_5):
     a0 = 0.4 * np.ones(5, dtype=complex)
     noise = NoiseModel((0.3, 0.3, 0.3, 0.2, 0.2))
-    cfg = SolverConfig(epsilon=0.5, tau_end=0.3, dt=5e-3, scheme="expeuler", samples=4)
+    cfg = SolverConfig(epsilon=0.5, tau_end=0.3, dt=5e-3, samples=4)
     r1 = ensemble_full(a0, CUBIC, frame_1d_5, cfg, noise, 16, seed_base=900)
     r2 = ensemble_full(a0, CUBIC, frame_1d_5, cfg, noise, 16, seed_base=900)
     assert np.array_equal(r1.mean_actions, r2.mean_actions)
@@ -638,7 +666,7 @@ def test_members_reproduce_batch(frame_1d_5):
     # with the batch; only BLAS batching may perturb the last bits
     a0 = 0.4 * np.ones(5, dtype=complex)
     noise = NoiseModel((0.3, 0.3, 0.3, 0.2, 0.2))
-    cfg = SolverConfig(epsilon=0.5, tau_end=0.3, dt=5e-3, scheme="expeuler", samples=4)
+    cfg = SolverConfig(epsilon=0.5, tau_end=0.3, dt=5e-3, samples=4)
     batch = ensemble_full(a0, CUBIC, frame_1d_5, cfg, noise, 3, seed_base=40)
     singles = [integrate_full(a0, CUBIC, frame_1d_5, cfg, noise=noise, seed=40 + i)
                for i in range(3)]
@@ -707,7 +735,7 @@ def test_noise_stream_draws_only_the_steps_a_run_takes(frame_1d_5, monkeypatch):
 
     monkeypatch.setattr(integrators, "_NoiseStream", Recording)
     noise = NoiseModel((0.3, 0.3, 0.3, 0.2, 0.2))
-    cfg = SolverConfig(epsilon=0.5, tau_end=0.3, dt=5e-3, scheme="expeuler", samples=4)
+    cfg = SolverConfig(epsilon=0.5, tau_end=0.3, dt=5e-3, samples=4)
     # the default budget buffers all 60 steps; a buffer of 7 steps is refilled
     # 9 times and one of 16 steps 4 times, the last refill drawing only the 4
     # or 12 steps the run still takes
@@ -783,7 +811,7 @@ class _Boom(RuntimeError):
 
 def _sharded_ensemble(frame, **kwargs):
     # 16 members: the caller runs members 0-7 and one forked child 8-15
-    cfg = SolverConfig(epsilon=0.5, tau_end=0.3, dt=5e-3, scheme="expeuler", samples=4)
+    cfg = SolverConfig(epsilon=0.5, tau_end=0.3, dt=5e-3, samples=4)
     return ensemble_full(0.4 * np.ones(5, complex), CUBIC, frame, cfg,
                          NoiseModel((0.3,) * 5), 16, seed_base=40, **kwargs)
 
@@ -884,7 +912,7 @@ def test_sharded_ensembles_equal_unsharded_runs_bitwise(ensemble_1d_setup, monke
     frame, spec, drift, noise = ensemble_1d_setup
     propagated = _record_runs(monkeypatch)
     a0 = sample_ball(frame, 2.0, 1.5, np.random.default_rng(99))
-    cfg = SolverConfig(epsilon=0.1, tau_end=0.05, dt=2e-3, scheme="expeuler", samples=3)
+    cfg = SolverConfig(epsilon=0.1, tau_end=0.05, dt=2e-3, samples=3)
     runs = (lambda: ensemble_full(a0, spec, frame, cfg, noise, members, 12345, drift=drift),
             lambda: ensemble_effective(a0, drift, cfg, noise, members, 12345))
     for run in runs:
@@ -899,7 +927,7 @@ def test_blow_up_in_the_child_shard_names_its_global_index(frame_1d_5, monkeypat
     spec = diag_spec([2.0] * 5)
     initial = np.zeros((40, 5), dtype=complex)
     initial[30] = 1.0
-    cfg = SolverConfig(epsilon=1.0, tau_end=3.0, dt=0.01, scheme="expeuler", samples=4)
+    cfg = SolverConfig(epsilon=1.0, tau_end=3.0, dt=0.01, samples=4)
 
     def run():
         return ensemble_full(initial, spec, frame_1d_5, cfg, NoiseModel((1e-3,) * 5),
@@ -942,7 +970,8 @@ def _zero_field(x, tau):
 def test_guard_excludes_non_finite_members():
     # the field kicks members 1-4 to NaN or an infinity at tau = 0.3, and
     # member 5 to a finite state whose norm overflows; it leaves the rest alone,
-    # and with mu = 0 nothing else moves them
+    # and with mu = 0 nothing else moves them.  The runs take the noisy step,
+    # whose one stage per step sees the kick only at tau = 0.3
     lam = np.array([0.0, 1.0, 1.0, 4.0])
     kick = np.zeros((7, 4), dtype=complex)
     kick[1:6, 2] = (np.nan, np.inf, -np.inf, complex(0.0, np.inf), 1e201)
@@ -950,10 +979,11 @@ def test_guard_excludes_non_finite_members():
     def field(x, tau):
         return kick if abs(tau - 0.3) < 1e-9 else np.zeros_like(x)
 
-    cfg = SolverConfig(epsilon=1.0, tau_end=0.5, dt=0.1, scheme="expeuler", samples=6)
+    cfg = SolverConfig(epsilon=1.0, tau_end=0.5, dt=0.1, samples=6)
     a0 = np.full((7, 4), 0.25 + 0.5j)
     with np.errstate(invalid="ignore"):
-        run = integrators._drive(a0, field, lam, 0.0, cfg, cfg.dt)
+        run = integrators._drive(a0, field, lam, 0.0, cfg, cfg.dt, inject=_adds_zeros,
+                                 seed=0)
     assert run["dead"].tolist() == [False] + [True] * 5 + [False]
     assert np.allclose(run["death_tau"][1:6], 0.4)
     assert not np.any(np.isfinite(run["death_norm"][1:6]))
@@ -963,22 +993,23 @@ def test_guard_excludes_non_finite_members():
     # a norm that overflows from the start has an infinite bound, and is still over it
     a0[6, 0] = 1e200
     with np.errstate(over="ignore"):
-        run = integrators._drive(a0, _zero_field, lam, 0.0, cfg, cfg.dt)
+        run = integrators._drive(a0, _zero_field, lam, 0.0, cfg, cfg.dt, inject=_adds_zeros,
+                                 seed=0)
     assert run["bound"][6] == np.inf
     assert run["dead"].tolist() == [False] * 6 + [True]
     assert np.isclose(run["death_tau"][6], 0.1) and run["death_norm"][6] == np.inf
 
 
 def test_guard_keeps_a_norm_at_the_bound():
-    # one step of h = 1/2 with mu = 0 puts a = k1 / 2 exactly; lambda = 0 and
+    # one noisy step of h = 1/2 with mu = 0 puts a = k1 / 2 exactly; lambda = 0 and
     # blow_up_norm 1 give weight 1, so the norm is |a|; from a0 = 0 the bound
     # is blow_up_factor * 1 = 4
-    cfg = SolverConfig(epsilon=1.0, tau_end=0.5, dt=0.5, scheme="expeuler", samples=2,
+    cfg = SolverConfig(epsilon=1.0, tau_end=0.5, dt=0.5, samples=2,
                        blow_up_factor=4.0)
     above = np.nextafter(4.0, np.inf)
     k1 = np.array([[8.0], [2.0 * above], [-8.0]])
     run = integrators._drive(np.zeros((3, 1), complex), lambda x, tau: k1,
-                             np.array([0.0]), 0.0, cfg, cfg.dt)
+                             np.array([0.0]), 0.0, cfg, cfg.dt, inject=_adds_zeros, seed=0)
     assert np.array_equal(run["bound"], [4.0, 4.0, 4.0])
     assert run["dead"].tolist() == [False, True, False]
     assert run["death_norm"][1] == above
@@ -996,7 +1027,7 @@ def test_guard_reads_real_and_strided_initial_states_alike():
     def field(x, tau):
         return x * np.abs(x) ** 2
 
-    cfg = SolverConfig(epsilon=1.0, tau_end=0.2, dt=1e-2, scheme="expeuler", samples=3,
+    cfg = SolverConfig(epsilon=1.0, tau_end=0.2, dt=1e-2, samples=3,
                        blow_up_factor=1.5)
     wide = np.zeros((8, 10), complex)
     wide[:, ::2] = real
@@ -1017,8 +1048,7 @@ def test_ou_action_statistics(frame_1d_5):
     spec = diag_spec([0] * 5, mu=mu)
     b = np.array([0.5, 0.4, 0.4, 0.3, 0.3])
     v0 = 0.5 * np.ones(5, dtype=complex)
-    cfg = SolverConfig(epsilon=1.0, tau_end=tau_end, dt=0.01,
-                       scheme="expeuler", samples=3)
+    cfg = SolverConfig(epsilon=1.0, tau_end=tau_end, dt=0.01, samples=3)
     res = ensemble_full(v0, spec, frame_1d_5, cfg, NoiseModel(tuple(b)),
                         members=2000, seed_base=7000)
     lam = frame_1d_5.eigenvalues
@@ -1039,8 +1069,7 @@ def test_effective_ou_matches_diffusion_root(frame_1d_5):
     b = np.array([0.5, 0.4, 0.4, 0.3, 0.3])
     diffusion = build_diffusion(frame_1d_5, b, eigenvalue_clusters(frame_1d_5))
     assert np.allclose(diffusion.root, np.diag(b), atol=1e-12)
-    cfg = SolverConfig(epsilon=1.0, tau_end=tau_end, dt=0.01,
-                       scheme="expeuler", samples=3)
+    cfg = SolverConfig(epsilon=1.0, tau_end=tau_end, dt=0.01, samples=3)
     res = ensemble_effective(0.5 * np.ones(5, complex), ResonantDrift(frame_1d_5, spec), cfg,
                              NoiseModel(tuple(b)), members=2000, seed_base=8000)
     lam = frame_1d_5.eigenvalues
@@ -1057,7 +1086,7 @@ def test_full_and_effective_singles_share_streams(frame_1d_5):
     # identity on the lambda = 0 mode, so that mode agrees pathwise
     spec = diag_spec([0] * 5, mu=0.5)
     b = np.array([0.5, 0.4, 0.4, 0.3, 0.3])
-    cfg = SolverConfig(epsilon=1.0, tau_end=0.5, dt=0.01, scheme="expeuler", samples=3)
+    cfg = SolverConfig(epsilon=1.0, tau_end=0.5, dt=0.01, samples=3)
     full = integrate_full(0.5 * np.ones(5, complex), spec, frame_1d_5, cfg,
                           noise=NoiseModel(tuple(b)), seed=4)
     eff = integrate_effective(0.5 * np.ones(5, complex), ResonantDrift(frame_1d_5, spec),
@@ -1072,7 +1101,7 @@ def test_ensemble_excludes_isolated_blowup(frame_1d_5):
     spec = diag_spec([2.0] * 5)
     initial = np.zeros((40, 5), dtype=complex)
     initial[7] = 1.0  # only this member grows; zeros are fixed points
-    cfg = SolverConfig(epsilon=1.0, tau_end=3.0, dt=0.01, scheme="expeuler", samples=4)
+    cfg = SolverConfig(epsilon=1.0, tau_end=3.0, dt=0.01, samples=4)
     res = ensemble_full(initial, spec, frame_1d_5, cfg, NoiseModel.zero(5),
                         members=40, seed_base=1)
     assert res.excluded == [7]
@@ -1084,7 +1113,7 @@ def test_ensemble_fails_above_exclusion_budget(frame_1d_5):
     spec = diag_spec([2.0] * 5)
     initial = np.zeros((40, 5), dtype=complex)
     initial[[3, 11, 29]] = 1.0  # 7.5% of members blow up
-    cfg = SolverConfig(epsilon=1.0, tau_end=3.0, dt=0.01, scheme="expeuler", samples=4)
+    cfg = SolverConfig(epsilon=1.0, tau_end=3.0, dt=0.01, samples=4)
     with pytest.raises(EnsembleError):
         ensemble_full(initial, spec, frame_1d_5, cfg, NoiseModel.zero(5),
                       members=40, seed_base=1)
@@ -1094,7 +1123,7 @@ def test_ou_zero_mode_grows_linearly(frame_1d_5):
     # lambda = 0 mode: no damping, E I_0 = I_0(0) + b^2 tau exactly in h
     spec = diag_spec([0] * 5, mu=0.5)
     b = np.array([0.4, 0.0, 0.0, 0.0, 0.0])
-    cfg = SolverConfig(epsilon=1.0, tau_end=2.0, dt=0.01, scheme="expeuler", samples=5)
+    cfg = SolverConfig(epsilon=1.0, tau_end=2.0, dt=0.01, samples=5)
     res = ensemble_full(np.zeros(5, complex), spec, frame_1d_5, cfg,
                         NoiseModel(tuple(b)), members=3000, seed_base=5150)
     expect = b[0] ** 2 * res.taus

@@ -72,7 +72,7 @@ def test_batch_trajectory_round_trip(tmp_path, frame_1d_5):
 
 
 def test_stochastic_trajectory_keeps_noise_header(tmp_path, frame_1d_5):
-    cfg = SolverConfig(epsilon=0.5, tau_end=0.2, dt=5e-3, scheme="expeuler", samples=3)
+    cfg = SolverConfig(epsilon=0.5, tau_end=0.2, dt=5e-3, samples=3)
     noise = NoiseModel((0.2, 0.2, 0.2, 0.1, 0.1))
     traj = integrate_full(0.3 * np.ones(5, complex), CUBIC, frame_1d_5, cfg,
                           noise=noise, seed=9)
@@ -93,7 +93,7 @@ def test_trajectory_schema_guard(tmp_path):
 
 
 def test_ensemble_csv_round_trip(tmp_path, frame_1d_5):
-    cfg = SolverConfig(epsilon=0.5, tau_end=0.3, dt=5e-3, scheme="expeuler", samples=4)
+    cfg = SolverConfig(epsilon=0.5, tau_end=0.3, dt=5e-3, samples=4)
     res = ensemble_full(0.4 * np.ones(5, complex), CUBIC, frame_1d_5, cfg,
                         NoiseModel((0.3, 0.3, 0.3, 0.2, 0.2)), 8, seed_base=11)
     path = tmp_path / "ens.csv"

@@ -70,8 +70,45 @@ def test_ab_pairs_times_both_trees(tmp_path):
         assert re.fullmatch(r"median cpu self \d+\.\d{3} s, children 0\.000 s", cpu), line
         assert 0 < float(cpu.split()[3]) <= median_wall
     assert lines[4].startswith("change faster in ") and " of 2 pairs" in lines[4]
-    assert lines[5] == "gain: not judged (fewer than 10 pairs)"
+    assert lines[5] == "0 of 4 runs exited 3 (study criteria failed)"
+    assert lines[6] == "gain: not judged (fewer than 10 pairs)"
     assert (tmp_path / "out" / "frame.json").exists()
+
+
+_EXITING_CLI = """
+import json, os, sys
+args = sys.argv[1:]
+out = args[args.index("--out") + 1]
+os.makedirs(out, exist_ok=True)
+with open(os.path.join(out, "manifest.json"), "w") as fh:
+    json.dump({"resources": {"self": {"cpu_s": "1.0e-02"},
+                             "children": {"cpu_s": "0.0e+00"}}}, fh)
+sys.exit(int(args[0]))
+"""
+
+
+def test_ab_pairs_times_failed_criteria_and_stops_on_errors(tmp_path):
+    # a tree whose CLI writes a manifest and exits with the code it is given:
+    # a study whose verdict fails (exit 3) is timed, exits 1 and 2 stop the script
+    package = tmp_path / "tree" / "resonlab"
+    package.mkdir(parents=True)
+    (package / "__init__.py").write_text("")
+    (package / "cli.py").write_text(_EXITING_CLI)
+
+    def ab_pairs(code):
+        return subprocess.run(
+            [sys.executable, str(SCRIPTS / "ab_pairs.py"), str(package.parent),
+             str(package.parent), "--pairs", "2", "--", str(code), "--out",
+             str(tmp_path / "out")], cwd=tmp_path, capture_output=True, text=True, timeout=120)
+
+    result = ab_pairs(3)
+    assert result.returncode == 0, result.stderr
+    lines = result.stdout.splitlines()
+    assert [line.split(":")[0] for line in lines[:4]] == ["pair 1", "pair 2", "parent", "change"]
+    assert lines[5] == "4 of 4 runs exited 3 (study criteria failed)"
+    for code in (1, 2):
+        result = ab_pairs(code)
+        assert result.returncode == code and result.stdout == ""
 
 
 _TRACED_RUNS = """

@@ -132,6 +132,14 @@ def test_rejects_bad_geometry():
         TorusGeometry((-1.0,), 16)
     with pytest.raises(ConfigError):
         TorusGeometry((TAU, TAU, TAU), 16)  # d = 3 unsupported
+    # "x" used to be read as the one-letter list ["x"], and both escaped as ValueError
+    for bad, match in (("x", r"^geometry\.lengths must be a list, got 'x'"),
+                       (["x"], r"^geometry\.lengths\[0\] must be a real number, got 'x'")):
+        with pytest.raises(ConfigError, match=match):
+            TorusGeometry(bad, 16)
+        doc = {"dimension": 1, "lengths": bad, "grid_points": 16}
+        with pytest.raises(ConfigError, match="^frame.geometry.lengths"):
+            TorusGeometry.from_document(doc)
 
 
 def test_numpy_integer_sizes_build_the_int_frame():
