@@ -105,10 +105,17 @@ def _build_potential(section, dimension):
     if section is None:
         return Potential.zero()
     check_keys("potential", section, {"cosines"})
-    terms = {}
+    terms, given = {}, {}  # given: the entry that gave each index, up to sign
     for where, entry in check_list(section.get("cosines", []), "potential.cosines"):
         check_keys(where, entry, {"m", "amplitude"}, required=("m", "amplitude"))
-        terms[tuple(entry["m"])] = check_real(entry["amplitude"], f"{where}.amplitude")
+        m = tuple(check_int(x, "potential index")
+                  for _, x in check_list(entry["m"], f"{where}.m"))
+        if not any(m):
+            raise ConfigError(f"{where}.m must be a nonzero lattice index, got {list(m)}")
+        if m in given:
+            raise ConfigError(f"{where}.m = {list(m)} repeats {given[m]} up to sign")
+        given[m] = given[tuple(-x for x in m)] = f"{where}.m = {list(m)}"
+        terms[m] = check_real(entry["amplitude"], f"{where}.amplitude")
     return Potential.from_cosines(terms, dimension=dimension)
 
 
@@ -166,8 +173,8 @@ def _build_initial(section, frame):
         re, im = (np.array(check_reals(section[k], f"initial.{k}")) for k in ("re", "im"))
         return re + 1j * im
     check_keys("initial", section, {"radius", "s", "seed"}, required=("radius", "s", "seed"))
-    return sample_ball(frame, check_real(section["s"], "initial.s"),
-                       check_real(section["radius"], "initial.radius"),
+    return sample_ball(frame, check_real(section["s"], "initial.s", 0.0),
+                       check_real(section["radius"], "initial.radius", 0.0),
                        np.random.default_rng(check_seed(section["seed"], "initial.seed")))
 
 
@@ -327,6 +334,8 @@ def _cmd_study(args, config, base_dir):
     from .nonlinearity import NonlinearitySpec
     from .studies import StudyConfig, run_study
     check_keys("config", config, _COMMAND_KEYS["study"], required=("frame", "study"))
+    if not isinstance(config["study"], dict):
+        raise ConfigError("config section 'study' must be an object")
     section = dict(config["study"])
     section.setdefault("study", args.kind)
     if section["study"] != args.kind:

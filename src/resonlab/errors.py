@@ -9,6 +9,7 @@ BLAS environment variables.  numpy's integer types are numbers.Integral, so
 they pass check_int and check_real without it.
 """
 
+import math
 import numbers
 
 _KEY_BITS = 128  # a Philox key is a 128-bit integer
@@ -56,10 +57,13 @@ def check_int(value, name, least=None):
     return int(value)
 
 
-def check_real(value, name):
-    """value as a float, refused unless it is a real number (a bool is not)."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise ConfigError(f"{name} must be a real number, got {value!r}")
+def check_real(value, name, least=None):
+    """value as a float, refused unless it is a real number (a bool is not), and
+    finite and >= least when least is given."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+            or least is not None and not least <= value < math.inf):
+        bound = "" if least is None else f" in [{least:g}, inf)"
+        raise ConfigError(f"{name} must be a real number{bound}, got {value!r}")
     return float(value)
 
 

@@ -574,8 +574,6 @@ def _summarize(run, system, frame, noise):
             f"more than {_MAX_EXCLUDED_FRACTION:.0%} lost")
     alive = states[:, ~dead]
     n = alive.shape[1]
-    if n == 0:
-        raise EnsembleError("no surviving members")
     acts = 0.5 * np.abs(alive) ** 2
     mean = np.sum(acts, axis=1) / n  # np.sum is pairwise, keeps roundoff flat
     if n > 1:

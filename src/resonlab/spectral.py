@@ -203,10 +203,12 @@ class SpectralFrame:
     eigenvectors  -- real (M, M) matrix, row k expands eigenfunction k in the
                      canonical trigonometric basis (rows orthonormal)
     window_radius -- largest per-axis lattice index of the basis
+
+    The constructor checks the eigenpairs against an operator it assembles
+    itself, for a built frame and for one read from a document alike.
     """
 
-    def __init__(self, geometry, potential, basis, eigenvalues, eigenvectors,
-                 _operator=None, _grid=None):
+    def __init__(self, geometry, potential, basis, eigenvalues, eigenvectors):
         self.geometry = geometry
         self.potential = potential
         self.basis = tuple(basis)
@@ -215,11 +217,6 @@ class SpectralFrame:
         self.eigenvalues = _read_only(np.array(eigenvalues, dtype=float))
         self.eigenvectors = _read_only(np.array(eigenvectors, dtype=float))
         self._content_hash = None
-        if _operator is not None:
-            # build_frame hands over the matrix it diagonalized, assembled once
-            self._operator = _read_only(_operator)
-        # for V != 0 it also hands over its grid pass, which _grid_tables uses once
-        self._grid = _grid
         self.validate()
         self.window_radius = _window_radius(self.basis)
 
@@ -241,17 +238,12 @@ class SpectralFrame:
         gram = self.eigenvectors @ self.eigenvectors.T
         if float(np.max(np.abs(gram - np.eye(M)))) > ORTHONORMALITY_TOL:
             raise ValidationError("eigenvector rows are not orthonormal to tolerance")
-        H = self._operator
+        H = assemble_operator(self.geometry, self.potential, self.basis)
         resid = H @ self.eigenvectors.T - self.eigenvectors.T * self.eigenvalues[None, :]
         bound = RESIDUAL_TOL * np.maximum(1.0, np.abs(self.eigenvalues))
         worst = np.sqrt(np.sum(resid ** 2, axis=0))
         if np.any(worst > bound):
             raise ValidationError(f"eigenpair residual {worst.max():.3e} exceeds tolerance")
-
-    @cached_property
-    def _operator(self):
-        """Galerkin matrix of -Laplace + V whose eigenpairs validate() checks."""
-        return _read_only(assemble_operator(self.geometry, self.potential, self.basis))
 
     # -- grid tables ------------------------------------------------------
 
@@ -261,8 +253,7 @@ class SpectralFrame:
     @cached_property
     def _grid_tables(self):
         """Eigenfunction values and gradients from one pass over the grid."""
-        E, grads = self._grid or _basis_on_grid(self.geometry, self.basis)
-        self._grid = None
+        E, grads = _basis_on_grid(self.geometry, self.basis)
         return (_read_only(self.eigenvectors @ E),
                 [_read_only(self.eigenvectors @ g) for g in grads])
 
@@ -373,25 +364,17 @@ def _basis_on_grid(geometry, basis):
     return values, grads
 
 
-def laplace_symbol(geometry, basis):
-    """Eigenvalue of -Laplace on each basis function."""
-    out = np.empty(len(basis))
-    scales = [(TWO_PI / L) ** 2 for L in geometry.lengths]
-    for row, (_, m) in enumerate(basis):
-        out[row] = sum(s * (mi * mi) for s, mi in zip(scales, m))
-    return out
-
-
-def assemble_operator(geometry, potential, basis, grid=None):
+def assemble_operator(geometry, potential, basis):
     """Real symmetric Galerkin matrix of -Laplace + V in the trigonometric basis.
 
     The quadrature is exact as long as the grid resolves all products of two
     basis functions with the potential, which build_frame checks up front.
-    grid is the _basis_on_grid pass when the caller already holds it.
+    build_frame diagonalizes it, and every SpectralFrame checks its eigenpairs on it.
     """
-    H = np.diag(laplace_symbol(geometry, basis))
+    scales = [(TWO_PI / L) ** 2 for L in geometry.lengths]  # -Laplace is diagonal
+    H = np.diag([sum(s * (mi * mi) for s, mi in zip(scales, m)) for _, m in basis])
     if not potential.is_zero:
-        E, _ = grid or _basis_on_grid(geometry, basis)
+        E, _ = _basis_on_grid(geometry, basis)
         Vg = potential.values_on(geometry) * geometry.cell_volume
         H = H + (E * Vg) @ E.T
         H = 0.5 * (H + H.T)
@@ -405,7 +388,7 @@ def build_frame(geometry, potential, modes):
     Gram-Schmidt against the trigonometric basis ordering, and every
     eigenvector is sign-fixed so its first largest-magnitude coefficient is
     positive.  For V = 0 the eigenfunctions then coincide exactly with the
-    trigonometric basis itself.
+    trigonometric basis itself.  The frame checks them on an operator it assembles.
     """
     basis = trig_basis(geometry.dimension, modes)
     need = 2 * _window_radius(basis) + potential.window_radius()
@@ -413,12 +396,11 @@ def build_frame(geometry, potential, modes):
         raise ConfigError(
             f"grid_points={geometry.grid_points} too small for exact assembly; "
             f"need more than {need} points per axis")
-    grid = None if potential.is_zero else _basis_on_grid(geometry, basis)
-    H = assemble_operator(geometry, potential, basis, grid)
+    H = assemble_operator(geometry, potential, basis)
     lam, vecs = np.linalg.eigh(H)  # ascending; columns are eigenvectors
     vecs = _align_degenerate_clusters(lam, vecs)
     psi = _fix_signs(vecs.T)
-    return SpectralFrame(geometry, potential, basis, lam, psi, _operator=H, _grid=grid)
+    return SpectralFrame(geometry, potential, basis, lam, psi)
 
 
 def _align_degenerate_clusters(lam, vecs):

@@ -47,7 +47,8 @@ class StudyConfig:
     operator study.  `initial_seed` pins the sampled initial data separately
     from the Monte Carlo seed (None reuses `seed`).  The studies key their
     member streams from `seed` up to `seed + max(members, len(epsilons))`, and
-    every one of those keys must be a Philox key.
+    every one of those keys must be a Philox key.  Construction builds `solver()`
+    once, which checks `tau_end`, `dt`, `theta_osc` and `samples` before any run.
     """
 
     study: str
@@ -74,9 +75,10 @@ class StudyConfig:
     def __post_init__(self):
         if self.study not in STUDIES:
             raise ConfigError(f"unknown study {self.study!r}; pick one of {STUDIES}")
-        for name in ("s1", "s_star", "tau_end", "dt", "theta_osc", "radius", "burn_in",
-                     "batch_length", "quadrature_margin"):  # each a real, before any use
+        for name in ("s1", "s_star", "burn_in", "batch_length",
+                     "quadrature_margin"):  # each a real, before any use
             check_real(getattr(self, name), name)
+        check_real(self.radius, "radius", 0.0)
         eps = check_reals(self.epsilons, "epsilons")
         if not eps or any(not (e > 0) for e in eps):
             raise ConfigError("epsilon ladder must be nonempty and positive")
@@ -84,27 +86,28 @@ class StudyConfig:
             raise ConfigError("epsilon ladder must be strictly decreasing")
         if not (0.0 <= self.s1 < self.s_star):
             raise ConfigError(f"need 0 <= s1 < s_star, got s1={self.s1} s_star={self.s_star}")
-        for name, least in (("samples", 2), ("initials", 1), ("members", 2),
-                            ("tracked_modes", 1), ("batches", 4)):
+        for name, least in (("initials", 1), ("members", 2), ("tracked_modes", 1),
+                            ("batches", 4)):
             object.__setattr__(self, name, check_int(getattr(self, name), name, least))
         object.__setattr__(self, "seed", check_seed(
             self.seed, "seed", keys=max(self.members, len(eps)) + 1))
         if self.initial_seed is not None:
             object.__setattr__(self, "initial_seed",
                                check_seed(self.initial_seed, "initial_seed"))
-        if not 0.0 < self.tau_end < math.inf:
-            raise ConfigError(f"tau_end must be positive and finite, got {self.tau_end}")
+        solver = self.solver()
+        object.__setattr__(self, "samples", solver.samples)
         if not (0.0 <= self.burn_in < math.inf and 0.0 < self.batch_length < math.inf):
             raise ConfigError("stationary averaging needs a finite burn_in >= 0 "
                               "and a finite batch_length > 0")
         compare_taus = check_reals(self.compare_taus, "compare_taus")
         if not all(map(math.isfinite, compare_taus)):
             raise ConfigError(f"compare_taus must be finite, got {compare_taus}")
+        object.__setattr__(self, "compare_taus", compare_taus)
+        _compare_indices(solver.sample_taus(), self)
         windows = check_reals(self.windows, "windows")
         if any(not 0.0 < w < math.inf for w in windows):
             raise ConfigError(f"averaging windows must be positive and finite, got {windows}")
         object.__setattr__(self, "epsilons", eps)
-        object.__setattr__(self, "compare_taus", compare_taus)
         object.__setattr__(self, "windows", windows)
 
     def solver(self, **overrides):
@@ -186,7 +189,8 @@ def _compare_indices(taus, cfg):
         for t in cfg.compare_taus:
             i = int(np.argmin(np.abs(taus - t)))
             if abs(taus[i] - t) > 1e-9 * max(1.0, abs(t)):
-                raise ConfigError(f"compare tau {t} is not on the sample grid")
+                raise ConfigError(f"compare_taus entry {t} is not on the sample grid of "
+                                  f"{len(taus)} samples over [0, {taus[-1]:g}]")
             idx.append(i)
         return idx
     return list(range(1, len(taus)))

@@ -386,6 +386,63 @@ def test_bad_seeds_exit_one_before_any_drift(workspace, tmp_path, capsys, monkey
     assert not os.path.exists(out)
 
 
+@pytest.mark.parametrize("kind, key, bad, message", [
+    ("converge", "radius", -1.0, "radius must be a real number in [0, inf), got -1.0"),
+    ("converge", "radius", float("inf"), "radius must be a real number in [0, inf), got inf"),
+    ("converge", "dt", -1.0, "dt must be positive and finite, got -1.0"),
+    ("converge", "theta_osc", 0.0, "theta_osc must be positive"),
+    ("stochastic", "compare_taus", [0.3],
+     "compare_taus entry 0.3 is not on the sample grid of 5 samples over [0, 1]"),
+])
+def test_out_of_range_study_values_exit_one_before_any_drift(workspace, tmp_path, capsys,
+                                                             monkeypatch, kind, key, bad,
+                                                             message):
+    # a negative radius ran on a ball of negated states and an infinite one
+    # blew up; dt, theta_osc and an off-grid compare tau were refused only
+    # after the drifts were built (and the stochastic study's effective
+    # ensemble had run)
+    built = _count_drift_builds(monkeypatch)
+    doc = {"frame": workspace["frame_ref"], "table": workspace["table_ref"],
+           "nonlinearity": {"kind": "cubic_focusing", "mu": 0.5},
+           "noise": {"scale": 0.05, "decay": 1.5},
+           "study": {"study": kind, "samples": 5, key: bad}}
+    cfg = write_config(workspace["dir"] / "range.json", doc)
+    out = tmp_path / "o"
+    assert main(["study", kind, "--config", cfg, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert f"error: {message}" in err and "malformed" not in err, err
+    assert built == [] and not out.exists()
+
+
+@pytest.mark.parametrize("section", [[["study", "converge"], ["seed", 2718]], "converge"])
+def test_study_section_must_be_an_object(workspace, tmp_path, capsys, section):
+    # a list of pairs used to be copied into a dict and run; a string escaped
+    # as "malformed config"
+    cfg = write_config(workspace["dir"] / "section.json", {
+        "frame": workspace["frame_ref"], "table": workspace["table_ref"],
+        "nonlinearity": {"kind": "cubic_focusing", "mu": 0.5}, "study": section})
+    out = tmp_path / "o"
+    assert main(["study", "converge", "--config", cfg, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "error: config section 'study' must be an object" in err, err
+    assert "malformed" not in err and not out.exists()
+
+
+def test_sparse_stationary_sampling_exits_one(workspace, tmp_path, capsys):
+    # 65 samples over tau 5.04 leave most 0.01-long batches empty
+    cfg = write_config(workspace["dir"] / "sparse.json", {
+        "frame": workspace["frame_ref"], "table": workspace["table_ref"],
+        "nonlinearity": {"kind": "cubic_focusing", "mu": 0.5},
+        "noise": {"scale": 0.05, "decay": 1.5},
+        "study": {"study": "stationary", "epsilons": [0.2], "dt": 4e-3, "burn_in": 5.0,
+                  "batches": 4, "batch_length": 0.01, "seed": 3}})
+    out = tmp_path / "o"
+    assert main(["study", "stationary", "--config", cfg, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "error: stationary sampling too sparse for the batch layout" in err, err
+    assert not out.exists()
+
+
 _STUDY_REALS = ("s1", "s_star", "tau_end", "dt", "theta_osc", "radius", "burn_in",
                 "batch_length", "quadrature_margin")
 _SOLVER_REALS = ("epsilon", "tau_end", "dt", "theta_osc", "blow_up_factor", "blow_up_norm")
@@ -424,6 +481,10 @@ def test_non_real_study_and_solver_values_exit_one(workspace, tmp_path, capsys, 
 _FRAME_16 = {"geometry": {"lengths": [TAU], "grid_points": 16}, "modes": 5}
 
 
+_COSINE = {"m": [1], "amplitude": 0.1}
+_TERM_1 = {"re": 1.0, "im": 0.0, "factors": [{}]}
+
+
 @pytest.mark.parametrize("command, edit, message", [
     ("simulate", {"noise": {"scale": "x"}}, "noise.scale must be a real number"),
     ("simulate", {"noise": {"scale": 0.1, "decay": "x"}}, "noise.decay must be a real number"),
@@ -453,11 +514,52 @@ _FRAME_16 = {"geometry": {"lengths": [TAU], "grid_points": 16}, "modes": 5}
     ("basis", {"potential": {"cosines": 5}}, "potential.cosines must be a list, got 5"),
     ("basis", {"potential": {"cosines": [{"m": [1], "amplitude": "x"}]}},
      "potential.cosines[0].amplitude must be a real number"),
+    ("simulate", {"initial": {"radius": -2.0, "s": 2.0, "seed": 3}},
+     "initial.radius must be a real number in [0, inf), got -2.0"),
+    ("simulate", {"initial": {"radius": float("nan"), "s": 2.0, "seed": 3}},
+     "initial.radius must be a real number in [0, inf), got nan"),
+    ("simulate", {"initial": {"radius": 1.0, "s": -3.0, "seed": 3}},
+     "initial.s must be a real number in [0, inf), got -3.0"),
+    ("basis", {"potential": {"cosines": [{"m": 1, "amplitude": 0.1}]}},
+     "potential.cosines[0].m must be a list, got 1"),
+    ("basis", {"potential": {"cosines": [{"m": [0], "amplitude": 0.1}]}},
+     "potential.cosines[0].m must be a nonzero lattice index, got [0]"),
+    ("basis", {"potential": {"cosines": [_COSINE, {"m": [1], "amplitude": 0.2}]}},
+     "potential.cosines[1].m = [1] repeats potential.cosines[0].m = [1] up to sign"),
+    ("basis", {"potential": {"cosines": [_COSINE, {"m": [-1], "amplitude": 0.2}]}},
+     "potential.cosines[1].m = [-1] repeats potential.cosines[0].m = [1] up to sign"),
+    ("basis", {"potential": {"cosines": [{"m": [1, 0], "amplitude": 0.1}]}},
+     "cosine index (1, 0) does not match dimension 1"),
+    ("simulate", {"noise": {"scale": 0.1, "eigenvalue_power": 2.0}},
+     "noise section needs exactly one of amplitudes, scale(+decay), eigenvalue_power"),
+    ("simulate", {"solver": {"epsilon": 0.2, "tau_end": 0.5, "blow_up_norm": -1.0}},
+     "blow_up_norm must be >= 0"),
+    ("simulate", {"nonlinearity": {"kind": "bogus"}}, "unknown nonlinearity kind 'bogus'"),
+    ("simulate", {"nonlinearity": {"kind": "cubic_focusing", "mu": -1.0}},
+     "dissipation mu must be >= 0, got -1.0"),
+    ("simulate", {"nonlinearity": {"kind": "diagonal", "mu": 0.5}},
+     "diagonal kind needs per-mode coefficients"),
+    ("simulate", {"nonlinearity": {"kind": "polynomial", "mu": 0.5, "terms": []}},
+     "polynomial kind needs at least one term"),
+    ("simulate", {"nonlinearity": {"kind": "polynomial", "mu": 0.5,
+                                   "terms": [{**_TERM_1, "factors": []}]}},
+     "monomial term needs at least one factor"),
+    ("effective", {"nonlinearity": {"kind": "polynomial", "mu": 0.5, "terms": [_TERM_1]}},
+     "resonance table lacks pattern (1,)"),
+    ("resonances", {"resonance": {"patterns": [[1, -1, 1]], "mode": "bogus"}},
+     "unknown resonance mode 'bogus'"),
+    ("resonances", {"resonance": {"patterns": [[1, -1, 1]], "eta": -1.0}},
+     "resonance tolerance eta must be nonnegative, got -1.0"),
 ])
 def test_cli_section_values_name_their_place(workspace, tmp_path, capsys, command, edit,
                                              message):
-    # each used to exit 1 as "malformed config" with a bare TypeError or ValueError
+    # each used to exit 1 as "malformed config" with a bare TypeError or
+    # ValueError, or to run: a negative radius on a ball of negated states, a
+    # NaN one until it blew up, a repeated cosine index with one amplitude
+    # dropped; the zero or a mirrored index was refused naming no entry.  The
+    # cases after the mirrored index were refused as they are now, but untested
     base = {"simulate": _simulate_config(workspace, seed=9),
+            "effective": _simulate_config(workspace, table=workspace["table_ref"]),
             "resonances": {"frame": workspace["frame_ref"]},
             "basis": dict(_FRAME_16)}[command]
     cfg = write_config(workspace["dir"] / "place.json", {**base, **edit})
@@ -550,6 +652,33 @@ def test_noisy_effective_records_its_noise(workspace, tmp_path):
     assert traj.seed == 9 and traj.epsilon is None
     assert traj.noise_doc["amplitudes"] == [float(x) for x in b]
     assert "2 tau" in traj.noise_doc["convention"]
+
+
+def test_amplitude_noise_runs_and_is_recorded(workspace, tmp_path):
+    amplitudes = [0.05, 0.04, 0.04, 0.02, 0.02]
+    cfg = write_config(workspace["dir"] / "amp.json", _simulate_config(
+        workspace, solver=_NOISY_SOLVER, noise={"amplitudes": amplitudes}, seed=9))
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "a")]) == 0
+    traj = load_trajectory(tmp_path / "a" / "trajectory.jsonl")
+    assert traj.seed == 9 and traj.epsilon == 0.2
+    assert traj.noise_doc["amplitudes"] == amplitudes
+
+
+def test_table_of_another_frame_is_refused(workspace, tmp_path, capsys):
+    # the same spectrum on a 16-point grid is another frame, with another hash
+    res_cfg = write_config(workspace["dir"] / "other_res.json", {
+        "frame": _FRAME_16, "resonance": {"patterns": [[1, -1, 1]]}})
+    assert main(["resonances", "--config", res_cfg,
+                 "--out", str(workspace["dir"] / "other_res")]) == 0
+    table = ResonanceTable.from_document(read_json(workspace["dir"] / "other_res" / "table.json"))
+    assert table.frame_hash != workspace["frame"].content_hash()
+    cfg = write_config(workspace["dir"] / "other.json", _simulate_config(
+        workspace, table={"file": "other_res/table.json", "sha256": table.content_hash()}))
+    out = tmp_path / "o"
+    assert main(["effective", "--config", cfg, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "error: resonance table was built for a different frame; rebuild it" in err, err
+    assert not out.exists()
 
 
 def test_effective_requires_table_and_runs(workspace, tmp_path):
@@ -681,6 +810,10 @@ def _ragged_psi(doc):
     doc["psi"][1].pop()
 
 
+def _swap_basis(doc):
+    doc["basis"][1], doc["basis"][2] = doc["basis"][2], doc["basis"][1]
+
+
 @pytest.mark.parametrize("what, edit, message", [
     ("frame", lambda doc: doc.update(basis=3),
      "frame.basis must be a list of [kind, lattice index] pairs"),
@@ -704,13 +837,20 @@ def _ragged_psi(doc):
     ("table", lambda doc: doc.update(clusters=[5]),
      "table.clusters[0] must be a list, got 5"),
     ("table", lambda doc: doc.update(resonances=5), "table.resonances must be a list, got 5"),
+    ("frame", lambda doc: doc.update(schema="resonlab-frame-v0"),
+     "unknown frame schema 'resonlab-frame-v0'"),
+    ("frame", _swap_basis, "frame file basis ordering does not match the canonical ordering"),
+    ("table", lambda doc: doc.update(schema="resonlab-resonance-v0"),
+     "unknown resonance schema 'resonlab-resonance-v0'"),
 ], ids=["frame-basis", "frame-psi", "table-eta", "table-gamma", "table-pattern", "table-mode",
         "frame-potential-re", "frame-lengths", "frame-lengths-entry", "table-clusters",
-        "table-cluster", "table-resonances"])
+        "table-cluster", "table-resonances", "frame-schema", "frame-basis-order",
+        "table-schema"])
 def test_artifact_values_of_the_wrong_type_name_their_place(workspace, tmp_path, capsys,
                                                             what, edit, message):
     # each escaped as "malformed config" with a bare TypeError or ValueError,
-    # and a table "mode" the writer never emits was read without complaint
+    # and a table "mode" the writer never emits was read without complaint;
+    # an unknown schema or a reordered basis was refused, but untested
     _refuses_edited_artifact(workspace, tmp_path, capsys, what, edit, message)
 
 
@@ -827,6 +967,17 @@ def test_unknown_study_kind_exits_one(workspace, tmp_path, capsys):
     assert "error: unknown study 'bogus'" in err, err
     assert "Traceback" not in err
     assert not out.exists()
+
+
+def test_missing_or_non_object_config_exits_one(tmp_path, capsys):
+    out = str(tmp_path / "o")
+    missing = str(tmp_path / "nowhere.json")
+    assert main(["basis", "--config", missing, "--out", out]) == 1
+    assert f"error: config file {missing} not found" in capsys.readouterr().err
+    cfg = write_config(tmp_path / "list.json", [_FRAME_16])
+    assert main(["basis", "--config", cfg, "--out", out]) == 1
+    assert "error: config root must be a JSON object" in capsys.readouterr().err
+    assert not os.path.exists(out)
 
 
 def test_usage_errors_exit_one():

@@ -451,6 +451,12 @@ def test_diagonal_drift_is_field_itself(frame_1d_5):
     assert np.array_equal(drift(v), eval_P(v, Field(spec, frame_1d_5)))
 
 
+def test_polynomial_drift_needs_a_table(frame_1d_5):
+    # the CLI and the studies always hand over a table; a Python caller may not
+    with pytest.raises(ConfigError, match="analytic drift route needs a resonance table"):
+        ResonantDrift(frame_1d_5, CUBIC, table=None)
+
+
 def test_derivative_polynomial_routes_agree(frame_1d_9):
     term = MonomialTerm(0.4 - 0.1j, (MonomialFactor(), MonomialFactor(derivative=0)))
     spec = NonlinearitySpec("polynomial", mu=0.3, terms=(term,))

@@ -306,10 +306,11 @@ def test_operator_assembled_once_per_frame(monkeypatch):
                         lambda *args: calls.append(args) or assemble(*args))
     pot = Potential.from_cosines({(1, 0): 0.1, (0, 1): 0.05}, dimension=2)
     frame = build_frame(TorusGeometry((TAU, TAU), 16), pot, 9)
-    assert len(calls) == 1
+    # one assembly to diagonalize, one by the frame to check its eigenpairs
+    assert len(calls) == 2
     # a frame read from a document is checked against an operator it assembles
     rebuilt = SpectralFrame.from_document(json.loads(json.dumps(frame.to_document())))
-    assert len(calls) == 2
+    assert len(calls) == 3
     assert rebuilt.content_hash() == frame.content_hash()
 
 
@@ -343,12 +344,14 @@ def test_grid_pass_shared_by_build_frame(monkeypatch):
     v = np.linspace(0.1, 0.9, 9) + 0.2j
     spec = NonlinearitySpec("cubic_focusing", mu=0.3)
     eval_P(v, Field(spec, frame))
-    assert len(calls) == 1
-    # a frame read from a document makes its own pass for the operator and
-    # another for the tables; both give the same tables bit for bit
+    # one pass per operator assembly (build_frame's and the frame's check)
+    # and one for the tables
+    assert len(calls) == 3
+    # a frame read from a document makes the same passes for its check and
+    # its tables; both frames give the same tables bit for bit
     rebuilt = SpectralFrame.from_document(json.loads(json.dumps(frame.to_document())))
     assert np.array_equal(eval_P(v, Field(spec, rebuilt)), eval_P(v, Field(spec, frame)))
-    assert len(calls) == 3
+    assert len(calls) == 5
     assert np.array_equal(rebuilt.eigenfunction_values, frame.eigenfunction_values)
     for mine, theirs in zip(rebuilt.eigenfunction_gradients, frame.eigenfunction_gradients):
         assert np.array_equal(mine, theirs)

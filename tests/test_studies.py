@@ -247,9 +247,10 @@ def test_stochastic_study_single_rung_bands(frame_1d_5, mix5):
 
 def test_stochastic_study_rejects_off_grid_compare_tau(frame_1d_5, mix5):
     spec, table, noise = mix5
-    cfg = StudyConfig("stochastic", epsilons=(0.05,), members=10, samples=5,
-                      compare_taus=(0.3,))
+    # refused by the config, before any study runs
     with pytest.raises(ConfigError):
+        cfg = StudyConfig("stochastic", epsilons=(0.05,), members=10, samples=5,
+                          compare_taus=(0.3,))
         study_stochastic_actions(frame_1d_5, spec, table, noise, cfg)
 
 
