@@ -108,8 +108,10 @@ def _build_potential(section, dimension):
     terms, given = {}, {}  # given: the entry that gave each index, up to sign
     for where, entry in check_list(section.get("cosines", []), "potential.cosines"):
         check_keys(where, entry, {"m", "amplitude"}, required=("m", "amplitude"))
-        m = tuple(check_int(x, "potential index")
-                  for _, x in check_list(entry["m"], f"{where}.m"))
+        m = tuple(check_int(x, place) for place, x in check_list(entry["m"], f"{where}.m"))
+        if len(m) != dimension:
+            raise ConfigError(f"{where}.m must hold {dimension} integer"
+                              f"{'s' if dimension > 1 else ''}, one per axis, got {list(m)}")
         if not any(m):
             raise ConfigError(f"{where}.m must be a nonzero lattice index, got {list(m)}")
         if m in given:

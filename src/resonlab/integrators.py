@@ -18,16 +18,15 @@ both systems take the full system's NoiseModel, whose resonant average over
 the drift's clusters (resonance.build_diffusion) is the effective run's
 diffusion B.  Complex noise follows the convention E|beta_l(tau)|^2 = 2 tau
 (independent standard real and imaginary parts).  A run that draws noise
-splits its members with one forked child (_sharded), each process drawing its
-own members' normals (_NoiseStream): member i's stream is keyed seed + i
-whichever process draws it.  The noise buffer is step-major and complex, so
-each step's normals are one contiguous (members, modes) block that the driver
-reads in place.
+splits its members with one forked child (_sharded), which sends its members'
+run back over a pipe; each process draws its own members' normals
+(_NoiseStream): member i's stream is keyed seed + i whichever process draws
+it.  The noise buffer is step-major and complex, so each step's normals are
+one contiguous (members, modes) block that the driver reads in place.
 """
 
 from dataclasses import dataclass, fields
 import math
-import mmap
 import signal
 
 import numpy as np
@@ -283,7 +282,7 @@ def _drive(a0, g, lam, mu, config, h_target, inject=None, seed=None, drift=None)
     (h_target, steps) is what every result reports, "scheme" names the step
     taken and "seed" is the seed as an int, refused unless it keys every member.
     """
-    members, modes = a0.shape
+    members = len(a0)
     if seed is None and inject is not None:
         raise ConfigError("a run whose noise injects needs a seed")
     seed = None if seed is None else check_seed(seed, "seed", keys=members)
@@ -295,8 +294,7 @@ def _drive(a0, g, lam, mu, config, h_target, inject=None, seed=None, drift=None)
         return _propagate(a0[lo:hi], g, lam, mu, config, taus, plan, inject,
                           None if seed is None else seed + lo, drift)
 
-    run = (propagate(0, members) if inject is None
-           else _sharded(propagate, members, taus.size, modes, drift is not None))
+    run = propagate(0, members) if inject is None else _sharded(propagate, members)
     return {"taus": taus, **run, "steps": steps, "seed": seed,
             "scheme": "lawson4" if inject is None else "expeuler",
             "meta": {"h_target": h_target, "steps": steps}}
@@ -373,13 +371,13 @@ def _propagate(a0, g, lam, mu, config, taus, plan, inject, seed, drift):
             "death_norm": death_norm, "bound": bound, "disp_max": disp_max}
 
 
-def _sharded(propagate, members, samples, modes, tracked):
+def _sharded(propagate, members):
     """propagate(0, members), with the members from split on run by one forked
     child where fork is available.  split is half the members rounded down to
     a multiple of _SHARD_ROWS, so each member rounds as in an unsharded run;
-    fewer than 2 * _SHARD_ROWS members stay here.  The child writes its
-    results into arrays laid out in anonymous shared mmaps before the fork,
-    then sends None or the exception it raised, which is raised here.  An
+    fewer than 2 * _SHARD_ROWS members stay here.  The child sends back over a
+    pipe what propagate(split, members) returned, or the exception it raised,
+    which is raised here; the two results join along the member axis.  An
     error or an interrupt in the caller terminates the child, which is reaped
     however the run ends.
     """
@@ -387,27 +385,15 @@ def _sharded(propagate, members, samples, modes, tracked):
     split = members // 2 // _SHARD_ROWS * _SHARD_ROWS
     if split == 0 or "fork" not in multiprocessing.get_all_start_methods():
         return propagate(0, members)
-
-    def shared(shape, dtype=float):  # zeroed; what the child writes there reaches us
-        nbytes = math.prod(shape) * np.dtype(dtype).itemsize
-        return np.frombuffer(mmap.mmap(-1, nbytes), dtype).reshape(shape)
-
-    n = members - split
-    theirs = {"states": shared((samples, n, modes), complex), "dead": shared((n,), bool),
-              "death_tau": shared((n,)), "death_norm": shared((n,)), "bound": shared((n,)),
-              "disp_max": shared((n, modes)) if tracked else None}
     connection, child_end = multiprocessing.Pipe(duplex=False)
 
     def child():
         signal.signal(signal.SIGINT, signal.SIG_IGN)  # the caller handles interrupts
         try:
-            for name, part in propagate(split, members).items():
-                if part is not None:
-                    theirs[name][...] = part
+            result = propagate(split, members)
         except Exception as exc:
-            child_end.send(exc)
-        else:
-            child_end.send(None)
+            result = exc
+        child_end.send(result)
 
     process = multiprocessing.get_context("fork").Process(target=child, daemon=True)
     process.start()
@@ -415,17 +401,17 @@ def _sharded(propagate, members, samples, modes, tracked):
     try:
         mine = propagate(0, split)
         try:
-            error = connection.recv()
+            theirs = connection.recv()
         except EOFError:
-            error = RuntimeError("the forked member shard ended without a result")
+            theirs = RuntimeError("the forked member shard ended without a result")
     except BaseException:
         process.terminate()
         raise
     finally:
         connection.close()
         process.join()
-    if error is not None:
-        raise error
+    if isinstance(theirs, Exception):
+        raise theirs
     return {name: None if part is None else
             np.concatenate((part, theirs[name]), axis=1 if name == "states" else 0)
             for name, part in mine.items()}

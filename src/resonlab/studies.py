@@ -48,7 +48,8 @@ class StudyConfig:
     from the Monte Carlo seed (None reuses `seed`).  The studies key their
     member streams from `seed` up to `seed + max(members, len(epsilons))`, and
     every one of those keys must be a Philox key.  Construction builds `solver()`
-    once, which checks `tau_end`, `dt`, `theta_osc` and `samples` before any run.
+    once, which checks `tau_end`, `dt`, `theta_osc` and `samples` before any run;
+    a stationary study's batches must each hold a sample of `stationary_solver()`.
     """
 
     study: str
@@ -99,6 +100,10 @@ class StudyConfig:
         if not (0.0 <= self.burn_in < math.inf and 0.0 < self.batch_length < math.inf):
             raise ConfigError("stationary averaging needs a finite burn_in >= 0 "
                               "and a finite batch_length > 0")
+        if self.study == "stationary":
+            taus = self.stationary_solver().sample_taus()
+            if any(len(batch) == 0 for batch in _batches(taus, taus, self)):
+                raise ConfigError("stationary sampling too sparse for the batch layout")
         compare_taus = check_reals(self.compare_taus, "compare_taus")
         if not all(map(math.isfinite, compare_taus)):
             raise ConfigError(f"compare_taus must be finite, got {compare_taus}")
@@ -114,6 +119,12 @@ class StudyConfig:
         base = SolverConfig(epsilon=1.0, tau_end=self.tau_end, dt=self.dt,
                             samples=self.samples, theta_osc=self.theta_osc)
         return replace(base, **overrides) if overrides else base
+
+    def stationary_solver(self):
+        """The stationary study's grid: burn-in, then the batches, sampled at
+        least 16 times per batch."""
+        return self.solver(tau_end=self.burn_in + self.batches * self.batch_length,
+                           samples=max(self.samples, 16 * self.batches + 1))
 
     def to_document(self):
         return {f.name: getattr(self, f.name) for f in fields(self)}
@@ -437,18 +448,21 @@ def _stationary_battery(frame, tracked):
     return battery, nonresonant
 
 
-def _batch_means(values, taus, burn_in, batches, batch_length):
-    """Batch means of a sampled scalar (possibly complex) after burn-in."""
-    keep = taus > burn_in + 1e-9
+def _batches(values, taus, cfg):
+    """The samples of values after cfg's burn-in, split into its batches."""
+    keep = taus > cfg.burn_in + 1e-9
     vals, ts = np.asarray(values)[keep], taus[keep]
-    edges = burn_in + batch_length * np.arange(1, batches)
-    groups = np.split(vals, np.searchsorted(ts, edges, side="left"))
-    if any(len(g) == 0 for g in groups):
-        raise ConfigError("stationary sampling too sparse for the batch layout")
-    means = np.array([g.mean(axis=0) for g in groups])
+    edges = cfg.burn_in + cfg.batch_length * np.arange(1, cfg.batches)
+    return np.split(vals, np.searchsorted(ts, edges, side="left"))
+
+
+def _batch_means(values, taus, cfg):
+    """Batch means of a sampled scalar (possibly complex) after burn-in; on
+    cfg's stationary grid every batch holds a sample."""
+    means = np.array([g.mean(axis=0) for g in _batches(values, taus, cfg)])
     overall = means.mean(axis=0)
     # a real series has zero imaginary variance, so one formula serves both
-    se = np.sqrt(means.real.var(ddof=1) + means.imag.var(ddof=1)) / math.sqrt(batches)
+    se = np.sqrt(means.real.var(ddof=1) + means.imag.var(ddof=1)) / math.sqrt(cfg.batches)
     return overall, float(se), means
 
 
@@ -479,9 +493,7 @@ def study_stationary_measure(frame, spec, table, noise, cfg):
     mixing of the limit state are hypotheses the run cannot verify.
     """
     v0 = _initial_states(frame, cfg)[0]
-    tau_end = cfg.burn_in + cfg.batches * cfg.batch_length
-    samples = max(cfg.samples, 16 * cfg.batches + 1)
-    base = cfg.solver(tau_end=tau_end, samples=samples)
+    base = cfg.stationary_solver()
     tracked = min(cfg.tracked_modes, frame.modes)
     battery, (a, b) = _stationary_battery(frame, tracked)
     runs = {}
@@ -496,8 +508,7 @@ def study_stationary_measure(frame, spec, table, noise, cfg):
         for name, obs, kind in battery:
             series = obs(traj.states)
             series = series.real if kind == "re" else series.imag
-            mean, se, means = _batch_means(series, traj.taus, cfg.burn_in,
-                                           cfg.batches, cfg.batch_length)
+            mean, se, means = _batch_means(series, traj.taus, cfg)
             stationary = stationary and _halves_consistent(means)
             out[name] = (float(mean), se)
         return out, stationary
@@ -528,8 +539,7 @@ def study_stationary_measure(frame, spec, table, noise, cfg):
 
     # rotation-invariance proxy under the effective stationary state
     mono = monomial_observable(1.0, v=(a,), vbar=(b,))
-    mmean, mse, mmeans = _batch_means(mono(eff.states), eff.taus, cfg.burn_in,
-                                      cfg.batches, cfg.batch_length)
+    mmean, mse, mmeans = _batch_means(mono(eff.states), eff.taus, cfg)
     nonresonant_ok = bool(abs(mmean) <= 3.0 * mse)
 
     verdicts = {

@@ -164,7 +164,7 @@ _INLINE_FRAME = {"geometry": {"lengths": [TAU], "grid_points": 16}, "modes": 5}
     ("basis", "grid_points", {**_INLINE_FRAME,
                               "geometry": {"lengths": [TAU], "grid_points": 16.9}}),
     ("basis", "modes", {**_INLINE_FRAME, "modes": 5.7}),
-    ("basis", "potential index", {**_INLINE_FRAME, "potential": {
+    ("basis", "potential.cosines[0].m[0]", {**_INLINE_FRAME, "potential": {
         "cosines": [{"m": [1.5], "amplitude": 0.1}]}}),
     ("resonances", "pattern sign", {"frame": _INLINE_FRAME,
                                     "resonance": {"patterns": [[1, -1, 1.5]]}}),
@@ -428,8 +428,10 @@ def test_study_section_must_be_an_object(workspace, tmp_path, capsys, section):
     assert "malformed" not in err and not out.exists()
 
 
-def test_sparse_stationary_sampling_exits_one(workspace, tmp_path, capsys):
-    # 65 samples over tau 5.04 leave most 0.01-long batches empty
+def test_sparse_stationary_sampling_exits_one(workspace, tmp_path, capsys, monkeypatch):
+    # 65 samples over tau 5.04 leave most 0.01-long batches empty; the layout
+    # used to be refused only after the effective run
+    built = _count_drift_builds(monkeypatch)
     cfg = write_config(workspace["dir"] / "sparse.json", {
         "frame": workspace["frame_ref"], "table": workspace["table_ref"],
         "nonlinearity": {"kind": "cubic_focusing", "mu": 0.5},
@@ -440,7 +442,8 @@ def test_sparse_stationary_sampling_exits_one(workspace, tmp_path, capsys):
     assert main(["study", "stationary", "--config", cfg, "--out", str(out)]) == 1
     err = capsys.readouterr().err
     assert "error: stationary sampling too sparse for the batch layout" in err, err
-    assert not out.exists()
+    assert "malformed" not in err
+    assert built == [] and not out.exists()
 
 
 _STUDY_REALS = ("s1", "s_star", "tau_end", "dt", "theta_osc", "radius", "burn_in",
@@ -482,6 +485,7 @@ _FRAME_16 = {"geometry": {"lengths": [TAU], "grid_points": 16}, "modes": 5}
 
 
 _COSINE = {"m": [1], "amplitude": 0.1}
+_SMOOTHED = {"kind": "smoothed_monomial", "mu": 0.5, "gr": 0.3, "gi": 1.0, "p": 1.5, "q": 2.0}
 _TERM_1 = {"re": 1.0, "im": 0.0, "factors": [{}]}
 
 
@@ -529,7 +533,7 @@ _TERM_1 = {"re": 1.0, "im": 0.0, "factors": [{}]}
     ("basis", {"potential": {"cosines": [_COSINE, {"m": [-1], "amplitude": 0.2}]}},
      "potential.cosines[1].m = [-1] repeats potential.cosines[0].m = [1] up to sign"),
     ("basis", {"potential": {"cosines": [{"m": [1, 0], "amplitude": 0.1}]}},
-     "cosine index (1, 0) does not match dimension 1"),
+     "potential.cosines[0].m must hold 1 integer, one per axis, got [1, 0]"),
     ("simulate", {"noise": {"scale": 0.1, "eigenvalue_power": 2.0}},
      "noise section needs exactly one of amplitudes, scale(+decay), eigenvalue_power"),
     ("simulate", {"solver": {"epsilon": 0.2, "tau_end": 0.5, "blow_up_norm": -1.0}},
@@ -550,14 +554,24 @@ _TERM_1 = {"re": 1.0, "im": 0.0, "factors": [{}]}
      "unknown resonance mode 'bogus'"),
     ("resonances", {"resonance": {"patterns": [[1, -1, 1]], "eta": -1.0}},
      "resonance tolerance eta must be nonnegative, got -1.0"),
+    ("basis", {"geometry": {"lengths": [TAU, TAU], "grid_points": 8},
+               "potential": {"cosines": [_COSINE]}},
+     "potential.cosines[0].m must hold 2 integers, one per axis, got [1]"),
+    ("basis", {"geometry": {"lengths": [TAU, TAU], "grid_points": 8},
+               "potential": {"cosines": [{"m": [1, 0.5], "amplitude": 0.1}]}},
+     "potential.cosines[0].m[1] must be an integer, got 0.5"),
+    ("simulate", {"nonlinearity": {**_SMOOTHED, "p": "x"}},
+     "nonlinearity.p must be a real number"),
 ])
 def test_cli_section_values_name_their_place(workspace, tmp_path, capsys, command, edit,
                                              message):
     # each used to exit 1 as "malformed config" with a bare TypeError or
     # ValueError, or to run: a negative radius on a ball of negated states, a
     # NaN one until it blew up, a repeated cosine index with one amplitude
-    # dropped; the zero or a mirrored index was refused naming no entry.  The
-    # cases after the mirrored index were refused as they are now, but untested
+    # dropped; the zero or a mirrored index was refused naming no entry, an
+    # index of the wrong length too, and a fractional entry was "potential
+    # index".  The other cases after the mirrored index were refused as they
+    # are now, but untested
     base = {"simulate": _simulate_config(workspace, seed=9),
             "effective": _simulate_config(workspace, table=workspace["table_ref"]),
             "resonances": {"frame": workspace["frame_ref"]},
@@ -856,14 +870,15 @@ def test_artifact_values_of_the_wrong_type_name_their_place(workspace, tmp_path,
 
 def test_manifest_hashes_are_the_output_bytes(workspace, tmp_path):
     outs = [workspace["dir"] / "basis", workspace["dir"] / "res"]
-    for argv, doc in (
+    for i, (argv, doc) in enumerate((
             (["simulate"], _simulate_config(workspace)),
+            (["simulate"], _simulate_config(workspace, nonlinearity=_SMOOTHED)),
             (["effective"], _simulate_config(workspace, table=workspace["table_ref"])),
             (["study", "operator"], {"frame": workspace["frame_ref"],
                                      "study": {"study": "operator", "initials": 1,
-                                               "seed": 2}})):
-        out = tmp_path / argv[0]
-        cfg = write_config(workspace["dir"] / f"hashed_{argv[0]}.json", doc)
+                                               "seed": 2}}))):
+        out = tmp_path / f"{argv[0]}{i}"
+        cfg = write_config(workspace["dir"] / f"hashed_{i}.json", doc)
         assert main([*argv, "--config", cfg, "--out", str(out)]) == 0
         outs.append(out)
     for out in outs:

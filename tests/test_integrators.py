@@ -940,6 +940,32 @@ def test_blow_up_in_the_child_shard_names_its_global_index(frame_1d_5, monkeypat
     assert propagated == [16, 40]
 
 
+def test_shard_returns_every_field_of_its_run(frame_1d_5, monkeypatch):
+    # a per-member array added to _propagate's result reaches the caller from
+    # the child's shard too, in member order, with no other change
+    propagate, counts = integrators._propagate, []
+
+    def with_first_mode(a0, *args):
+        counts.append(len(a0))
+        return {**propagate(a0, *args), "first_mode": a0[:, 0].real.copy()}
+
+    monkeypatch.setattr(integrators, "_propagate", with_first_mode)
+    initial = 0.05 * np.arange(1, 17)[:, None] * np.ones((16, 5), dtype=complex)
+    cfg = SolverConfig(epsilon=0.5, tau_end=0.3, dt=5e-3, samples=4)
+
+    def run():
+        return integrators._run_full(initial, 16, CUBIC, frame_1d_5, cfg,
+                                     noise=NoiseModel((0.3,) * 5), seed=40)
+
+    sharded, alone = run(), _without_fork(run)
+    assert counts == [8, 16]  # the caller ran members 0-7 of the sharded run
+    assert np.array_equal(sharded["first_mode"], initial[:, 0].real)
+    assert sharded.keys() == alone.keys()
+    for name, value in alone.items():
+        if isinstance(value, np.ndarray):
+            assert np.array_equal(sharded[name], value, equal_nan=True), name
+
+
 def _ulps(x, y):
     """|x - y| in units of the last place of y."""
     return np.abs(x - y) / np.spacing(np.abs(y))

@@ -198,6 +198,20 @@ def test_operator_study_bounds_and_decay(frame_1d_9):
     assert all(r[2] <= r[3] + cfg.quadrature_margin for r in rows)
 
 
+def test_operator_study_flags_a_planted_average_error(frame_1d_9, monkeypatch):
+    # a finite-window average 1e-3 off in relative terms breaks the closed-form
+    # bound and the flatness of resonant observables; the nonresonant error
+    # still decays from the first window to the last
+    average = studies.scalar_average
+    monkeypatch.setattr(studies, "scalar_average",
+                        lambda *args, **kwargs: average(*args, **kwargs) * (1 + 1e-3))
+    cfg = StudyConfig("operator", initials=3, radius=1.0, seed=11)
+    rep = study_operator_convergence(frame_1d_9, cfg)
+    assert rep.verdicts == {**rep.verdicts, "closed_form_bound": False,
+                            "resonant_flat": False, "error_decays": True}
+    assert not rep.passed()
+
+
 @pytest.mark.parametrize("name", ["frame_1d_9", "frame_1d_9_cos"])
 def test_limit_and_bound_share_one_resonance_rule(name, request):
     # a term survives the infinite window exactly when the closed-form bound
