@@ -101,17 +101,14 @@ def _build_geometry(section):
 
 
 def _build_potential(section, dimension):
-    from .spectral import Potential
+    from .spectral import Potential, read_lattice_index
     if section is None:
         return Potential.zero()
     check_keys("potential", section, {"cosines"})
     terms, given = {}, {}  # given: the entry that gave each index, up to sign
     for where, entry in check_list(section.get("cosines", []), "potential.cosines"):
         check_keys(where, entry, {"m", "amplitude"}, required=("m", "amplitude"))
-        m = tuple(check_int(x, place) for place, x in check_list(entry["m"], f"{where}.m"))
-        if len(m) != dimension:
-            raise ConfigError(f"{where}.m must hold {dimension} integer"
-                              f"{'s' if dimension > 1 else ''}, one per axis, got {list(m)}")
+        m = read_lattice_index(entry["m"], f"{where}.m", dimension)
         if not any(m):
             raise ConfigError(f"{where}.m must be a nonzero lattice index, got {list(m)}")
         if m in given:

@@ -59,10 +59,11 @@ def check_int(value, name, least=None):
 
 def check_real(value, name, least=None):
     """value as a float, refused unless it is a real number (a bool is not), and
-    finite and >= least when least is given."""
+    finite and >= least when least is given (least=-math.inf: finite only)."""
     if (isinstance(value, bool) or not isinstance(value, numbers.Real)
-            or least is not None and not least <= value < math.inf):
-        bound = "" if least is None else f" in [{least:g}, inf)"
+            or least is not None and not (least <= value and math.isfinite(value))):
+        bound = ("" if least is None else " in (-inf, inf)" if least == -math.inf
+                 else f" in [{least:g}, inf)")
         raise ConfigError(f"{name} must be a real number{bound}, got {value!r}")
     return float(value)
 
@@ -75,9 +76,10 @@ def check_list(values, name):
     return [(f"{name}[{i}]", value) for i, value in enumerate(values)]
 
 
-def check_reals(values, name):
-    """values as a tuple of floats, refused unless it is a list of real numbers."""
-    return tuple(check_real(value, place) for place, value in check_list(values, name))
+def check_reals(values, name, least=None):
+    """values as a tuple of floats, refused unless it is a list of real numbers,
+    each checked against least as check_real checks it."""
+    return tuple(check_real(value, place, least) for place, value in check_list(values, name))
 
 
 def check_seed(seed, name, keys=None):

@@ -181,7 +181,7 @@ def _check_table_frame(table, frame):
     # the eigenvalue lists themselves are compared, so in float mode
     _, tol, _ = frequency_rule(frame, table.eta, "float")
     gap = float(np.max(np.abs(lam - frame.eigenvalues)))
-    if gap > tol:
+    if not gap <= tol:
         raise ConfigError(f"resonance table eigenvalues differ from the frame's by {gap:.3e} "
                           f"(tolerance {tol:.3e}); the table was built for another frame")
 

@@ -1,5 +1,5 @@
 """Artifact bytes and their sha256: canonical JSON, trajectory JSON-lines,
-CSV tables and plain text.
+CSV tables (study tables and ensemble summaries alike) and plain text.
 
 One loop turns an artifact's byte chunks into a sha256 and, given a path,
 writes them: every writer returns the digest of what it wrote, and
@@ -11,11 +11,11 @@ written through Python's shortest round-trip repr, so reading a file back
 reproduces the exact binary values.
 
 A resonance table's index rows never become Python lists: canonical_bytes
-writes a 2-D integer array as the JSON list of its rows with numpy, and the
-pinned read of a table parses each "tuples" payload with numpy into a
-read-only intp array.  That writer is the one definition of a canonical row
-payload: the read keeps the array only when the writer gives the payload's
-bytes back from it, and any other spelling is parsed by json.
+writes a 2-D integer array as the JSON list of its rows with numpy, and
+read_json, pinned or not, parses each "tuples" payload of a table with numpy
+into a read-only intp array.  That writer is the one definition of a
+canonical row payload: the read keeps the array only when the writer gives
+the payload's bytes back from it, and any other spelling is parsed by json.
 """
 
 import contextlib
@@ -124,14 +124,13 @@ def write_text(path, text):
 
 
 def read_json(path, sha256=None):
-    """The document in a JSON file, read once.  With a `sha256` pin, the
-    bytes without the final newline, or else the parsed document's content
-    hash, must match it; StaleArtifactError otherwise.  A pinned resonance
-    table comes back with its canonical "tuples" payloads as read-only intp
-    arrays."""
+    """The document in a JSON file, read once.  A resonance table comes back
+    with its canonical "tuples" payloads as read-only intp arrays.  With a
+    `sha256` pin, the bytes without the final newline, or else the parsed
+    document's content hash, must match it; StaleArtifactError otherwise."""
     with open(path, "rb") as fh:
         data = fh.read()
-    doc = json.loads(data) if sha256 is None else _loads(data)
+    doc = _loads(data)
     if sha256 is not None and _digest((data.removesuffix(b"\n"),)) != sha256:
         actual = content_hash(doc)
         if actual != sha256:
@@ -265,26 +264,22 @@ def load_trajectory(path):
 _ENSEMBLE_COLUMNS = ("tau", "k", "mean_I", "var_I", "stderr_I")
 
 
-def _ensemble_lines(result):
-    yield (",".join(_ENSEMBLE_COLUMNS) + "\n").encode()
-    modes = result.mean_actions.shape[1]
-    for i, tau in enumerate(result.taus):
-        for k in range(modes):
-            yield ",".join([repr(float(tau)), str(k),
-                            repr(float(result.mean_actions[i, k])),
-                            repr(float(result.var_actions[i, k])),
-                            repr(float(result.stderr_actions[i, k]))]).encode() + b"\n"
+def _ensemble_csv(result):
+    stats = np.stack([result.mean_actions, result.var_actions, result.stderr_actions], -1)
+    return _csv_bytes(_ENSEMBLE_COLUMNS, ((float(tau), k, *row) for tau, rows
+                                          in zip(result.taus, stats.tolist())
+                                          for k, row in enumerate(rows)))
 
 
 def save_ensemble_csv(path, result):
-    """Long-format table: one row per (sample time, mode); returns the file's
-    sha256."""
-    return _digest(_ensemble_lines(result), path)
+    """Long-format table: one row per (sample time, mode), in save_table_csv's
+    format; returns the file's sha256."""
+    return _digest((_ensemble_csv(result),), path)
 
 
 def ensemble_hash(result):
-    """sha256 of the exact bytes save_ensemble_csv would emit."""
-    return _digest(_ensemble_lines(result))
+    """sha256 of the exact bytes save_ensemble_csv would emit, with no file."""
+    return _digest((_ensemble_csv(result),))
 
 
 def load_ensemble_csv(path):
@@ -312,15 +307,19 @@ def load_ensemble_csv(path):
 
 # -- study reports ----------------------------------------------------------
 
-def save_table_csv(path, columns, rows):
-    """Generic companion table; rows are sequences aligned with `columns`.
-    Returns the file's sha256."""
+def _csv_bytes(columns, rows):
     text = StringIO()
     writer = csv.writer(text, lineterminator="\n")
     writer.writerow(columns)
     writer.writerows([repr(float(x)) if isinstance(x, float) else x for x in row]
                      for row in rows)
-    return _digest((text.getvalue().encode(),), path)
+    return text.getvalue().encode()
+
+
+def save_table_csv(path, columns, rows):
+    """Generic companion table; rows are sequences aligned with `columns`, a
+    float written as its shortest repr.  Returns the file's sha256."""
+    return _digest((_csv_bytes(columns, rows),), path)
 
 
 def write_report(out_dir, report):

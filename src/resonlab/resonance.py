@@ -14,7 +14,7 @@ import math
 import numpy as np
 
 from .errors import (ConfigError, UnsupportedModeError, ValidationError, check_int,
-                     check_keys, check_list, check_real)
+                     check_keys, check_list, check_real, check_reals)
 
 DEFAULT_ETA = 1e-8
 TABLE_SCHEMA = "resonlab-resonance-v1"
@@ -227,7 +227,7 @@ class ResonanceTable:
             raise ConfigError(f"unknown resonance schema {doc['schema']!r}")
         if doc["mode"] not in TABLE_MODES:
             raise ConfigError(f"table.mode must be one of {TABLE_MODES}, got {doc['mode']!r}")
-        eigenvalues = np.array(doc["lambda"], dtype=float)
+        eigenvalues = np.array(check_reals(doc["lambda"], "table.lambda", least=-math.inf))
         modes = eigenvalues.size
         clusters = [[check_int(k, "table cluster index") for _, k in check_list(c, place)]
                     for place, c in check_list(doc["clusters"], "table.clusters")]
@@ -257,11 +257,12 @@ class ResonanceTable:
         gamma = doc["gamma_min"]
         return ResonanceTable(
             eigenvalues=eigenvalues,
-            eta=check_real(doc["eta_res"], "table.eta_res"),
+            eta=check_real(doc["eta_res"], "table.eta_res", least=0.0),
             mode=doc["mode"],
             clusters=clusters,
             resonances=resonances,
-            gamma_min=math.inf if gamma is None else check_real(gamma, "table.gamma_min"),
+            gamma_min=(math.inf if gamma is None
+                       else check_real(gamma, "table.gamma_min", least=0.0)),
             frame_hash=doc.get("frame_sha256"),
         )
 

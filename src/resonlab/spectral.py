@@ -150,12 +150,13 @@ class Potential:
         return [{"m": list(m), "re": c.real, "im": c.imag} for m, c in self.coefficients]
 
     @staticmethod
-    def from_document(doc):
+    def from_document(doc, dimension):
         coefficients = []
         for where, entry in check_list(doc, "frame.potential"):
             check_keys(where, entry, ("m", "re", "im"), required=("m", "re", "im"))
-            coefficients.append((entry["m"], complex(check_real(entry["re"], f"{where}.re"),
-                                                     check_real(entry["im"], f"{where}.im"))))
+            m = read_lattice_index(entry["m"], f"{where}.m", dimension)
+            coefficients.append((m, complex(check_real(entry["re"], f"{where}.re"),
+                                            check_real(entry["im"], f"{where}.im"))))
         return Potential(tuple(coefficients))
 
 
@@ -301,7 +302,7 @@ class SpectralFrame:
         if doc["schema"] != "resonlab-frame-v1":
             raise ConfigError(f"unknown frame schema {doc['schema']!r}")
         geometry = TorusGeometry.from_document(doc["geometry"])
-        potential = Potential.from_document(doc["potential"])
+        potential = Potential.from_document(doc["potential"], geometry.dimension)
         try:
             basis = tuple((kind, tuple(m)) for kind, m in doc["basis"])
         except (TypeError, ValueError) as exc:  # not pairs of a kind and a list
@@ -316,6 +317,16 @@ class SpectralFrame:
             except (TypeError, ValueError) as exc:  # a ragged nest, or not numbers
                 raise ConfigError(f"frame.{key} must be a rectangular array of numbers") from exc
         return SpectralFrame(geometry, potential, basis, arrays["lambda"], arrays["psi"])
+
+
+def read_lattice_index(value, where, dimension):
+    """A document's lattice index, a list of `dimension` integers, as a tuple;
+    refused naming `where` and each entry as `where[j]`."""
+    m = tuple(check_int(x, place) for place, x in check_list(value, where))
+    if len(m) != dimension:
+        raise ConfigError(f"{where} must hold {dimension} integer"
+                          f"{'s' if dimension > 1 else ''}, one per axis, got {list(m)}")
+    return m
 
 
 def _lattice_index(m):

@@ -59,6 +59,15 @@ def test_basis_outputs_and_manifest(workspace):
     assert mults == ["1", "2", "2"]
 
 
+def test_basis_builds_a_cosine_potential_frame(tmp_path, frame_1d_9_cos):
+    cfg = write_config(tmp_path / "cos.json", {
+        "geometry": {"lengths": [TAU], "grid_points": 32}, "modes": 9,
+        "potential": {"cosines": [{"m": [1], "amplitude": 0.1}]}})
+    assert main(["basis", "--config", cfg, "--out", str(tmp_path / "b")]) == 0
+    doc = read_json(tmp_path / "b" / "frame.json", sha256=frame_1d_9_cos.content_hash())
+    assert SpectralFrame.from_document(doc).content_hash() == frame_1d_9_cos.content_hash()
+
+
 def test_manifest_document(workspace, tmp_path):
     cfg = str(workspace["dir"] / "basis.json")
     assert main(["basis", "--config", cfg, "--out", str(tmp_path / "b"), "--seed", "7"]) == 0
@@ -833,9 +842,9 @@ def _swap_basis(doc):
      "frame.basis must be a list of [kind, lattice index] pairs"),
     ("frame", _ragged_psi, "frame.psi must be a rectangular array of numbers"),
     ("table", lambda doc: doc.update(eta_res="x"),
-     "table.eta_res must be a real number, got 'x'"),
+     "table.eta_res must be a real number in [0, inf), got 'x'"),
     ("table", lambda doc: doc.update(gamma_min="x"),
-     "table.gamma_min must be a real number, got 'x'"),
+     "table.gamma_min must be a real number in [0, inf), got 'x'"),
     ("table", lambda doc: doc["resonances"][1].update(pattern=5),
      "table.resonances[1].pattern must be a nonempty list of +-1 signs, got 5"),
     ("table", lambda doc: doc.update(mode="bogus"),
@@ -856,15 +865,43 @@ def _swap_basis(doc):
     ("frame", _swap_basis, "frame file basis ordering does not match the canonical ordering"),
     ("table", lambda doc: doc.update(schema="resonlab-resonance-v0"),
      "unknown resonance schema 'resonlab-resonance-v0'"),
+    ("table", lambda doc: doc["lambda"].__setitem__(3, float("nan")),
+     "table.lambda[3] must be a real number in (-inf, inf), got nan"),
+    ("table", lambda doc: doc["lambda"].__setitem__(3, "x"),
+     "table.lambda[3] must be a real number in (-inf, inf), got 'x'"),
+    ("table", lambda doc: doc["lambda"].__setitem__(3, [1.0]),
+     "table.lambda[3] must be a real number in (-inf, inf), got [1.0]"),
+    ("table", lambda doc: doc.update({"lambda": 3.0}), "table.lambda must be a list, got 3.0"),
+    ("table", lambda doc: doc.update(eta_res=float("inf")),
+     "table.eta_res must be a real number in [0, inf), got inf"),
+    ("table", lambda doc: doc.update(gamma_min=float("nan")),
+     "table.gamma_min must be a real number in [0, inf), got nan"),
+    ("table", lambda doc: doc.update(gamma_min=-1.0),
+     "table.gamma_min must be a real number in [0, inf), got -1.0"),
+    ("table", lambda doc: doc.update(gamma_min=float("inf")),
+     "table.gamma_min must be a real number in [0, inf), got inf"),
+    ("frame", lambda doc: doc["potential"].append({"m": ["x"], "re": 0.1, "im": 0.0}),
+     "frame.potential[0].m[0] must be an integer, got 'x'"),
+    ("frame", lambda doc: doc["potential"].append({"m": [1.5], "re": 0.1, "im": 0.0}),
+     "frame.potential[0].m[0] must be an integer, got 1.5"),
+    ("frame", lambda doc: doc["potential"].append({"m": [-1, 0], "re": 0.1, "im": 0.0}),
+     "frame.potential[0].m must hold 1 integer, one per axis, got [-1, 0]"),
 ], ids=["frame-basis", "frame-psi", "table-eta", "table-gamma", "table-pattern", "table-mode",
         "frame-potential-re", "frame-lengths", "frame-lengths-entry", "table-clusters",
         "table-cluster", "table-resonances", "frame-schema", "frame-basis-order",
-        "table-schema"])
+        "table-schema", "table-lambda-nan", "table-lambda-entry", "table-lambda-nested",
+        "table-lambda", "table-eta-inf", "table-gamma-nan", "table-gamma-negative",
+        "table-gamma-inf", "frame-potential-m-entry", "frame-potential-m-fraction",
+        "frame-potential-m-length"])
 def test_artifact_values_of_the_wrong_type_name_their_place(workspace, tmp_path, capsys,
                                                             what, edit, message):
     # each escaped as "malformed config" with a bare TypeError or ValueError,
     # and a table "mode" the writer never emits was read without complaint;
-    # an unknown schema or a reordered basis was refused, but untested
+    # an unknown schema or a reordered basis was refused, but untested.  A NaN
+    # eigenvalue, an infinite eta_res and a NaN, negative or infinite gamma_min
+    # were read and run; a lambda that is no list was "clusters must partition
+    # the modes"; a potential index was "potential index must be an integer",
+    # or, of the wrong length, refused late by values_on
     _refuses_edited_artifact(workspace, tmp_path, capsys, what, edit, message)
 
 

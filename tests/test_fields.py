@@ -32,7 +32,7 @@ from resonlab.nonlinearity import (
     smoothed_power,
     smoothed_power_coefficients,
 )
-from resonlab.resonance import build_resonance_table, frequency_rule
+from resonlab.resonance import ResonanceTable, build_resonance_table, frequency_rule
 from resonlab.spectral import Potential, TorusGeometry, build_frame, sample_ball, sobolev_norm
 
 TAU = 2 * np.pi
@@ -815,6 +815,25 @@ def test_drift_refuses_table_of_another_potential(frame_1d_9, frame_1d_9_cos):
     flat_table = build_resonance_table(frame_1d_9)
     with pytest.raises(ConfigError):
         ResonantDrift(frame_1d_9_cos, CUBIC, flat_table)
+
+
+def test_drift_refuses_table_of_another_torus_length(frame_1d_9):
+    # an eta_res of inf widened the eigenvalue tolerance to inf, so a table of
+    # the length-3 torus without its frame_sha256 passed on the 2 pi frame; a
+    # NaN eigenvalue passed because NaN > tol is False
+    doc = build_resonance_table(build_frame(TorusGeometry((3.0,), 32), Potential.zero(),
+                                            9)).to_document()
+    doc.pop("frame_sha256", None)
+    with pytest.raises(ConfigError, match="built for another frame"):
+        ResonantDrift(frame_1d_9, CUBIC, ResonanceTable.from_document(doc))
+    with pytest.raises(ConfigError, match=r"^table\.eta_res must be a real number in "
+                                          r"\[0, inf\), got inf$"):
+        ResonanceTable.from_document({**doc, "eta_res": float("inf")})
+    table = build_resonance_table(frame_1d_9)
+    lam = table.eigenvalues.copy()
+    lam[3] = np.nan
+    with pytest.raises(ConfigError, match="differ from the frame's by nan"):
+        ResonantDrift(frame_1d_9, CUBIC, dataclasses.replace(table, eigenvalues=lam))
 
 
 def test_drift_refuses_table_of_another_mode_count(frame_1d_9):

@@ -275,19 +275,41 @@ def test_2d_table_file_is_the_list_encoding(table_2d_49):
     assert table.content_hash() == hashlib.sha256(raw[:-1]).hexdigest()
 
 
-def test_2d_table_load_stays_in_arrays(table_2d_49):
-    # as lists, the rows alone took 34.5 MiB in from_document; as arrays the
-    # file bytes (3.1 MB) and the intp rows (7.2 MB) are most of the peak
-    table, path, _ = table_2d_49
+def _assert_loads_in_arrays(table, path, sha256):
     tracemalloc.start()
     try:
-        loaded = ResonanceTable.from_document(read_json(path, sha256=table.content_hash()))
+        loaded = ResonanceTable.from_document(read_json(path, sha256=sha256))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 16 * 2 ** 20, f"loading the table peaked at {peak / 2 ** 20:.1f} MiB"
     for target, rows in table.resonances[(1, -1, 1)].items():
         assert np.array_equal(loaded.resonances[(1, -1, 1)][target], rows)
+
+
+def test_2d_table_load_stays_in_arrays(table_2d_49):
+    # as lists, the rows alone took 34.5 MiB in from_document; as arrays the
+    # file bytes (3.1 MB) and the intp rows (7.2 MB) are most of the peak
+    table, path, _ = table_2d_49
+    _assert_loads_in_arrays(table, path, table.content_hash())
+
+
+def test_unpinned_2d_table_load_stays_in_arrays(table_2d_49):
+    # without a pin the table used to be parsed into lists by json.loads
+    table, path, _ = table_2d_49
+    _assert_loads_in_arrays(table, path, None)
+
+
+def test_unpinned_table_read_gives_the_pinned_arrays(tmp_path, frame_1d_9):
+    table = build_resonance_table(frame_1d_9)
+    path = tmp_path / "table.json"
+    write_json(path, table.to_document())
+    pinned, unpinned = read_json(path, sha256=table.content_hash()), read_json(path)
+    assert _as_lists(unpinned) == _as_lists(pinned)
+    for entry, pinned_entry in zip(unpinned["resonances"], pinned["resonances"]):
+        rows = entry["tuples"]
+        assert isinstance(rows, np.ndarray) and rows.dtype == np.intp
+        assert not rows.flags.writeable and np.array_equal(rows, pinned_entry["tuples"])
 
 
 def test_importing_io_leaves_integrators_unloaded():

@@ -160,6 +160,15 @@ def test_fractional_modes_and_potential_indices_are_refused():
             make()
 
 
+def test_potential_refuses_indices_of_another_dimension():
+    with pytest.raises(ConfigError, match=r"^cosine index \(1, 0\) does not match dimension 1$"):
+        Potential.from_cosines({(1, 0): 0.1}, dimension=1)
+    planar = Potential.from_cosines({(1, 0): 0.1}, dimension=2)
+    with pytest.raises(ConfigError, match=r"^potential index \(-1, 0\) does not match "
+                                          r"dimension 1$"):
+        planar.values_on(TorusGeometry((TAU,), 16))
+
+
 def test_rejects_undersized_grid():
     with pytest.raises(ConfigError):
         build_frame(TorusGeometry((TAU,), 8), Potential.zero(), 9)
